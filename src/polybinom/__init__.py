@@ -48,7 +48,6 @@ from .posets import (
     hstar_via_descents,
     omega_star,
     order_polytope_points,
-    order_star_split,
     strict_order_poly,
 )
 from .chromatic import (
@@ -107,7 +106,6 @@ __all__ = [
     "monomial_inequality_forms",
     "omega_star",
     "order_polytope_points",
-    "order_star_split",
     "orientation_to_poset",
     "star_via_order_polynomials",
     "strict_order_poly",

@@ -1,0 +1,158 @@
+"""One check table per instance kind, shared by the surveys and the CLI.
+
+`graph_checks`, `poset_checks` and `flow_checks` each compute every quantity
+of one instance once and return it with a ``checks`` table: check name ->
+"pass", "fail" or "vacuous".  A survey records the table and a CLI command
+takes its verdict and exit code from it, so both judge an instance alike.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .chromatic import ChromaticResult, chromatic_analysis, star_via_order_polynomials
+from .decompositions import (
+    InequalityReport,
+    SymmetricSplit,
+    ab_decomposition,
+    ca_decomposition,
+    chain_report,
+    check_partial_sum_inequalities,
+    nonnegativity_report,
+    symmetric_split,
+)
+from .errors import NotApplicable
+from .flows import FlowResult, flow_analysis, kochol_orientation_counts
+from .graphs import Multigraph
+from .polynomials import Polynomial, StarVector, binomial_transform
+from .posets import (
+    Poset,
+    ehrhart_polynomial,
+    hstar_via_descents,
+    interior_point_count,
+    interior_star,
+    strict_order_poly,
+)
+
+__all__ = [
+    "FlowChecks",
+    "GraphChecks",
+    "PosetChecks",
+    "flow_checks",
+    "graph_checks",
+    "poset_checks",
+]
+
+
+def _verdict(ok: bool) -> str:
+    return "pass" if ok else "fail"
+
+
+@dataclass(frozen=True)
+class Checked:
+    """The check table of one instance: check name -> pass/fail/vacuous."""
+
+    checks: dict[str, str]
+
+    @property
+    def failures(self) -> list[str]:
+        return [name for name, verdict in self.checks.items() if verdict == "fail"]
+
+
+@dataclass(frozen=True)
+class GraphChecks(Checked):
+    result: ChromaticResult
+
+
+@dataclass(frozen=True)
+class FlowChecks(Checked):
+    result: FlowResult
+    kochol: dict[int, dict[tuple[int, ...], int]]  # orientation tables, n = 1..xi+2
+
+
+@dataclass(frozen=True)
+class PosetChecks(Checked):
+    poset: Poset
+    order_poly: Polynomial
+    star: StarVector
+    split: SymmetricSplit
+    hstar: StarVector
+    audits: tuple[InequalityReport, ...]  # partial-sum audits of the order star
+
+
+def graph_checks(g: Multigraph) -> GraphChecks:
+    """Chromatic split, acyclic-orientation oracle, inequality audits, and the
+    order-polynomial cross-route."""
+    r = chromatic_analysis(g)
+    checks = {
+        "split_reconstructs": _verdict(r.split.difference() == r.chi_star.entries),
+        "constants_match_acyclic_oracle": _verdict(r.constants_match_oracle),
+        "top_entry_is_acyclic_count": _verdict(r.chi_star.entries[-1] == r.acyclic_count),
+        "reciprocity_at_minus_one": _verdict((-1) ** g.vertex_count * r.chi(-1) == r.acyclic_count),
+        **{audit.family: audit.verdict for audit in r.audits},
+        "order_polynomial_sum_matches": _verdict(star_via_order_polynomials(g) == r.chi_star),
+    }
+    return GraphChecks(checks, r)
+
+
+def poset_checks(p: Poset) -> PosetChecks:
+    """Order star split, both order-polytope oracles, reciprocity, and the
+    lattice-point decompositions."""
+    d = p.element_count
+    if d == 0:
+        raise NotApplicable("empty", "the empty poset is excluded from verification")
+    poly = strict_order_poly(p)
+    star = binomial_transform(poly, d, start=0)
+    split = symmetric_split(star.entries, d)
+    ehr = ehrhart_polynomial(p)
+    hstar = binomial_transform(ehr, d, start=0)
+    inner = interior_star(p)
+    audits = tuple(
+        check_partial_sum_inequalities(star.entries, d, family)
+        for family in ("order_tail_sums", "binomial_coefficient_bound")
+    )
+    checks = {
+        "split_reconstructs": _verdict(split.difference() == star.entries),
+        "top_entry_is_one": _verdict(star.entries[d] == 1),
+        "constants_are_one": _verdict(split.p[0] == 1 and (not split.q or split.q[0] == 1)),
+        "first_entry_zero_unless_antichain": _verdict(p.is_antichain or star.entries[1] == 0),
+    }
+    for vec, hi, family in ((split.p, d - 1, "order_chain_a"), (split.q, d - 2, "order_chain_b")):
+        checks[family] = chain_report(vec, hi, family).verdict
+        checks[family + "_positive"] = nonnegativity_report(vec, family, minimum=1).verdict
+    checks.update({audit.family: audit.verdict for audit in audits})
+    checks["descents_match_lattice_hstar"] = _verdict(hstar_via_descents(p) == hstar)
+    checks["reciprocity"] = _verdict(
+        all((-1) ** d * ehr(-n) == interior_point_count(p, n) for n in range(1, d + 3))
+    )
+    checks["hstar_reversal_is_interior"] = _verdict(hstar.interior_reversal() == inner)
+    checks["interior_shift_is_order_star"] = _verdict(inner.entries[1:] == star.entries)
+    checks["hstar_ab_chain"] = ab_decomposition(hstar).audit.verdict
+    ca = ca_decomposition(hstar, interior=inner)
+    checks.update({audit.family: audit.verdict for audit in ca.audits})
+    for family in ("hstar_tail_vs_head", "hstar_top_vs_head"):
+        checks[family] = check_partial_sum_inequalities(hstar.entries, d, family).verdict
+    return PosetChecks(checks, p, poly, star, split, hstar, audits)
+
+
+def flow_checks(g: Multigraph) -> FlowChecks:
+    """Flow splits, orientation oracles, inequality audits, and the
+    per-orientation sum identity."""
+    r = flow_analysis(g)
+    xi = r.xi
+    kochol = {n: kochol_orientation_counts(g, n) for n in range(1, xi + 3)}
+    checks = {
+        "phi_split_reconstructs": _verdict(r.phi_split.difference() == r.phi_star.entries),
+        "f_split_reconstructs": _verdict(r.f_split.difference() == r.f_star.entries),
+        "constants_match_oracles": _verdict(r.constants_match_oracle),
+        "phi_degree_is_xi": _verdict(r.phi.degree == xi),
+        "f_degree_is_xi": _verdict(r.f.degree == xi),
+        **{audit.family: audit.verdict for audit in r.audits},
+        "kochol_sums_match_f": _verdict(
+            all(sum(table.values()) == r.f(n) for n, table in kochol.items())
+        ),
+        "kochol_keys_totally_cyclic": _verdict(
+            all(set(table) <= r.tc_orientation_set for table in kochol.values())
+        ),
+    }
+    return FlowChecks(checks, r, kochol)

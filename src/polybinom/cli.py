@@ -21,28 +21,29 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .chromatic import chromatic_analysis, match_reference_forms, star_via_order_polynomials
-from .decompositions import check_partial_sum_inequalities
+from .checks import flow_checks, graph_checks, poset_checks
+from .chromatic import match_reference_forms
 from .errors import CapExceeded, InputFormatError, NotApplicable, PolybinomError
-from .flows import flow_analysis, kochol_orientation_counts
 from .graphs import parse_graph_file
-from .polynomials import binomial_transform
-from .posets import (
-    ehrhart_polynomial,
-    hstar_via_descents,
-    interior_point_count,
-    interior_star,
-    omega_star,
-    order_star_split,
-    parse_poset_file,
-    strict_order_poly,
-)
+from .posets import parse_poset_file
 from .survey import run_flow_survey, run_graph_survey, run_poset_survey
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_REJECTED = 2
 EXIT_CAP = 3
+
+# checks each command's JSON shows as booleans, in print order; the frozen
+# references in perfbench/reference/ fix these names and this order
+CHROMATIC_FLAGS = ("order_polynomial_sum_matches",)
+FLOW_FLAGS = ("kochol_sums_match_f", "kochol_keys_totally_cyclic")
+ORDER_FLAGS = (
+    "top_entry_is_one",
+    "reciprocity",
+    "hstar_reversal_is_interior",
+    "interior_shift_is_order_star",
+    "descents_match_lattice_hstar",
+)
 
 
 def _timestamp() -> str:
@@ -82,34 +83,41 @@ def _check_edge_cap(g, cap: int | None) -> None:
         raise CapExceeded(f"graph has {g.edge_count} edges, --cap-edges is {cap}")
 
 
+def _flags(checked, names: tuple[str, ...]) -> dict[str, bool]:
+    return {name: checked.checks[name] == "pass" for name in names}
+
+
+def _exit_code(checked) -> int:
+    """Exit code from the whole check table; failing checks are named on stderr."""
+    if checked.failures:
+        print(f"failed checks: {', '.join(checked.failures)}", file=sys.stderr)
+        return EXIT_COUNTEREXAMPLE
+    return EXIT_OK
+
+
+def _header(digest: str, checked) -> dict:
+    return {
+        "schema": 1,
+        "version": __version__,
+        "input_sha256": digest,
+        "verdict": "fail" if checked.failures else "pass",
+        "run": {"timestamp": _timestamp()},
+    }
+
+
 def _cmd_chromatic(args) -> int:
     text, digest = _read_file(args.file)
     g = parse_graph_file(text)
     _check_edge_cap(g, args.cap_edges)
-    result = chromatic_analysis(g)
-    via_orders = star_via_order_polynomials(g)
-    order_sum_ok = via_orders == result.chi_star
-    failed = (
-        not result.constants_match_oracle
-        or not order_sum_ok
-        or any(r.verdict == "fail" for r in result.audits)
-    )
+    checked = graph_checks(g)
+    result = checked.result
     if args.csv:
         _write_audit_csv(args.csv, args.file, result.audits)
     if args.json:
-        payload = result.to_json()
-        payload.update(
-            {
-                "schema": 1,
-                "version": __version__,
-                "input_sha256": digest,
-                "order_polynomial_sum_matches": order_sum_ok,
-                "verdict": "fail" if failed else "pass",
-                "run": {"timestamp": _timestamp()},
-            }
-        )
-        _emit_json(payload)
+        payload = {**result.to_json(), **_flags(checked, CHROMATIC_FLAGS)}
+        _emit_json({**payload, **_header(digest, checked)})
     else:
+        order_sum_ok = checked.checks["order_polynomial_sum_matches"] == "pass"
         print(f"graph: {g.vertex_count} vertices, {g.edge_count} edges")
         print(f"chi: {result.chi.pretty()}")
         print(f"chi_star: {tuple(result.chi_star.entries)}")
@@ -120,45 +128,25 @@ def _cmd_chromatic(args) -> int:
         print(f"order-polynomial sum matches: {order_sum_ok}")
         print("audits:")
         print("\n".join(_audit_lines(result.audits)))
-    return EXIT_COUNTEREXAMPLE if failed else EXIT_OK
+    return _exit_code(checked)
 
 
 def _cmd_flow(args) -> int:
     text, digest = _read_file(args.file)
     g = parse_graph_file(text)
     _check_edge_cap(g, args.cap_edges)
-    result = flow_analysis(g)
-    xi = result.xi
-    kochol = {n: kochol_orientation_counts(g, n) for n in range(1, xi + 3)}
-    kochol_ok = all(sum(t.values()) == result.f(n) for n, t in kochol.items())
-    keys_ok = all(set(t) <= result.tc_orientation_set for t in kochol.values())
-    failed = (
-        not result.constants_match_oracle
-        or not kochol_ok
-        or not keys_ok
-        or any(r.verdict == "fail" for r in result.audits)
-    )
+    checked = flow_checks(g)
+    result, kochol, xi = checked.result, checked.kochol, checked.result.xi
     if args.csv:
         _write_audit_csv(args.csv, args.file, result.audits)
     if args.json:
-        payload = result.to_json()
-        payload.update(
-            {
-                "schema": 1,
-                "version": __version__,
-                "input_sha256": digest,
-                "kochol_table": {
-                    str(n): {"".join(map(str, k)): v for k, v in t.items()}
-                    for n, t in kochol.items()
-                },
-                "kochol_sums_match_f": kochol_ok,
-                "kochol_keys_totally_cyclic": keys_ok,
-                "verdict": "fail" if failed else "pass",
-                "run": {"timestamp": _timestamp()},
-            }
-        )
-        _emit_json(payload)
+        table = {
+            str(n): {"".join(map(str, k)): v for k, v in t.items()} for n, t in kochol.items()
+        }
+        payload = {**result.to_json(), "kochol_table": table, **_flags(checked, FLOW_FLAGS)}
+        _emit_json({**payload, **_header(digest, checked)})
     else:
+        kochol_ok = checked.checks["kochol_sums_match_f"] == "pass"
         print(f"graph: {g.vertex_count} vertices, {g.edge_count} edges, xi = {xi}")
         print(f"phi: {result.phi.pretty()}")
         print(f"f: {result.f.pretty()}")
@@ -176,70 +164,39 @@ def _cmd_flow(args) -> int:
         print(f"orientation table at n={xi + 2}: {len(top)} orientations, total {sum(top.values())}")
         print("audits:")
         print("\n".join(_audit_lines(result.audits)))
-    return EXIT_COUNTEREXAMPLE if failed else EXIT_OK
+    return _exit_code(checked)
 
 
 def _cmd_order(args) -> int:
     text, digest = _read_file(args.file)
     p = parse_poset_file(text)
-    d = p.element_count
-    if d == 0:
-        raise NotApplicable("empty", "the empty poset is excluded from verification")
-    poly = strict_order_poly(p)
-    star = omega_star(p)
-    split = order_star_split(p)
-    hstar = binomial_transform(ehrhart_polynomial(p), d, start=0)
-    descents = hstar_via_descents(p) if d <= 8 else None
-    inner = interior_star(p)
-    ehr = ehrhart_polynomial(p)
-    reciprocity_ok = all(
-        (-1) ** d * ehr(-n) == interior_point_count(p, n) for n in range(1, d + 3)
-    )
-    audits = (
-        check_partial_sum_inequalities(star.entries, d, "order_tail_sums"),
-        check_partial_sum_inequalities(star.entries, d, "binomial_coefficient_bound"),
-    )
-    checks = {
-        "top_entry_is_one": star.entries[d] == 1,
-        "reciprocity": reciprocity_ok,
-        "hstar_reversal_is_interior": hstar.interior_reversal() == inner,
-        "interior_shift_is_order_star": inner.entries[1:] == star.entries,
-        "descents_match_lattice_hstar": descents == hstar if descents is not None else None,
-    }
-    failed = any(v is False for v in checks.values()) or any(
-        r.verdict == "fail" for r in audits
-    )
+    checked = poset_checks(p)
     if args.csv:
-        _write_audit_csv(args.csv, args.file, audits)
+        _write_audit_csv(args.csv, args.file, checked.audits)
     if args.json:
         payload = {
-            "schema": 1,
-            "version": __version__,
-            "input_sha256": digest,
             "poset": p.to_json(),
-            "order_polynomial": poly.to_json(),
-            "omega_star": star.to_json(),
-            "a": list(split.p),
-            "b": list(split.q),
-            "hstar": hstar.to_json(),
-            "checks": checks,
-            "audits": [r.to_json() for r in audits],
-            "verdict": "fail" if failed else "pass",
-            "run": {"timestamp": _timestamp()},
+            "order_polynomial": checked.order_poly.to_json(),
+            "omega_star": checked.star.to_json(),
+            "a": list(checked.split.p),
+            "b": list(checked.split.q),
+            "hstar": checked.hstar.to_json(),
+            "checks": _flags(checked, ORDER_FLAGS),
+            "audits": [r.to_json() for r in checked.audits],
         }
-        _emit_json(payload)
+        _emit_json({**payload, **_header(digest, checked)})
     else:
-        print(f"poset: {d} elements, covers {list(p.cover_pairs())}")
-        print(f"order polynomial: {poly.pretty()}")
-        print(f"omega_star: {tuple(star.entries)}")
-        print(f"a: {split.p}")
-        print(f"b: {split.q}")
-        print(f"hstar (order polytope): {tuple(hstar.entries)}")
-        for name, value in checks.items():
+        print(f"poset: {p.element_count} elements, covers {list(p.cover_pairs())}")
+        print(f"order polynomial: {checked.order_poly.pretty()}")
+        print(f"omega_star: {tuple(checked.star.entries)}")
+        print(f"a: {checked.split.p}")
+        print(f"b: {checked.split.q}")
+        print(f"hstar (order polytope): {tuple(checked.hstar.entries)}")
+        for name, value in _flags(checked, ORDER_FLAGS).items():
             print(f"{name}: {value}")
         print("audits:")
-        print("\n".join(_audit_lines(audits)))
-    return EXIT_COUNTEREXAMPLE if failed else EXIT_OK
+        print("\n".join(_audit_lines(checked.audits)))
+    return _exit_code(checked)
 
 
 def _cmd_survey(args) -> int:

@@ -17,28 +17,10 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from . import __version__
-from .chromatic import chromatic_analysis, star_via_order_polynomials
-from .decompositions import (
-    ab_decomposition,
-    ca_decomposition,
-    chain_report,
-    check_partial_sum_inequalities,
-    nonnegativity_report,
-)
+from .checks import FlowChecks, GraphChecks, PosetChecks, flow_checks, graph_checks, poset_checks
 from .errors import NotApplicable
-from .flows import flow_analysis, kochol_orientation_counts
 from .graphs import Multigraph, complete_graph, cyclomatic_number, dipole, graph_certificate
-from .polynomials import binomial_transform
-from .posets import (
-    Poset,
-    ehrhart_polynomial,
-    generate_posets,
-    hstar_via_descents,
-    interior_point_count,
-    interior_star,
-    omega_star,
-    order_star_split,
-)
+from .posets import Poset, generate_posets
 
 __all__ = [
     "SurveyReport",
@@ -146,6 +128,9 @@ class SurveyReport:
     skipped: list[dict] = field(default_factory=list)
     counterexamples: list[dict] = field(default_factory=list)
     elapsed_seconds: float = 0.0
+    started: float = field(
+        init=False, repr=False, compare=False, default_factory=time.perf_counter
+    )
 
     def record(self, instance_id: str, payload: dict, checks: dict[str, str]) -> None:
         self.instances.append({"id": instance_id, "checks": checks, **payload})
@@ -187,142 +172,86 @@ class SurveyReport:
             body["run"] = {"timestamp": timestamp, "elapsed_seconds": self.elapsed_seconds}
         return body
 
+    def run(self, instances, check, record) -> "SurveyReport":
+        """Check each (id, instance): record its table, or skip it on NotApplicable."""
+        for instance_id, instance in instances:
+            try:
+                checked = check(instance)
+            except NotApplicable as exc:
+                self.skip(instance_id, exc.reason)
+                continue
+            self.record(instance_id, record(checked), checked.checks)
+        self.elapsed_seconds = time.perf_counter() - self.started
+        return self
 
-def _verdict(ok: bool) -> str:
-    return "pass" if ok else "fail"
+
+def _graph_record(checked: GraphChecks) -> dict:
+    r = checked.result
+    return {
+        "d": r.graph.vertex_count,
+        "m": r.graph.edge_count,
+        "chi_star": list(r.chi_star.entries),
+        "a": list(r.split.p),
+        "b": list(r.split.q),
+        "acyclic_orientations": r.acyclic_count,
+    }
+
+
+def _poset_record(checked: PosetChecks) -> dict:
+    return {
+        "d": checked.poset.element_count,
+        "omega_star": list(checked.star.entries),
+        "a": list(checked.split.p),
+        "b": list(checked.split.q),
+        "hstar": list(checked.hstar.entries),
+    }
+
+
+def _flow_record(checked: FlowChecks) -> dict:
+    r = checked.result
+    return {
+        "d": r.graph.vertex_count,
+        "m": r.graph.edge_count,
+        "xi": r.xi,
+        "phi_star": list(r.phi_star.entries),
+        "f_star": list(r.f_star.entries),
+        "alpha": list(r.phi_split.p),
+        "beta": list(r.phi_split.q),
+        "c": list(r.f_split.p),
+        "dvec": list(r.f_split.q),
+        "totally_cyclic": r.tc_orientation_count,
+        "indegree_sequences": r.indegree_sequence_count,
+    }
 
 
 # ---------------------------------------------------------------------------
-# survey drivers
+# survey drivers: family construction, then one shared check loop
 
 
 def run_graph_survey(max_size: int, mode: str = "exhaustive", seed: int = 0) -> SurveyReport:
-    """Chromatic split, oracle constants, inequality audits, and the
-    order-polynomial cross-route, over connected loopless simple graphs."""
+    """`graph_checks` over connected loopless simple graphs."""
     report = SurveyReport("graphs", {"max_size": max_size, "mode": mode, "seed": seed})
-    t0 = time.perf_counter()
     if mode == "exhaustive":
         graphs = connected_graph_classes(max_size)
     elif mode == "sample":
         graphs = sample_graphs(seed, count=25, max_d=max_size)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    for g in graphs:
-        gid = _graph_id(g)
-        try:
-            result = chromatic_analysis(g)
-        except NotApplicable as exc:
-            report.skip(gid, exc.reason)
-            continue
-        checks = {
-            "split_reconstructs": _verdict(result.split.difference() == result.chi_star.entries),
-            "constants_match_acyclic_oracle": _verdict(result.constants_match_oracle),
-            "top_entry_is_acyclic_count": _verdict(
-                result.chi_star.entries[-1] == result.acyclic_count
-            ),
-            "reciprocity_at_minus_one": _verdict(
-                (-1) ** g.vertex_count * result.chi(-1) == result.acyclic_count
-            ),
-        }
-        for audit in result.audits:
-            checks[audit.family] = audit.verdict
-        via_orders = star_via_order_polynomials(g)
-        checks["order_polynomial_sum_matches"] = _verdict(via_orders == result.chi_star)
-        report.record(
-            gid,
-            {
-                "d": g.vertex_count,
-                "m": g.edge_count,
-                "chi_star": list(result.chi_star.entries),
-                "a": list(result.split.p),
-                "b": list(result.split.q),
-                "acyclic_orientations": result.acyclic_count,
-            },
-            checks,
-        )
-    report.elapsed_seconds = time.perf_counter() - t0
-    return report
+    return report.run([(_graph_id(g), g) for g in graphs], graph_checks, _graph_record)
 
 
 def run_poset_survey(max_size: int, mode: str = "exhaustive", seed: int = 0) -> SurveyReport:
-    """Order star splits, both polytope oracles, reciprocity, and the
-    lattice-point decompositions, over poset isomorphism classes."""
+    """`poset_checks` over poset isomorphism classes."""
     report = SurveyReport("posets", {"max_size": max_size, "mode": mode, "seed": seed})
-    t0 = time.perf_counter()
     if mode == "exhaustive":
-        cap = min(max_size, POSET_SURVEY_CAP)
-        posets = [p for d in range(1, cap + 1) for p in generate_posets(d)]
-        report.scope["class_counts"] = [len(generate_posets(d)) for d in range(1, cap + 1)]
+        families = [generate_posets(d) for d in range(1, min(max_size, POSET_SURVEY_CAP) + 1)]
+        report.scope["class_counts"] = [len(family) for family in families]
+        posets = [p for family in families for p in family]
     elif mode == "sample":
         posets = sample_posets(seed, count=25, max_d=max_size)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    for p in posets:
-        pid = _poset_id(p)
-        d = p.element_count
-        star = omega_star(p)
-        split = order_star_split(p)
-        checks = {
-            "split_reconstructs": _verdict(split.difference() == star.entries),
-            "top_entry_is_one": _verdict(star.entries[d] == 1),
-            "constants_are_one": _verdict(
-                split.p[0] == 1 and (not split.q or split.q[0] == 1)
-            ),
-            "first_entry_zero_unless_antichain": _verdict(
-                p.is_antichain or star.entries[1] == 0 if d >= 1 else True
-            ),
-        }
-        for vec, hi, fam in ((split.p, d - 1, "order_chain_a"), (split.q, d - 2, "order_chain_b")):
-            checks[fam] = chain_report(vec, hi, fam).verdict
-            checks[fam + "_positive"] = nonnegativity_report(vec, fam, minimum=1).verdict
-        checks["order_tail_sums"] = check_partial_sum_inequalities(
-            star.entries, d, "order_tail_sums"
-        ).verdict
-        checks["binomial_coefficient_bound"] = check_partial_sum_inequalities(
-            star.entries, d, "binomial_coefficient_bound"
-        ).verdict
-
-        # order polytope oracles
-        hstar = binomial_transform(ehrhart_polynomial(p), d, start=0)
-        descents = hstar_via_descents(p)
-        inner = interior_star(p)
-        ehr = ehrhart_polynomial(p)
-        reciprocity_ok = all(
-            (-1) ** d * ehr(-n) == interior_point_count(p, n) for n in range(1, d + 3)
-        )
-        checks["descents_match_lattice_hstar"] = _verdict(descents == hstar)
-        checks["reciprocity"] = _verdict(reciprocity_ok)
-        checks["hstar_reversal_is_interior"] = _verdict(
-            hstar.interior_reversal() == inner
-        )
-        checks["interior_shift_is_order_star"] = _verdict(
-            inner.entries[1:] == star.entries and inner.entries[0] == 0
-        )
-        ab = ab_decomposition(hstar)
-        checks["hstar_ab_chain"] = ab.audit.verdict
-        ca = ca_decomposition(hstar, interior=inner)
-        for audit in ca.audits:
-            checks[audit.family] = audit.verdict
-        checks["hstar_tail_vs_head"] = check_partial_sum_inequalities(
-            hstar.entries, d, "hstar_tail_vs_head"
-        ).verdict
-        checks["hstar_top_vs_head"] = check_partial_sum_inequalities(
-            hstar.entries, d, "hstar_top_vs_head"
-        ).verdict
-
-        report.record(
-            pid,
-            {
-                "d": d,
-                "omega_star": list(star.entries),
-                "a": list(split.p),
-                "b": list(split.q),
-                "hstar": list(hstar.entries),
-            },
-            checks,
-        )
-    report.elapsed_seconds = time.perf_counter() - t0
-    return report
+    return report.run([(_poset_id(p), p) for p in posets], poset_checks, _poset_record)
 
 
 def run_flow_survey(
@@ -333,75 +262,25 @@ def run_flow_survey(
     max_xi: int = FLOW_XI_SURVEY_CAP,
     include_fixtures: bool = True,
 ) -> SurveyReport:
-    """Flow splits, orientation oracles, inequality audits, and the
-    per-orientation sum identity, over bridgeless instances."""
+    """`flow_checks` over bridgeless instances with 1 <= xi <= max_xi."""
     report = SurveyReport(
         "flows", {"max_size": max_size, "mode": mode, "seed": seed, "max_xi": max_xi}
     )
-    t0 = time.perf_counter()
-    instances: list[tuple[str, Multigraph]] = []
     if mode == "exhaustive":
-        for g in connected_graph_classes(max_size):
-            instances.append((_graph_id(g), g))
+        instances = [(_graph_id(g), g) for g in connected_graph_classes(max_size)]
         if include_fixtures:
-            instances.extend(flow_fixture_set())
+            instances += flow_fixture_set()
     elif mode == "sample":
         instances = [
             (_graph_id(g), g) for g in sample_graphs(seed, 15, max_size, bridgeless=True)
         ]
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    for gid, g in instances:
-        if not g.is_bridgeless:
-            report.skip(gid, "bridge")
-            continue
-        xi = cyclomatic_number(g)
-        if xi == 0:
-            report.skip(gid, "xi=0")
-            continue
-        if xi > max_xi:
-            report.skip(gid, "cap")
-            continue
-        result = flow_analysis(g)
-        checks = {
-            "phi_split_reconstructs": _verdict(
-                result.phi_split.difference() == result.phi_star.entries
-            ),
-            "f_split_reconstructs": _verdict(
-                result.f_split.difference() == result.f_star.entries
-            ),
-            "constants_match_oracles": _verdict(result.constants_match_oracle),
-            "phi_degree_is_xi": _verdict(result.phi.degree == xi),
-            "f_degree_is_xi": _verdict(result.f.degree == xi),
-        }
-        for audit in result.audits:
-            checks[audit.family] = audit.verdict
-        kochol_ok = True
-        keys_ok = True
-        for n in range(1, xi + 3):
-            table = kochol_orientation_counts(g, n)
-            if sum(table.values()) != result.f(n):
-                kochol_ok = False
-            if not set(table) <= result.tc_orientation_set:
-                keys_ok = False
-        checks["kochol_sums_match_f"] = _verdict(kochol_ok)
-        checks["kochol_keys_totally_cyclic"] = _verdict(keys_ok)
-        report.record(
-            gid,
-            {
-                "d": g.vertex_count,
-                "m": g.edge_count,
-                "xi": xi,
-                "phi_star": list(result.phi_star.entries),
-                "f_star": list(result.f_star.entries),
-                "alpha": list(result.phi_split.p),
-                "beta": list(result.phi_split.q),
-                "c": list(result.f_split.p),
-                "dvec": list(result.f_split.q),
-                "totally_cyclic": result.tc_orientation_count,
-                "indegree_sequences": result.indegree_sequence_count,
-            },
-            checks,
-        )
-    report.elapsed_seconds = time.perf_counter() - t0
-    return report
+
+    def check(g: Multigraph) -> FlowChecks:
+        # flow_analysis skips bridges and xi = 0 itself, in that order
+        if cyclomatic_number(g) > max_xi and g.is_bridgeless:
+            raise NotApplicable("cap")
+        return flow_checks(g)
+
+    return report.run(instances, check, _flow_record)

@@ -6,11 +6,14 @@ brute-force oracles (orientation enumeration, lattice-point counting, dense
 flow scans) before being frozen.
 """
 
+import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
+from polybinom.cli import main
 from polybinom.chromatic import chromatic_analysis, chromatic_star, match_reference_forms
 from polybinom.decompositions import ab_decomposition, ca_decomposition
 from polybinom.flows import flow_analysis
@@ -18,6 +21,8 @@ from polybinom.graphs import complete_graph, dipole, path_graph
 from polybinom.polynomials import Polynomial, binomial_transform, inverse_transform
 from polybinom.posets import antichain, ehrhart_polynomial
 from polybinom.survey import run_flow_survey, run_graph_survey, run_poset_survey
+
+REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 GRAPH_LIMIT_S = 300.0
 POSET_LIMIT_S = 120.0
@@ -223,3 +228,38 @@ def test_criterion_8_transform_round_trip():
             assert inverse_transform(v) == p, (trial, coeffs, bound, start)
     elapsed = time.perf_counter() - t0
     _verdict("8 transform round trip, 1000 random polynomials", True, f"{elapsed:.1f}s")
+
+
+def _reference(name: str) -> dict:
+    return json.loads((REFERENCE_DIR / f"{name}.json").read_text())
+
+
+def _by_id(records) -> dict[str, str]:
+    return {r["id"]: json.dumps(r, sort_keys=True) for r in records}
+
+
+def test_surveys_match_frozen_references(graph_survey, poset_survey):
+    graphs = _reference("survey-graphs-d6")
+    got = graph_survey.to_json()
+    assert _by_id(got["instances"]) == _by_id(graphs["instances"])
+    assert _by_id(got["skipped"]) == _by_id(graphs["skipped"])
+    posets = _reference("survey-posets-d6")
+    expected = [r for r in posets["instances"] if r["d"] <= 5]
+    assert _by_id(poset_survey.to_json()["instances"]) == _by_id(expected)
+    _verdict("9 graph (d<=6) and poset (d<=5) survey records match the frozen references", True)
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("order-antichain7", "elements 7\n"),
+        ("order-chain7", "elements 7\n" + "".join(f"cover {i} {i + 1}\n" for i in range(6))),
+    ],
+)
+def test_order_json_matches_frozen_reference(name, text, tmp_path, capsys):
+    path = tmp_path / f"{name}.txt"
+    path.write_text(text)
+    assert main(["order", "--json", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    payload.pop("run")
+    assert payload == _reference(name)

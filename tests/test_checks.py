@@ -1,0 +1,106 @@
+"""The shared check tables: CLI/survey parity and failures reported, not raised."""
+
+import json
+
+from polybinom.cli import main
+from polybinom.decompositions import CADecomposition, InequalityReport, InequalityRow
+from polybinom.graphs import format_graph_file
+from polybinom.posets import Poset, chain, format_poset_file, generate_posets
+from polybinom.survey import (
+    _graph_id,
+    _poset_id,
+    connected_graph_classes,
+    flow_fixture_set,
+    run_flow_survey,
+    run_graph_survey,
+    run_poset_survey,
+)
+
+# survey record field -> the CLI JSON path of the same vector
+SHARED = {
+    "chromatic": {"chi_star": ("chi_star", "entries"), "a": ("a",), "b": ("b",)},
+    "order": {
+        "omega_star": ("omega_star", "entries"),
+        "hstar": ("hstar", "entries"),
+        "a": ("a",),
+        "b": ("b",),
+    },
+    "flow": {
+        "phi_star": ("phi_star", "entries"),
+        "f_star": ("f_star", "entries"),
+        "alpha": ("alpha",),
+        "beta": ("beta",),
+        "c": ("c",),
+        "dvec": ("d",),
+    },
+}
+
+
+def _survey_cases():
+    graphs = {_graph_id(g): g for g in connected_graph_classes(4)}
+    posets = {_poset_id(p): p for d in range(1, 5) for p in generate_posets(d)}
+    flow_instances = {**graphs, **dict(flow_fixture_set())}
+    return [
+        ("chromatic", run_graph_survey(4), graphs, format_graph_file),
+        ("order", run_poset_survey(4), posets, format_poset_file),
+        ("flow", run_flow_survey(4), flow_instances, format_graph_file),
+    ]
+
+
+def _lookup(payload, path):
+    for key in path:
+        payload = payload[key]
+    return payload
+
+
+def test_cli_and_survey_agree_on_every_instance(tmp_path, capsys):
+    for command, report, instances, formatter in _survey_cases():
+        records = {r["id"]: r for r in report.instances}
+        skipped = {r["id"] for r in report.skipped}
+        assert set(records) | skipped == set(instances)
+        for k, (instance_id, instance) in enumerate(sorted(instances.items())):
+            path = tmp_path / f"{command}-{k}.txt"
+            path.write_text(formatter(instance))
+            code = main([command, "--json", str(path)])
+            out = capsys.readouterr().out
+            if instance_id in skipped:
+                assert code == 2, (command, instance_id)
+                continue
+            record = records[instance_id]
+            verdict = "fail" if "fail" in record["checks"].values() else "pass"
+            payload = json.loads(out)
+            assert payload["verdict"] == verdict, (command, instance_id)
+            assert code == (1 if verdict == "fail" else 0), (command, instance_id)
+            for field, cli_path in SHARED[command].items():
+                assert _lookup(payload, cli_path) == record[field], (command, instance_id, field)
+
+
+def test_order_exit_code_follows_the_whole_table(monkeypatch, tmp_path, capsys):
+    failing = InequalityReport("ca_chain_c", ">=", {}, (InequalityRow(1, 0, 1, False),))
+    monkeypatch.setattr(
+        "polybinom.checks.ca_decomposition",
+        lambda h, interior=None: CADecomposition((), (), (failing,)),
+    )
+    path = tmp_path / "chain3.poset"
+    path.write_text(format_poset_file(chain(3)))
+    assert main(["order", str(path)]) == 1
+    assert "failed checks: ca_chain_c" in capsys.readouterr().err
+    assert main(["order", "--json", str(path)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] == "fail"
+    assert all(payload["checks"].values())
+
+
+def test_descent_disagreement_is_a_reported_failure(monkeypatch):
+    all_extensions = Poset.linear_extensions
+
+    def all_but_first(self):
+        extensions = all_extensions(self)
+        next(extensions)
+        yield from extensions
+
+    monkeypatch.setattr(Poset, "linear_extensions", all_but_first)
+    report = run_poset_survey(3)
+    assert set(report.check_column("descents_match_lattice_hstar")) == {"fail"}
+    assert {ce["check"] for ce in report.counterexamples} == {"descents_match_lattice_hstar"}
+

@@ -1,5 +1,6 @@
 import pytest
 
+from polybinom.decompositions import symmetric_split
 from polybinom.errors import CapExceeded, InputFormatError
 from polybinom.polynomials import Polynomial, binomial_transform
 from polybinom.posets import (
@@ -14,7 +15,6 @@ from polybinom.posets import (
     interior_star,
     omega_star,
     order_polytope_points,
-    order_star_split,
     parse_poset_file,
     poset_certificate,
     strict_order_poly,
@@ -71,11 +71,11 @@ class TestOrderPolynomial:
         assert omega_star(antichain(4)).entries == (0, 1, 11, 11, 1)
 
     def test_split_examples(self):
-        s = order_star_split(chain(3))
+        s = symmetric_split(omega_star(chain(3)).entries, 3)
         assert (s.p, s.q) == ((1, 1, 1, 1), (1, 1, 1))
-        s = order_star_split(antichain(2))
+        s = symmetric_split(omega_star(antichain(2)).entries, 2)
         assert (s.p, s.q) == ((1, 2, 1), (1, 1))
-        s = order_star_split(chain(1))
+        s = symmetric_split(omega_star(chain(1)).entries, 1)
         assert (s.p, s.q) == ((1, 1), (1,))
 
 
@@ -106,6 +106,13 @@ class TestOrderPolytope:
     def test_hstar_via_descents_examples(self):
         assert hstar_via_descents(chain(3)).entries == (1, 0, 0, 0)
         assert hstar_via_descents(antichain(2)).entries == (1, 1, 0)
+        assert hstar_via_descents(antichain(3)).entries == (1, 4, 1, 0)
+
+    def test_descent_oracle_shares_no_code_with_lattice_route(self, monkeypatch):
+        def lattice_route(p):
+            raise AssertionError("the descent oracle reached the lattice-point route")
+
+        monkeypatch.setattr("polybinom.posets.ehrhart_polynomial", lattice_route)
         assert hstar_via_descents(antichain(3)).entries == (1, 4, 1, 0)
 
     def test_interior_relations(self):
@@ -159,7 +166,7 @@ class TestExhaustiveSplitsD6:
         for p in posets:
             d = p.element_count
             star = omega_star(p)
-            split = order_star_split(p)
+            split = symmetric_split(star.entries, d)
             assert split.difference() == star.entries
             assert star.entries[d] == 1
             assert split.p[0] == 1 and split.q[0] == 1

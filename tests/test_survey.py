@@ -3,6 +3,7 @@ import json
 import pytest
 
 from polybinom.survey import (
+    SurveyReport,
     connected_graph_classes,
     flow_fixture_set,
     run_flow_survey,
@@ -98,3 +99,10 @@ class TestFlowSurvey:
     def test_sample_mode(self):
         report = run_flow_survey(5, mode="sample", seed=12)
         assert report.ok
+
+
+class TestSurveyReport:
+    def test_start_time_is_not_a_parameter_and_not_compared(self):
+        with pytest.raises(TypeError):
+            SurveyReport("graphs", {}, started=0.0)
+        assert SurveyReport("graphs", {"max_size": 1}) == SurveyReport("graphs", {"max_size": 1})
