@@ -40,15 +40,14 @@ from .polynomials import (
     Polynomial,
     StarVector,
     binomial_transform,
-    interpolate,
     inverse_transform,
+    star_from_values,
 )
 from .posets import (
     Poset,
     hstar_via_descents,
     omega_star,
     order_polytope_points,
-    strict_order_poly,
 )
 from .chromatic import (
     ChromaticResult,
@@ -99,7 +98,6 @@ __all__ = [
     "hstar_via_descents",
     "in_degree_sequence_count",
     "integral_flow_count",
-    "interpolate",
     "inverse_transform",
     "kochol_orientation_counts",
     "modular_flow_count",
@@ -107,7 +105,7 @@ __all__ = [
     "omega_star",
     "order_polytope_points",
     "orientation_to_poset",
+    "star_from_values",
     "star_via_order_polynomials",
-    "strict_order_poly",
     "symmetric_split",
 ]

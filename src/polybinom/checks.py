@@ -24,15 +24,8 @@ from .decompositions import (
 from .errors import NotApplicable
 from .flows import FlowResult, flow_analysis, kochol_orientation_counts
 from .graphs import Multigraph
-from .polynomials import Polynomial, StarVector, binomial_transform
-from .posets import (
-    Poset,
-    ehrhart_polynomial,
-    hstar_via_descents,
-    interior_point_count,
-    interior_star,
-    strict_order_poly,
-)
+from .polynomials import StarVector
+from .posets import Poset, ehrhart_star, hstar_via_descents, interior_star, omega_star
 
 __all__ = [
     "FlowChecks",
@@ -73,7 +66,6 @@ class FlowChecks(Checked):
 @dataclass(frozen=True)
 class PosetChecks(Checked):
     poset: Poset
-    order_poly: Polynomial
     star: StarVector
     split: SymmetricSplit
     hstar: StarVector
@@ -101,11 +93,9 @@ def poset_checks(p: Poset) -> PosetChecks:
     d = p.element_count
     if d == 0:
         raise NotApplicable("empty", "the empty poset is excluded from verification")
-    poly = strict_order_poly(p)
-    star = binomial_transform(poly, d, start=0)
+    star = omega_star(p)
     split = symmetric_split(star.entries, d)
-    ehr = ehrhart_polynomial(p)
-    hstar = binomial_transform(ehr, d, start=0)
+    hstar = ehrhart_star(p)
     inner = interior_star(p)
     audits = tuple(
         check_partial_sum_inequalities(star.entries, d, family)
@@ -122,17 +112,18 @@ def poset_checks(p: Poset) -> PosetChecks:
         checks[family + "_positive"] = nonnegativity_report(vec, family, minimum=1).verdict
     checks.update({audit.family: audit.verdict for audit in audits})
     checks["descents_match_lattice_hstar"] = _verdict(hstar_via_descents(p) == hstar)
+    # inner reproduces the interior counts at n = 1..d+2 it was built from
     checks["reciprocity"] = _verdict(
-        all((-1) ** d * ehr(-n) == interior_point_count(p, n) for n in range(1, d + 3))
+        all((-1) ** d * hstar.value(-n) == inner.value(n) for n in range(1, d + 3))
     )
     checks["hstar_reversal_is_interior"] = _verdict(hstar.interior_reversal() == inner)
     checks["interior_shift_is_order_star"] = _verdict(inner.entries[1:] == star.entries)
     checks["hstar_ab_chain"] = ab_decomposition(hstar).audit.verdict
-    ca = ca_decomposition(hstar, interior=inner)
+    ca = ca_decomposition(hstar)
     checks.update({audit.family: audit.verdict for audit in ca.audits})
     for family in ("hstar_tail_vs_head", "hstar_top_vs_head"):
         checks[family] = check_partial_sum_inequalities(hstar.entries, d, family).verdict
-    return PosetChecks(checks, p, poly, star, split, hstar, audits)
+    return PosetChecks(checks, p, star, split, hstar, audits)
 
 
 def flow_checks(g: Multigraph) -> FlowChecks:

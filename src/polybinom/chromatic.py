@@ -98,21 +98,21 @@ def _chi_simple(g: Multigraph) -> Polynomial:
     return result
 
 
-def chromatic_polynomial(g: Multigraph, cap: int = CHROMATIC_VERTEX_CAP) -> Polynomial:
+def chromatic_polynomial(g: Multigraph) -> Polynomial:
     """Exact proper-coloring count polynomial of a multigraph.
 
     Loops force the zero polynomial; parallel edges are collapsed first.
     """
-    if g.vertex_count > cap:
-        raise CapExceeded(f"chromatic cap is {cap} vertices, got {g.vertex_count}")
+    if g.vertex_count > CHROMATIC_VERTEX_CAP:
+        raise CapExceeded(f"chromatic cap is {CHROMATIC_VERTEX_CAP} vertices, got {g.vertex_count}")
     if g.has_loops:
         return Polynomial.zero()
     return _chi_simple(g.simplify())
 
 
-def chromatic_star(g: Multigraph, cap: int = CHROMATIC_VERTEX_CAP) -> StarVector:
+def chromatic_star(g: Multigraph) -> StarVector:
     """Star vector of chi_G over degree bound d = vertex count (start=0)."""
-    return binomial_transform(chromatic_polynomial(g, cap), g.vertex_count, start=0)
+    return binomial_transform(chromatic_polynomial(g), g.vertex_count, start=0)
 
 
 def star_via_order_polynomials(g: Multigraph) -> StarVector:

@@ -25,6 +25,7 @@ from .checks import flow_checks, graph_checks, poset_checks
 from .chromatic import match_reference_forms
 from .errors import CapExceeded, InputFormatError, NotApplicable, PolybinomError
 from .graphs import parse_graph_file
+from .polynomials import inverse_transform
 from .posets import parse_poset_file
 from .survey import run_flow_survey, run_graph_survey, run_poset_survey
 
@@ -171,12 +172,13 @@ def _cmd_order(args) -> int:
     text, digest = _read_file(args.file)
     p = parse_poset_file(text)
     checked = poset_checks(p)
+    order_poly = inverse_transform(checked.star)
     if args.csv:
         _write_audit_csv(args.csv, args.file, checked.audits)
     if args.json:
         payload = {
             "poset": p.to_json(),
-            "order_polynomial": checked.order_poly.to_json(),
+            "order_polynomial": order_poly.to_json(),
             "omega_star": checked.star.to_json(),
             "a": list(checked.split.p),
             "b": list(checked.split.q),
@@ -187,7 +189,7 @@ def _cmd_order(args) -> int:
         _emit_json({**payload, **_header(digest, checked)})
     else:
         print(f"poset: {p.element_count} elements, covers {list(p.cover_pairs())}")
-        print(f"order polynomial: {checked.order_poly.pretty()}")
+        print(f"order polynomial: {order_poly.pretty()}")
         print(f"omega_star: {tuple(checked.star.entries)}")
         print(f"a: {checked.split.p}")
         print(f"b: {checked.split.q}")

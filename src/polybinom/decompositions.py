@@ -414,16 +414,11 @@ class CADecomposition:
         }
 
 
-def ca_decomposition(
-    h: StarVector,
-    interior: StarVector | None = None,
-    *,
-    verify: bool = False,
-) -> CADecomposition:
+def ca_decomposition(h: StarVector, *, verify: bool = False) -> CADecomposition:
     """Degree-independent c/a split: c_j = a_{j-1} + h_j with c_0 = h_0.
 
-    When ``interior`` (the start=1 star vector of the interior counts) is
-    supplied, c - a is checked against it exactly.
+    c - a equals ``h.interior_reversal()`` by construction; comparing that
+    with the interior counts is the `hstar_reversal_is_interior` check.
     """
     ab = ab_decomposition(h)
     a = ab.a
@@ -444,11 +439,6 @@ def ca_decomposition(
         chain_report(c, D, "ca_chain_c", normalized=v[0] == 1),
     )
     result = CADecomposition(tuple(c), a, audits)
-    if interior is not None:
-        if interior.start != 1 or result.interior_entries() != interior.entries:
-            raise AssertionError(
-                f"c - a = {result.interior_entries()} does not match interior vector {interior.entries}"
-            )
     if verify:
         require_pass(list(audits))
     return result

@@ -38,7 +38,7 @@ from .graphs import (
     enumerate_totally_cyclic_orientations,
     in_degree_sequence_count,
 )
-from .polynomials import Polynomial, StarVector, binomial_transform, interpolate
+from .polynomials import Polynomial, StarVector, inverse_transform, star_from_values
 
 __all__ = [
     "FLOW_XI_CAP",
@@ -52,7 +52,9 @@ __all__ = [
     "positive_flow_count",
 ]
 
-FLOW_XI_CAP = 8
+# the integral scan at n = xi+2 has (2(xi+1))^xi candidates: 14^6 ~ 7.5M fit
+# the budget, 16^7 ~ 268M do not, so the cap is the largest xi that fits
+FLOW_XI_CAP = 6
 DENSE_EDGE_CAP = 8
 _CANDIDATE_BUDGET = 30_000_000
 _CHUNK = 1 << 20
@@ -159,18 +161,18 @@ def _candidate_chunks(value_sets: list[np.ndarray]) -> Iterator[np.ndarray]:
             yield block
 
 
-def _check_caps(g: Multigraph, n: int, cap_xi: int) -> int:
+def _check_caps(g: Multigraph, n: int) -> int:
     if n < 1:
         raise ValueError("flow modulus/bound must be a positive integer")
     xi = cyclomatic_number(g)
-    if xi > cap_xi:
-        raise CapExceeded(f"cyclomatic number {xi} exceeds cap {cap_xi}")
+    if xi > FLOW_XI_CAP:
+        raise CapExceeded(f"cyclomatic number {xi} exceeds cap {FLOW_XI_CAP}")
     return xi
 
 
-def modular_flow_count(g: Multigraph, n: int, cap_xi: int = FLOW_XI_CAP) -> int:
+def modular_flow_count(g: Multigraph, n: int) -> int:
     """Nowhere-zero flows with values in Z_n under the reference orientation."""
-    _check_caps(g, n, cap_xi)
+    _check_caps(g, n)
     if g.edge_count == 0:
         return 1
     if n == 1:
@@ -209,9 +211,9 @@ def modular_flow_count_dense(g: Multigraph, n: int) -> int:
     return count
 
 
-def integral_flow_count(g: Multigraph, n: int, cap_xi: int = FLOW_XI_CAP) -> int:
+def integral_flow_count(g: Multigraph, n: int) -> int:
     """Nowhere-zero integer flows with 0 < |x(e)| < n."""
-    _check_caps(g, n, cap_xi)
+    _check_caps(g, n)
     if g.edge_count == 0:
         return 1
     if n == 1:
@@ -230,9 +232,7 @@ def integral_flow_count(g: Multigraph, n: int, cap_xi: int = FLOW_XI_CAP) -> int
     return total
 
 
-def kochol_orientation_counts(
-    g: Multigraph, n: int, cap_xi: int = FLOW_XI_CAP
-) -> dict[tuple[int, ...], int]:
+def kochol_orientation_counts(g: Multigraph, n: int) -> dict[tuple[int, ...], int]:
     """Integer flows 0 < |x| < n bucketed by the orientation they traverse.
 
     Every nowhere-zero integer flow is strictly positive along exactly one
@@ -240,15 +240,14 @@ def kochol_orientation_counts(
     a direction vector is precisely the count of its strictly positive flows
     bounded by n, and the buckets sum to `integral_flow_count`.
     """
-    _check_caps(g, n, cap_xi)
+    _check_caps(g, n)
     m = g.edge_count
     if m == 0 or n == 1:
         return {}
     tree, cotree, M = _cycle_matrix(g)
     span = np.concatenate([np.arange(-(n - 1), 0), np.arange(1, n)]).astype(np.int64)
     values = [span for _ in cotree]
-    powers = np.array([1 << e for e in range(m)], dtype=np.int64)
-    buckets: dict[int, int] = {}
+    buckets: dict[tuple[int, ...], int] = {}
     for cand in _candidate_chunks(values):
         if tree:
             forced = cand @ M.T
@@ -261,13 +260,15 @@ def kochol_orientation_counts(
         edge_vals = np.empty((cand.shape[0], m), dtype=np.int64)
         edge_vals[:, tree] = forced
         edge_vals[:, cotree] = cand
-        codes = (edge_vals < 0).astype(np.int64) @ powers
-        uniq, counts = np.unique(codes, return_counts=True)
-        for code, cnt in zip(uniq.tolist(), counts.tolist()):
-            buckets[code] = buckets.get(code, 0) + int(cnt)
-    return {
-        tuple((code >> e) & 1 for e in range(m)): cnt for code, cnt in sorted(buckets.items())
-    }
+        # sort the sign rows, packed 8 edges a byte, and count equal runs
+        signs = np.packbits(edge_vals < 0, axis=1)
+        signs = signs[np.lexsort(signs.T[::-1])]
+        starts = np.flatnonzero(np.r_[True, (signs[1:] != signs[:-1]).any(axis=1)])
+        counts = np.diff(np.r_[starts, signs.shape[0]])
+        rows = np.unpackbits(signs[starts], axis=1, count=m)
+        for row, cnt in zip(map(tuple, rows.tolist()), counts.tolist()):
+            buckets[row] = buckets.get(row, 0) + cnt
+    return dict(sorted(buckets.items()))
 
 
 def positive_flow_count(g: Multigraph, orientation: Orientation, n: int) -> int:
@@ -352,36 +353,30 @@ def _entrywise_dominance(upper: Sequence[int], lower: Sequence[int], family: str
     return InequalityReport(family, ">=", {"range": f"1..{hi}"}, rows)
 
 
-def flow_analysis(g: Multigraph, *, verify: bool = False, cap_xi: int = FLOW_XI_CAP) -> FlowResult:
+def flow_analysis(g: Multigraph, *, verify: bool = False) -> FlowResult:
     """Both flow polynomials with their star vectors, splits, and audits.
 
     Preconditions: no bridges (a bridge forces the zero polynomial) and
     xi >= 1; violations raise NotApplicable with a machine-readable reason.
-    Interpolation uses n = 1..xi+1 and is cross-checked at n = xi+2.
+    The star vectors come from the counts at n = 1..xi+2, the last one an
+    overdetermination node.
     """
     if g.bridges():
         raise NotApplicable("bridge", "a bridge admits no nowhere-zero flow")
     xi = cyclomatic_number(g)
     if xi == 0:
         raise NotApplicable("xi=0", "no cycles; both flow polynomials are constant 1")
-    if xi > cap_xi:
-        raise CapExceeded(f"cyclomatic number {xi} exceeds cap {cap_xi}")
+    if xi > FLOW_XI_CAP:
+        raise CapExceeded(f"cyclomatic number {xi} exceeds cap {FLOW_XI_CAP}")
 
-    mod_counts = {n: modular_flow_count(g, n, cap_xi) for n in range(1, xi + 3)}
-    int_counts = {n: integral_flow_count(g, n, cap_xi) for n in range(1, xi + 3)}
-    phi = interpolate([(n, mod_counts[n]) for n in range(1, xi + 2)], xi)
+    phi_star = star_from_values([modular_flow_count(g, n) for n in range(1, xi + 3)], xi, start=1)
+    f_star = star_from_values([integral_flow_count(g, n) for n in range(1, xi + 3)], xi, start=1)
+    phi = inverse_transform(phi_star)
+    if not phi.is_integral:
+        raise ValueError(f"flow polynomial has non-integer coefficients: {phi.pretty()}")
     # f is a sum of Ehrhart polynomials of open polytopes: integer-valued but
-    # with rational monomial coefficients in general, so only its values and
-    # the overdetermination node are asserted
-    f = interpolate([(n, int_counts[n]) for n in range(1, xi + 2)], xi, integral=False)
-    for poly, counts, name in ((phi, mod_counts, "modular"), (f, int_counts, "integral")):
-        if poly(xi + 2) != counts[xi + 2]:
-            raise AssertionError(
-                f"{name} flow polynomial fails its overdetermination node: "
-                f"{poly(xi + 2)} != {counts[xi + 2]}"
-            )
-    phi_star = binomial_transform(phi, xi, start=1)
-    f_star = binomial_transform(f, xi, start=1)
+    # with rational monomial coefficients in general
+    f = inverse_transform(f_star)
     phi_split = symmetric_split(phi_star.entries, xi + 1)
     f_split = symmetric_split(f_star.entries, xi + 1)
 

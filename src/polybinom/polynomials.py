@@ -1,14 +1,19 @@
 """Exact polynomial arithmetic and binomial-basis coefficient vectors.
 
-Everything here is exact: coefficients are `fractions.Fraction`, values at
-integer arguments are Python ints.  A counting polynomial p of degree <= D
-has a rational generating function
+Everything here is exact.  A counting polynomial p of degree <= D has a
+rational generating function
 
     sum_{n >= start} p(n) z^n  =  v(z) / (1 - z)^(D+1),      start in {0, 1},
 
 and `StarVector` stores the numerator coefficients of v together with
 (D, start).  Writing p in the shifted binomial basis C(n+D-i, D) recovers
 the same numbers: p(n) = sum_i v_i * C(n+D-i, D).
+
+The entries of v are integer finite differences of the values of p, so
+`star_from_values` builds a star vector straight from integer counts.
+`Polynomial` (with `fractions.Fraction` coefficients) is built from a star
+vector by `inverse_transform` only where a polynomial is printed or
+evaluated as such.
 
 Two length conventions follow from the algebra and are enforced at
 construction:
@@ -35,8 +40,8 @@ __all__ = [
     "binomial",
     "binomial_poly_value",
     "binomial_transform",
-    "interpolate",
     "inverse_transform",
+    "star_from_values",
 ]
 
 
@@ -181,39 +186,6 @@ class Polynomial:
         }
 
 
-def interpolate(
-    points: Sequence[tuple[int, int]],
-    expected_degree: int,
-    *,
-    integral: bool = True,
-) -> Polynomial:
-    """Unique polynomial of degree <= expected_degree through the given points.
-
-    Requires exactly expected_degree+1 points with distinct abscissae; uses
-    Newton divided differences over Fractions.  With ``integral=True``,
-    non-integer monomial coefficients raise, since for the counting
-    polynomials interpolated here that means a miscount or a wrong degree
-    bound.
-    """
-    if len(points) != expected_degree + 1:
-        raise ValueError(
-            f"need exactly {expected_degree + 1} points for degree {expected_degree}, got {len(points)}"
-        )
-    xs = [x for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("duplicate abscissae in interpolation points")
-    coef = [Fraction(y) for _, y in points]
-    for level in range(1, len(points)):
-        for i in range(len(points) - 1, level - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - level])
-    poly = Polynomial([coef[-1]])
-    for i in range(len(points) - 2, -1, -1):
-        poly = poly * Polynomial([-xs[i], 1]) + Polynomial([coef[i]])
-    if integral and not poly.is_integral:
-        raise ValueError(f"interpolation produced non-integer coefficients: {poly.pretty()}")
-    return poly
-
-
 @dataclass(frozen=True)
 class StarVector:
     """Numerator of sum_{n >= start} p(n) z^n over (1-z)^(degree_bound+1).
@@ -262,6 +234,12 @@ class StarVector:
     def codegree(self) -> int:
         return self.degree_bound + 1 - self.degree
 
+    def value(self, n: int) -> int:
+        """p(n) = sum_i v_i * C(n+D-i, D) read as a polynomial in n, so any
+        integer n works (reciprocity evaluates at negative n)."""
+        D = self.degree_bound
+        return sum(e * binomial_poly_value(n + D - i, D) for i, e in enumerate(self.entries) if e)
+
     def interior_reversal(self) -> "StarVector":
         """z^(D+1) * v(1/z) for a start=0 vector.
 
@@ -280,42 +258,43 @@ class StarVector:
         }
 
 
-def binomial_transform(p: Polynomial, degree_bound: int, start: int = 0) -> StarVector:
-    """Numerator of (1-z)^(degree_bound+1) * sum_{n >= start} p(n) z^n.
+def star_from_values(values: Sequence[int], degree_bound: int, start: int = 0) -> StarVector:
+    """Star vector of the polynomial p of degree <= D with values[j] = p(start + j).
 
-    Entry i is sum_k (-1)^k C(D+1, k) p(i-k) over i-k >= start.  The series
-    tail is checked to vanish, which it must whenever deg p <= D; a nonzero
-    tail means the degree bound is wrong.
+    The first D+1 values give the entries h_i = sum_k (-1)^k C(D+1, k) p(i-k)
+    over i-k >= start.  Every further value is an overdetermination node: the
+    (D+1)-th finite difference ending there must vanish, and a nonzero one
+    (a miscount or a wrong degree bound) raises ValueError.
     """
-    if start not in (0, 1):
-        raise ValueError("start must be 0 or 1")
     D = degree_bound
-    if p.degree > D:
-        raise ValueError(f"polynomial degree {p.degree} exceeds bound {D}")
-    top = D + 3
-    values = {}
-    for n in range(start, top + 1):
-        values[n] = _fraction_to_int(Fraction(p(n)), f"p({n})")
-    signs = [(-1) ** k * binomial(D + 1, k) for k in range(D + 2)]
+    if len(values) < D + 1:
+        raise ValueError(f"need at least {D + 1} values for degree bound {D}, got {len(values)}")
+    signs = [(-1) ** k * math.comb(D + 1, k) for k in range(D + 2)]
 
-    def numerator_coeff(i: int) -> int:
-        return sum(signs[k] * values[i - k] for k in range(min(i - start, D + 1) + 1))
+    def difference(j: int) -> int:
+        return sum(signs[k] * values[j - k] for k in range(min(j, D + 1) + 1))
 
-    raw = [numerator_coeff(i) for i in range(top + 1)]
-    for i in range(D + 2, top + 1):
-        if raw[i] != 0:
-            raise ValueError(f"series numerator has unexpected z^{i} term: {raw[i]}")
-    if start == 0:
-        if raw[D + 1] != 0:
-            raise ValueError(f"start=0 numerator has unexpected z^{D + 1} term: {raw[D + 1]}")
-        return StarVector(tuple(raw[: D + 1]), D, start=0)
-    return StarVector(tuple(raw[: D + 2]), D, start=1)
+    for j in range(D + 1, len(values)):
+        if difference(j) != 0:
+            raise ValueError(
+                f"value p({start + j}) = {values[j]} breaks degree bound {D}: "
+                f"finite difference {difference(j)}"
+            )
+    return StarVector((0,) * start + tuple(difference(j) for j in range(D + 1)), D, start)
+
+
+def binomial_transform(p: Polynomial, degree_bound: int, start: int = 0) -> StarVector:
+    """Numerator of (1-z)^(degree_bound+1) * sum_{n >= start} p(n) z^n."""
+    if p.degree > degree_bound:
+        raise ValueError(f"polynomial degree {p.degree} exceeds bound {degree_bound}")
+    values = [_fraction_to_int(Fraction(p(n)), f"p({n})") for n in range(start, start + degree_bound + 1)]
+    return star_from_values(values, degree_bound, start)
 
 
 def inverse_transform(v: StarVector) -> Polynomial:
     """The polynomial p with p(n) = sum_i v_i * C(n+D-i, D).
 
-    Exact inverse of `binomial_transform` for either start convention; the
+    Exact inverse of `star_from_values` for either start convention; the
     result may have rational coefficients (it is always integer-valued).
     """
     D = v.degree_bound

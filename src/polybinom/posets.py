@@ -10,9 +10,11 @@ coordinates weakly respect the order) provides two independent oracles for
 the same data: direct lattice-point counts and the descent statistic over
 linear extensions.
 
-Ground truth throughout is brute-force counting plus exact interpolation;
-the descent route is the fast cross-check, with its convention (descents of
-the extension word under the lexicographically smallest natural labeling)
+Ground truth throughout is brute-force counting; the star vectors are
+integer finite differences of the counts (`star_from_values`), with one
+extra count as an overdetermination node where it is cheap.  The descent
+route is the fast cross-check, with its convention (descents of the
+extension word under the lexicographically smallest natural labeling)
 frozen after calibration against the lattice-point oracle.
 """
 
@@ -24,7 +26,7 @@ from functools import cached_property
 from typing import Iterator, Sequence
 
 from .errors import CapExceeded, InputFormatError
-from .polynomials import Polynomial, StarVector, binomial_transform, interpolate
+from .polynomials import StarVector, star_from_values
 
 __all__ = [
     "ORDER_POLY_ELEMENT_CAP",
@@ -33,7 +35,7 @@ __all__ = [
     "Poset",
     "antichain",
     "chain",
-    "ehrhart_polynomial",
+    "ehrhart_star",
     "generate_posets",
     "hstar_via_descents",
     "interior_point_count",
@@ -42,7 +44,6 @@ __all__ = [
     "order_polytope_points",
     "parse_poset_file",
     "poset_certificate",
-    "strict_order_poly",
 ]
 
 ORDER_POLY_ELEMENT_CAP = 7
@@ -241,35 +242,22 @@ def _count_monotone_maps(p: Poset, low: int, high: int, strict: bool) -> int:
     return count_from(0)
 
 
-def strict_order_poly(p: Poset, cap: int = ORDER_POLY_ELEMENT_CAP) -> Polynomial:
-    """The polynomial counting strict order-preserving maps into {1..n}.
-
-    Interpolated exactly from brute-force counts at n = 1..d+1; rational
-    monomial coefficients are expected (the counts are integer-valued).
-    """
-    d = p.element_count
-    if d > cap:
-        raise CapExceeded(f"order polynomial cap is {cap} elements, got {d}")
-    if d == 0:
-        return Polynomial([1])
-    points = [(n, _count_monotone_maps(p, 1, n, strict=True)) for n in range(1, d + 2)]
-    return interpolate(points, d, integral=False)
-
-
-def omega_star(p: Poset, cap: int = ORDER_POLY_ELEMENT_CAP) -> StarVector:
+def omega_star(p: Poset) -> StarVector:
     """Star vector of the strict order count: length d+1, zero constant term.
 
-    The count vanishes at n = 0, so the series starting at n >= 1 and the
-    start=0 transform have the same numerator; the start=0 convention keeps
-    the vector at its true length d+1 (degree <= d, top entry 1).
+    Built from the d+2 counts at n = 0..d+1, one more than degree d needs.
+    The count at n = 0 is 0, and that extra node checks that the counts at
+    n >= 1 agree with it; so the series starting at n >= 1 and the start=0
+    vector have the same numerator, and the start=0 convention keeps the
+    vector at its true length d+1 (degree <= d, top entry 1).
     """
     d = p.element_count
+    if d > ORDER_POLY_ELEMENT_CAP:
+        raise CapExceeded(f"order polynomial cap is {ORDER_POLY_ELEMENT_CAP} elements, got {d}")
     if d == 0:
         raise ValueError("the empty poset has no star vector in this convention")
-    poly = strict_order_poly(p, cap)
-    if poly(0) != 0:
-        raise AssertionError("strict order count must vanish at n = 0")
-    return binomial_transform(poly, d, start=0)
+    counts = [_count_monotone_maps(p, 1, n, strict=True) for n in range(d + 2)]
+    return star_from_values(counts, d, start=0)
 
 
 # ---------------------------------------------------------------------------
@@ -293,22 +281,24 @@ def interior_point_count(p: Poset, n: int) -> int:
     return order_polytope_points(p, n, interior=True)
 
 
-def ehrhart_polynomial(p: Poset) -> Polynomial:
-    """Lattice-point count of the dilated order polytope, interpolated exactly."""
+def ehrhart_star(p: Poset) -> StarVector:
+    """h* of the order polytope from its lattice-point counts at n = 0..d."""
     d = p.element_count
-    points = [(n, order_polytope_points(p, n)) for n in range(d + 1)]
-    return interpolate(points, d, integral=False)
+    return star_from_values([order_polytope_points(p, n) for n in range(d + 1)], d, start=0)
 
 
 def interior_star(p: Poset) -> StarVector:
-    """Star vector (start=1) of the interior lattice-point counts."""
+    """Star vector (start=1) of the interior lattice-point counts at n = 1..d+2.
+
+    The count at n = d+2 is the node, so the vector reproduces every count
+    it was built from.
+    """
     d = p.element_count
-    points = [(n, interior_point_count(p, n)) for n in range(1, d + 2)]
-    poly = interpolate(points, d, integral=False)
-    return binomial_transform(poly, d, start=1)
+    counts = [interior_point_count(p, n) for n in range(1, d + 3)]
+    return star_from_values(counts, d, start=1)
 
 
-def hstar_via_descents(p: Poset, cap: int = DESCENT_ELEMENT_CAP) -> StarVector:
+def hstar_via_descents(p: Poset) -> StarVector:
     """h* of the order polytope as the descent distribution of extensions.
 
     Convention (frozen after calibration against the lattice-point oracle):
@@ -318,8 +308,8 @@ def hstar_via_descents(p: Poset, cap: int = DESCENT_ELEMENT_CAP) -> StarVector:
     the `descents_match_lattice_hstar` check compares it against.
     """
     d = p.element_count
-    if d > cap:
-        raise CapExceeded(f"linear-extension enumeration cap is {cap} elements, got {d}")
+    if d > DESCENT_ELEMENT_CAP:
+        raise CapExceeded(f"linear-extension enumeration cap is {DESCENT_ELEMENT_CAP} elements, got {d}")
     if d == 0:
         raise ValueError("the empty poset has no h* vector in this convention")
     label = {}

@@ -19,7 +19,7 @@ from polybinom.decompositions import ab_decomposition, ca_decomposition
 from polybinom.flows import flow_analysis
 from polybinom.graphs import complete_graph, dipole, path_graph
 from polybinom.polynomials import Polynomial, binomial_transform, inverse_transform
-from polybinom.posets import antichain, ehrhart_polynomial
+from polybinom.posets import antichain, ehrhart_star
 from polybinom.survey import run_flow_survey, run_graph_survey, run_poset_survey
 
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
@@ -194,7 +194,7 @@ def test_criterion_7_fixture_regressions():
     p3 = chromatic_analysis(path_graph(3))
     double = flow_analysis(dipole(2))
     theta = flow_analysis(dipole(3))
-    square_hstar = binomial_transform(ehrhart_polynomial(antichain(2)), 2, start=0)
+    square_hstar = ehrhart_star(antichain(2))
     square_ab = ab_decomposition(square_hstar)
     square_ca = ca_decomposition(square_hstar)
     checks = {

@@ -5,7 +5,15 @@ import json
 from polybinom.cli import main
 from polybinom.decompositions import CADecomposition, InequalityReport, InequalityRow
 from polybinom.graphs import format_graph_file
-from polybinom.posets import Poset, chain, format_poset_file, generate_posets
+from polybinom.polynomials import Polynomial
+from polybinom.posets import (
+    Poset,
+    chain,
+    format_poset_file,
+    generate_posets,
+    interior_point_count,
+    omega_star,
+)
 from polybinom.survey import (
     _graph_id,
     _poset_id,
@@ -79,7 +87,7 @@ def test_order_exit_code_follows_the_whole_table(monkeypatch, tmp_path, capsys):
     failing = InequalityReport("ca_chain_c", ">=", {}, (InequalityRow(1, 0, 1, False),))
     monkeypatch.setattr(
         "polybinom.checks.ca_decomposition",
-        lambda h, interior=None: CADecomposition((), (), (failing,)),
+        lambda h: CADecomposition((), (), (failing,)),
     )
     path = tmp_path / "chain3.poset"
     path.write_text(format_poset_file(chain(3)))
@@ -104,3 +112,22 @@ def test_descent_disagreement_is_a_reported_failure(monkeypatch):
     assert set(report.check_column("descents_match_lattice_hstar")) == {"fail"}
     assert {ce["check"] for ce in report.counterexamples} == {"descents_match_lattice_hstar"}
 
+
+def test_wrong_interior_counts_are_a_reported_failure(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(
+        "polybinom.posets.interior_point_count", lambda p, n: interior_point_count(p, n) + 1
+    )
+    path = tmp_path / "chain3.poset"
+    path.write_text(format_poset_file(chain(3)))
+    assert main(["order", str(path)]) == 1
+    assert "hstar_reversal_is_interior" in capsys.readouterr().err
+
+
+def test_order_route_builds_no_polynomial(monkeypatch):
+    def refuse(self, coeffs=()):
+        raise AssertionError("a Polynomial was built on the order route")
+
+    monkeypatch.setattr(Polynomial, "__init__", refuse)
+    assert omega_star(chain(3)).entries == (0, 0, 0, 1)
+    report = run_poset_survey(4)
+    assert report.ok and len(report.instances) == 24

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from polybinom.cli import main
+from polybinom.graphs import dipole, format_graph_file
 
 K3 = "vertices 3\nedge 0 1\nedge 0 2\nedge 1 2\n"
 P3 = "vertices 3\nedge 0 1\nedge 1 2\n"
@@ -76,6 +77,10 @@ class TestFlowCommand:
     def test_bridge_rejected(self, write, capsys):
         assert main(["flow", write("p3.graph", P3)]) == 2
         assert "bridge" in capsys.readouterr().err
+
+    def test_xi_above_cap_exits_3(self, write, capsys):
+        assert main(["flow", write("dipole8.graph", format_graph_file(dipole(8)))]) == 3
+        assert "cyclomatic number 7 exceeds cap 6" in capsys.readouterr().err
 
 
 class TestOrderCommand:

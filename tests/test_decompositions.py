@@ -150,13 +150,9 @@ class TestCADecomposition:
     def test_a_parts_agree_across_routes(self):
         for entries in [(1, 1, 0), (1, 4, 1, 0), (1, 0, 0), (1, 2, 3, 2, 1)]:
             h = StarVector(tuple(entries), len(entries) - 1)
-            assert ca_decomposition(h).a == ab_decomposition(h).a
-
-    def test_interior_cross_check(self):
-        h = StarVector((1, 1, 0), 2)
-        ca_decomposition(h, interior=h.interior_reversal())
-        with pytest.raises(AssertionError):
-            ca_decomposition(h, interior=StarVector((0, 1, 1, 1), 2, start=1))
+            ca = ca_decomposition(h)
+            assert ca.a == ab_decomposition(h).a
+            assert ca.interior_entries() == h.interior_reversal().entries
 
 
 class TestInequalityFamilies:

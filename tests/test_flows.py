@@ -5,6 +5,8 @@ import pytest
 
 from polybinom.errors import CapExceeded, NotApplicable
 from polybinom.flows import (
+    _CANDIDATE_BUDGET,
+    FLOW_XI_CAP,
     FlowResult,
     flow_analysis,
     integral_flow_count,
@@ -95,6 +97,16 @@ class TestCounts:
         with pytest.raises(CapExceeded):
             modular_flow_count_dense(Multigraph(2, tuple((0, 1) for _ in range(9))), 2)
 
+    def test_xi_cap_is_the_largest_the_candidate_budget_admits(self):
+        # flow_analysis scans the integral count up to n = xi+2, whose grid
+        # has (2(n-1))^xi = (2(xi+1))^xi candidates
+        def largest_grid(xi):
+            return (2 * (xi + 1)) ** xi
+
+        assert largest_grid(FLOW_XI_CAP) <= _CANDIDATE_BUDGET < largest_grid(FLOW_XI_CAP + 1)
+        with pytest.raises(CapExceeded, match=f"exceeds cap {FLOW_XI_CAP}"):
+            flow_analysis(dipole(FLOW_XI_CAP + 2))
+
 
 class TestFlowAnalysis:
     def test_double_edge(self):
@@ -137,6 +149,15 @@ class TestFlowAnalysis:
             flow_analysis(Multigraph(1, ()))
         assert err.value.reason == "xi=0"
 
+    def test_non_integral_phi_rejected(self, monkeypatch):
+        # C(n, 3) is integer-valued and of degree xi = 3, but phi must have
+        # integer monomial coefficients
+        monkeypatch.setattr(
+            "polybinom.flows.modular_flow_count", lambda g, n: n * (n - 1) * (n - 2) // 6
+        )
+        with pytest.raises(ValueError, match="non-integer coefficients"):
+            flow_analysis(complete_graph(4))
+
     def test_verify_mode_passes_on_fixtures(self):
         for g in (dipole(2), THETA, dipole(4), dipole(5), complete_graph(4), K4_DOUBLED):
             assert isinstance(flow_analysis(g, verify=True), FlowResult)
@@ -155,6 +176,9 @@ class TestKochol:
 
     def test_n1_empty(self):
         assert kochol_orientation_counts(THETA, 1) == {}
+
+    def test_more_edges_than_an_int64_code_holds(self):
+        assert kochol_orientation_counts(cycle_graph(70), 2) == {(0,) * 70: 1, (1,) * 70: 1}
 
     def test_keys_are_totally_cyclic(self):
         for g in (THETA, complete_graph(4), K4_DOUBLED):

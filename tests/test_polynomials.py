@@ -10,8 +10,8 @@ from polybinom.polynomials import (
     binomial,
     binomial_poly_value,
     binomial_transform,
-    interpolate,
     inverse_transform,
+    star_from_values,
 )
 
 
@@ -62,29 +62,34 @@ class TestPolynomial:
 
 
 class TestInterpolate:
+    """Values to polynomial: `star_from_values`, then `inverse_transform`."""
+
     def test_quadratic_through_flow_counts(self):
-        p = interpolate([(1, 0), (2, 0), (3, 6)], 2)
-        assert p.int_coeffs() == (6, -9, 3)
+        v = star_from_values([0, 0, 6], 2, start=1)
+        assert v.entries == (0, 0, 0, 6)
+        assert inverse_transform(v).int_coeffs() == (6, -9, 3)
 
     def test_identity_line(self):
-        assert interpolate([(0, 0), (1, 1)], 1) == Polynomial([0, 1])
+        assert inverse_transform(star_from_values([0, 1], 1)) == Polynomial([0, 1])
 
     def test_constant(self):
-        assert interpolate([(0, 1), (1, 1), (2, 1)], 2) == Polynomial([1])
+        assert inverse_transform(star_from_values([1, 1, 1], 2)) == Polynomial([1])
 
     def test_point_count_mismatch(self):
         with pytest.raises(ValueError):
-            interpolate([(0, 0), (1, 1)], 2)
-
-    def test_duplicate_abscissae(self):
+            star_from_values([0, 1], 2)
+        # a further value is a node and must fit the degree bound
+        assert star_from_values([0, 1, 2], 1).entries == (0, 1)
         with pytest.raises(ValueError):
-            interpolate([(1, 0), (1, 1), (2, 2)], 2)
+            star_from_values([0, 1, 3], 1)
 
     def test_non_integer_rejected_unless_allowed(self):
-        points = [(n, n * (n - 1) * (n - 2) // 6) for n in range(1, 5)]
+        # C(n, 3) is integer-valued with rational monomial coefficients
+        v = star_from_values([n * (n - 1) * (n - 2) // 6 for n in range(1, 6)], 3, start=1)
+        p = inverse_transform(v)
+        assert not p.is_integral
         with pytest.raises(ValueError):
-            interpolate(points, 3)
-        p = interpolate(points, 3, integral=False)
+            p.int_coeffs()
         assert p(10) == 120
 
 
@@ -107,6 +112,11 @@ class TestStarVector:
     def test_interior_reversal(self):
         v = StarVector((1, 1, 0), 2, start=0)
         assert v.interior_reversal() == StarVector((0, 0, 1, 1), 2, start=1)
+
+    def test_value_matches_inverse_transform_at_every_integer(self):
+        for v in (StarVector((1, 1, 0), 2), StarVector((0, 0, 0, 6), 2, start=1)):
+            p = inverse_transform(v)
+            assert [v.value(n) for n in range(-4, 5)] == [p(n) for n in range(-4, 5)]
 
 
 class TestBinomialTransform:
@@ -161,3 +171,22 @@ class TestTransformProperties:
         vq = binomial_transform(q, bound, start)
         vsum = binomial_transform(p + q, bound, start)
         assert tuple(a + b for a, b in zip(vp.entries, vq.entries)) == vsum.entries
+
+    @given(
+        integer_polynomials(max_degree=8),
+        st.sampled_from([0, 1]),
+        st.integers(min_value=0, max_value=3),
+        st.data(),
+    )
+    @settings(max_examples=200)
+    def test_values_give_the_transform_and_nodes_catch_changes(self, p, start, nodes, data):
+        bound = 8
+        values = [p(start + j) for j in range(bound + 1 + nodes)]
+        star = star_from_values(values, bound, start)
+        assert star == binomial_transform(p, bound, start)
+        if nodes:
+            # every value, the first D+1 included, lies under some node
+            j = data.draw(st.integers(min_value=0, max_value=len(values) - 1))
+            values[j] += data.draw(st.sampled_from([-1, 1]))
+            with pytest.raises(ValueError):
+                star_from_values(values, bound, start)
