@@ -150,9 +150,15 @@ class TestCADecomposition:
     def test_a_parts_agree_across_routes(self):
         for entries in [(1, 1, 0), (1, 4, 1, 0), (1, 0, 0), (1, 2, 3, 2, 1)]:
             h = StarVector(tuple(entries), len(entries) - 1)
-            ca = ca_decomposition(h)
-            assert ca.a == ab_decomposition(h).a
-            assert ca.interior_entries() == h.interior_reversal().entries
+            assert ca_decomposition(h).a == ab_decomposition(h).a
+
+    def test_interior_cross_check(self):
+        for entries in [(1, 1, 0), (1, 4, 1, 0), (1, 0, 0), (1, 2, 3, 2, 1)]:
+            h = StarVector(tuple(entries), len(entries) - 1)
+            assert ca_decomposition(h).interior_entries() == h.interior_reversal().entries
+        # the unit square has one interior point at n=2, not one at n=1
+        ca = ca_decomposition(StarVector((1, 1, 0), 2))
+        assert ca.interior_entries() != StarVector((0, 1, 1, 1), 2, start=1).entries
 
 
 class TestInequalityFamilies:
