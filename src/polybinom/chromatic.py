@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .decompositions import (
     InequalityReport,
@@ -28,6 +29,7 @@ from .decompositions import (
 from .errors import CapExceeded, NotApplicable
 from .graphs import (
     Multigraph,
+    Orientation,
     contract_edge,
     delete_edge,
     enumerate_acyclic_orientations,
@@ -115,18 +117,23 @@ def chromatic_star(g: Multigraph) -> StarVector:
     return binomial_transform(chromatic_polynomial(g), g.vertex_count, start=0)
 
 
-def star_via_order_polynomials(g: Multigraph) -> StarVector:
+def star_via_order_polynomials(
+    g: Multigraph, orientations: Sequence[Orientation] | None = None
+) -> StarVector:
     """Sum of order star vectors over the acyclic-orientation posets.
 
     Every acyclic orientation induces a poset on all d vertices, so the
     summands share the length-(d+1) convention and add entrywise; the total
-    must reproduce `chromatic_star` exactly.
+    must reproduce `chromatic_star` exactly.  ``orientations`` are the
+    acyclic orientations of g when the caller has already enumerated them.
     """
     if g.has_loops:
         raise NotApplicable("loop", "graphs with loops have no acyclic orientations")
+    if orientations is None:
+        orientations = enumerate_acyclic_orientations(g)
     d = g.vertex_count
     total = [0] * (d + 1)
-    for orientation in enumerate_acyclic_orientations(g):
+    for orientation in orientations:
         contribution = omega_star(orientation_to_poset(orientation))
         for i, x in enumerate(contribution.entries):
             total[i] += x
@@ -139,9 +146,13 @@ class ChromaticResult:
     chi: Polynomial
     chi_star: StarVector
     split: SymmetricSplit
-    acyclic_count: int
+    acyclic_orientations: tuple[Orientation, ...] = field(repr=False)
     audits: tuple[InequalityReport, ...] = field(compare=False)
     constants_match_oracle: bool = True
+
+    @property
+    def acyclic_count(self) -> int:
+        return len(self.acyclic_orientations)
 
     def to_json(self) -> dict:
         return {
@@ -173,7 +184,8 @@ def chromatic_analysis(g: Multigraph, *, verify: bool = False) -> ChromaticResul
     if chi(0) != 0:
         raise AssertionError("chromatic polynomial must have zero constant term")
     split = symmetric_split(star.entries, d)
-    acyclic = len(enumerate_acyclic_orientations(g))
+    orientations = tuple(enumerate_acyclic_orientations(g))
+    acyclic = len(orientations)
     # d = 1 has an empty b part; only the a constant can be compared then
     constants_ok = split.p[0] == acyclic and (not split.q or split.q[0] == acyclic)
     audits = (
@@ -186,7 +198,7 @@ def chromatic_analysis(g: Multigraph, *, verify: bool = False) -> ChromaticResul
         check_partial_sum_inequalities(star.entries, d, "chromatic_mirror"),
         check_partial_sum_inequalities(star.entries, d, "binomial_coefficient_bound"),
     )
-    result = ChromaticResult(g, chi, star, split, acyclic, audits, constants_ok)
+    result = ChromaticResult(g, chi, star, split, orientations, audits, constants_ok)
     if verify:
         if not constants_ok:
             raise AssertionError(

@@ -319,13 +319,14 @@ def in_degree_sequence_count(orientations: Sequence[Orientation]) -> int:
 
 
 def orientation_to_poset(o: Orientation):
-    """The poset on the vertices whose order is reachability along the arcs."""
+    """The poset on the vertices whose order is reachability along the arcs.
+
+    An orientation with a directed cycle has none; `Poset.from_relation`
+    raises `ValueError` for it.
+    """
     from .posets import Poset  # local import keeps posets free of graph deps
 
-    d = o.graph.vertex_count
-    if not _is_acyclic(d, o.arcs()):
-        raise ValueError("orientation has a directed cycle; no poset order exists")
-    return Poset.from_relation(d, o.arcs())
+    return Poset.from_relation(o.graph.vertex_count, o.arcs())
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,15 @@ coordinates weakly respect the order) provides two independent oracles for
 the same data: direct lattice-point counts and the descent statistic over
 linear extensions.
 
-Ground truth throughout is brute-force counting; the star vectors are
-integer finite differences of the counts (`star_from_values`), with one
-extra count as an overdetermination node where it is cheap.  The descent
-route is the fast cross-check, with its convention (descents of the
-extension word under the lexicographically smallest natural labeling)
-frozen after calibration against the lattice-point oracle.
+The star vectors are integer finite differences of exact counts
+(`star_from_values`), with one extra count as an overdetermination node
+where it is cheap.  The strict order count comes from walks on the lattice
+J(P) of order ideals (`omega_star`, d <= 10); the lattice-point counts come
+from backtracking over maps (d <= 7) and are the independent oracle it is
+checked against.  The descent route is the fast cross-check of h*, with its
+convention (descents of the extension word under the lexicographically
+smallest natural labeling) frozen after calibration against the
+lattice-point oracle.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .polynomials import StarVector, star_from_values
 __all__ = [
     "ORDER_POLY_ELEMENT_CAP",
     "DESCENT_ELEMENT_CAP",
+    "LATTICE_POINT_ELEMENT_CAP",
     "POINT_ENUMERATION_BUDGET",
     "Poset",
     "antichain",
@@ -46,8 +50,12 @@ __all__ = [
     "poset_certificate",
 ]
 
-ORDER_POLY_ELEMENT_CAP = 7
+ORDER_POLY_ELEMENT_CAP = 10
 DESCENT_ELEMENT_CAP = 8
+# At d = 8 the budget guard in `_count_monotone_maps` does not stop the 9^8
+# scan of the closed 8th dilate (8 ln 10 = ln 10^8 exactly), so the
+# lattice-point route declares its own cap.
+LATTICE_POINT_ELEMENT_CAP = 7
 POINT_ENUMERATION_BUDGET = 10**8
 
 
@@ -242,6 +250,46 @@ def _count_monotone_maps(p: Poset, low: int, high: int, strict: bool) -> int:
     return count_from(0)
 
 
+def _strict_map_counts(p: Poset, top: int) -> list[int]:
+    """Strict order-preserving maps P -> {1..n} for n = 0..top.
+
+    A strict map f is the chain of order ideals I_k = f^-1({1..k}), and each
+    step I_{k-1} -> I_k adds an antichain: a subset, possibly empty, of the
+    minimal elements of P minus I_{k-1}.  So counts[n] is the number of
+    length-n walks from the empty ideal to P along such steps (Stanley,
+    *Ordered structures and partitions*, 1972), counted over the lattice
+    J(P) of order ideals as bitmasks.
+    """
+    d = p.element_count
+    below = p.below
+    full = (1 << d) - 1
+    successors: dict[int, list[int]] = {}
+    walks = {0: 1}
+    counts = [walks.get(full, 0)]
+    for _ in range(top):
+        advanced: dict[int, int] = {}
+        for ideal, ways in walks.items():
+            steps = successors.get(ideal)
+            if steps is None:
+                minimal = 0
+                for b in range(d):
+                    if not (ideal >> b) & 1 and below[b] & ~ideal == 0:
+                        minimal |= 1 << b
+                steps = []
+                added = minimal
+                while True:
+                    steps.append(ideal | added)
+                    if not added:
+                        break
+                    added = (added - 1) & minimal
+                successors[ideal] = steps
+            for step in steps:
+                advanced[step] = advanced.get(step, 0) + ways
+        walks = advanced
+        counts.append(walks.get(full, 0))
+    return counts
+
+
 def omega_star(p: Poset) -> StarVector:
     """Star vector of the strict order count: length d+1, zero constant term.
 
@@ -256,8 +304,7 @@ def omega_star(p: Poset) -> StarVector:
         raise CapExceeded(f"order polynomial cap is {ORDER_POLY_ELEMENT_CAP} elements, got {d}")
     if d == 0:
         raise ValueError("the empty poset has no star vector in this convention")
-    counts = [_count_monotone_maps(p, 1, n, strict=True) for n in range(d + 2)]
-    return star_from_values(counts, d, start=0)
+    return star_from_values(_strict_map_counts(p, d + 1), d, start=0)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +319,11 @@ def order_polytope_points(p: Poset, n: int, interior: bool = False) -> int:
     """
     if n < 0:
         raise ValueError("dilation factor must be nonnegative")
+    if p.element_count > LATTICE_POINT_ELEMENT_CAP:
+        raise CapExceeded(
+            f"lattice-point enumeration cap is {LATTICE_POINT_ELEMENT_CAP} elements, "
+            f"got {p.element_count}"
+        )
     if interior:
         return _count_monotone_maps(p, 1, n - 1, strict=True)
     return _count_monotone_maps(p, 0, n, strict=False)

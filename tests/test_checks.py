@@ -131,3 +131,22 @@ def test_order_route_builds_no_polynomial(monkeypatch):
     assert omega_star(chain(3)).entries == (0, 0, 0, 1)
     report = run_poset_survey(4)
     assert report.ok and len(report.instances) == 24
+
+
+def test_graph_checks_enumerate_acyclic_orientations_once(monkeypatch):
+    import polybinom.chromatic as chromatic
+    from polybinom.checks import graph_checks
+    from polybinom.graphs import complete_graph
+
+    calls = []
+    enumerate_once = chromatic.enumerate_acyclic_orientations
+
+    def counted(g):
+        calls.append(g)
+        return enumerate_once(g)
+
+    monkeypatch.setattr(chromatic, "enumerate_acyclic_orientations", counted)
+    checked = graph_checks(complete_graph(4))
+    assert len(calls) == 1
+    assert checked.checks["order_polynomial_sum_matches"] == "pass"
+    assert checked.result.acyclic_count == 24

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from polybinom.cli import main
-from polybinom.graphs import dipole, format_graph_file
+from polybinom.graphs import cycle_graph, dipole, format_graph_file
 
 K3 = "vertices 3\nedge 0 1\nedge 0 2\nedge 1 2\n"
 P3 = "vertices 3\nedge 0 1\nedge 1 2\n"
@@ -47,6 +47,17 @@ class TestChromaticCommand:
 
     def test_missing_file(self, capsys):
         assert main(["chromatic", "/nonexistent/file.graph"]) == 2
+
+    def test_vertex_cap(self, write, capsys):
+        for d in (8, 10):
+            assert main(["chromatic", "--json", write(f"c{d}.graph", format_graph_file(cycle_graph(d)))]) == 0
+            payload = json.loads(capsys.readouterr().out)
+        # the top entry counts the 2^10 - 2 acyclic orientations of C10
+        assert payload["chi_star"]["entries"] == [
+            0, 0, 2, 1004, 47876, 455108, 1310480, 1310228, 455276, 47804, 1022
+        ]
+        assert main(["chromatic", write("c11.graph", format_graph_file(cycle_graph(11)))]) == 3
+        assert "chromatic cap is 10 vertices, got 11" in capsys.readouterr().err
 
     def test_edge_cap_exits_3(self, write, capsys):
         assert main(["chromatic", "--cap-edges", "2", write("k3.graph", K3)]) == 3
@@ -97,6 +108,12 @@ class TestOrderCommand:
     def test_two_antichain_split(self, write, capsys):
         assert main(["order", write("a2.poset", "elements 2\n")]) == 0
         assert "a: (1, 2, 1)" in capsys.readouterr().out
+
+    def test_element_cap(self, write, capsys):
+        assert main(["order", write("a7.poset", "elements 7\n")]) == 0
+        capsys.readouterr()
+        assert main(["order", write("a8.poset", "elements 8\n")]) == 3
+        assert "lattice-point enumeration cap is 7 elements, got 8" in capsys.readouterr().err
 
     def test_non_poset_rejected(self, write, capsys):
         bad = "elements 2\ncover 0 1\ncover 1 0\n"

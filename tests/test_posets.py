@@ -18,6 +18,7 @@ from polybinom.posets import (
     parse_poset_file,
     poset_certificate,
 )
+from polybinom.posets import _strict_map_counts
 
 V_POSET = Poset.from_relation(3, [(0, 1), (0, 2)])
 
@@ -61,8 +62,30 @@ class TestOrderPolynomial:
         assert inverse_transform(omega_star(chain(1))) == Polynomial([0, 1])
 
     def test_cap(self):
+        # the Eulerian row at the cap; one element more is refused
+        assert omega_star(antichain(10)).entries == (
+            0, 1, 1013, 47840, 455192, 1310354, 1310354, 455192, 47840, 1013, 1
+        )
         with pytest.raises(CapExceeded):
-            omega_star(antichain(8))
+            omega_star(antichain(11))
+
+    def test_walk_counts_match_the_lattice_point_oracle(self):
+        # strict maps into {1..n} are the interior points of the (n+1)-th dilate
+        for d in range(1, 7):
+            for p in generate_posets(d):
+                expected = [interior_point_count(p, n + 1) for n in range(d + 2)]
+                assert _strict_map_counts(p, d + 1) == expected
+
+    def test_order_star_shares_no_code_with_lattice_route(self, monkeypatch):
+        from polybinom.chromatic import star_via_order_polynomials
+        from polybinom.graphs import complete_graph
+
+        def lattice_route(*args, **kwargs):
+            raise AssertionError("the order star reached the lattice-point route")
+
+        monkeypatch.setattr("polybinom.posets._count_monotone_maps", lattice_route)
+        assert omega_star(antichain(4)).entries == (0, 1, 11, 11, 1)
+        assert star_via_order_polynomials(complete_graph(4)).entries == (0, 0, 0, 0, 24)
 
     def test_omega_star_values(self):
         assert omega_star(chain(3)).entries == (0, 0, 0, 1)
@@ -88,6 +111,12 @@ class TestOrderPolytope:
 
     def test_antichain_interior(self):
         assert order_polytope_points(antichain(2), 2, interior=True) == 1
+
+    def test_cap(self):
+        assert ehrhart_star(antichain(7)).entries[0] == 1
+        for route in (ehrhart_star, interior_star):
+            with pytest.raises(CapExceeded, match="cap is 7 elements, got 8"):
+                route(antichain(8))
 
     def test_strict_count_is_shifted_interior(self):
         for p in (chain(3), antichain(3), V_POSET):
