@@ -117,20 +117,16 @@ def chromatic_star(g: Multigraph) -> StarVector:
     return binomial_transform(chromatic_polynomial(g), g.vertex_count, start=0)
 
 
-def star_via_order_polynomials(
-    g: Multigraph, orientations: Sequence[Orientation] | None = None
-) -> StarVector:
-    """Sum of order star vectors over the acyclic-orientation posets.
+def star_via_order_polynomials(g: Multigraph, orientations: Sequence[Orientation]) -> StarVector:
+    """Sum of order star vectors over the acyclic-orientation posets of g.
 
-    Every acyclic orientation induces a poset on all d vertices, so the
-    summands share the length-(d+1) convention and add entrywise; the total
-    must reproduce `chromatic_star` exactly.  ``orientations`` are the
-    acyclic orientations of g when the caller has already enumerated them.
+    ``orientations`` are the acyclic orientations of g.  Every one induces a
+    poset on all d vertices, so the summands share the length-(d+1)
+    convention and add entrywise; the total must reproduce `chromatic_star`
+    exactly.
     """
     if g.has_loops:
         raise NotApplicable("loop", "graphs with loops have no acyclic orientations")
-    if orientations is None:
-        orientations = enumerate_acyclic_orientations(g)
     d = g.vertex_count
     total = [0] * (d + 1)
     for orientation in orientations:

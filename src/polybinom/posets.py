@@ -250,8 +250,8 @@ def _count_monotone_maps(p: Poset, low: int, high: int, strict: bool) -> int:
     return count_from(0)
 
 
-def _strict_map_counts(p: Poset, top: int) -> list[int]:
-    """Strict order-preserving maps P -> {1..n} for n = 0..top.
+def _strict_map_counts(p: Poset) -> list[int]:
+    """Strict order-preserving maps P -> {1..n} for n = 0..d+1.
 
     A strict map f is the chain of order ideals I_k = f^-1({1..k}), and each
     step I_{k-1} -> I_k adds an antichain: a subset, possibly empty, of the
@@ -266,7 +266,7 @@ def _strict_map_counts(p: Poset, top: int) -> list[int]:
     successors: dict[int, list[int]] = {}
     walks = {0: 1}
     counts = [walks.get(full, 0)]
-    for _ in range(top):
+    for _ in range(d + 1):
         advanced: dict[int, int] = {}
         for ideal, ways in walks.items():
             steps = successors.get(ideal)
@@ -304,7 +304,7 @@ def omega_star(p: Poset) -> StarVector:
         raise CapExceeded(f"order polynomial cap is {ORDER_POLY_ELEMENT_CAP} elements, got {d}")
     if d == 0:
         raise ValueError("the empty poset has no star vector in this convention")
-    return star_from_values(_strict_map_counts(p, d + 1), d, start=0)
+    return star_from_values(_strict_map_counts(p), d, start=0)
 
 
 # ---------------------------------------------------------------------------
