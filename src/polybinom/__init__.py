@@ -28,7 +28,6 @@ from .errors import (
 from .graphs import (
     Multigraph,
     Orientation,
-    contract_edge,
     cyclomatic_number,
     delete_edge,
     enumerate_acyclic_orientations,
@@ -89,7 +88,6 @@ __all__ = [
     "chromatic_analysis",
     "chromatic_polynomial",
     "chromatic_star",
-    "contract_edge",
     "cyclomatic_number",
     "delete_edge",
     "enumerate_acyclic_orientations",

@@ -1,10 +1,12 @@
 """Chromatic polynomials, their star vectors, and the symmetric split audits.
 
-chi_G is computed by deletion-contraction over simplified graphs, memoized
-on a canonical certificate so exhaustive runs over many small graphs share
-subproblems.  The star vector of chi_G over degree bound d (the vertex
-count) splits into palindromic parts whose positivity, chains, and constant
-terms are audited against the acyclic-orientation oracle.
+chi_G is summed in the falling-factorial basis, with coefficients counted by
+a dynamic program over vertex bitmasks: the number of partitions of the
+vertices into k independent sets (Read 1968).  It shares no code with the
+orientation and order-star routes that check it.  The star vector of chi_G
+over degree bound d (the vertex count) splits into palindromic parts whose
+positivity, chains, and constant terms are audited against the
+acyclic-orientation oracle.
 
 The same star vector also arises as the sum of the order star vectors of
 the posets induced by the acyclic orientations; that cross-route is the
@@ -30,10 +32,7 @@ from .errors import CapExceeded, NotApplicable
 from .graphs import (
     Multigraph,
     Orientation,
-    contract_edge,
-    delete_edge,
     enumerate_acyclic_orientations,
-    graph_certificate,
     orientation_to_poset,
 )
 from .polynomials import Polynomial, StarVector, binomial_transform
@@ -54,62 +53,50 @@ __all__ = [
 
 CHROMATIC_VERTEX_CAP = 10
 
-_MEMO_PERM_CAP = 20000
-_memo: dict[tuple, Polynomial] = {}
-
-
-def _components_split(g: Multigraph) -> list[Multigraph]:
-    ids = g.component_ids()
-    count = max(ids) + 1 if ids else 0
-    if count <= 1:
-        return [g]
-    verts: list[list[int]] = [[] for _ in range(count)]
-    for v, c in enumerate(ids):
-        verts[c].append(v)
-    out = []
-    for c in range(count):
-        relabel = {v: i for i, v in enumerate(verts[c])}
-        edges = tuple(
-            (relabel[u], relabel[v]) for u, v in g.edges if ids[u] == c
-        )
-        out.append(Multigraph(len(verts[c]), edges))
-    return out
-
-
-def _chi_simple(g: Multigraph) -> Polynomial:
-    """Deletion-contraction on a simple graph; chi multiplies over components."""
-    key = graph_certificate(g, perm_cap=_MEMO_PERM_CAP)
-    cached = _memo.get(key)
-    if cached is not None:
-        return cached
-    if g.edge_count == 0:
-        result = Polynomial.monomial(g.vertex_count)
-    else:
-        parts = _components_split(g)
-        if len(parts) > 1:
-            result = Polynomial([1])
-            for part in parts:
-                result = result * _chi_simple(part)
-        else:
-            # pivot on the lowest-index edge; contraction may create parallel
-            # copies, which impose the same coloring constraint and collapse
-            result = _chi_simple(delete_edge(g, 0)) - _chi_simple(
-                contract_edge(g, 0).simplify()
-            )
-    _memo[key] = result
-    return result
-
 
 def chromatic_polynomial(g: Multigraph) -> Polynomial:
     """Exact proper-coloring count polynomial of a multigraph.
 
-    Loops force the zero polynomial; parallel edges are collapsed first.
+    chi_G(n) = sum_k a_k n(n-1)...(n-k+1), where a_k counts the partitions of
+    the vertices into k independent sets.  Loops force the zero polynomial;
+    parallel edges fold into the adjacency masks.
     """
-    if g.vertex_count > CHROMATIC_VERTEX_CAP:
-        raise CapExceeded(f"chromatic cap is {CHROMATIC_VERTEX_CAP} vertices, got {g.vertex_count}")
+    d = g.vertex_count
+    if d > CHROMATIC_VERTEX_CAP:
+        raise CapExceeded(f"chromatic cap is {CHROMATIC_VERTEX_CAP} vertices, got {d}")
     if g.has_loops:
         return Polynomial.zero()
-    return _chi_simple(g.simplify())
+    adj = [0] * d
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    full = 1 << d
+    independent = [True] * full
+    # parts[s][k]: partitions of the vertex set s into k independent sets;
+    # the block holding the lowest vertex of s is split off first
+    parts = [[1]] + [[]] * (full - 1)
+    for s in range(1, full):
+        low = s & -s
+        rest = s ^ low
+        v = low.bit_length() - 1
+        independent[s] = independent[rest] and not adj[v] & rest
+        free = rest & ~adj[v]  # the other members of that block
+        counts = [0] * (len(parts[rest]) + 1)
+        sub = free
+        while True:
+            if independent[sub]:
+                for k, c in enumerate(parts[rest ^ sub]):
+                    counts[k + 1] += c
+            if not sub:
+                break
+            sub = (sub - 1) & free
+        parts[s] = counts
+    chi = Polynomial.zero()
+    falling = Polynomial([1])
+    for k, a_k in enumerate(parts[full - 1]):
+        chi = chi + falling * a_k
+        falling = falling * Polynomial([-k, 1])
+    return chi
 
 
 def chromatic_star(g: Multigraph) -> StarVector:

@@ -11,7 +11,6 @@ record for the theorem checks; it is capped at m <= 24 edges.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import permutations, product
@@ -24,7 +23,6 @@ __all__ = [
     "Orientation",
     "ORIENTATION_EDGE_CAP",
     "complete_graph",
-    "contract_edge",
     "cycle_graph",
     "cyclomatic_number",
     "delete_edge",
@@ -68,21 +66,6 @@ class Multigraph:
 
     def loops(self) -> tuple[int, ...]:
         return tuple(i for i, (u, v) in enumerate(self.edges) if u == v)
-
-    def simplify(self) -> "Multigraph":
-        """Collapse parallel edges, keeping the first copy of each class.
-
-        Loops collapse to a single loop per vertex; edge order is preserved.
-        """
-        seen: set[frozenset] = set()
-        kept = []
-        for u, v in self.edges:
-            key = frozenset((u, v))
-            if key in seen:
-                continue
-            seen.add(key)
-            kept.append((u, v))
-        return Multigraph(self.vertex_count, tuple(kept))
 
     def component_ids(self) -> list[int]:
         """Component index per vertex; loops attach to their own vertex."""
@@ -159,31 +142,6 @@ def delete_edge(g: Multigraph, e: int) -> Multigraph:
     if not 0 <= e < g.edge_count:
         raise IndexError(f"edge index {e} out of range")
     return Multigraph(g.vertex_count, g.edges[:e] + g.edges[e + 1 :])
-
-
-def contract_edge(g: Multigraph, e: int) -> Multigraph:
-    """Identify the endpoints of edge e into the smaller label.
-
-    The larger endpoint label disappears; labels above it shift down by one.
-    Parallel copies of e become loops and are kept, as the multigraph
-    deletion-contraction recursion requires.
-    """
-    if not 0 <= e < g.edge_count:
-        raise IndexError(f"edge index {e} out of range")
-    u, v = g.edges[e]
-    if u == v:
-        raise ValueError(f"cannot contract loop {e} at vertex {u}")
-    lo, hi = min(u, v), max(u, v)
-
-    def relabel(w: int) -> int:
-        if w == hi:
-            return lo
-        return w - 1 if w > hi else w
-
-    new_edges = tuple(
-        (relabel(a), relabel(b)) for i, (a, b) in enumerate(g.edges) if i != e
-    )
-    return Multigraph(g.vertex_count - 1, new_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +288,7 @@ def orientation_to_poset(o: Orientation):
 
 
 # ---------------------------------------------------------------------------
-# canonical certificates (isomorphism dedup and memo keys)
+# canonical certificates (isomorphism dedup of the survey families)
 
 
 def _normalize_invariants(values: Sequence) -> tuple[int, ...]:
@@ -348,21 +306,11 @@ def refine_invariants(n: int, initial: Sequence, profile) -> tuple[int, ...]:
         inv = nxt
 
 
-def invariant_sorting_maps(inv: tuple[int, ...], cap: int | None) -> list[tuple[int, ...]] | None:
-    """All relabelings v -> slot that sort vertices by invariant.
-
-    Returns None when the count would exceed ``cap``; callers then fall back
-    to a single deterministic relabeling (still a valid, just possibly
-    non-canonical, encoding).
-    """
+def invariant_sorting_maps(inv: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """All relabelings v -> slot that sort vertices by invariant."""
     classes: dict[int, list[int]] = {}
     for v, c in enumerate(inv):
         classes.setdefault(c, []).append(v)
-    total = 1
-    for _, vs in sorted(classes.items()):
-        total *= math.factorial(len(vs))
-        if cap is not None and total > cap:
-            return None
     slot_base: dict[int, int] = {}
     base = 0
     for c in sorted(classes):
@@ -402,22 +350,13 @@ def _encode_edges(g: Multigraph, relabel: Sequence[int]) -> tuple[tuple[int, int
     )
 
 
-def graph_certificate(g: Multigraph, *, perm_cap: int | None = None) -> tuple:
-    """Hashable encoding equal for isomorphic graphs (given enough perms).
+def graph_certificate(g: Multigraph) -> tuple:
+    """Hashable encoding equal exactly for isomorphic graphs.
 
     The certificate is the minimum, over all invariant-sorting relabelings,
-    of the sorted edge multiset.  Equal certificates always imply isomorphic
-    graphs; with ``perm_cap`` set, very symmetric graphs may fall back to a
-    single relabeling, which only reduces key sharing, never correctness.
+    of the sorted edge multiset.
     """
-    inv = _graph_invariant(g)
-    maps = invariant_sorting_maps(inv, perm_cap)
-    if maps is None:
-        order = sorted(range(g.vertex_count), key=lambda v: (inv[v], v))
-        relabel = [0] * g.vertex_count
-        for slot, v in enumerate(order):
-            relabel[v] = slot
-        return (g.vertex_count, _encode_edges(g, relabel))
+    maps = invariant_sorting_maps(_graph_invariant(g))
     best = min(_encode_edges(g, relabel) for relabel in maps)
     return (g.vertex_count, best)
 

@@ -85,10 +85,6 @@ class Polynomial:
     def zero(cls) -> "Polynomial":
         return cls(())
 
-    @classmethod
-    def monomial(cls, power: int, coeff: int | Fraction = 1) -> "Polynomial":
-        return cls([0] * power + [coeff])
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         return self._coeffs

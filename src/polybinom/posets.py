@@ -436,7 +436,7 @@ def poset_certificate(p: Poset) -> tuple:
     if d == 0:
         return (0, 0)
     inv = _poset_invariant(d, p.above, p.below)
-    maps = invariant_sorting_maps(inv, None)
+    maps = invariant_sorting_maps(inv)
     best = None
     for relabel in maps:
         code = 0

@@ -18,7 +18,7 @@ from itertools import combinations
 
 from . import __version__
 from .checks import FlowChecks, GraphChecks, PosetChecks, flow_checks, graph_checks, poset_checks
-from .errors import NotApplicable
+from .errors import CapExceeded, NotApplicable
 from .graphs import Multigraph, complete_graph, cyclomatic_number, dipole, graph_certificate
 from .posets import Poset, generate_posets
 
@@ -173,12 +173,18 @@ class SurveyReport:
         return body
 
     def run(self, instances, check, record) -> "SurveyReport":
-        """Check each (id, instance): record its table, or skip it on NotApplicable."""
+        """Check each (id, instance): record its table, or skip it as out of scope.
+
+        An instance above an enumeration cap is skipped with reason ``cap``.
+        """
         for instance_id, instance in instances:
             try:
                 checked = check(instance)
             except NotApplicable as exc:
                 self.skip(instance_id, exc.reason)
+                continue
+            except CapExceeded:
+                self.skip(instance_id, "cap")
                 continue
             self.record(instance_id, record(checked), checked.checks)
         self.elapsed_seconds = time.perf_counter() - self.started

@@ -2,6 +2,9 @@ import random
 
 import pytest
 
+import polybinom.chromatic
+import polybinom.graphs
+import polybinom.posets
 from polybinom.errors import CapExceeded, NotApplicable
 from polybinom.chromatic import (
     EXPECTED_FORMS,
@@ -21,6 +24,7 @@ from polybinom.graphs import (
     path_graph,
 )
 from polybinom.polynomials import Polynomial
+from polybinom.survey import connected_graph_classes
 
 
 def wheel_graph(rim: int) -> Multigraph:
@@ -67,8 +71,26 @@ class TestChromaticPolynomial:
             assert chromatic_polynomial(doubled) == chromatic_polynomial(base)
 
     def test_cap(self):
+        falling = Polynomial([1])
+        for k in range(10):
+            falling = falling * Polynomial([-k, 1])
+        assert chromatic_polynomial(complete_graph(10)) == falling
+        assert chromatic_polynomial(Multigraph(10, ())) == Polynomial([0] * 10 + [1])
         with pytest.raises(CapExceeded):
             chromatic_polynomial(Multigraph(11, ()))
+
+    def test_shares_no_code_with_the_routes_that_check_it(self, monkeypatch):
+        # acyclic orientations and order stars check chi, so computing chi
+        # must reach neither, nor the canonical certificates
+        def checking_route(*args, **kwargs):
+            raise AssertionError("chromatic_polynomial reached a checking route")
+
+        for module in (polybinom.chromatic, polybinom.graphs, polybinom.posets):
+            for name in ("graph_certificate", "omega_star", "enumerate_acyclic_orientations"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, checking_route)
+        assert chromatic_polynomial(complete_graph(4)) == Polynomial([0, -6, 11, -6, 1])
+        assert chromatic_polynomial(cycle_graph(5)) == Polynomial([0, 4, -10, 10, -5, 1])
 
 
 class TestChromaticStar:
@@ -108,7 +130,7 @@ class TestChromaticStar:
             if not base.edges:
                 continue
             multi = Multigraph(base.vertex_count, base.edges + base.edges[:2])
-            rm, rs = chromatic_analysis(multi), chromatic_analysis(base.simplify())
+            rm, rs = chromatic_analysis(multi), chromatic_analysis(base)
             assert rm.chi == rs.chi
             assert rm.chi_star == rs.chi_star
             assert rm.acyclic_count == rs.acyclic_count
@@ -125,6 +147,28 @@ class TestAcyclicReciprocity:
             d = g.vertex_count
             chi = chromatic_polynomial(g)
             assert (-1) ** d * chi(-1) == len(enumerate_acyclic_orientations(g))
+
+
+class TestTutteOracle:
+    # an external oracle: chi_G(n) = (-1)^(d-1) n T_G(1-n, 0) for connected G,
+    # and T_G(2, 0) counts the acyclic orientations (Stanley 1973)
+    def test_chi_and_acyclic_count_match_networkx(self):
+        nx = pytest.importorskip("networkx")
+        pytest.importorskip("sympy")  # networkx builds the Tutte polynomial in sympy
+        doubled = Multigraph(4, ((0, 1), (1, 2), (2, 3), (3, 0), (1, 2)))
+        named = [complete_graph(6), wheel_graph(6), cycle_graph(7), doubled]
+        for g in connected_graph_classes(5) + named:
+            nxg = nx.MultiGraph()
+            nxg.add_nodes_from(range(g.vertex_count))
+            nxg.add_edges_from(g.edges)
+            tutte = nx.tutte_polynomial(nxg)
+            d = g.vertex_count
+            chi = chromatic_polynomial(g)
+            for n in range(d + 2):
+                t = int(tutte.subs({"x": 1 - n, "y": 0}))
+                assert chi(n) == (-1) ** (d - 1) * n * t, (g, n)
+            acyclic = int(tutte.subs({"x": 2, "y": 0}))
+            assert len(enumerate_acyclic_orientations(g)) == acyclic, g
 
 
 def _order_route(g: Multigraph):

@@ -138,6 +138,12 @@ class TestSurveyCommand:
         assert first["schema"] == 1
         assert first["verdict"] == "pass"
 
+    def test_sample_skips_capped_instances(self, capsys):
+        assert main(["survey", "posets", "--mode", "sample", "--max-size", "8"]) == 0
+        out = capsys.readouterr().out
+        assert "skipped: 2" in out
+        assert "verdict: pass" in out
+
     def test_flows_with_fixtures(self, capsys):
         assert main(["survey", "flows", "--max-size", "3"]) == 0
         out = capsys.readouterr().out

@@ -5,7 +5,6 @@ from polybinom.graphs import (
     Multigraph,
     Orientation,
     complete_graph,
-    contract_edge,
     cycle_graph,
     cyclomatic_number,
     delete_edge,
@@ -43,41 +42,12 @@ class TestStructure:
         assert loops_only.component_count == 2  # the loop does not join 0 and 1
         assert loops_only.is_bridgeless
 
-    def test_simplify_keeps_order(self):
-        g = Multigraph(3, ((1, 2), (0, 1), (2, 1), (0, 0), (0, 0)))
-        assert g.simplify().edges == ((1, 2), (0, 1), (0, 0))
-
 
 class TestDeleteContract:
-    def test_triangle_contraction(self):
-        g = contract_edge(complete_graph(3), 0)
-        assert g.vertex_count == 2
-        assert g.edges == ((0, 1), (0, 1))
-
-    def test_path_contraction(self):
-        g = contract_edge(path_graph(3), 0)
-        assert g.vertex_count == 2
-        assert g.edges == ((0, 1),)
-
-    def test_parallel_becomes_loop(self):
-        g = contract_edge(dipole(2), 0)
-        assert g.vertex_count == 1
-        assert g.edges == ((0, 0),)
-
-    def test_loop_contraction_rejected(self):
-        with pytest.raises(ValueError):
-            contract_edge(Multigraph(1, ((0, 0),)), 0)
-
     def test_deletion(self):
         assert delete_edge(complete_graph(3), 1).edges == ((0, 1), (1, 2))
         assert delete_edge(dipole(2), 0).edges == ((0, 1),)
         assert delete_edge(Multigraph(1, ((0, 0),)), 0).edges == ()
-
-    def test_collapse_into_min_label_shifts_down(self):
-        g = Multigraph(4, ((1, 3), (0, 3), (2, 3)))
-        out = contract_edge(g, 0)  # identify 3 into 1, shift 3+ down
-        assert out.vertex_count == 3
-        assert out.edges == ((0, 1), (2, 1))
 
 
 class TestOrientations:

@@ -76,6 +76,14 @@ class TestPosetSurvey:
         assert report.instances
         assert report.ok
 
+    def test_sample_above_the_lattice_point_cap_is_skipped(self):
+        # the lattice-point oracles stop at 7 elements; samples reach 8
+        report = run_poset_survey(8, mode="sample", seed=0)
+        assert len(report.instances) == 23
+        assert [skip["reason"] for skip in report.skipped] == ["cap", "cap"]
+        assert all(skip["id"].startswith("d8:") for skip in report.skipped)
+        assert report.ok
+
 
 class TestFlowSurvey:
     def test_small_run_skips_and_passes(self):
