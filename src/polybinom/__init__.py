@@ -23,7 +23,6 @@ from .errors import (
     InputFormatError,
     NotApplicable,
     PolybinomError,
-    VerificationFailed,
 )
 from .graphs import (
     Multigraph,
@@ -38,7 +37,6 @@ from .graphs import (
 from .polynomials import (
     Polynomial,
     StarVector,
-    binomial_transform,
     inverse_transform,
     star_from_values,
 )
@@ -51,7 +49,6 @@ from .posets import (
 from .chromatic import (
     ChromaticResult,
     chromatic_analysis,
-    chromatic_polynomial,
     chromatic_star,
     monomial_inequality_forms,
     star_via_order_polynomials,
@@ -80,13 +77,10 @@ __all__ = [
     "Poset",
     "StarVector",
     "SymmetricSplit",
-    "VerificationFailed",
     "ab_decomposition",
-    "binomial_transform",
     "ca_decomposition",
     "check_partial_sum_inequalities",
     "chromatic_analysis",
-    "chromatic_polynomial",
     "chromatic_star",
     "cyclomatic_number",
     "delete_edge",

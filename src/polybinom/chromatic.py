@@ -2,11 +2,13 @@
 
 chi_G is summed in the falling-factorial basis, with coefficients counted by
 a dynamic program over vertex bitmasks: the number of partitions of the
-vertices into k independent sets (Read 1968).  It shares no code with the
-orientation and order-star routes that check it.  The star vector of chi_G
-over degree bound d (the vertex count) splits into palindromic parts whose
-positivity, chains, and constant terms are audited against the
-acyclic-orientation oracle.
+vertices into k independent sets (Read 1968).  Its integer values at
+n = 0..d+1 give the star vector over degree bound d (the vertex count) by
+finite differences, as for every other route; the `Polynomial` chi is
+rebuilt from that vector only for display.  The route shares no code with
+the orientation and order-star routes that check it.  The star vector
+splits into palindromic parts whose positivity, chains, and constant terms
+are audited against the acyclic-orientation oracle.
 
 The same star vector also arises as the sum of the order star vectors of
 the posets induced by the acyclic orientations; that cross-route is the
@@ -25,7 +27,6 @@ from .decompositions import (
     check_partial_sum_inequalities,
     chain_report,
     nonnegativity_report,
-    require_pass,
     symmetric_split,
 )
 from .errors import CapExceeded, NotApplicable
@@ -35,7 +36,7 @@ from .graphs import (
     enumerate_acyclic_orientations,
     orientation_to_poset,
 )
-from .polynomials import Polynomial, StarVector, binomial_transform
+from .polynomials import Polynomial, StarVector, inverse_transform, star_from_values
 from .posets import omega_star
 
 __all__ = [
@@ -44,7 +45,6 @@ __all__ = [
     "LinearForm",
     "EXPECTED_FORMS",
     "chromatic_analysis",
-    "chromatic_polynomial",
     "chromatic_star",
     "match_reference_forms",
     "monomial_inequality_forms",
@@ -54,18 +54,19 @@ __all__ = [
 CHROMATIC_VERTEX_CAP = 10
 
 
-def chromatic_polynomial(g: Multigraph) -> Polynomial:
-    """Exact proper-coloring count polynomial of a multigraph.
+def chromatic_star(g: Multigraph) -> StarVector:
+    """Star vector of chi_G over degree bound d = vertex count (start=0).
 
     chi_G(n) = sum_k a_k n(n-1)...(n-k+1), where a_k counts the partitions of
-    the vertices into k independent sets.  Loops force the zero polynomial;
-    parallel edges fold into the adjacency masks.
+    the vertices into k independent sets, is evaluated in integers at
+    n = 0..d+1; the value at d+1 is an overdetermination node.  Loops force
+    the zero vector; parallel edges fold into the adjacency masks.
     """
     d = g.vertex_count
     if d > CHROMATIC_VERTEX_CAP:
         raise CapExceeded(f"chromatic cap is {CHROMATIC_VERTEX_CAP} vertices, got {d}")
     if g.has_loops:
-        return Polynomial.zero()
+        return star_from_values([0] * (d + 2), d)
     adj = [0] * d
     for u, v in g.edges:
         adj[u] |= 1 << v
@@ -91,17 +92,15 @@ def chromatic_polynomial(g: Multigraph) -> Polynomial:
                 break
             sub = (sub - 1) & free
         parts[s] = counts
-    chi = Polynomial.zero()
-    falling = Polynomial([1])
-    for k, a_k in enumerate(parts[full - 1]):
-        chi = chi + falling * a_k
-        falling = falling * Polynomial([-k, 1])
-    return chi
-
-
-def chromatic_star(g: Multigraph) -> StarVector:
-    """Star vector of chi_G over degree bound d = vertex count (start=0)."""
-    return binomial_transform(chromatic_polynomial(g), g.vertex_count, start=0)
+    values = []
+    for n in range(d + 2):
+        chi = 0
+        falling = 1  # n(n-1)...(n-k+1)
+        for k, a_k in enumerate(parts[full - 1]):
+            chi += a_k * falling
+            falling *= n - k
+        values.append(chi)
+    return star_from_values(values, d)
 
 
 def star_via_order_polynomials(g: Multigraph, orientations: Sequence[Orientation]) -> StarVector:
@@ -150,21 +149,20 @@ class ChromaticResult:
         }
 
 
-def chromatic_analysis(g: Multigraph, *, verify: bool = False) -> ChromaticResult:
+def chromatic_analysis(g: Multigraph) -> ChromaticResult:
     """Star vector, palindromic split, and all chromatic inequality audits.
 
     The split's constant terms are compared against the exhaustive
-    acyclic-orientation count.  With ``verify`` any failed audit raises;
-    otherwise failures are reported in the result.
+    acyclic-orientation count, and failed audits are reported in the
+    result.  chi is rebuilt from the star vector for display.
     """
     if g.vertex_count == 0:
         raise NotApplicable("empty", "no vertices")
     if g.has_loops:
         raise NotApplicable("loop", "chi vanishes identically on graphs with loops")
     d = g.vertex_count
-    chi = chromatic_polynomial(g)
-    star = binomial_transform(chi, d, start=0)
-    if chi(0) != 0:
+    star = chromatic_star(g)
+    if star.value(0) != 0:
         raise AssertionError("chromatic polynomial must have zero constant term")
     split = symmetric_split(star.entries, d)
     orientations = tuple(enumerate_acyclic_orientations(g))
@@ -181,14 +179,8 @@ def chromatic_analysis(g: Multigraph, *, verify: bool = False) -> ChromaticResul
         check_partial_sum_inequalities(star.entries, d, "chromatic_mirror"),
         check_partial_sum_inequalities(star.entries, d, "binomial_coefficient_bound"),
     )
-    result = ChromaticResult(g, chi, star, split, orientations, audits, constants_ok)
-    if verify:
-        if not constants_ok:
-            raise AssertionError(
-                f"split constants {split.p[0]} do not match the orientation oracle {acyclic}"
-            )
-        require_pass(list(audits))
-    return result
+    chi = inverse_transform(star)
+    return ChromaticResult(g, chi, star, split, orientations, audits, constants_ok)
 
 
 # ---------------------------------------------------------------------------

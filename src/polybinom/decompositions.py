@@ -9,7 +9,7 @@ p palindromic of length D+1 (p_j = p_{D-j}) and q palindromic of length D
 
 Positivity and the monotonicity chains of these parts are the substance of
 the theorems verified by this package, so they are *audited* and reported,
-never assumed; verify-mode callers can escalate a failed audit to an error.
+never assumed: a failed audit is a "fail" verdict in a report, not an error.
 
 For star vectors of lattice-point counts there are two further canonical
 decompositions, both driven by the degree s and codegree l = D+1-s:
@@ -24,7 +24,6 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .errors import VerificationFailed
 from .polynomials import StarVector, binomial
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "chain_report",
     "check_partial_sum_inequalities",
     "nonnegativity_report",
-    "require_pass",
     "symmetric_split",
 ]
 
@@ -82,16 +80,6 @@ class InequalityReport:
             ],
             "verdict": self.verdict,
         }
-
-
-def require_pass(reports: Sequence[InequalityReport]) -> None:
-    """Raise VerificationFailed if any report has a failing row."""
-    bad = [r for r in reports if r.verdict == "fail"]
-    if bad:
-        details = "; ".join(
-            f"{r.family}{[(row.j, row.lhs, row.rhs) for row in r.failures]}" for r in bad
-        )
-        raise VerificationFailed(f"inequality audit failed: {details}")
 
 
 def _entry(v: Sequence[int], i: int) -> int:
@@ -334,14 +322,14 @@ class ABDecomposition:
         }
 
 
-def ab_decomposition(h: StarVector, *, verify: bool = False) -> ABDecomposition:
+def ab_decomposition(h: StarVector) -> ABDecomposition:
     """Split a start=0 lattice-point star vector into its a/b pair.
 
     a_j = h_0 + ... + h_j - h_D - ... - h_{D-j+1}
     b_j = -h_0 - ... - h_j + h_s + ... + h_{s-j}
 
     The defining identity is asserted; the chain 1 = a_0 <= a_1 <= a_j is
-    returned as an audit (and enforced when ``verify``).
+    returned as an audit.
     """
     if h.start != 0:
         raise ValueError("a/b decomposition expects a start=0 star vector")
@@ -385,10 +373,7 @@ def ab_decomposition(h: StarVector, *, verify: bool = False) -> ABDecomposition:
         if b[j] != b[s - 1 - j]:
             raise AssertionError(f"b part not palindromic: {b}")
     audit = chain_report(a, D - 1, "ab_chain_a", normalized=v[0] == 1)
-    result = ABDecomposition(tuple(a), tuple(b), s, l, audit)
-    if verify:
-        require_pass([audit, nonnegativity_report(b, "ab_nonneg_b")])
-    return result
+    return ABDecomposition(tuple(a), tuple(b), s, l, audit)
 
 
 @dataclass(frozen=True)
@@ -414,7 +399,7 @@ class CADecomposition:
         }
 
 
-def ca_decomposition(h: StarVector, *, verify: bool = False) -> CADecomposition:
+def ca_decomposition(h: StarVector) -> CADecomposition:
     """Degree-independent c/a split: c_j = a_{j-1} + h_j with c_0 = h_0.
 
     c - a equals ``h.interior_reversal()`` by construction; comparing that
@@ -438,7 +423,4 @@ def ca_decomposition(h: StarVector, *, verify: bool = False) -> CADecomposition:
         chain_report(a, D - 1, "ca_chain_a", normalized=v[0] == 1),
         chain_report(c, D, "ca_chain_c", normalized=v[0] == 1),
     )
-    result = CADecomposition(tuple(c), a, audits)
-    if verify:
-        require_pass(list(audits))
-    return result
+    return CADecomposition(tuple(c), a, audits)

@@ -31,7 +31,3 @@ class NotApplicable(PolybinomError):
     def __init__(self, reason: str, message: str | None = None):
         self.reason = reason
         super().__init__(message or reason)
-
-
-class VerificationFailed(PolybinomError):
-    """A verify-mode run hit an inequality or identity that does not hold."""

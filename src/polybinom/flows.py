@@ -27,7 +27,6 @@ from .decompositions import (
     check_partial_sum_inequalities,
     chain_report,
     nonnegativity_report,
-    require_pass,
     symmetric_split,
 )
 from .errors import CapExceeded, NotApplicable
@@ -353,11 +352,12 @@ def _entrywise_dominance(upper: Sequence[int], lower: Sequence[int], family: str
     return InequalityReport(family, ">=", {"range": f"1..{hi}"}, rows)
 
 
-def flow_analysis(g: Multigraph, *, verify: bool = False) -> FlowResult:
+def flow_analysis(g: Multigraph) -> FlowResult:
     """Both flow polynomials with their star vectors, splits, and audits.
 
     Preconditions: no bridges (a bridge forces the zero polynomial) and
     xi >= 1; violations raise NotApplicable with a machine-readable reason.
+    An xi above `FLOW_XI_CAP` raises CapExceeded from the first count.
     The star vectors come from the counts at n = 1..xi+2, the last one an
     overdetermination node.
     """
@@ -366,8 +366,6 @@ def flow_analysis(g: Multigraph, *, verify: bool = False) -> FlowResult:
     xi = cyclomatic_number(g)
     if xi == 0:
         raise NotApplicable("xi=0", "no cycles; both flow polynomials are constant 1")
-    if xi > FLOW_XI_CAP:
-        raise CapExceeded(f"cyclomatic number {xi} exceeds cap {FLOW_XI_CAP}")
 
     phi_star = star_from_values([modular_flow_count(g, n) for n in range(1, xi + 3)], xi, start=1)
     f_star = star_from_values([integral_flow_count(g, n) for n in range(1, xi + 3)], xi, start=1)
@@ -411,13 +409,8 @@ def flow_analysis(g: Multigraph, *, verify: bool = False) -> FlowResult:
         check_partial_sum_inequalities(phi_star.entries, xi, "flow_mirror"),
     )
 
-    result = FlowResult(
+    return FlowResult(
         g, xi, phi, f, phi_star, f_star, phi_split, f_split,
         tc_count, indeg_count, frozenset(o.direction for o in tc),
         audits, constants_ok,
     )
-    if verify:
-        if not constants_ok:
-            raise AssertionError("split constants do not match the orientation oracles")
-        require_pass(list(audits))
-    return result

@@ -1,4 +1,4 @@
-"""Exact polynomial arithmetic and binomial-basis coefficient vectors.
+"""Binomial-basis coefficient vectors of counting polynomials.
 
 Everything here is exact.  A counting polynomial p of degree <= D has a
 rational generating function
@@ -10,10 +10,11 @@ and `StarVector` stores the numerator coefficients of v together with
 the same numbers: p(n) = sum_i v_i * C(n+D-i, D).
 
 The entries of v are integer finite differences of the values of p, so
-`star_from_values` builds a star vector straight from integer counts.
-`Polynomial` (with `fractions.Fraction` coefficients) is built from a star
-vector by `inverse_transform` only where a polynomial is printed or
-evaluated as such.
+`star_from_values` builds a star vector straight from integer counts, and
+every route in the package builds its star vectors that way.  `Polynomial`
+(with `fractions.Fraction` coefficients) has no arithmetic: it is built
+from a star vector by `inverse_transform` only where a polynomial is
+printed, serialized or evaluated as such.
 
 Two length conventions follow from the algebra and are enforced at
 construction:
@@ -39,7 +40,6 @@ __all__ = [
     "StarVector",
     "binomial",
     "binomial_poly_value",
-    "binomial_transform",
     "inverse_transform",
     "star_from_values",
 ]
@@ -71,7 +71,11 @@ def _fraction_to_int(x: Fraction, what: str) -> int:
 
 
 class Polynomial:
-    """Dense exact univariate polynomial, coefficients ascending by power."""
+    """Dense exact univariate polynomial, coefficients ascending by power.
+
+    Built by `inverse_transform` for display; it is evaluated, printed and
+    serialized, never combined with another polynomial.
+    """
 
     __slots__ = ("_coeffs",)
 
@@ -80,10 +84,6 @@ class Polynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         self._coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls(())
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -112,34 +112,6 @@ class Polynomial:
         if isinstance(acc, Fraction) and acc.denominator == 1:
             return acc.numerator
         return acc
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        merged = list(a)
-        for i, c in enumerate(b):
-            merged[i] += c
-        return Polynomial(merged)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self._coeffs])
-
-    def __mul__(self, other: "Polynomial | int | Fraction") -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            return Polynomial([c * other for c in self._coeffs])
-        out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1 or 1)
-        for i, a in enumerate(self._coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other._coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Polynomial) and self._coeffs == other._coeffs
@@ -279,14 +251,6 @@ def star_from_values(values: Sequence[int], degree_bound: int, start: int = 0) -
     return StarVector((0,) * start + tuple(difference(j) for j in range(D + 1)), D, start)
 
 
-def binomial_transform(p: Polynomial, degree_bound: int, start: int = 0) -> StarVector:
-    """Numerator of (1-z)^(degree_bound+1) * sum_{n >= start} p(n) z^n."""
-    if p.degree > degree_bound:
-        raise ValueError(f"polynomial degree {p.degree} exceeds bound {degree_bound}")
-    values = [_fraction_to_int(Fraction(p(n)), f"p({n})") for n in range(start, start + degree_bound + 1)]
-    return star_from_values(values, degree_bound, start)
-
-
 def inverse_transform(v: StarVector) -> Polynomial:
     """The polynomial p with p(n) = sum_i v_i * C(n+D-i, D).
 
@@ -294,13 +258,16 @@ def inverse_transform(v: StarVector) -> Polynomial:
     result may have rational coefficients (it is always integer-valued).
     """
     D = v.degree_bound
-    inv_fact = Fraction(1, math.factorial(D))
-    total = Polynomial.zero()
+    # numerators over D!: entry * (n+D-i)(n+D-i-1)...(n-i+1), ascending powers
+    numerators = [0] * (D + 1)
     for i, entry in enumerate(v.entries):
         if entry == 0:
             continue
-        basis = Polynomial([1])
+        basis = [1]
         for t in range(D):
-            basis = basis * Polynomial([D - i - t, 1])
-        total = total + basis * (entry * inv_fact)
-    return total
+            # times (n + D - i - t)
+            basis = [(D - i - t) * c + prev for c, prev in zip(basis + [0], [0] + basis)]
+        for k, c in enumerate(basis):
+            numerators[k] += entry * c
+    den = math.factorial(D)
+    return Polynomial(Fraction(c, den) for c in numerators)

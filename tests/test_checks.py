@@ -2,9 +2,13 @@
 
 import json
 
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from polybinom.checks import flow_checks, graph_checks
 from polybinom.cli import main
 from polybinom.decompositions import CADecomposition, InequalityReport, InequalityRow
-from polybinom.graphs import format_graph_file
+from polybinom.graphs import Multigraph, cyclomatic_number, format_graph_file
 from polybinom.polynomials import Polynomial
 from polybinom.posets import (
     Poset,
@@ -150,3 +154,42 @@ def test_graph_checks_enumerate_acyclic_orientations_once(monkeypatch):
     assert len(calls) == 1
     assert checked.checks["order_polynomial_sum_matches"] == "pass"
     assert checked.result.acyclic_count == 24
+
+
+@st.composite
+def relabeled_multigraphs(draw, max_d=5, max_m=8):
+    """A loopless multigraph and a copy with its vertices permuted and the
+    reference orientation of some edges reversed."""
+    d = draw(st.integers(min_value=2, max_value=max_d))
+    pairs = st.tuples(st.integers(0, d - 1), st.integers(1, d - 1)).map(
+        lambda e: (e[0], (e[0] + e[1]) % d)
+    )
+    edges = draw(st.lists(pairs, max_size=max_m))
+    perm = draw(st.permutations(range(d)))
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    moved = tuple(
+        (perm[v], perm[u]) if flip else (perm[u], perm[v]) for (u, v), flip in zip(edges, flips)
+    )
+    return Multigraph(d, tuple(edges)), Multigraph(d, moved)
+
+
+@given(relabeled_multigraphs())
+@settings(max_examples=100, deadline=None)
+def test_chromatic_checks_ignore_labels_and_reference_orientations(graphs):
+    g, moved = graphs
+    before, after = graph_checks(g), graph_checks(moved)
+    assert after.result.chi_star == before.result.chi_star
+    assert after.checks == before.checks
+
+
+@given(relabeled_multigraphs(max_d=4, max_m=7))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+def test_flow_checks_ignore_labels_and_reference_orientations(graphs):
+    g, moved = graphs
+    assume(not g.bridges() and 1 <= cyclomatic_number(g) <= 3)
+    # the Kochol tables are keyed on edge directions, which the reversals
+    # change, so only their verdicts are compared
+    before, after = flow_checks(g), flow_checks(moved)
+    assert after.result.phi_star == before.result.phi_star
+    assert after.result.f_star == before.result.f_star
+    assert after.checks == before.checks

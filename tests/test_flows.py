@@ -6,6 +6,7 @@ import pytest
 from polybinom.errors import CapExceeded, NotApplicable
 from polybinom.flows import (
     _CANDIDATE_BUDGET,
+    DENSE_EDGE_CAP,
     FLOW_XI_CAP,
     FlowResult,
     flow_analysis,
@@ -94,8 +95,10 @@ class TestCounts:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             modular_flow_count(dipole(10), 3)
+        # an even number of parallel edges carries exactly one Z_2 flow
+        assert modular_flow_count_dense(dipole(DENSE_EDGE_CAP), 2) == 1
         with pytest.raises(CapExceeded):
-            modular_flow_count_dense(Multigraph(2, tuple((0, 1) for _ in range(9))), 2)
+            modular_flow_count_dense(dipole(DENSE_EDGE_CAP + 1), 2)
 
     def test_xi_cap_is_the_largest_the_candidate_budget_admits(self):
         # flow_analysis scans the integral count up to n = xi+2, whose grid
@@ -158,9 +161,12 @@ class TestFlowAnalysis:
         with pytest.raises(ValueError, match="non-integer coefficients"):
             flow_analysis(complete_graph(4))
 
-    def test_verify_mode_passes_on_fixtures(self):
+    def test_audits_pass_on_fixtures(self):
         for g in (dipole(2), THETA, dipole(4), dipole(5), complete_graph(4), K4_DOUBLED):
-            assert isinstance(flow_analysis(g, verify=True), FlowResult)
+            r = flow_analysis(g)
+            assert isinstance(r, FlowResult)
+            assert r.constants_match_oracle
+            assert [a.family for a in r.audits if a.verdict == "fail"] == []
 
 
 class TestKochol:

@@ -4,6 +4,7 @@ from polybinom.decompositions import symmetric_split
 from polybinom.errors import CapExceeded, InputFormatError
 from polybinom.polynomials import Polynomial, inverse_transform
 from polybinom.posets import (
+    DESCENT_ELEMENT_CAP,
     Poset,
     antichain,
     chain,
@@ -139,6 +140,13 @@ class TestOrderPolytope:
         assert hstar_via_descents(chain(3)).entries == (1, 0, 0, 0)
         assert hstar_via_descents(antichain(2)).entries == (1, 1, 0)
         assert hstar_via_descents(antichain(3)).entries == (1, 4, 1, 0)
+
+    def test_descent_cap(self):
+        # a chain has one linear extension and no descent
+        d = DESCENT_ELEMENT_CAP
+        assert hstar_via_descents(chain(d)).entries == (1,) + (0,) * d
+        with pytest.raises(CapExceeded, match=f"cap is {d} elements, got {d + 1}"):
+            hstar_via_descents(chain(d + 1))
 
     def test_descent_oracle_shares_no_code_with_lattice_route(self, monkeypatch):
         def lattice_route(*args, **kwargs):
