@@ -56,7 +56,6 @@ from .chromatic import (
 from .flows import (
     FlowResult,
     flow_analysis,
-    integral_flow_count,
     kochol_orientation_counts,
     modular_flow_count,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "flow_analysis",
     "hstar_via_descents",
     "in_degree_sequence_count",
-    "integral_flow_count",
     "inverse_transform",
     "kochol_orientation_counts",
     "modular_flow_count",

@@ -137,7 +137,8 @@ def _cmd_flow(args) -> int:
     g = parse_graph_file(text)
     _check_edge_cap(g, args.cap_edges)
     checked = flow_checks(g)
-    result, kochol, xi = checked.result, checked.kochol, checked.result.xi
+    result = checked.result
+    kochol, xi = result.kochol, result.xi
     if args.csv:
         _write_audit_csv(args.csv, args.file, result.audits)
     if args.json:

@@ -3,9 +3,15 @@
 Flows are parametrized by the cycle space: fix a spanning forest, assign
 free values to the cotree edges, and read off the forced tree-edge values
 from the fundamental-cycle matrix.  That bounds the modular count at
-(n-1)^xi candidates and the integral count at (2(n-1))^xi, with xi the
+(n-1)^xi candidates and the integral scan at (2(n-1))^xi, with xi the
 cyclomatic number.  A full value-grid scan (no cotree reduction) is kept as
 an independent oracle for small graphs.
+
+The integral scan is the Kochol table: it buckets every nowhere-zero integer
+flow by the totally cyclic orientation along which it is strictly positive.
+Bucket o at bound n is P_o(n), the interior lattice-point count of an open
+flow polytope, so each column is a polynomial of degree <= xi, and the
+integral flow polynomial is their sum, f(n) = sum_o P_o(n).
 
 The reference orientation of every edge is its stored (tail, head) pair, so
 re-ordering pairs is exactly a change of reference orientation; counts must
@@ -44,7 +50,6 @@ __all__ = [
     "DENSE_EDGE_CAP",
     "FlowResult",
     "flow_analysis",
-    "integral_flow_count",
     "kochol_orientation_counts",
     "modular_flow_count",
     "modular_flow_count_dense",
@@ -210,34 +215,13 @@ def modular_flow_count_dense(g: Multigraph, n: int) -> int:
     return count
 
 
-def integral_flow_count(g: Multigraph, n: int) -> int:
-    """Nowhere-zero integer flows with 0 < |x(e)| < n."""
-    _check_caps(g, n)
-    if g.edge_count == 0:
-        return 1
-    if n == 1:
-        return 0
-    tree, cotree, M = _cycle_matrix(g)
-    span = np.concatenate([np.arange(-(n - 1), 0), np.arange(1, n)]).astype(np.int64)
-    values = [span for _ in cotree]
-    total = 0
-    for cand in _candidate_chunks(values):
-        if tree:
-            forced = cand @ M.T
-            ok = ((forced != 0) & (np.abs(forced) < n)).all(axis=1)
-            total += int(ok.sum())
-        else:
-            total += cand.shape[0]
-    return total
-
-
 def kochol_orientation_counts(g: Multigraph, n: int) -> dict[tuple[int, ...], int]:
     """Integer flows 0 < |x| < n bucketed by the orientation they traverse.
 
     Every nowhere-zero integer flow is strictly positive along exactly one
     orientation (flip each edge carrying a negative value), so the bucket of
     a direction vector is precisely the count of its strictly positive flows
-    bounded by n, and the buckets sum to `integral_flow_count`.
+    bounded by n, and the buckets sum to the integral flow count f(n).
     """
     _check_caps(g, n)
     m = g.edge_count
@@ -315,6 +299,7 @@ class FlowResult:
     indegree_sequence_count: int
     tc_orientation_set: frozenset[tuple[int, ...]]
     audits: tuple[InequalityReport, ...] = field(compare=False)
+    kochol: dict[int, dict[tuple[int, ...], int]] = field(compare=False)  # n = 1..xi+2
     constants_match_oracle: bool = True
 
     def to_json(self) -> dict:
@@ -359,7 +344,9 @@ def flow_analysis(g: Multigraph) -> FlowResult:
     xi >= 1; violations raise NotApplicable with a machine-readable reason.
     An xi above `FLOW_XI_CAP` raises CapExceeded from the first count.
     The star vectors come from the counts at n = 1..xi+2, the last one an
-    overdetermination node.
+    overdetermination node.  The integral count f(n) is the sum of the Kochol
+    table at n; the tables are kept on the result, one column P_o per
+    orientation, each a polynomial of degree <= xi.
     """
     if g.bridges():
         raise NotApplicable("bridge", "a bridge admits no nowhere-zero flow")
@@ -368,7 +355,8 @@ def flow_analysis(g: Multigraph) -> FlowResult:
         raise NotApplicable("xi=0", "no cycles; both flow polynomials are constant 1")
 
     phi_star = star_from_values([modular_flow_count(g, n) for n in range(1, xi + 3)], xi, start=1)
-    f_star = star_from_values([integral_flow_count(g, n) for n in range(1, xi + 3)], xi, start=1)
+    kochol = {n: kochol_orientation_counts(g, n) for n in range(1, xi + 3)}
+    f_star = star_from_values([sum(table.values()) for table in kochol.values()], xi, start=1)
     phi = inverse_transform(phi_star)
     if not phi.is_integral:
         raise ValueError(f"flow polynomial has non-integer coefficients: {phi.pretty()}")
@@ -412,5 +400,5 @@ def flow_analysis(g: Multigraph) -> FlowResult:
     return FlowResult(
         g, xi, phi, f, phi_star, f_star, phi_split, f_split,
         tc_count, indeg_count, frozenset(o.direction for o in tc),
-        audits, constants_ok,
+        audits, kochol, constants_ok,
     )

@@ -82,6 +82,8 @@ def _random_graph(rng: random.Random, max_d: int) -> Multigraph:
 
 
 def sample_graphs(seed: int, count: int, max_d: int, *, bridgeless: bool = False) -> list[Multigraph]:
+    if max_d < 2:
+        raise NotApplicable("max-size", f"sampled graphs need max-size >= 2, got {max_d}")
     rng = random.Random(seed)
     out = []
     attempts = 0
@@ -97,6 +99,8 @@ def sample_graphs(seed: int, count: int, max_d: int, *, bridgeless: bool = False
 
 
 def sample_posets(seed: int, count: int, max_d: int) -> list[Poset]:
+    if max_d < 1:
+        raise NotApplicable("max-size", f"sampled posets need max-size >= 1, got {max_d}")
     rng = random.Random(seed)
     out = []
     while len(out) < count:
@@ -260,22 +264,14 @@ def run_poset_survey(max_size: int, mode: str = "exhaustive", seed: int = 0) -> 
     return report.run([(_poset_id(p), p) for p in posets], poset_checks, _poset_record)
 
 
-def run_flow_survey(
-    max_size: int,
-    mode: str = "exhaustive",
-    seed: int = 0,
-    *,
-    max_xi: int = FLOW_XI_SURVEY_CAP,
-    include_fixtures: bool = True,
-) -> SurveyReport:
-    """`flow_checks` over bridgeless instances with 1 <= xi <= max_xi."""
+def run_flow_survey(max_size: int, mode: str = "exhaustive", seed: int = 0) -> SurveyReport:
+    """`flow_checks` over bridgeless instances with 1 <= xi <= FLOW_XI_SURVEY_CAP."""
     report = SurveyReport(
-        "flows", {"max_size": max_size, "mode": mode, "seed": seed, "max_xi": max_xi}
+        "flows", {"max_size": max_size, "mode": mode, "seed": seed, "max_xi": FLOW_XI_SURVEY_CAP}
     )
     if mode == "exhaustive":
-        instances = [(_graph_id(g), g) for g in connected_graph_classes(max_size)]
-        if include_fixtures:
-            instances += flow_fixture_set()
+        graphs = connected_graph_classes(max_size)
+        instances = [(_graph_id(g), g) for g in graphs] + flow_fixture_set()
     elif mode == "sample":
         instances = [
             (_graph_id(g), g) for g in sample_graphs(seed, 15, max_size, bridgeless=True)
@@ -285,7 +281,7 @@ def run_flow_survey(
 
     def check(g: Multigraph) -> FlowChecks:
         # flow_analysis skips bridges and xi = 0 itself, in that order
-        if cyclomatic_number(g) > max_xi and g.is_bridgeless:
+        if cyclomatic_number(g) > FLOW_XI_SURVEY_CAP and g.is_bridgeless:
             raise NotApplicable("cap")
         return flow_checks(g)
 

@@ -137,6 +137,59 @@ def test_order_route_builds_no_polynomial(monkeypatch):
     assert report.ok and len(report.instances) == 24
 
 
+def test_flow_checks_scan_each_bound_once(monkeypatch):
+    import polybinom.flows as flows
+    from polybinom.graphs import complete_graph
+
+    calls, grids = [], []
+    scan, chunks = flows.kochol_orientation_counts, flows._candidate_chunks
+
+    def counted(g, n):
+        calls.append(n)
+        return scan(g, n)
+
+    def counted_chunks(value_sets):
+        grids.append(len(value_sets[0]))
+        return chunks(value_sets)
+
+    monkeypatch.setattr(flows, "kochol_orientation_counts", counted)
+    monkeypatch.setattr(flows, "_candidate_chunks", counted_chunks)
+    checked = flow_checks(complete_graph(4))
+    assert calls == [1, 2, 3, 4, 5]  # n = 1..xi+2 with xi = 3
+    # n = 1 needs no scan; then one modular grid of width n-1 and one
+    # integral grid of width 2(n-1) for each n = 2..5
+    expected = [n - 1 for n in range(2, 6)] + [2 * (n - 1) for n in range(2, 6)]
+    assert sorted(grids) == sorted(expected)
+    assert not checked.failures
+
+
+def test_misbucketed_flow_is_a_reported_failure(monkeypatch, tmp_path, capsys):
+    # moving one flow between two orientations at n = xi+2 leaves every
+    # bucket sum, and so f, unchanged; only the per-orientation columns see it
+    import polybinom.flows as flows
+    from polybinom.graphs import complete_graph
+
+    scan = flows.kochol_orientation_counts
+
+    def moved(g, n):
+        table = scan(g, n)
+        if n == cyclomatic_number(g) + 2:
+            first, second = list(table)[:2]
+            table[first] -= 1
+            table[second] += 1
+        return table
+
+    monkeypatch.setattr(flows, "kochol_orientation_counts", moved)
+    path = tmp_path / "k4.graph"
+    path.write_text(format_graph_file(complete_graph(4)))
+    assert main(["flow", str(path)]) == 1
+    assert "failed checks: kochol_sums_match_f\n" in capsys.readouterr().err
+    assert main(["flow", "--json", str(path)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["kochol_sums_match_f"] is False
+    assert payload["kochol_keys_totally_cyclic"] is True
+
+
 def test_graph_checks_enumerate_acyclic_orientations_once(monkeypatch):
     import polybinom.chromatic as chromatic
     from polybinom.checks import graph_checks

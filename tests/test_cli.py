@@ -144,6 +144,21 @@ class TestSurveyCommand:
         assert "skipped: 2" in out
         assert "verdict: pass" in out
 
+    # sampling draws sizes from 2..max-size (graphs) or 1..max-size (posets)
+    @pytest.mark.parametrize(
+        "kind, max_size, message",
+        [
+            ("graphs", "1", "sampled graphs need max-size >= 2, got 1"),
+            ("flows", "1", "sampled graphs need max-size >= 2, got 1"),
+            ("posets", "0", "sampled posets need max-size >= 1, got 0"),
+        ],
+    )
+    def test_sample_below_the_smallest_size_is_rejected(self, kind, max_size, message, capsys):
+        assert main(["survey", kind, "--mode", "sample", "--max-size", max_size]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"rejected (max-size): {message}\n"
+
     def test_flows_with_fixtures(self, capsys):
         assert main(["survey", "flows", "--max-size", "3"]) == 0
         out = capsys.readouterr().out

@@ -10,7 +10,6 @@ from polybinom.flows import (
     FLOW_XI_CAP,
     FlowResult,
     flow_analysis,
-    integral_flow_count,
     kochol_orientation_counts,
     modular_flow_count,
     modular_flow_count_dense,
@@ -20,13 +19,20 @@ from polybinom.graphs import (
     Multigraph,
     complete_graph,
     cycle_graph,
+    cyclomatic_number,
     dipole,
     enumerate_totally_cyclic_orientations,
     path_graph,
 )
+from polybinom.survey import connected_graph_classes, flow_fixture_set
 
 THETA = dipole(3)
 K4_DOUBLED = Multigraph(4, complete_graph(4).edges + ((0, 1),))
+
+
+def integral(g: Multigraph, n: int) -> int:
+    """Nowhere-zero integer flows with 0 < |x| < n: the Kochol bucket sum."""
+    return sum(kochol_orientation_counts(g, n).values())
 
 
 def dense_integral(g: Multigraph, n: int) -> int:
@@ -49,13 +55,13 @@ class TestCounts:
         assert modular_flow_count(path_graph(3), 5) == 0  # bridges force zero
 
     def test_integral_fixtures(self):
-        assert integral_flow_count(dipole(2), 3) == 4
-        assert integral_flow_count(THETA, 3) == 6
-        assert integral_flow_count(THETA, 4) == 18
+        assert integral(dipole(2), 3) == 4
+        assert integral(THETA, 3) == 6
+        assert integral(THETA, 4) == 18
 
     def test_trivial_moduli(self):
         assert modular_flow_count(dipole(2), 1) == 0
-        assert integral_flow_count(dipole(2), 1) == 0
+        assert integral(dipole(2), 1) == 0
         assert modular_flow_count(Multigraph(3, ()), 1) == 1
 
     def test_cotree_matches_dense_scan(self):
@@ -70,14 +76,14 @@ class TestCounts:
         for g in graphs:
             for n in (2, 3, 4):
                 assert modular_flow_count(g, n) == modular_flow_count_dense(g, n)
-                assert integral_flow_count(g, n) == dense_integral(g, n)
+                assert integral(g, n) == dense_integral(g, n)
 
     def test_loops_contribute_multiplicative_factors(self):
         base = THETA
         looped = Multigraph(2, base.edges + ((0, 0),))
         for n in (2, 3, 4):
             assert modular_flow_count(looped, n) == (n - 1) * modular_flow_count(base, n)
-            assert integral_flow_count(looped, n) == 2 * (n - 1) * integral_flow_count(base, n)
+            assert integral(looped, n) == 2 * (n - 1) * integral(base, n)
 
     def test_orientation_independence(self):
         # flipping stored pairs changes the reference orientation only
@@ -90,7 +96,7 @@ class TestCounts:
             )
             for n in (2, 3, 4):
                 assert modular_flow_count(g, n) == modular_flow_count(flipped, n)
-                assert integral_flow_count(g, n) == integral_flow_count(flipped, n)
+                assert integral(g, n) == integral(flipped, n)
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
@@ -169,12 +175,35 @@ class TestFlowAnalysis:
             assert [a.family for a in r.audits if a.verdict == "fail"] == []
 
 
+class TestTutteOracle:
+    # an external oracle: phi_G(n) = (-1)^xi T_G(0, 1-n), and T_G(0, 2)
+    # counts the totally cyclic orientations
+    def test_phi_and_totally_cyclic_count_match_networkx(self):
+        nx = pytest.importorskip("networkx")
+        pytest.importorskip("sympy")  # networkx builds the Tutte polynomial in sympy
+        bridgeless = [
+            g for g in connected_graph_classes(5) if g.is_bridgeless and cyclomatic_number(g) >= 1
+        ]
+        for g in bridgeless + [g for _, g in flow_fixture_set()]:
+            nxg = nx.MultiGraph()
+            nxg.add_nodes_from(range(g.vertex_count))
+            nxg.add_edges_from(g.edges)
+            tutte = nx.tutte_polynomial(nxg)
+            r = flow_analysis(g)
+            for n in range(1, r.xi + 3):
+                t = int(tutte.subs({"x": 0, "y": 1 - n}))
+                assert r.phi(n) == (-1) ** r.xi * t, (g, n)
+            totally_cyclic = int(tutte.subs({"x": 0, "y": 2}))
+            assert r.tc_orientation_count == totally_cyclic, g
+            assert len(r.kochol[r.xi + 2]) == totally_cyclic, g
+
+
 class TestKochol:
     def test_theta_each_orientation_contributes_once(self):
         table = kochol_orientation_counts(THETA, 3)
         assert len(table) == 6
         assert set(table.values()) == {1}
-        assert sum(table.values()) == integral_flow_count(THETA, 3)
+        assert sum(table.values()) == dense_integral(THETA, 3)
 
     def test_double_edge_n2(self):
         table = kochol_orientation_counts(dipole(2), 2)
@@ -191,6 +220,10 @@ class TestKochol:
             tc = {o.direction for o in enumerate_totally_cyclic_orientations(g)}
             for n in (2, 3, 4):
                 assert set(kochol_orientation_counts(g, n)) <= tc
+            # every open flow polytope has dimension xi, so interior points
+            # from n = xi+1 on
+            xi = cyclomatic_number(g)
+            assert set(kochol_orientation_counts(g, xi + 2)) == tc
 
     def test_buckets_match_per_orientation_recount(self):
         # the one-pass table must agree with independent per-orientation counts
@@ -202,7 +235,10 @@ class TestKochol:
                     assert table.get(o.direction, 0) == expected
 
     def test_sum_identity_across_range(self):
+        # f = sum_o P_o with each P_o recounted by the pure-Python route
         for g in (dipole(4), K4_DOUBLED):
             r = flow_analysis(g)
+            tc = enumerate_totally_cyclic_orientations(g)
             for n in range(1, r.xi + 3):
-                assert sum(kochol_orientation_counts(g, n).values()) == r.f(n)
+                assert sum(positive_flow_count(g, o, n) for o in tc) == r.f(n)
+                assert r.kochol[n] == kochol_orientation_counts(g, n)

@@ -3,7 +3,9 @@ import json
 import pytest
 
 from polybinom.survey import (
+    FLOW_XI_SURVEY_CAP,
     SurveyReport,
+    _graph_id,
     connected_graph_classes,
     flow_fixture_set,
     run_flow_survey,
@@ -95,14 +97,24 @@ class TestFlowSurvey:
         assert "theta" in ids and "dipole5" in ids
 
     def test_trees_all_skip(self):
-        report = run_flow_survey(3, include_fixtures=False)
-        bridge_skips = [s for s in report.skipped if s["reason"] == "bridge"]
-        assert len(bridge_skips) == 2  # the paths on 2 and 3 vertices
+        fixtures = {name for name, _ in flow_fixture_set()}
+        report = run_flow_survey(3)
+        skips = {s["id"]: s["reason"] for s in report.skipped if s["id"] not in fixtures}
+        # the trees on 1, 2 and 3 vertices; the triangle is recorded
+        assert skips == {"d1:-": "xi=0", "d2:0-1": "bridge", "d3:0-2,1-2": "bridge"}
+        assert [i["id"] for i in report.instances if i["id"] not in fixtures] == ["d3:0-1,0-2,1-2"]
 
     def test_xi_cap_skips(self):
-        report = run_flow_survey(5, max_xi=2)
-        assert any(s["reason"] == "cap" for s in report.skipped)
-        assert all(i["xi"] <= 2 for i in report.instances)
+        assert FLOW_XI_SURVEY_CAP == 5
+        d5 = [g for g in connected_graph_classes(5) if g.vertex_count == 5]
+        (k5_minus_edge,) = [g for g in d5 if g.edge_count == 9]  # xi = 5
+        (k5,) = [g for g in d5 if g.edge_count == 10]  # xi = 6
+        report = run_flow_survey(5)
+        assert report.scope["max_xi"] == FLOW_XI_SURVEY_CAP
+        assert _graph_id(k5_minus_edge) in {i["id"] for i in report.instances}
+        assert {"id": _graph_id(k5), "reason": "cap"} in report.skipped
+        assert [s["reason"] for s in report.skipped].count("cap") == 1
+        assert report.ok
 
     def test_sample_mode(self):
         report = run_flow_survey(5, mode="sample", seed=12)
