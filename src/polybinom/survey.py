@@ -1,10 +1,13 @@
 """Exhaustive and sampled verification surveys over small instance families.
 
-Families are deterministic: simple graphs come from edge-subset enumeration
-deduplicated by canonical certificate, posets from the validated generator,
-flow instances from the bridgeless graphs plus a fixed multigraph fixture
-set.  Every skipped instance carries a machine-readable reason; every
-failed check lands in the counterexample list (expected empty).
+Families are deterministic: connected simple graphs grow one vertex at a
+time, each new vertex joined to every nonempty subset of the old ones, and
+are deduplicated by canonical certificate; posets come from the validated
+generator, flow instances from the bridgeless graphs plus a fixed
+multigraph fixture set.  A family with no instance is rejected, so a run
+that verifies nothing never reads as a pass.  Every skipped instance
+carries a machine-readable reason; every failed check lands in the
+counterexample list (expected empty).
 """
 
 from __future__ import annotations
@@ -42,27 +45,29 @@ FLOW_XI_SURVEY_CAP = 5
 def connected_graph_classes(max_d: int) -> list[Multigraph]:
     """Connected simple graphs on 1..max_d vertices, one per isomorphism class.
 
-    Enumerates all edge subsets of the complete graph and deduplicates by
-    canonical certificate; the representative is the certificate's own edge
-    list, so output is independent of enumeration order.
+    The classes on d vertices grow from those on d-1: a new vertex d-1 is
+    joined to every nonempty subset of 0..d-2, and the results are
+    deduplicated by canonical certificate.  That reaches every class,
+    because a connected graph on d >= 2 vertices has a vertex whose removal
+    leaves it connected (a leaf of a spanning tree).  The representative is
+    the certificate's own edge list, sorted by (m, edges), so the output is
+    independent of the order of growth.
     """
     out: list[Multigraph] = []
+    level = [Multigraph(1, ())]
     for d in range(1, max_d + 1):
-        pairs = list(combinations(range(d), 2))
-        seen: set[tuple] = set()
-        reps = []
-        for mask in range(1 << len(pairs)):
-            edges = tuple(pairs[k] for k in range(len(pairs)) if (mask >> k) & 1)
-            g = Multigraph(d, edges)
-            if not g.is_connected:
-                continue
-            cert = graph_certificate(g)
-            if cert in seen:
-                continue
-            seen.add(cert)
-            reps.append(Multigraph(d, cert[1]))
-        reps.sort(key=lambda g: (g.edge_count, g.edges))
-        out.extend(reps)
+        if d > 1:
+            seen: set[tuple] = set()
+            grown = []
+            for g in level:
+                for mask in range(1, 1 << (d - 1)):
+                    edges = g.edges + tuple((u, d - 1) for u in range(d - 1) if mask >> u & 1)
+                    cert = graph_certificate(Multigraph(d, edges))
+                    if cert not in seen:
+                        seen.add(cert)
+                        grown.append(Multigraph(d, cert[1]))
+            level = sorted(grown, key=lambda g: (g.edge_count, g.edges))
+        out.extend(level)
     return out
 
 
@@ -180,7 +185,14 @@ class SurveyReport:
         """Check each (id, instance): record its table, or skip it as out of scope.
 
         An instance above an enumeration cap is skipped with reason ``cap``.
+        An empty family is rejected: a run that checks nothing verifies nothing.
         """
+        if not instances:
+            raise NotApplicable(
+                "max-size",
+                f"no {self.kind} instance to verify at max-size {self.scope['max_size']} "
+                f"({self.scope['mode']} mode)",
+            )
         for instance_id, instance in instances:
             try:
                 checked = check(instance)

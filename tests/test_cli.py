@@ -3,7 +3,7 @@ import json
 import pytest
 
 from polybinom.cli import main
-from polybinom.graphs import cycle_graph, dipole, format_graph_file
+from polybinom.graphs import complete_graph, cycle_graph, dipole, format_graph_file
 
 K3 = "vertices 3\nedge 0 1\nedge 0 2\nedge 1 2\n"
 P3 = "vertices 3\nedge 0 1\nedge 1 2\n"
@@ -58,6 +58,13 @@ class TestChromaticCommand:
         ]
         assert main(["chromatic", write("c11.graph", format_graph_file(cycle_graph(11)))]) == 3
         assert "chromatic cap is 10 vertices, got 11" in capsys.readouterr().err
+
+    def test_acyclic_orientation_cap_exits_3(self, write, capsys):
+        # K9 is within the vertex cap, but its 9! acyclic orientations are not
+        assert main(["chromatic", write("k9.graph", format_graph_file(complete_graph(9)))]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "cap exceeded: graph has 362880 acyclic orientations; cap is 50000\n"
 
     def test_edge_cap_exits_3(self, write, capsys):
         assert main(["chromatic", "--cap-edges", "2", write("k3.graph", K3)]) == 3
@@ -155,6 +162,25 @@ class TestSurveyCommand:
     )
     def test_sample_below_the_smallest_size_is_rejected(self, kind, max_size, message, capsys):
         assert main(["survey", kind, "--mode", "sample", "--max-size", max_size]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"rejected (max-size): {message}\n"
+
+    # a family with no instance verifies nothing, so it must not read as a pass
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["graphs", "--max-size", "0"], "no graphs instance to verify at max-size 0 (exhaustive mode)"),
+            (["posets", "--max-size", "-1"], "no posets instance to verify at max-size -1 (exhaustive mode)"),
+            (
+                ["flows", "--mode", "sample", "--max-size", "2"],
+                "no flows instance to verify at max-size 2 (sample mode)",
+            ),
+        ],
+        ids=["graphs", "posets", "flows-sample"],
+    )
+    def test_empty_family_is_rejected(self, argv, message, capsys):
+        assert main(["survey", *argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"rejected (max-size): {message}\n"

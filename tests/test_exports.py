@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import polybinom
-from polybinom.chromatic import CHROMATIC_VERTEX_CAP
+from polybinom.chromatic import ACYCLIC_ORIENTATION_CAP, CHROMATIC_VERTEX_CAP
 from polybinom.flows import FLOW_XI_CAP
 from polybinom.graphs import ORIENTATION_EDGE_CAP
 from polybinom.posets import DESCENT_ELEMENT_CAP, LATTICE_POINT_ELEMENT_CAP, ORDER_POLY_ELEMENT_CAP
@@ -30,7 +30,8 @@ def test_readme_names_every_cap():
     bullet = readme.split("\n- Caps:", 1)[1].split("\n\n", 1)[0].split("\n- ", 1)[0]
     bullet = " ".join(bullet.split())
     named = {
-        "orientation enumeration `m <= {}`": ORIENTATION_EDGE_CAP,
+        "totally cyclic orientation enumeration `m <= {}`": ORIENTATION_EDGE_CAP,
+        "acyclic orientations `|chi(-1)| <= {}`": ACYCLIC_ORIENTATION_CAP,
         "chromatic polynomials `d <= {}`": CHROMATIC_VERTEX_CAP,
         "order stars `d <= {}`": ORDER_POLY_ELEMENT_CAP,
         "the lattice-point oracle `d <= {}`": LATTICE_POINT_ELEMENT_CAP,

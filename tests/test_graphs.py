@@ -1,5 +1,10 @@
+from collections import deque
+
 import pytest
 
+import polybinom.chromatic
+import polybinom.graphs
+from polybinom.chromatic import ACYCLIC_ORIENTATION_CAP, chromatic_analysis
 from polybinom.errors import CapExceeded, InputFormatError
 from polybinom.graphs import (
     Multigraph,
@@ -19,6 +24,7 @@ from polybinom.graphs import (
     path_graph,
 )
 from polybinom.posets import chain
+from polybinom.survey import connected_graph_classes
 
 
 class TestStructure:
@@ -82,9 +88,82 @@ class TestOrientations:
         with pytest.raises(ValueError):
             in_degree_sequence_count([a, b])
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        # the cap bounds the count |chi(-1)|, not m: 25 parallel edges have
+        # only 2 acyclic orientations
+        assert chromatic_analysis(dipole(25)).acyclic_count == 2
+        # K4 has 24: admitted at a cap of 24, refused at a cap of 23 (24 = cap+1)
+        monkeypatch.setattr(polybinom.chromatic, "ACYCLIC_ORIENTATION_CAP", 24)
+        assert chromatic_analysis(complete_graph(4)).acyclic_count == 24
+        monkeypatch.setattr(polybinom.chromatic, "ACYCLIC_ORIENTATION_CAP", 23)
+        with pytest.raises(CapExceeded, match="graph has 24 acyclic orientations; cap is 23"):
+            chromatic_analysis(complete_graph(4))
+
+    def test_totally_cyclic_cap(self, monkeypatch):
+        with pytest.raises(CapExceeded, match="needs 2\\^25 candidates; cap is m <= 24"):
+            enumerate_totally_cyclic_orientations(dipole(25))
+        monkeypatch.setattr(polybinom.graphs, "ORIENTATION_EDGE_CAP", 3)
+        assert len(enumerate_totally_cyclic_orientations(dipole(3))) == 6
         with pytest.raises(CapExceeded):
-            enumerate_acyclic_orientations(Multigraph(2, tuple((0, 1) for _ in range(25))))
+            enumerate_totally_cyclic_orientations(dipole(4))
+
+    def test_cap_is_checked_before_enumerating(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("enumerated above the cap")
+
+        monkeypatch.setattr(polybinom.chromatic, "enumerate_acyclic_orientations", refuse)
+        # K9 has 9! = 362,880 acyclic orientations
+        assert ACYCLIC_ORIENTATION_CAP < 362_880
+        with pytest.raises(CapExceeded, match="graph has 362880 acyclic orientations"):
+            chromatic_analysis(complete_graph(9))
+
+
+def _is_acyclic(d: int, arcs) -> bool:
+    # Kahn's algorithm: every vertex is peeled off only if no cycle remains
+    indeg = [0] * d
+    out: list[list[int]] = [[] for _ in range(d)]
+    for t, h in arcs:
+        out[t].append(h)
+        indeg[h] += 1
+    queue = deque(v for v in range(d) if indeg[v] == 0)
+    seen = 0
+    while queue:
+        v = queue.popleft()
+        seen += 1
+        for w in out[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                queue.append(w)
+    return seen == d
+
+
+def acyclic_by_scan(g: Multigraph) -> list[Orientation]:
+    """Oracle: every one of the 2^m direction vectors, kept if acyclic."""
+    m = g.edge_count
+    candidates = (Orientation(g, tuple((mask >> e) & 1 for e in range(m))) for mask in range(1 << m))
+    return [o for o in candidates if _is_acyclic(g.vertex_count, o.arcs())]
+
+
+class TestAcyclicScanOracle:
+    def test_d6_family(self):
+        for g in connected_graph_classes(6):
+            assert enumerate_acyclic_orientations(g) == acyclic_by_scan(g), g
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            dipole(3),
+            Multigraph(3, ((0, 1), (1, 0), (1, 2))),  # antiparallel twins as stored
+            Multigraph(4, complete_graph(4).edges + ((1, 0),)),
+            Multigraph(3, ((0, 1), (1, 2), (2, 0), (2, 1), (0, 2))),
+            Multigraph(5, ((3, 1), (1, 4), (4, 3), (0, 2), (2, 0), (0, 3))),
+            Multigraph(3, ((0, 1), (1, 1), (1, 2))),  # a loop
+            Multigraph(4, ()),
+        ],
+        ids=["dipole3", "antiparallel", "k4_twin", "triangle_twins", "two_blocks", "loop", "edgeless"],
+    )
+    def test_multigraphs(self, g):
+        assert enumerate_acyclic_orientations(g) == acyclic_by_scan(g)
 
 
 def _edge_on_coherent_cycle(o: Orientation, e: int) -> bool:

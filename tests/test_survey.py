@@ -1,7 +1,10 @@
 import json
+from itertools import combinations
 
 import pytest
 
+from polybinom.errors import NotApplicable
+from polybinom.graphs import Multigraph, graph_certificate
 from polybinom.survey import (
     FLOW_XI_SURVEY_CAP,
     SurveyReport,
@@ -14,6 +17,44 @@ from polybinom.survey import (
     sample_graphs,
     sample_posets,
 )
+
+
+def classes_by_subset_scan(max_d: int) -> list[Multigraph]:
+    """Oracle: every edge subset of K_d, kept if connected and new by certificate."""
+    out: list[Multigraph] = []
+    for d in range(1, max_d + 1):
+        pairs = list(combinations(range(d), 2))
+        seen: set[tuple] = set()
+        reps = []
+        for mask in range(1 << len(pairs)):
+            g = Multigraph(d, tuple(pairs[k] for k in range(len(pairs)) if (mask >> k) & 1))
+            if not g.is_connected:
+                continue
+            cert = graph_certificate(g)
+            if cert not in seen:
+                seen.add(cert)
+                reps.append(Multigraph(d, cert[1]))
+        reps.sort(key=lambda g: (g.edge_count, g.edges))
+        out.extend(reps)
+    return out
+
+
+class TestFamilyOracles:
+    def test_subset_scan_gives_the_identical_list(self):
+        assert connected_graph_classes(5) == classes_by_subset_scan(5)
+
+    def test_networkx_atlas_up_to_seven_vertices(self):
+        nx = pytest.importorskip("networkx")
+        grown: dict[int, set] = {}
+        for g in connected_graph_classes(7):
+            grown.setdefault(g.vertex_count, set()).add(graph_certificate(g))
+        atlas: dict[int, set] = {}
+        for h in nx.graph_atlas_g()[1:]:  # entry 0 is the graph on no vertices
+            if nx.is_connected(h):
+                g = Multigraph(h.number_of_nodes(), tuple(h.edges()))
+                atlas.setdefault(g.vertex_count, set()).add(graph_certificate(g))
+        assert [len(grown[d]) for d in range(1, 8)] == [1, 1, 2, 6, 21, 112, 853]
+        assert grown == atlas
 
 
 class TestFamilies:
@@ -64,6 +105,12 @@ class TestGraphSurvey:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             run_graph_survey(3, mode="everything")
+
+    def test_empty_family_is_rejected(self):
+        with pytest.raises(NotApplicable) as err:
+            run_graph_survey(0)
+        assert err.value.reason == "max-size"
+        assert len(run_graph_survey(1).instances) == 1
 
 
 class TestPosetSurvey:
