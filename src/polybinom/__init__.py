@@ -32,7 +32,6 @@ from .graphs import (
     enumerate_acyclic_orientations,
     enumerate_totally_cyclic_orientations,
     in_degree_sequence_count,
-    orientation_to_poset,
 )
 from .polynomials import (
     Polynomial,
@@ -94,7 +93,6 @@ __all__ = [
     "monomial_inequality_forms",
     "omega_star",
     "order_polytope_points",
-    "orientation_to_poset",
     "star_from_values",
     "star_via_order_polynomials",
     "symmetric_split",

@@ -11,15 +11,16 @@ splits into palindromic parts whose positivity, chains, and constant terms
 are audited against the acyclic-orientation oracle.
 
 The same star vector also arises as the sum of the order star vectors of
-the posets induced by the acyclic orientations; that cross-route is the
-module's central consistency check.
+the posets induced by the acyclic orientations (Stanley 1973); that
+cross-route is the module's central consistency check.  The orientation
+search hands over each of those posets directly, already transitively
+closed, so the cross-route builds no orientation and no second closure.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from .decompositions import (
     InequalityReport,
@@ -30,14 +31,9 @@ from .decompositions import (
     symmetric_split,
 )
 from .errors import CapExceeded, NotApplicable
-from .graphs import (
-    Multigraph,
-    Orientation,
-    enumerate_acyclic_orientations,
-    orientation_to_poset,
-)
+from .graphs import Multigraph, enumerate_acyclic_orientations
 from .polynomials import Polynomial, StarVector, inverse_transform, star_from_values
-from .posets import omega_star
+from .posets import Poset, omega_star
 
 __all__ = [
     "ACYCLIC_ORIENTATION_CAP",
@@ -108,21 +104,20 @@ def chromatic_star(g: Multigraph) -> StarVector:
     return star_from_values(values, d)
 
 
-def star_via_order_polynomials(g: Multigraph, orientations: Sequence[Orientation]) -> StarVector:
+def star_via_order_polynomials(g: Multigraph, orientations: tuple[Poset, ...]) -> StarVector:
     """Sum of order star vectors over the acyclic-orientation posets of g.
 
-    ``orientations`` are the acyclic orientations of g.  Every one induces a
-    poset on all d vertices, so the summands share the length-(d+1)
-    convention and add entrywise; the total must reproduce `chromatic_star`
-    exactly.
+    ``orientations`` are the acyclic orientations of g, each as the poset it
+    induces on all d vertices (`enumerate_acyclic_orientations`), so the
+    summands share the length-(d+1) convention and add entrywise; the total
+    must reproduce `chromatic_star` exactly.
     """
     if g.has_loops:
         raise NotApplicable("loop", "graphs with loops have no acyclic orientations")
     d = g.vertex_count
     total = [0] * (d + 1)
-    for orientation in orientations:
-        contribution = omega_star(orientation_to_poset(orientation))
-        for i, x in enumerate(contribution.entries):
+    for poset in orientations:
+        for i, x in enumerate(omega_star(poset).entries):
             total[i] += x
     return StarVector(tuple(total), d, start=0)
 
@@ -133,7 +128,7 @@ class ChromaticResult:
     chi: Polynomial
     chi_star: StarVector
     split: SymmetricSplit
-    acyclic_orientations: tuple[Orientation, ...] = field(repr=False)
+    acyclic_orientations: tuple[Poset, ...] = field(repr=False)  # each as its poset
     audits: tuple[InequalityReport, ...] = field(compare=False)
     constants_match_oracle: bool = True
 
@@ -158,7 +153,8 @@ def chromatic_analysis(g: Multigraph) -> ChromaticResult:
     """Star vector, palindromic split, and all chromatic inequality audits.
 
     The split's constant terms are compared against the number of
-    enumerated acyclic orientations, and failed audits are reported in the
+    enumerated acyclic orientations, kept as their posets for the
+    order-polynomial cross-route, and failed audits are reported in the
     result.  chi is rebuilt from the star vector for display.  That number
     is |chi(-1)| (Stanley 1973), which is checked against
     ACYCLIC_ORIENTATION_CAP before any orientation is enumerated; it only

@@ -252,9 +252,6 @@ class SymmetricSplit:
         padded_q = self.q + (0,)
         return tuple(a - b for a, b in zip(self.p, padded_q))
 
-    def to_json(self) -> dict:
-        return {"p": list(self.p), "q": list(self.q), "degree": self.degree}
-
 
 def symmetric_split(v: Sequence[int], degree: int) -> SymmetricSplit:
     """Split v (length <= degree+1, zero-padded) into its palindromic parts.
@@ -311,15 +308,6 @@ class ABDecomposition:
     s: int
     codegree: int
     audit: InequalityReport = field(compare=False)
-
-    def to_json(self) -> dict:
-        return {
-            "a": list(self.a),
-            "b": list(self.b),
-            "degree": self.s,
-            "codegree": self.codegree,
-            "audit": self.audit.to_json(),
-        }
 
 
 def ab_decomposition(h: StarVector) -> ABDecomposition:
@@ -390,13 +378,6 @@ class CADecomposition:
     def interior_entries(self) -> tuple[int, ...]:
         padded_a = self.a + (0,)
         return tuple(cc - aa for cc, aa in zip(self.c, padded_a))
-
-    def to_json(self) -> dict:
-        return {
-            "c": list(self.c),
-            "a": list(self.a),
-            "audits": [r.to_json() for r in self.audits],
-        }
 
 
 def ca_decomposition(h: StarVector) -> CADecomposition:

@@ -295,12 +295,15 @@ class FlowResult:
     f_star: StarVector
     phi_split: SymmetricSplit
     f_split: SymmetricSplit
-    tc_orientation_count: int
     indegree_sequence_count: int
     tc_orientation_set: frozenset[tuple[int, ...]]
     audits: tuple[InequalityReport, ...] = field(compare=False)
     kochol: dict[int, dict[tuple[int, ...], int]] = field(compare=False)  # n = 1..xi+2
     constants_match_oracle: bool = True
+
+    @property
+    def tc_orientation_count(self) -> int:
+        return len(self.tc_orientation_set)
 
     def to_json(self) -> dict:
         return {
@@ -399,6 +402,6 @@ def flow_analysis(g: Multigraph) -> FlowResult:
 
     return FlowResult(
         g, xi, phi, f, phi_star, f_star, phi_split, f_split,
-        tc_count, indeg_count, frozenset(o.direction for o in tc),
+        indeg_count, frozenset(o.direction for o in tc),
         audits, kochol, constants_ok,
     )

@@ -6,8 +6,8 @@ as the reference orientation for flow computations (tail = first, head =
 second), so it is preserved verbatim from input.
 
 Acyclic orientations are enumerated by a backtracking search whose cost
-follows its output; totally cyclic ones by a scan of all 2^m direction
-vectors, capped at m <= 24 edges.
+follows its output, each handed over as the poset it induces; totally
+cyclic ones by a scan of all 2^m direction vectors, capped at m <= 24 edges.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from itertools import permutations, product
 from typing import Sequence
 
 from .errors import CapExceeded, InputFormatError
+from .posets import Poset
 
 __all__ = [
     "Multigraph",
@@ -32,7 +33,6 @@ __all__ = [
     "format_graph_file",
     "graph_certificate",
     "in_degree_sequence_count",
-    "orientation_to_poset",
     "parse_graph_file",
     "path_graph",
 ]
@@ -173,8 +173,8 @@ class Orientation:
         return tuple(deg)
 
 
-def enumerate_acyclic_orientations(g: Multigraph) -> list[Orientation]:
-    """All orientations with no coherently oriented cycle, in bitmask order.
+def enumerate_acyclic_orientations(g: Multigraph) -> list[Poset]:
+    """All orientations with no coherently oriented cycle, each as its poset.
 
     A backtracking search over the edges in index order keeps, per vertex,
     the bitmask of the vertices it reaches.  Edge e may point t -> h only if
@@ -185,28 +185,32 @@ def enumerate_acyclic_orientations(g: Multigraph) -> list[Orientation]:
     orientation.  Callers cap that output by its count, |chi_G(-1)|
     (Stanley 1973), before they enumerate.
 
+    At a leaf the reachability masks are the transitive closure of the
+    orientation, so it is returned as the poset on the vertices with
+    ``above[v] = reach[v]`` minus v, in search order.  The poset determines
+    the orientation (the ends of every edge are comparable), so the list has
+    one entry per acyclic orientation.
+
     A loop is itself a directed cycle, so a graph with loops has none.
     Antiparallel twins form a 2-cycle, so parallel edges must agree in
     direction; the reachability test enforces that.
     """
     if g.has_loops:
         return []
-    edges, m = g.edges, g.edge_count
-    masks = []
-    stack = [(0, 0, tuple(1 << v for v in range(g.vertex_count)))]
+    edges, m, d = g.edges, g.edge_count, g.vertex_count
+    posets = []
+    stack = [(0, tuple(1 << v for v in range(d)))]
     while stack:
-        e, mask, reach = stack.pop()
+        e, reach = stack.pop()
         if e == m:
-            masks.append(mask)
+            posets.append(Poset(d, tuple(r & ~(1 << v) for v, r in enumerate(reach))))
             continue
         u, v = edges[e]
-        for bit, t, h in ((0, u, v), (1, v, u)):
+        for t, h in ((u, v), (v, u)):
             if not reach[h] >> t & 1:
                 gain = reach[h]
-                grown = tuple(r | gain if r >> t & 1 else r for r in reach)
-                stack.append((e + 1, mask | bit << e, grown))
-    masks.sort()
-    return [Orientation(g, tuple((mask >> e) & 1 for e in range(m))) for mask in masks]
+                stack.append((e + 1, tuple(r | gain if r >> t & 1 else r for r in reach)))
+    return posets
 
 
 def _strongly_connected_components_ok(g: Multigraph, o: Orientation) -> bool:
@@ -270,17 +274,6 @@ def in_degree_sequence_count(orientations: Sequence[Orientation]) -> int:
         if o.graph != g:
             raise ValueError("orientations must all be over the same graph")
     return len({o.in_degrees() for o in orientations})
-
-
-def orientation_to_poset(o: Orientation):
-    """The poset on the vertices whose order is reachability along the arcs.
-
-    An orientation with a directed cycle has none; `Poset.from_relation`
-    raises `ValueError` for it.
-    """
-    from .posets import Poset  # local import keeps posets free of graph deps
-
-    return Poset.from_relation(o.graph.vertex_count, o.arcs())
 
 
 # ---------------------------------------------------------------------------

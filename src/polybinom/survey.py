@@ -263,10 +263,16 @@ def run_graph_survey(max_size: int, mode: str = "exhaustive", seed: int = 0) -> 
 
 
 def run_poset_survey(max_size: int, mode: str = "exhaustive", seed: int = 0) -> SurveyReport:
-    """`poset_checks` over poset isomorphism classes."""
+    """`poset_checks` over poset isomorphism classes.
+
+    An exhaustive run above `POSET_SURVEY_CAP` elements is refused before
+    any poset is generated, rather than checking fewer sizes than asked.
+    """
     report = SurveyReport("posets", {"max_size": max_size, "mode": mode, "seed": seed})
     if mode == "exhaustive":
-        families = [generate_posets(d) for d in range(1, min(max_size, POSET_SURVEY_CAP) + 1)]
+        if max_size > POSET_SURVEY_CAP:
+            raise CapExceeded(f"poset survey cap is {POSET_SURVEY_CAP} elements, got {max_size}")
+        families = [generate_posets(d) for d in range(1, max_size + 1)]
         report.scope["class_counts"] = [len(family) for family in families]
         posets = [p for family in families for p in family]
     elif mode == "sample":

@@ -2,13 +2,20 @@
 
 import json
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from polybinom.checks import flow_checks, graph_checks
 from polybinom.cli import main
 from polybinom.decompositions import CADecomposition, InequalityReport, InequalityRow
-from polybinom.graphs import Multigraph, cyclomatic_number, format_graph_file
+from polybinom.graphs import (
+    Multigraph,
+    complete_graph,
+    cycle_graph,
+    cyclomatic_number,
+    format_graph_file,
+)
 from polybinom.polynomials import Polynomial
 from polybinom.posets import (
     Poset,
@@ -207,6 +214,19 @@ def test_graph_checks_enumerate_acyclic_orientations_once(monkeypatch):
     assert len(calls) == 1
     assert checked.checks["order_polynomial_sum_matches"] == "pass"
     assert checked.result.acyclic_count == 24
+
+
+@pytest.mark.parametrize("g", [complete_graph(4), cycle_graph(5)], ids=["K4", "C5"])
+def test_graph_checks_close_no_order_twice(monkeypatch, g):
+    # the orientation search hands over each order already closed, so the
+    # order-polynomial cross-route never rebuilds one from its arcs
+    def refuse(cls, d, pairs):
+        raise AssertionError("an acyclic orientation was closed a second time")
+
+    monkeypatch.setattr(Poset, "from_relation", classmethod(refuse))
+    checked = graph_checks(g)
+    assert checked.failures == []
+    assert checked.checks["order_polynomial_sum_matches"] == "pass"
 
 
 @st.composite

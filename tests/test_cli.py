@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import polybinom.survey
 from polybinom.cli import main
 from polybinom.graphs import complete_graph, cycle_graph, dipole, format_graph_file
 
@@ -184,6 +185,19 @@ class TestSurveyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"rejected (max-size): {message}\n"
+
+    def test_exhaustive_poset_survey_cap(self, monkeypatch, capsys):
+        # above the cap the survey is refused, not cut short to the cap
+        cap = polybinom.survey.POSET_SURVEY_CAP
+        assert main(["survey", "posets", "--max-size", str(cap + 1)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cap exceeded: poset survey cap is {cap} elements, got {cap + 1}\n"
+        monkeypatch.setattr(polybinom.survey, "POSET_SURVEY_CAP", 3)
+        assert main(["survey", "posets", "--max-size", "3"]) == 0
+        assert "instances: 8  skipped: 0" in capsys.readouterr().out
+        assert main(["survey", "posets", "--max-size", "4"]) == 3
+        assert capsys.readouterr().err == "cap exceeded: poset survey cap is 3 elements, got 4\n"
 
     def test_flows_with_fixtures(self, capsys):
         assert main(["survey", "flows", "--max-size", "3"]) == 0

@@ -12,6 +12,7 @@ from polybinom.chromatic import ACYCLIC_ORIENTATION_CAP, CHROMATIC_VERTEX_CAP
 from polybinom.flows import FLOW_XI_CAP
 from polybinom.graphs import ORIENTATION_EDGE_CAP
 from polybinom.posets import DESCENT_ELEMENT_CAP, LATTICE_POINT_ELEMENT_CAP, ORDER_POLY_ELEMENT_CAP
+from polybinom.survey import POSET_SURVEY_CAP
 
 MODULES = ["polybinom"] + [
     f"polybinom.{info.name}" for info in pkgutil.iter_modules(polybinom.__path__)
@@ -38,5 +39,6 @@ def test_readme_names_every_cap():
         "(so `order` takes at most {} elements)": LATTICE_POINT_ELEMENT_CAP,
         "the descent route `d <= {}`": DESCENT_ELEMENT_CAP,
         "flows `xi <= {}`": FLOW_XI_CAP,
+        "the exhaustive poset survey `d <= {}`": POSET_SURVEY_CAP,
     }
     assert [p.format(v) for p, v in named.items() if p.format(v) not in bullet] == []

@@ -19,11 +19,10 @@ from polybinom.graphs import (
     format_graph_file,
     graph_certificate,
     in_degree_sequence_count,
-    orientation_to_poset,
     parse_graph_file,
     path_graph,
 )
-from polybinom.posets import chain
+from polybinom.posets import Poset, antichain, chain
 from polybinom.survey import connected_graph_classes
 
 
@@ -65,8 +64,8 @@ class TestOrientations:
     def test_parallel_edges_must_codirect(self):
         acyclic = enumerate_acyclic_orientations(dipole(2))
         assert len(acyclic) == 2
-        for o in acyclic:
-            assert o.direction[0] == o.direction[1]
+        # both edges 0 -> 1 (0 < 1) or both 1 -> 0 (1 < 0)
+        assert sorted(p.above for p in acyclic) == [(0, 0b01), (0b10, 0)]
 
     def test_totally_cyclic_counts(self):
         assert len(enumerate_totally_cyclic_orientations(dipole(2))) == 2
@@ -144,10 +143,19 @@ def acyclic_by_scan(g: Multigraph) -> list[Orientation]:
     return [o for o in candidates if _is_acyclic(g.vertex_count, o.arcs())]
 
 
+def posets_by_scan(g: Multigraph) -> list[tuple[int, ...]]:
+    """Oracle: the order of each acyclic orientation, closed by `Poset.from_relation`."""
+    return sorted(Poset.from_relation(g.vertex_count, o.arcs()).above for o in acyclic_by_scan(g))
+
+
+def posets_by_search(g: Multigraph) -> list[tuple[int, ...]]:
+    return sorted(p.above for p in enumerate_acyclic_orientations(g))
+
+
 class TestAcyclicScanOracle:
     def test_d6_family(self):
         for g in connected_graph_classes(6):
-            assert enumerate_acyclic_orientations(g) == acyclic_by_scan(g), g
+            assert posets_by_search(g) == posets_by_scan(g), g
 
     @pytest.mark.parametrize(
         "g",
@@ -163,7 +171,7 @@ class TestAcyclicScanOracle:
         ids=["dipole3", "antiparallel", "k4_twin", "triangle_twins", "two_blocks", "loop", "edgeless"],
     )
     def test_multigraphs(self, g):
-        assert enumerate_acyclic_orientations(g) == acyclic_by_scan(g)
+        assert posets_by_search(g) == posets_by_scan(g)
 
 
 def _edge_on_coherent_cycle(o: Orientation, e: int) -> bool:
@@ -216,23 +224,28 @@ class TestTotallyCyclicEquivalence:
 
 
 class TestOrientationToPoset:
+    """The search hands over each acyclic orientation as the poset it induces."""
+
     def test_directed_path_is_chain(self):
-        o = Orientation(path_graph(3), (0, 0))
-        assert orientation_to_poset(o).above == chain(3).above
+        # the orientation 0 -> 1 -> 2 is among the four of the path
+        assert chain(3).above in {p.above for p in enumerate_acyclic_orientations(path_graph(3))}
 
     def test_transitive_closure(self):
-        o = Orientation(complete_graph(3), (0, 0, 0))  # 0->1, 0->2, 1->2
-        p = orientation_to_poset(o)
+        # 0 -> 1 -> 2 on the path: no edge joins 0 and 2, yet 0 < 2
+        posets = enumerate_acyclic_orientations(path_graph(3))
+        (p,) = [p for p in posets if p.less(0, 1) and p.less(1, 2)]
         assert p.less(0, 2) and p.less(0, 1) and p.less(1, 2)
 
     def test_edgeless_gives_antichain(self):
-        o = Orientation(Multigraph(3, ()), ())
-        assert orientation_to_poset(o).is_antichain
+        (p,) = enumerate_acyclic_orientations(Multigraph(3, ()))
+        assert p.is_antichain
+        assert p == antichain(3)
 
     def test_cyclic_rejected(self):
-        o = Orientation(complete_graph(3), (0, 1, 0))  # 0->1->2->0
+        # the reachability masks a directed cycle 0 -> 1 -> 2 -> 0 would leave
+        # are no order; the validation every search poset passes refuses them
         with pytest.raises(ValueError):
-            orientation_to_poset(o)
+            Poset(3, (0b110, 0b101, 0b011))
 
 
 class TestCertificates:
