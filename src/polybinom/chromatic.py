@@ -49,9 +49,10 @@ __all__ = [
 ]
 
 CHROMATIC_VERTEX_CAP = 10
-# The order-polynomial cross-route costs about 0.12 ms per acyclic
-# orientation at d = 8 and 0.33 ms at d = 10 (Python 3.11, one core), so
-# this bounds a `chromatic` run by about 17 s; K8 (8! = 40,320) is admitted.
+# Enumeration plus the order-polynomial cross-route cost about 0.08 ms per
+# acyclic orientation at d = 8 and 0.19 ms at d = 10 (Python 3.11, one
+# core, best of 3), so this bounds a `chromatic` run by about 10 s.  K8
+# (8! = 40,320) is admitted and runs in about 4 s.
 ACYCLIC_ORIENTATION_CAP = 50_000
 
 

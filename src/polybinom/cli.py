@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_survey)
 
     p = sub.add_parser("table1", help="derive and match the monomial-basis inequality rows")
-    add_common(p, with_file=False)
+    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=_cmd_table1)
 
     return parser
@@ -311,6 +311,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CAP
     except FileNotFoundError as exc:
         print(f"rejected (missing-file): {exc}", file=sys.stderr)
+        return EXIT_REJECTED
+    except (OSError, UnicodeDecodeError) as exc:
+        # a directory, an unreadable or non-UTF-8 FILE, or an unwritable --csv PATH
+        print(f"rejected (file-error): {exc}", file=sys.stderr)
         return EXIT_REJECTED
     except PolybinomError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,11 +11,18 @@ Positivity and the monotonicity chains of these parts are the substance of
 the theorems verified by this package, so they are *audited* and reported,
 never assumed: a failed audit is a "fail" verdict in a report, not an error.
 
-For star vectors of lattice-point counts there are two further canonical
-decompositions, both driven by the degree s and codegree l = D+1-s:
+For a start=0 star vector h of lattice-point counts, with degree s and
+codegree l = D+1-s, Stapledon's parts are symmetric splits of reversed,
+truncated and interior-reversed h:
 
-* the a/b pair with (1 + z + ... + z^(l-1)) h(z) = a(z) + z^l b(z),
-* the degree-free c/a pair with h(z) = c(z) - z a(z), c_j = a_{j-1} + h_j.
+* a = p of (h_D, ..., h_0) over D:
+      a_j = (h_0 + ... + h_j) - (h_D + ... + h_{D-j+1});
+* b = q of (h_0, ..., h_s) over s:
+      b_j = (h_s + ... + h_{s-j}) - (h_0 + ... + h_j),
+  so that (1 + z + ... + z^(l-1)) h(z) = a(z) + z^l b(z);
+* (c, a) = (p, q) of the interior reversal (0, h_D, ..., h_0) over D+1:
+      c_0 = h_0,  c_j = a_{j-1} + h_j,
+  so that h(z) = c(z) - z a(z), degree-free.
 """
 
 from __future__ import annotations
@@ -310,58 +317,42 @@ class ABDecomposition:
     audit: InequalityReport = field(compare=False)
 
 
-def ab_decomposition(h: StarVector) -> ABDecomposition:
-    """Split a start=0 lattice-point star vector into its a/b pair.
-
-    a_j = h_0 + ... + h_j - h_D - ... - h_{D-j+1}
-    b_j = -h_0 - ... - h_j + h_s + ... + h_{s-j}
-
-    The defining identity is asserted; the chain 1 = a_0 <= a_1 <= a_j is
-    returned as an audit.
-    """
+def _lattice_entries(h: StarVector, name: str) -> tuple[int, ...]:
+    """Entries of a start=0 star vector with h_0 >= 1; warns when h_0 > 1."""
     if h.start != 0:
-        raise ValueError("a/b decomposition expects a start=0 star vector")
+        raise ValueError(f"{name} decomposition expects a start=0 star vector")
     v = h.entries
     if all(e == 0 for e in v):
-        raise ValueError("a/b decomposition of the zero vector is undefined")
+        raise ValueError(f"{name} decomposition of the zero vector is undefined")
     if v[0] < 1:
         raise ValueError(f"expected constant term >= 1, got {v[0]}")
     if v[0] > 1:
-        warnings.warn("a/b decomposition of a summed star vector (constant term > 1)", stacklevel=2)
+        warnings.warn(f"{name} decomposition of a summed star vector (constant term > 1)", stacklevel=3)
+    return v
+
+
+def ab_decomposition(h: StarVector) -> ABDecomposition:
+    """Split a start=0 lattice-point star vector into its a/b pair.
+
+    a is the p part of reversed h and b the q part of h truncated at its
+    degree s (module docstring).  The defining identity is asserted; the
+    chain 1 = a_0 <= a_1 <= a_j is returned as an audit.
+    """
+    v = _lattice_entries(h, "a/b")
     D = h.degree_bound
     s = h.degree
     l = D + 1 - s
-    a = []
-    head = 0
-    tail = 0
-    for j in range(D + 1):
-        head += _entry(v, j)
-        if j >= 1:
-            tail += _entry(v, D - j + 1)
-        a.append(head - tail)
-    # b_j = (h_s + ... + h_{s-j}) - (h_0 + ... + h_j)
-    b = []
-    head = 0
-    stail = 0
-    for j in range(s):
-        head += _entry(v, j)
-        stail += _entry(v, s - j)
-        b.append(stail - head)
+    a = symmetric_split(v[::-1], D).p
+    b = symmetric_split(v[: s + 1], s).q
     # identity check: (1 + z + ... + z^(l-1)) h(z) == a(z) + z^l b(z)
-    lhs = _trim(_poly_mul([1] * l, list(v)))
+    lhs = _trim(_poly_mul([1] * l, v))
     rhs = list(a) + [0] * max(0, l + len(b) - (D + 1))
     for j, bb in enumerate(b):
         rhs[l + j] += bb
     if lhs != _trim(rhs):
         raise AssertionError(f"a/b identity failed: {lhs} != {_trim(rhs)}")
-    for j in range(D + 1):
-        if a[j] != a[D - j]:
-            raise AssertionError(f"a part not palindromic: {a}")
-    for j in range(s):
-        if b[j] != b[s - 1 - j]:
-            raise AssertionError(f"b part not palindromic: {b}")
     audit = chain_report(a, D - 1, "ab_chain_a", normalized=v[0] == 1)
-    return ABDecomposition(tuple(a), tuple(b), s, l, audit)
+    return ABDecomposition(a, b, s, l, audit)
 
 
 @dataclass(frozen=True)
@@ -381,27 +372,16 @@ class CADecomposition:
 
 
 def ca_decomposition(h: StarVector) -> CADecomposition:
-    """Degree-independent c/a split: c_j = a_{j-1} + h_j with c_0 = h_0.
-
-    c - a equals ``h.interior_reversal()`` by construction; comparing that
-    with the interior counts is the `hstar_reversal_is_interior` check.
+    """Degree-independent c/a split: c and a are the p and q parts of the
+    interior reversal of h, so c - a equals ``h.interior_reversal()`` and
+    h(z) = c(z) - z a(z).  Comparing that reversal with the interior counts
+    is the `hstar_reversal_is_interior` check.
     """
-    ab = ab_decomposition(h)
-    a = ab.a
-    v = h.entries
+    v = _lattice_entries(h, "c/a")
     D = h.degree_bound
-    c = [v[0]]
-    for j in range(1, D + 2):
-        c.append(a[j - 1] + _entry(v, j))
-    for j in range(D + 2):
-        if c[j] != c[D + 1 - j]:
-            raise AssertionError(f"c part not palindromic: {c}")
-    # h(z) = c(z) - z a(z)
-    recon = [c[0]] + [c[j] - a[j - 1] for j in range(1, D + 2)]
-    if _trim(recon) != _trim(v):
-        raise AssertionError(f"c/a identity failed: {recon} != {list(v)}")
+    split = symmetric_split(h.interior_reversal().entries, D + 1)
     audits = (
-        chain_report(a, D - 1, "ca_chain_a", normalized=v[0] == 1),
-        chain_report(c, D, "ca_chain_c", normalized=v[0] == 1),
+        chain_report(split.q, D - 1, "ca_chain_a", normalized=v[0] == 1),
+        chain_report(split.p, D, "ca_chain_c", normalized=v[0] == 1),
     )
-    return CADecomposition(tuple(c), a, audits)
+    return CADecomposition(split.p, split.q, audits)

@@ -365,7 +365,7 @@ def parse_graph_file(text: str) -> Multigraph:
         if fields[0] == "vertices":
             if vertex_count is not None:
                 raise InputFormatError("duplicate 'vertices' line", lineno)
-            if len(fields) != 2 or not fields[1].isdigit():
+            if len(fields) != 2 or not fields[1].isdecimal():
                 raise InputFormatError("expected 'vertices <n>'", lineno)
             vertex_count = int(fields[1])
         elif fields[0] == "edge":

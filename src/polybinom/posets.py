@@ -484,7 +484,7 @@ def parse_poset_file(text: str) -> Poset:
         if fields[0] == "elements":
             if element_count is not None:
                 raise InputFormatError("duplicate 'elements' line", lineno)
-            if len(fields) != 2 or not fields[1].isdigit():
+            if len(fields) != 2 or not fields[1].isdecimal():
                 raise InputFormatError("expected 'elements <d>'", lineno)
             element_count = int(fields[1])
         elif fields[0] == "cover":

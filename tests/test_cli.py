@@ -49,6 +49,11 @@ class TestChromaticCommand:
     def test_missing_file(self, capsys):
         assert main(["chromatic", "/nonexistent/file.graph"]) == 2
 
+    def test_non_decimal_vertex_count_is_rejected(self, write, capsys):
+        # str.isdigit accepts superscripts, which int() refuses
+        assert main(["chromatic", write("sup.graph", "vertices \u00b2\n")]) == 2
+        assert capsys.readouterr().err == "rejected (parse-error): line 1: expected 'vertices <n>'\n"
+
     def test_vertex_cap(self, write, capsys):
         for d in (8, 10):
             assert main(["chromatic", "--json", write(f"c{d}.graph", format_graph_file(cycle_graph(d)))]) == 0
@@ -122,6 +127,10 @@ class TestOrderCommand:
         capsys.readouterr()
         assert main(["order", write("a8.poset", "elements 8\n")]) == 3
         assert "lattice-point enumeration cap is 7 elements, got 8" in capsys.readouterr().err
+
+    def test_non_decimal_element_count_is_rejected(self, write, capsys):
+        assert main(["order", write("sup.poset", "# header\nelements \u00b2\n")]) == 2
+        assert capsys.readouterr().err == "rejected (parse-error): line 2: expected 'elements <d>'\n"
 
     def test_non_poset_rejected(self, write, capsys):
         bad = "elements 2\ncover 0 1\ncover 1 0\n"
@@ -215,8 +224,43 @@ class TestTable1Command:
         assert main(["table1"]) == 0
         assert "all golden rows matched: True" in capsys.readouterr().out
 
+    def test_csv_is_not_an_option(self, tmp_path, capsys):
+        # table1 writes no audit rows, so --csv is refused rather than ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["table1", "--csv", str(tmp_path / "rows.csv")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --csv" in capsys.readouterr().err
+        assert not (tmp_path / "rows.csv").exists()
+
     def test_json(self, capsys):
         assert main(["table1", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["all_matched"] is True
         assert set(payload["degrees"]) == {"5", "6", "7"}
+
+
+class TestUnreadableFiles:
+    @pytest.mark.parametrize("command", ["chromatic", "flow", "order"])
+    @pytest.mark.parametrize("kind", ["directory", "binary"])
+    def test_unreadable_file_is_rejected(self, tmp_path, command, kind, capsys):
+        path = tmp_path / "input"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe vertices 3\n")
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("rejected (file-error): ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["chromatic", "--csv", "{dir}", "{k3}"], ["survey", "graphs", "--max-size", "3", "--csv", "{dir}"]],
+        ids=["chromatic", "survey"],
+    )
+    def test_csv_path_that_is_a_directory_is_rejected(self, write, tmp_path, argv, capsys):
+        paths = {"dir": str(tmp_path), "k3": write("k3.graph", K3)}
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("rejected (file-error): ")
+        assert captured.err.count("\n") == 1

@@ -11,6 +11,32 @@ from polybinom.decompositions import (
     symmetric_split,
 )
 from polybinom.polynomials import StarVector
+from polybinom.posets import ehrhart_star, generate_posets
+
+CA_VECTORS = [(1, 1, 0), (1, 4, 1, 0), (1, 0, 0), (1, 2, 3, 2, 1)]
+
+
+def _head(h, j):
+    """h_0 + ... + h_j."""
+    return sum(h[: j + 1])
+
+
+def _closed_forms(h):
+    """a, b and c entry by entry from the module docstring's closed forms."""
+    D = len(h) - 1
+    s = max(i for i, e in enumerate(h) if e)
+    a = tuple(_head(h, j) - sum(h[D - j + 1 :]) for j in range(D + 1))
+    b = tuple(sum(h[s - j : s + 1]) - _head(h, j) for j in range(s))
+    c = (h[0],) + tuple(a[j - 1] + (h[j] if j <= D else 0) for j in range(1, D + 2))
+    return a, b, c
+
+
+def _lattice_stars():
+    for d in range(1, 6):
+        for p in generate_posets(d):
+            yield ehrhart_star(p)
+    for entries in CA_VECTORS:
+        yield StarVector(entries, len(entries) - 1)
 
 
 class TestSymmetricSplit:
@@ -149,6 +175,30 @@ class TestCADecomposition:
         for entries in [(1, 1, 0), (1, 4, 1, 0), (1, 0, 0), (1, 2, 3, 2, 1)]:
             h = StarVector(tuple(entries), len(entries) - 1)
             assert ca_decomposition(h).a == ab_decomposition(h).a
+
+    def test_parts_match_closed_forms(self):
+        for h in _lattice_stars():
+            a, b, c = _closed_forms(h.entries)
+            ab, ca = ab_decomposition(h), ca_decomposition(h)
+            assert (ab.a, ab.b, ca.a, ca.c) == (a, b, a, c), h
+
+    @pytest.mark.parametrize(
+        "h",
+        [StarVector((0, 0), 1), StarVector((0, 1, 1), 2), StarVector((0, 1, 0), 1, start=1)],
+        ids=["zero", "h0-zero", "start-1"],
+    )
+    def test_rejects_bad_input(self, h):
+        with pytest.raises(ValueError):
+            ca_decomposition(h)
+
+    def test_does_not_rebuild_the_ab_split(self, monkeypatch):
+        def refuse(h):
+            raise AssertionError("ca_decomposition called ab_decomposition")
+
+        monkeypatch.setattr("polybinom.decompositions.ab_decomposition", refuse)
+        for entries in CA_VECTORS:
+            h = StarVector(entries, len(entries) - 1)
+            assert ca_decomposition(h).interior_entries() == h.interior_reversal().entries
 
     def test_interior_cross_check(self):
         for entries in [(1, 1, 0), (1, 4, 1, 0), (1, 0, 0), (1, 2, 3, 2, 1)]:
