@@ -26,7 +26,6 @@ from .errors import (
 )
 from .graphs import (
     Multigraph,
-    Orientation,
     cyclomatic_number,
     delete_edge,
     enumerate_acyclic_orientations,
@@ -69,7 +68,6 @@ __all__ = [
     "InputFormatError",
     "Multigraph",
     "NotApplicable",
-    "Orientation",
     "PolybinomError",
     "Polynomial",
     "Poset",

@@ -1,0 +1,76 @@
+"""Every cap and enumeration budget, declared once.
+
+Modules read these as ``caps.NAME`` at call time, so lowering one binding
+(``monkeypatch.setattr(caps, NAME, value)``) moves the cap everywhere it is
+enforced.  Exceeding a cap raises `CapExceeded` (CLI exit 3).  The relations
+between caps that the code relies on are tested in ``tests/test_exports.py``.
+"""
+
+__all__ = [
+    "ACYCLIC_ORIENTATION_CAP",
+    "CHROMATIC_VERTEX_CAP",
+    "DESCENT_ELEMENT_CAP",
+    "FLOW_CANDIDATE_BUDGET",
+    "FLOW_XI_CAP",
+    "FLOW_XI_SURVEY_CAP",
+    "LATTICE_POINT_ELEMENT_CAP",
+    "ORDER_POLY_ELEMENT_CAP",
+    "ORIENTATION_EDGE_CAP",
+    "POINT_ENUMERATION_BUDGET",
+    "POSET_SURVEY_CAP",
+]
+
+# graphs ---------------------------------------------------------------------
+
+# The totally cyclic enumeration tests all 2^m direction vectors, about 9 us
+# each on the Petersen graph (m = 15, Python 3.11), so m = 24 bounds a scan
+# by about 2.5 minutes.
+ORIENTATION_EDGE_CAP = 24
+
+# chromatic ------------------------------------------------------------------
+
+# The partition DP of `chromatic_star` visits every subset of every vertex
+# set, 3^d steps (59,049 at d = 10).  It must not exceed
+# ORDER_POLY_ELEMENT_CAP: the order-star cross-route of `chromatic` takes
+# each acyclic orientation as a poset on all d vertices.
+CHROMATIC_VERTEX_CAP = 10
+# Enumeration plus the order-polynomial cross-route cost about 0.08 ms per
+# acyclic orientation at d = 8 and 0.19 ms at d = 10 (Python 3.11, one
+# core, best of 3), so this bounds a `chromatic` run by about 10 s.  K8
+# (8! = 40,320) is admitted and runs in about 4 s.
+ACYCLIC_ORIENTATION_CAP = 50_000
+
+# posets ---------------------------------------------------------------------
+
+# `omega_star` walks the lattice of order ideals, at most 2^d = 1024 of them
+# at d = 10, for d+1 steps.
+ORDER_POLY_ELEMENT_CAP = 10
+# `hstar_via_descents` lists every linear extension, at most d! = 40,320.
+DESCENT_ELEMENT_CAP = 8
+# The lattice-point oracle scans at most 8^7 maps on the checking routes
+# (d <= 7, dilates n <= d+2).  At d = 8 the closed 8th dilate has a 9^8
+# (about 43M) value box, which POINT_ENUMERATION_BUDGET admits, so the
+# oracle declares its own cap.  It must not exceed DESCENT_ELEMENT_CAP or
+# ORDER_POLY_ELEMENT_CAP: `poset_checks` relies on hitting this cap first.
+LATTICE_POINT_ELEMENT_CAP = 7
+# `order_polytope_points` refuses a value box span^d larger than this.  No
+# checking route reaches it; it bounds direct calls at a large dilate.
+POINT_ENUMERATION_BUDGET = 10**8
+
+# flows ----------------------------------------------------------------------
+
+# One flow count scans the product of its cotree value sets.
+FLOW_CANDIDATE_BUDGET = 30_000_000
+# The integral scan at n = xi+2 has (2(xi+1))^xi candidates: 14^6 ~ 7.5M fit
+# the budget, 16^7 ~ 268M do not, so the cap is the largest xi that fits.
+FLOW_XI_CAP = 6
+
+# surveys --------------------------------------------------------------------
+
+# `generate_posets(7)` scans 2^21 relation masks in about 23 s, and checking
+# its 2045 classes would take about 95 s.  Must not exceed
+# LATTICE_POINT_ELEMENT_CAP, which `poset_checks` needs.
+POSET_SURVEY_CAP = 6
+# The flow survey skips xi = 6: one such instance (K5) takes about 2.7 s,
+# longer than the whole d <= 6 flow survey.
+FLOW_XI_SURVEY_CAP = 5

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from . import caps
 from .decompositions import (
     InequalityReport,
     SymmetricSplit,
@@ -36,8 +37,6 @@ from .polynomials import Polynomial, StarVector, inverse_transform, star_from_va
 from .posets import Poset, omega_star
 
 __all__ = [
-    "ACYCLIC_ORIENTATION_CAP",
-    "CHROMATIC_VERTEX_CAP",
     "ChromaticResult",
     "LinearForm",
     "EXPECTED_FORMS",
@@ -48,14 +47,6 @@ __all__ = [
     "star_via_order_polynomials",
 ]
 
-CHROMATIC_VERTEX_CAP = 10
-# Enumeration plus the order-polynomial cross-route cost about 0.08 ms per
-# acyclic orientation at d = 8 and 0.19 ms at d = 10 (Python 3.11, one
-# core, best of 3), so this bounds a `chromatic` run by about 10 s.  K8
-# (8! = 40,320) is admitted and runs in about 4 s.
-ACYCLIC_ORIENTATION_CAP = 50_000
-
-
 def chromatic_star(g: Multigraph) -> StarVector:
     """Star vector of chi_G over degree bound d = vertex count (start=0).
 
@@ -65,8 +56,8 @@ def chromatic_star(g: Multigraph) -> StarVector:
     the zero vector; parallel edges fold into the adjacency masks.
     """
     d = g.vertex_count
-    if d > CHROMATIC_VERTEX_CAP:
-        raise CapExceeded(f"chromatic cap is {CHROMATIC_VERTEX_CAP} vertices, got {d}")
+    if d > caps.CHROMATIC_VERTEX_CAP:
+        raise CapExceeded(f"chromatic cap is {caps.CHROMATIC_VERTEX_CAP} vertices, got {d}")
     if g.has_loops:
         return star_from_values([0] * (d + 2), d)
     adj = [0] * d
@@ -158,7 +149,7 @@ def chromatic_analysis(g: Multigraph) -> ChromaticResult:
     order-polynomial cross-route, and failed audits are reported in the
     result.  chi is rebuilt from the star vector for display.  That number
     is |chi(-1)| (Stanley 1973), which is checked against
-    ACYCLIC_ORIENTATION_CAP before any orientation is enumerated; it only
+    `caps.ACYCLIC_ORIENTATION_CAP` before any orientation is enumerated; it only
     sizes the cap, and the constants are compared with the enumerated list.
     """
     if g.vertex_count == 0:
@@ -170,9 +161,9 @@ def chromatic_analysis(g: Multigraph) -> ChromaticResult:
     if star.value(0) != 0:
         raise AssertionError("chromatic polynomial must have zero constant term")
     count = abs(star.value(-1))
-    if count > ACYCLIC_ORIENTATION_CAP:
+    if count > caps.ACYCLIC_ORIENTATION_CAP:
         raise CapExceeded(
-            f"graph has {count} acyclic orientations; cap is {ACYCLIC_ORIENTATION_CAP}"
+            f"graph has {count} acyclic orientations; cap is {caps.ACYCLIC_ORIENTATION_CAP}"
         )
     split = symmetric_split(star.entries, d)
     orientations = tuple(enumerate_acyclic_orientations(g))

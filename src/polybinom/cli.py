@@ -65,13 +65,12 @@ def _audit_lines(audits) -> list[str]:
     return lines
 
 
-def _write_audit_csv(path: str, instance: str, audits) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["instance", "family", "j", "lhs", "rhs", "holds"])
-        for report in audits:
-            for row in report.rows:
-                writer.writerow([instance, report.family, row.j, row.lhs, row.rhs, row.holds])
+def _write_audit_csv(handle, instance: str, audits) -> None:
+    writer = csv.writer(handle)
+    writer.writerow(["instance", "family", "j", "lhs", "rhs", "holds"])
+    for report in audits:
+        for row in report.rows:
+            writer.writerow([instance, report.family, row.j, row.lhs, row.rhs, row.holds])
 
 
 def _read_file(path: str) -> tuple[str, str]:
@@ -212,12 +211,11 @@ def _cmd_survey(args) -> int:
     report = runner(args.max_size, args.mode, args.seed)
     payload = report.to_json(timestamp=_timestamp())
     if args.csv:
-        with open(args.csv, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["instance", "check", "verdict"])
-            for inst in payload["instances"]:
-                for name, verdict in sorted(inst["checks"].items()):
-                    writer.writerow([inst["id"], name, verdict])
+        writer = csv.writer(args.csv)
+        writer.writerow(["instance", "check", "verdict"])
+        for inst in payload["instances"]:
+            for name, verdict in sorted(inst["checks"].items()):
+                writer.writerow([inst["id"], name, verdict])
     if args.json:
         _emit_json(payload)
     else:
@@ -301,6 +299,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "csv", None):
+            # opened before any work, so an unwritable path fails fast; the
+            # command writes its rows to the open handle
+            with open(args.csv, "w", newline="") as args.csv:
+                return args.func(args)
         return args.func(args)
     except (InputFormatError, NotApplicable) as exc:
         reason = getattr(exc, "reason", "parse-error")

@@ -4,8 +4,7 @@ Flows are parametrized by the cycle space: fix a spanning forest, assign
 free values to the cotree edges, and read off the forced tree-edge values
 from the fundamental-cycle matrix.  That bounds the modular count at
 (n-1)^xi candidates and the integral scan at (2(n-1))^xi, with xi the
-cyclomatic number.  A full value-grid scan (no cotree reduction) is kept as
-an independent oracle for small graphs.
+cyclomatic number.
 
 The integral scan is the Kochol table: it buckets every nowhere-zero integer
 flow by the totally cyclic orientation along which it is strictly positive.
@@ -21,11 +20,11 @@ not depend on it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import caps
 from .decompositions import (
     InequalityReport,
     InequalityRow,
@@ -38,7 +37,6 @@ from .decompositions import (
 from .errors import CapExceeded, NotApplicable
 from .graphs import (
     Multigraph,
-    Orientation,
     cyclomatic_number,
     enumerate_totally_cyclic_orientations,
     in_degree_sequence_count,
@@ -46,21 +44,12 @@ from .graphs import (
 from .polynomials import Polynomial, StarVector, inverse_transform, star_from_values
 
 __all__ = [
-    "FLOW_XI_CAP",
-    "DENSE_EDGE_CAP",
     "FlowResult",
     "flow_analysis",
     "kochol_orientation_counts",
     "modular_flow_count",
-    "modular_flow_count_dense",
-    "positive_flow_count",
 ]
 
-# the integral scan at n = xi+2 has (2(xi+1))^xi candidates: 14^6 ~ 7.5M fit
-# the budget, 16^7 ~ 268M do not, so the cap is the largest xi that fits
-FLOW_XI_CAP = 6
-DENSE_EDGE_CAP = 8
-_CANDIDATE_BUDGET = 30_000_000
 _CHUNK = 1 << 20
 
 
@@ -148,8 +137,8 @@ def _candidate_chunks(value_sets: list[np.ndarray]) -> Iterator[np.ndarray]:
     total = 1
     for vs in value_sets:
         total *= len(vs)
-    if total > _CANDIDATE_BUDGET:
-        raise CapExceeded(f"flow enumeration needs {total} candidates (budget {_CANDIDATE_BUDGET})")
+    if total > caps.FLOW_CANDIDATE_BUDGET:
+        raise CapExceeded(f"flow enumeration needs {total} candidates (budget {caps.FLOW_CANDIDATE_BUDGET})")
     if xi == 0:
         yield np.zeros((1, 0), dtype=np.int64)
         return
@@ -169,8 +158,8 @@ def _check_caps(g: Multigraph, n: int) -> int:
     if n < 1:
         raise ValueError("flow modulus/bound must be a positive integer")
     xi = cyclomatic_number(g)
-    if xi > FLOW_XI_CAP:
-        raise CapExceeded(f"cyclomatic number {xi} exceeds cap {FLOW_XI_CAP}")
+    if xi > caps.FLOW_XI_CAP:
+        raise CapExceeded(f"cyclomatic number {xi} exceeds cap {caps.FLOW_XI_CAP}")
     return xi
 
 
@@ -192,27 +181,6 @@ def modular_flow_count(g: Multigraph, n: int) -> int:
         else:
             total += cand.shape[0]
     return total
-
-
-def modular_flow_count_dense(g: Multigraph, n: int) -> int:
-    """Independent oracle: scan all of Z_n^E and test conservation directly."""
-    m = g.edge_count
-    if m > DENSE_EDGE_CAP:
-        raise CapExceeded(f"dense scan cap is {DENSE_EDGE_CAP} edges, got {m}")
-    if m == 0:
-        return 1
-    if n == 1:
-        return 0
-    d = g.vertex_count
-    count = 0
-    for assignment in product(range(1, n), repeat=m):
-        balance = [0] * d
-        for (u, v), x in zip(g.edges, assignment):
-            balance[u] -= x
-            balance[v] += x
-        if all(b % n == 0 for b in balance):
-            count += 1
-    return count
 
 
 def kochol_orientation_counts(g: Multigraph, n: int) -> dict[tuple[int, ...], int]:
@@ -252,33 +220,6 @@ def kochol_orientation_counts(g: Multigraph, n: int) -> dict[tuple[int, ...], in
         for row, cnt in zip(map(tuple, rows.tolist()), counts.tolist()):
             buckets[row] = buckets.get(row, 0) + cnt
     return dict(sorted(buckets.items()))
-
-
-def positive_flow_count(g: Multigraph, orientation: Orientation, n: int) -> int:
-    """Integer flows strictly positive along the orientation, values < n.
-
-    Pure-Python route used to validate the bucketed table independently.
-    """
-    if orientation.graph != g:
-        raise ValueError("orientation is over a different graph")
-    if g.edge_count == 0:
-        return 1 if n >= 1 else 0
-    if n == 1:
-        return 0
-    tree, cotree, M = _cycle_matrix(g)
-    sign = [1 if b == 0 else -1 for b in orientation.direction]
-    count = 0
-    for tvals in product(range(1, n), repeat=len(cotree)):
-        cvals = [sign[e] * t for e, t in zip(cotree, tvals)]
-        ok = True
-        for row, te in enumerate(tree):
-            forced = int(sum(M[row, col] * cvals[col] for col in range(len(cotree))))
-            if not 0 < sign[te] * forced < n:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +286,7 @@ def flow_analysis(g: Multigraph) -> FlowResult:
 
     Preconditions: no bridges (a bridge forces the zero polynomial) and
     xi >= 1; violations raise NotApplicable with a machine-readable reason.
-    An xi above `FLOW_XI_CAP` raises CapExceeded from the first count.
+    An xi above `caps.FLOW_XI_CAP` raises CapExceeded from the first count.
     The star vectors come from the counts at n = 1..xi+2, the last one an
     overdetermination node.  The integral count f(n) is the sum of the Kochol
     table at n; the tables are kept on the result, one column P_o per
@@ -371,7 +312,7 @@ def flow_analysis(g: Multigraph) -> FlowResult:
 
     tc = enumerate_totally_cyclic_orientations(g)
     tc_count = len(tc)
-    indeg_count = in_degree_sequence_count(tc)
+    indeg_count = in_degree_sequence_count(g, tc)
     constants_ok = (
         phi_split.p[0] == indeg_count
         and phi_split.q[0] == indeg_count
@@ -402,6 +343,6 @@ def flow_analysis(g: Multigraph) -> FlowResult:
 
     return FlowResult(
         g, xi, phi, f, phi_star, f_star, phi_split, f_split,
-        indeg_count, frozenset(o.direction for o in tc),
+        indeg_count, frozenset(tc),
         audits, kochol, constants_ok,
     )

@@ -7,7 +7,9 @@ second), so it is preserved verbatim from input.
 
 Acyclic orientations are enumerated by a backtracking search whose cost
 follows its output, each handed over as the poset it induces; totally
-cyclic ones by a scan of all 2^m direction vectors, capped at m <= 24 edges.
+cyclic ones by a scan of all 2^m direction vectors.  An orientation is its
+direction vector: one bit per edge, 0 keeps the stored (tail, head), 1
+reverses it.
 """
 
 from __future__ import annotations
@@ -16,13 +18,12 @@ from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Sequence
 
+from . import caps
 from .errors import CapExceeded, InputFormatError
 from .posets import Poset
 
 __all__ = [
     "Multigraph",
-    "Orientation",
-    "ORIENTATION_EDGE_CAP",
     "complete_graph",
     "cycle_graph",
     "cyclomatic_number",
@@ -36,8 +37,6 @@ __all__ = [
     "parse_graph_file",
     "path_graph",
 ]
-
-ORIENTATION_EDGE_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -148,31 +147,6 @@ def delete_edge(g: Multigraph, e: int) -> Multigraph:
 # orientations
 
 
-@dataclass(frozen=True)
-class Orientation:
-    """Direction bit per edge: 0 keeps the stored (tail, head), 1 reverses it."""
-
-    graph: Multigraph
-    direction: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.direction) != self.graph.edge_count:
-            raise ValueError("direction vector length must equal the edge count")
-
-    def arc(self, e: int) -> tuple[int, int]:
-        u, v = self.graph.edges[e]
-        return (u, v) if self.direction[e] == 0 else (v, u)
-
-    def arcs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(self.arc(e) for e in range(self.graph.edge_count))
-
-    def in_degrees(self) -> tuple[int, ...]:
-        deg = [0] * self.graph.vertex_count
-        for e in range(self.graph.edge_count):
-            deg[self.arc(e)[1]] += 1
-        return tuple(deg)
-
-
 def enumerate_acyclic_orientations(g: Multigraph) -> list[Poset]:
     """All orientations with no coherently oriented cycle, each as its poset.
 
@@ -213,67 +187,66 @@ def enumerate_acyclic_orientations(g: Multigraph) -> list[Poset]:
     return posets
 
 
-def _strongly_connected_components_ok(g: Multigraph, o: Orientation) -> bool:
-    # Totally cyclic (every edge on a coherently oriented cycle) is equivalent
-    # to every connected component being strongly connected: a strongly
-    # connected component closes a cycle through each of its arcs, and an arc
-    # on a coherent cycle forces mutual reachability along it.
-    comp = g.component_ids()
-    d = g.vertex_count
-    out: list[list[int]] = [[] for _ in range(d)]
-    back: list[list[int]] = [[] for _ in range(d)]
-    for t, h in o.arcs():
-        out[t].append(h)
-        back[h].append(t)
-    groups: dict[int, list[int]] = {}
-    for v in range(d):
-        groups.setdefault(comp[v], []).append(v)
+def enumerate_totally_cyclic_orientations(g: Multigraph) -> list[tuple[int, ...]]:
+    """Direction vectors whose components are all strongly connected, in
+    bitmask order (bit e of the mask is the direction of edge e).
 
-    def reaches_all(start: int, adj: list[list[int]], members: set[int]) -> bool:
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return members <= seen
-
-    for members in groups.values():
-        if len(members) == 1:
-            continue
-        mset = set(members)
-        root = members[0]
-        if not reaches_all(root, out, mset) or not reaches_all(root, back, mset):
-            return False
-    return True
-
-
-def enumerate_totally_cyclic_orientations(g: Multigraph) -> list[Orientation]:
-    """All orientations whose components are strongly connected, bitmask order.
-
-    Loops are coherently cyclic in either direction, and both directions are
-    counted as distinct orientations.
+    That is equivalent to every edge lying on a coherently oriented cycle: a
+    strongly connected component closes a cycle through each of its arcs,
+    and an arc on a coherent cycle forces mutual reachability along it.  A
+    component is strongly connected when its lowest vertex reaches all of it
+    forward and backward, tested with reachability bitmasks.  Loops are
+    coherently cyclic in either direction, and both directions are counted
+    as distinct orientations.
     """
-    m = g.edge_count
-    if m > ORIENTATION_EDGE_CAP:
+    m, d = g.edge_count, g.vertex_count
+    if m > caps.ORIENTATION_EDGE_CAP:
         raise CapExceeded(
-            f"orientation enumeration needs 2^{m} candidates; cap is m <= {ORIENTATION_EDGE_CAP}"
+            f"orientation enumeration needs 2^{m} candidates; cap is m <= {caps.ORIENTATION_EDGE_CAP}"
         )
-    candidates = (Orientation(g, tuple((mask >> e) & 1 for e in range(m))) for mask in range(1 << m))
-    return [o for o in candidates if _strongly_connected_components_ok(g, o)]
+    members: dict[int, int] = {}
+    for v, c in enumerate(g.component_ids()):
+        members[c] = members.get(c, 0) | 1 << v
+    # (lowest vertex, vertex mask) of each component that has two or more vertices
+    components = [((c & -c).bit_length() - 1, c) for c in members.values() if c & c - 1]
+    arcs = [(e, u, v) for e, (u, v) in enumerate(g.edges) if u != v]
+    out = []
+    for mask in range(1 << m):
+        forward = [0] * d
+        backward = [0] * d
+        for e, u, v in arcs:
+            if mask >> e & 1:
+                u, v = v, u
+            forward[u] |= 1 << v
+            backward[v] |= 1 << u
+        if all(_reach(r, forward) == c and _reach(r, backward) == c for r, c in components):
+            out.append(tuple(mask >> e & 1 for e in range(m)))
+    return out
 
 
-def in_degree_sequence_count(orientations: Sequence[Orientation]) -> int:
-    """Number of distinct vertex-indexed in-degree vectors."""
-    if not orientations:
-        return 0
-    g = orientations[0].graph
-    for o in orientations:
-        if o.graph != g:
-            raise ValueError("orientations must all be over the same graph")
-    return len({o.in_degrees() for o in orientations})
+def _reach(root: int, adjacency: list[int]) -> int:
+    """Bitmask of the vertices reachable from root along the adjacency masks."""
+    seen = frontier = 1 << root
+    while frontier:
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            step |= adjacency[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & ~seen
+        seen |= step
+    return seen
+
+
+def in_degree_sequence_count(g: Multigraph, directions: Sequence[tuple[int, ...]]) -> int:
+    """Number of distinct vertex-indexed in-degree vectors of the orientations."""
+    sequences = set()
+    for direction in directions:
+        degrees = [0] * g.vertex_count
+        for (u, v), bit in zip(g.edges, direction, strict=True):
+            degrees[u if bit else v] += 1
+        sequences.add(tuple(degrees))
+    return len(sequences)
 
 
 # ---------------------------------------------------------------------------

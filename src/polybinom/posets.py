@@ -23,19 +23,15 @@ lattice-point oracle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
+from . import caps
 from .errors import CapExceeded, InputFormatError
 from .polynomials import StarVector, star_from_values
 
 __all__ = [
-    "ORDER_POLY_ELEMENT_CAP",
-    "DESCENT_ELEMENT_CAP",
-    "LATTICE_POINT_ELEMENT_CAP",
-    "POINT_ENUMERATION_BUDGET",
     "Poset",
     "antichain",
     "chain",
@@ -49,15 +45,6 @@ __all__ = [
     "parse_poset_file",
     "poset_certificate",
 ]
-
-ORDER_POLY_ELEMENT_CAP = 10
-DESCENT_ELEMENT_CAP = 8
-# At d = 8 the budget guard in `_count_monotone_maps` does not stop the 9^8
-# scan of the closed 8th dilate (8 ln 10 = ln 10^8 exactly), so the
-# lattice-point route declares its own cap.
-LATTICE_POINT_ELEMENT_CAP = 7
-POINT_ENUMERATION_BUDGET = 10**8
-
 
 @dataclass(frozen=True)
 class Poset:
@@ -217,7 +204,7 @@ def _count_monotone_maps(p: Poset, low: int, high: int, strict: bool) -> int:
     if high < low:
         return 0
     span = high - low + 1
-    if d * math.log(span + 1) > math.log(POINT_ENUMERATION_BUDGET):
+    if span**d > caps.POINT_ENUMERATION_BUDGET:
         raise CapExceeded(f"map enumeration budget exceeded: {span}^{d}")
     order = p.natural_labeling()
     pos = {v: i for i, v in enumerate(order)}
@@ -300,8 +287,8 @@ def omega_star(p: Poset) -> StarVector:
     vector at its true length d+1 (degree <= d, top entry 1).
     """
     d = p.element_count
-    if d > ORDER_POLY_ELEMENT_CAP:
-        raise CapExceeded(f"order polynomial cap is {ORDER_POLY_ELEMENT_CAP} elements, got {d}")
+    if d > caps.ORDER_POLY_ELEMENT_CAP:
+        raise CapExceeded(f"order polynomial cap is {caps.ORDER_POLY_ELEMENT_CAP} elements, got {d}")
     if d == 0:
         raise ValueError("the empty poset has no star vector in this convention")
     return star_from_values(_strict_map_counts(p), d, start=0)
@@ -319,9 +306,9 @@ def order_polytope_points(p: Poset, n: int, interior: bool = False) -> int:
     """
     if n < 0:
         raise ValueError("dilation factor must be nonnegative")
-    if p.element_count > LATTICE_POINT_ELEMENT_CAP:
+    if p.element_count > caps.LATTICE_POINT_ELEMENT_CAP:
         raise CapExceeded(
-            f"lattice-point enumeration cap is {LATTICE_POINT_ELEMENT_CAP} elements, "
+            f"lattice-point enumeration cap is {caps.LATTICE_POINT_ELEMENT_CAP} elements, "
             f"got {p.element_count}"
         )
     if interior:
@@ -360,8 +347,8 @@ def hstar_via_descents(p: Poset) -> StarVector:
     the `descents_match_lattice_hstar` check compares it against.
     """
     d = p.element_count
-    if d > DESCENT_ELEMENT_CAP:
-        raise CapExceeded(f"linear-extension enumeration cap is {DESCENT_ELEMENT_CAP} elements, got {d}")
+    if d > caps.DESCENT_ELEMENT_CAP:
+        raise CapExceeded(f"linear-extension enumeration cap is {caps.DESCENT_ELEMENT_CAP} elements, got {d}")
     if d == 0:
         raise ValueError("the empty poset has no h* vector in this convention")
     label = {}

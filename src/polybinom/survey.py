@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from . import __version__
+from . import __version__, caps
 from .checks import FlowChecks, GraphChecks, PosetChecks, flow_checks, graph_checks, poset_checks
 from .errors import CapExceeded, NotApplicable
 from .graphs import Multigraph, complete_graph, cyclomatic_number, dipole, graph_certificate
@@ -33,10 +33,6 @@ __all__ = [
     "run_graph_survey",
     "run_poset_survey",
 ]
-
-POSET_SURVEY_CAP = 6
-FLOW_XI_SURVEY_CAP = 5
-
 
 # ---------------------------------------------------------------------------
 # instance families
@@ -97,7 +93,7 @@ def sample_graphs(seed: int, count: int, max_d: int, *, bridgeless: bool = False
         g = _random_graph(rng, max_d)
         if not g.is_connected:
             continue
-        if bridgeless and (not g.is_bridgeless or cyclomatic_number(g) > FLOW_XI_SURVEY_CAP):
+        if bridgeless and (not g.is_bridgeless or cyclomatic_number(g) > caps.FLOW_XI_SURVEY_CAP):
             continue
         out.append(g)
     return out
@@ -265,13 +261,13 @@ def run_graph_survey(max_size: int, mode: str = "exhaustive", seed: int = 0) -> 
 def run_poset_survey(max_size: int, mode: str = "exhaustive", seed: int = 0) -> SurveyReport:
     """`poset_checks` over poset isomorphism classes.
 
-    An exhaustive run above `POSET_SURVEY_CAP` elements is refused before
+    An exhaustive run above `caps.POSET_SURVEY_CAP` elements is refused before
     any poset is generated, rather than checking fewer sizes than asked.
     """
     report = SurveyReport("posets", {"max_size": max_size, "mode": mode, "seed": seed})
     if mode == "exhaustive":
-        if max_size > POSET_SURVEY_CAP:
-            raise CapExceeded(f"poset survey cap is {POSET_SURVEY_CAP} elements, got {max_size}")
+        if max_size > caps.POSET_SURVEY_CAP:
+            raise CapExceeded(f"poset survey cap is {caps.POSET_SURVEY_CAP} elements, got {max_size}")
         families = [generate_posets(d) for d in range(1, max_size + 1)]
         report.scope["class_counts"] = [len(family) for family in families]
         posets = [p for family in families for p in family]
@@ -283,9 +279,9 @@ def run_poset_survey(max_size: int, mode: str = "exhaustive", seed: int = 0) -> 
 
 
 def run_flow_survey(max_size: int, mode: str = "exhaustive", seed: int = 0) -> SurveyReport:
-    """`flow_checks` over bridgeless instances with 1 <= xi <= FLOW_XI_SURVEY_CAP."""
+    """`flow_checks` over bridgeless instances with 1 <= xi <= `caps.FLOW_XI_SURVEY_CAP`."""
     report = SurveyReport(
-        "flows", {"max_size": max_size, "mode": mode, "seed": seed, "max_xi": FLOW_XI_SURVEY_CAP}
+        "flows", {"max_size": max_size, "mode": mode, "seed": seed, "max_xi": caps.FLOW_XI_SURVEY_CAP}
     )
     if mode == "exhaustive":
         graphs = connected_graph_classes(max_size)
@@ -299,7 +295,7 @@ def run_flow_survey(max_size: int, mode: str = "exhaustive", seed: int = 0) -> S
 
     def check(g: Multigraph) -> FlowChecks:
         # flow_analysis skips bridges and xi = 0 itself, in that order
-        if cyclomatic_number(g) > FLOW_XI_SURVEY_CAP and g.is_bridgeless:
+        if cyclomatic_number(g) > caps.FLOW_XI_SURVEY_CAP and g.is_bridgeless:
             raise NotApplicable("cap")
         return flow_checks(g)
 

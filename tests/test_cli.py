@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-import polybinom.survey
+import polybinom.cli
+from polybinom import caps
 from polybinom.cli import main
 from polybinom.graphs import complete_graph, cycle_graph, dipole, format_graph_file
 
@@ -197,12 +198,12 @@ class TestSurveyCommand:
 
     def test_exhaustive_poset_survey_cap(self, monkeypatch, capsys):
         # above the cap the survey is refused, not cut short to the cap
-        cap = polybinom.survey.POSET_SURVEY_CAP
+        cap = caps.POSET_SURVEY_CAP
         assert main(["survey", "posets", "--max-size", str(cap + 1)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"cap exceeded: poset survey cap is {cap} elements, got {cap + 1}\n"
-        monkeypatch.setattr(polybinom.survey, "POSET_SURVEY_CAP", 3)
+        monkeypatch.setattr(caps, "POSET_SURVEY_CAP", 3)
         assert main(["survey", "posets", "--max-size", "3"]) == 0
         assert "instances: 8  skipped: 0" in capsys.readouterr().out
         assert main(["survey", "posets", "--max-size", "4"]) == 3
@@ -262,5 +263,16 @@ class TestUnreadableFiles:
         paths = {"dir": str(tmp_path), "k3": write("k3.graph", K3)}
         assert main([arg.format(**paths) for arg in argv]) == 2
         captured = capsys.readouterr()
+        assert captured.err.startswith("rejected (file-error): ")
+        assert captured.err.count("\n") == 1
+
+    def test_unwritable_csv_fails_before_any_work(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("the survey ran before --csv was opened")
+
+        monkeypatch.setattr(polybinom.cli, "run_poset_survey", refuse)
+        assert main(["survey", "posets", "--max-size", "6", "--csv", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
         assert captured.err.startswith("rejected (file-error): ")
         assert captured.err.count("\n") == 1

@@ -1,5 +1,6 @@
-"""Every name a module exports resolves, so a deletion leaves no stale export,
-and the README names the current value of every public cap."""
+"""Every name a module exports resolves, so a deletion leaves no stale export;
+the README names the current value of every cap a user can hit, and the caps
+keep the relations the code relies on."""
 
 import importlib
 import pkgutil
@@ -8,15 +9,17 @@ from pathlib import Path
 import pytest
 
 import polybinom
-from polybinom.chromatic import ACYCLIC_ORIENTATION_CAP, CHROMATIC_VERTEX_CAP
-from polybinom.flows import FLOW_XI_CAP
-from polybinom.graphs import ORIENTATION_EDGE_CAP
-from polybinom.posets import DESCENT_ELEMENT_CAP, LATTICE_POINT_ELEMENT_CAP, ORDER_POLY_ELEMENT_CAP
-from polybinom.survey import POSET_SURVEY_CAP
+from polybinom import caps
 
 MODULES = ["polybinom"] + [
     f"polybinom.{info.name}" for info in pkgutil.iter_modules(polybinom.__path__)
 ]
+
+# caps no CLI command or survey can reach on its own, so the README does not name them
+INTERNAL_CAPS = {
+    "FLOW_CANDIDATE_BUDGET": "FLOW_XI_CAP is checked first and keeps every flow count inside it",
+    "POINT_ENUMERATION_BUDGET": "the checking routes scan at most 8^7 maps",
+}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -26,19 +29,42 @@ def test_all_names_resolve(name):
     assert [attr for attr in exported if not hasattr(module, attr)] == []
 
 
+def test_caps_are_declared_only_in_caps():
+    for name in MODULES:
+        module = importlib.import_module(name)
+        if module is not caps:
+            assert [attr for attr in caps.__all__ if hasattr(module, attr)] == [], name
+
+
 def test_readme_names_every_cap():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     bullet = readme.split("\n- Caps:", 1)[1].split("\n\n", 1)[0].split("\n- ", 1)[0]
     bullet = " ".join(bullet.split())
     named = {
-        "totally cyclic orientation enumeration `m <= {}`": ORIENTATION_EDGE_CAP,
-        "acyclic orientations `|chi(-1)| <= {}`": ACYCLIC_ORIENTATION_CAP,
-        "chromatic polynomials `d <= {}`": CHROMATIC_VERTEX_CAP,
-        "order stars `d <= {}`": ORDER_POLY_ELEMENT_CAP,
-        "the lattice-point oracle `d <= {}`": LATTICE_POINT_ELEMENT_CAP,
-        "(so `order` takes at most {} elements)": LATTICE_POINT_ELEMENT_CAP,
-        "the descent route `d <= {}`": DESCENT_ELEMENT_CAP,
-        "flows `xi <= {}`": FLOW_XI_CAP,
-        "the exhaustive poset survey `d <= {}`": POSET_SURVEY_CAP,
+        "ORIENTATION_EDGE_CAP": ["totally cyclic orientation enumeration `m <= {}`"],
+        "ACYCLIC_ORIENTATION_CAP": ["acyclic orientations `|chi(-1)| <= {}`"],
+        "CHROMATIC_VERTEX_CAP": ["chromatic polynomials `d <= {}`"],
+        "ORDER_POLY_ELEMENT_CAP": ["order stars `d <= {}`"],
+        "LATTICE_POINT_ELEMENT_CAP": [
+            "the lattice-point oracle `d <= {}`",
+            "(so `order` takes at most {} elements)",
+        ],
+        "DESCENT_ELEMENT_CAP": ["the descent route `d <= {}`"],
+        "FLOW_XI_CAP": ["flows `xi <= {}`"],
+        "POSET_SURVEY_CAP": ["the exhaustive poset survey `d <= {}`"],
+        "FLOW_XI_SURVEY_CAP": ["the flow survey `xi <= {}`"],
     }
-    assert [p.format(v) for p, v in named.items() if p.format(v) not in bullet] == []
+    declared = sorted(name for name in vars(caps) if name.isupper())
+    assert declared == sorted(caps.__all__) == sorted([*named, *INTERNAL_CAPS])
+    phrases = [p.format(getattr(caps, name)) for name, ps in named.items() for p in ps]
+    assert [p for p in phrases if p not in bullet] == []
+    assert "`polybinom.caps`" in bullet
+
+
+def test_cap_relations():
+    # the order-star cross-route of `chromatic` takes every graph it accepts
+    assert caps.CHROMATIC_VERTEX_CAP <= caps.ORDER_POLY_ELEMENT_CAP
+    # `poset_checks` hits the lattice-point cap before the others
+    assert caps.LATTICE_POINT_ELEMENT_CAP <= min(caps.DESCENT_ELEMENT_CAP, caps.ORDER_POLY_ELEMENT_CAP)
+    assert caps.POSET_SURVEY_CAP <= caps.LATTICE_POINT_ELEMENT_CAP
+    assert caps.FLOW_XI_SURVEY_CAP <= caps.FLOW_XI_CAP

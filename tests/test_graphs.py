@@ -3,12 +3,11 @@ from collections import deque
 import pytest
 
 import polybinom.chromatic
-import polybinom.graphs
-from polybinom.chromatic import ACYCLIC_ORIENTATION_CAP, chromatic_analysis
+from polybinom import caps
+from polybinom.chromatic import chromatic_analysis
 from polybinom.errors import CapExceeded, InputFormatError
 from polybinom.graphs import (
     Multigraph,
-    Orientation,
     complete_graph,
     cycle_graph,
     cyclomatic_number,
@@ -77,31 +76,31 @@ class TestOrientations:
         assert len(enumerate_totally_cyclic_orientations(g)) == 2
 
     def test_indegree_sequences(self):
-        assert in_degree_sequence_count(enumerate_totally_cyclic_orientations(dipole(2))) == 1
-        assert in_degree_sequence_count(enumerate_totally_cyclic_orientations(dipole(3))) == 2
-        assert in_degree_sequence_count([]) == 0
+        for k, sequences in ((2, 1), (3, 2)):
+            g = dipole(k)
+            assert in_degree_sequence_count(g, enumerate_totally_cyclic_orientations(g)) == sequences
+        assert in_degree_sequence_count(dipole(2), []) == 0
 
-    def test_indegree_rejects_mixed_graphs(self):
-        a = Orientation(dipole(2), (0, 0))
-        b = Orientation(path_graph(2), (0,))
+    def test_indegree_rejects_direction_of_wrong_length(self):
+        # one direction bit per edge: a vector of another graph is refused
         with pytest.raises(ValueError):
-            in_degree_sequence_count([a, b])
+            in_degree_sequence_count(dipole(2), [(0, 0), (0,)])
 
     def test_cap(self, monkeypatch):
         # the cap bounds the count |chi(-1)|, not m: 25 parallel edges have
         # only 2 acyclic orientations
         assert chromatic_analysis(dipole(25)).acyclic_count == 2
         # K4 has 24: admitted at a cap of 24, refused at a cap of 23 (24 = cap+1)
-        monkeypatch.setattr(polybinom.chromatic, "ACYCLIC_ORIENTATION_CAP", 24)
+        monkeypatch.setattr(caps, "ACYCLIC_ORIENTATION_CAP", 24)
         assert chromatic_analysis(complete_graph(4)).acyclic_count == 24
-        monkeypatch.setattr(polybinom.chromatic, "ACYCLIC_ORIENTATION_CAP", 23)
+        monkeypatch.setattr(caps, "ACYCLIC_ORIENTATION_CAP", 23)
         with pytest.raises(CapExceeded, match="graph has 24 acyclic orientations; cap is 23"):
             chromatic_analysis(complete_graph(4))
 
     def test_totally_cyclic_cap(self, monkeypatch):
         with pytest.raises(CapExceeded, match="needs 2\\^25 candidates; cap is m <= 24"):
             enumerate_totally_cyclic_orientations(dipole(25))
-        monkeypatch.setattr(polybinom.graphs, "ORIENTATION_EDGE_CAP", 3)
+        monkeypatch.setattr(caps, "ORIENTATION_EDGE_CAP", 3)
         assert len(enumerate_totally_cyclic_orientations(dipole(3))) == 6
         with pytest.raises(CapExceeded):
             enumerate_totally_cyclic_orientations(dipole(4))
@@ -112,9 +111,20 @@ class TestOrientations:
 
         monkeypatch.setattr(polybinom.chromatic, "enumerate_acyclic_orientations", refuse)
         # K9 has 9! = 362,880 acyclic orientations
-        assert ACYCLIC_ORIENTATION_CAP < 362_880
+        assert caps.ACYCLIC_ORIENTATION_CAP < 362_880
         with pytest.raises(CapExceeded, match="graph has 362880 acyclic orientations"):
             chromatic_analysis(complete_graph(9))
+
+
+def arcs(g: Multigraph, direction: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The (tail, head) of every edge: bit 0 keeps the stored pair, 1 reverses it."""
+    return [(v, u) if bit else (u, v) for (u, v), bit in zip(g.edges, direction)]
+
+
+def directions(g: Multigraph) -> list[tuple[int, ...]]:
+    """All 2^m direction vectors in bitmask order."""
+    m = g.edge_count
+    return [tuple((mask >> e) & 1 for e in range(m)) for mask in range(1 << m)]
 
 
 def _is_acyclic(d: int, arcs) -> bool:
@@ -136,16 +146,14 @@ def _is_acyclic(d: int, arcs) -> bool:
     return seen == d
 
 
-def acyclic_by_scan(g: Multigraph) -> list[Orientation]:
+def acyclic_by_scan(g: Multigraph) -> list[tuple[int, ...]]:
     """Oracle: every one of the 2^m direction vectors, kept if acyclic."""
-    m = g.edge_count
-    candidates = (Orientation(g, tuple((mask >> e) & 1 for e in range(m))) for mask in range(1 << m))
-    return [o for o in candidates if _is_acyclic(g.vertex_count, o.arcs())]
+    return [o for o in directions(g) if _is_acyclic(g.vertex_count, arcs(g, o))]
 
 
 def posets_by_scan(g: Multigraph) -> list[tuple[int, ...]]:
     """Oracle: the order of each acyclic orientation, closed by `Poset.from_relation`."""
-    return sorted(Poset.from_relation(g.vertex_count, o.arcs()).above for o in acyclic_by_scan(g))
+    return sorted(Poset.from_relation(g.vertex_count, arcs(g, o)).above for o in acyclic_by_scan(g))
 
 
 def posets_by_search(g: Multigraph) -> list[tuple[int, ...]]:
@@ -174,15 +182,15 @@ class TestAcyclicScanOracle:
         assert posets_by_search(g) == posets_by_scan(g)
 
 
-def _edge_on_coherent_cycle(o: Orientation, e: int) -> bool:
+def _edge_on_coherent_cycle(g: Multigraph, direction: tuple[int, ...], e: int) -> bool:
     # direct characterization: a simple directed path head -> tail closes a
     # coherent cycle through e (such a path can never reuse e itself)
-    tail, head = o.arc(e)
+    oriented = arcs(g, direction)
+    tail, head = oriented[e]
     if tail == head:
         return True
-    adj = [[] for _ in range(o.graph.vertex_count)]
-    for i in range(o.graph.edge_count):
-        t, h = o.arc(i)
+    adj = [[] for _ in range(g.vertex_count)]
+    for t, h in oriented:
         if t != h:
             adj[t].append(h)
     seen = {head}
@@ -211,16 +219,19 @@ class TestTotallyCyclicEquivalence:
             Multigraph(4, ((0, 1), (1, 2), (2, 0), (2, 3), (3, 0), (1, 3))),
             Multigraph(3, ((0, 1), (0, 1), (1, 2), (1, 2))),
             Multigraph(5, ((0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2))),
+            # two nontrivial components and an isolated vertex
+            Multigraph(7, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 3), (5, 3), (4, 5))),
+            Multigraph(3, ((1, 1),)),  # no edge but a loop on a vertex of its own
         ],
     )
     def test_strong_components_match_edge_cycles(self, g):
-        # both characterizations agree on every one of the 2^m orientations
-        m = g.edge_count
-        strong = {o.direction for o in enumerate_totally_cyclic_orientations(g)}
-        for mask in range(1 << m):
-            o = Orientation(g, tuple((mask >> e) & 1 for e in range(m)))
-            by_cycles = all(_edge_on_coherent_cycle(o, e) for e in range(m))
-            assert by_cycles == (o.direction in strong)
+        # both characterizations agree on every one of the 2^m orientations,
+        # and the enumeration keeps bitmask order
+        cyclic = [
+            o for o in directions(g)
+            if all(_edge_on_coherent_cycle(g, o, e) for e in range(g.edge_count))
+        ]
+        assert enumerate_totally_cyclic_orientations(g) == cyclic
 
 
 class TestOrientationToPoset:

@@ -1,10 +1,12 @@
+import math
+
 import pytest
 
+from polybinom import caps
 from polybinom.decompositions import symmetric_split
 from polybinom.errors import CapExceeded, InputFormatError
 from polybinom.polynomials import Polynomial, inverse_transform
 from polybinom.posets import (
-    DESCENT_ELEMENT_CAP,
     Poset,
     antichain,
     chain,
@@ -121,6 +123,14 @@ class TestOrderPolytope:
             with pytest.raises(CapExceeded, match="cap is 7 elements, got 8"):
                 route(antichain(8))
 
+    def test_point_enumeration_budget(self):
+        # the budget bounds the value box span^d exactly: 13^7 ~ 62.7M is
+        # admitted, 14^7 ~ 105M is not
+        assert 13**7 <= caps.POINT_ENUMERATION_BUDGET < 14**7
+        assert order_polytope_points(chain(7), 12) == math.comb(19, 7)
+        with pytest.raises(CapExceeded, match=r"budget exceeded: 14\^7"):
+            order_polytope_points(chain(7), 13)
+
     def test_strict_count_is_shifted_interior(self):
         for p in (chain(3), antichain(3), V_POSET):
             poly = inverse_transform(omega_star(p))
@@ -143,7 +153,7 @@ class TestOrderPolytope:
 
     def test_descent_cap(self):
         # a chain has one linear extension and no descent
-        d = DESCENT_ELEMENT_CAP
+        d = caps.DESCENT_ELEMENT_CAP
         assert hstar_via_descents(chain(d)).entries == (1,) + (0,) * d
         with pytest.raises(CapExceeded, match=f"cap is {d} elements, got {d + 1}"):
             hstar_via_descents(chain(d + 1))

@@ -3,10 +3,10 @@ from itertools import combinations
 
 import pytest
 
+from polybinom import caps
 from polybinom.errors import NotApplicable
 from polybinom.graphs import Multigraph, graph_certificate
 from polybinom.survey import (
-    FLOW_XI_SURVEY_CAP,
     SurveyReport,
     _graph_id,
     connected_graph_classes,
@@ -152,12 +152,12 @@ class TestFlowSurvey:
         assert [i["id"] for i in report.instances if i["id"] not in fixtures] == ["d3:0-1,0-2,1-2"]
 
     def test_xi_cap_skips(self):
-        assert FLOW_XI_SURVEY_CAP == 5
+        assert caps.FLOW_XI_SURVEY_CAP == 5
         d5 = [g for g in connected_graph_classes(5) if g.vertex_count == 5]
         (k5_minus_edge,) = [g for g in d5 if g.edge_count == 9]  # xi = 5
         (k5,) = [g for g in d5 if g.edge_count == 10]  # xi = 6
         report = run_flow_survey(5)
-        assert report.scope["max_xi"] == FLOW_XI_SURVEY_CAP
+        assert report.scope["max_xi"] == caps.FLOW_XI_SURVEY_CAP
         assert _graph_id(k5_minus_edge) in {i["id"] for i in report.instances}
         assert {"id": _graph_id(k5), "reason": "cap"} in report.skipped
         assert [s["reason"] for s in report.skipped].count("cap") == 1
