@@ -31,19 +31,20 @@ ORIENTATION_EDGE_CAP = 24
 
 # The partition DP of `chromatic_star` visits every subset of every vertex
 # set, 3^d steps (59,049 at d = 10).  It must not exceed
-# ORDER_POLY_ELEMENT_CAP: the order-star cross-route of `chromatic` takes
-# each acyclic orientation as a poset on all d vertices.
+# ORDER_POLY_ELEMENT_CAP: the order-star cross-route of `chromatic` walks
+# the order ideals of each acyclic orientation as a poset on all d vertices.
 CHROMATIC_VERTEX_CAP = 10
-# Enumeration plus the order-polynomial cross-route cost about 0.08 ms per
-# acyclic orientation at d = 8 and 0.19 ms at d = 10 (Python 3.11, one
-# core, best of 3), so this bounds a `chromatic` run by about 10 s.  K8
-# (8! = 40,320) is admitted and runs in about 4 s.
+# Enumeration plus the order-polynomial cross-route cost about 0.07 ms per
+# acyclic orientation at d = 8 (K8) and 0.21 ms at d = 10 (random graphs
+# with 34k to 69k orientations; Python 3.11, one core, best of 3), so this
+# bounds a `chromatic` run by about 10 s.  K8 (8! = 40,320) is admitted and
+# runs in about 3.5 s; K9 (362,880) would take about 28 s.
 ACYCLIC_ORIENTATION_CAP = 50_000
 
 # posets ---------------------------------------------------------------------
 
-# `omega_star` walks the lattice of order ideals, at most 2^d = 1024 of them
-# at d = 10, for d+1 steps.
+# `strict_map_counts` walks the lattice of order ideals, at most 2^d = 1024
+# of them at d = 10, for d+1 steps; `omega_star` enforces this cap.
 ORDER_POLY_ELEMENT_CAP = 10
 # `hstar_via_descents` lists every linear extension, at most d! = 40,320.
 DESCENT_ELEMENT_CAP = 8

@@ -10,11 +10,13 @@ the orientation and order-star routes that check it.  The star vector
 splits into palindromic parts whose positivity, chains, and constant terms
 are audited against the acyclic-orientation oracle.
 
-The same star vector also arises as the sum of the order star vectors of
-the posets induced by the acyclic orientations (Stanley 1973); that
-cross-route is the module's central consistency check.  The orientation
-search hands over each of those posets directly, already transitively
-closed, so the cross-route builds no orientation and no second closure.
+The same star vector also arises as the star vector of the summed strict
+counts of the posets induced by the acyclic orientations (Stanley 1973);
+that cross-route is the module's central consistency check.  It takes one
+finite-difference pass per graph, so its overdetermination node n = d+1
+sits on the sum, not on each orientation.  The orientation search hands
+over each of those posets directly, already transitively closed, so the
+cross-route builds no orientation and no second closure.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .decompositions import (
 from .errors import CapExceeded, NotApplicable
 from .graphs import Multigraph, enumerate_acyclic_orientations
 from .polynomials import Polynomial, StarVector, inverse_transform, star_from_values
-from .posets import Poset, omega_star
+from .posets import Poset, strict_map_counts
 
 __all__ = [
     "ChromaticResult",
@@ -97,21 +99,24 @@ def chromatic_star(g: Multigraph) -> StarVector:
 
 
 def star_via_order_polynomials(g: Multigraph, orientations: tuple[Poset, ...]) -> StarVector:
-    """Sum of order star vectors over the acyclic-orientation posets of g.
+    """Star vector of the summed strict counts of the acyclic-orientation posets.
 
     ``orientations`` are the acyclic orientations of g, each as the poset it
-    induces on all d vertices (`enumerate_acyclic_orientations`), so the
-    summands share the length-(d+1) convention and add entrywise; the total
-    must reproduce `chromatic_star` exactly.
+    induces on all d vertices (`enumerate_acyclic_orientations`).  Their
+    strict counts at n = 0..d+1 add up to chi_G(n) (Stanley 1973), and the
+    identity is linear in the values, so the counts are summed and turned
+    into one star vector per graph; the total must reproduce
+    `chromatic_star` exactly.  n = d+1 is the node on the sum: a total that
+    does not fit degree d raises ValueError from `star_from_values`.
     """
     if g.has_loops:
         raise NotApplicable("loop", "graphs with loops have no acyclic orientations")
     d = g.vertex_count
-    total = [0] * (d + 1)
+    total = [0] * (d + 2)
     for poset in orientations:
-        for i, x in enumerate(omega_star(poset).entries):
-            total[i] += x
-    return StarVector(tuple(total), d, start=0)
+        for n, count in enumerate(strict_map_counts(poset)):
+            total[n] += count
+    return star_from_values(total, d)
 
 
 @dataclass(frozen=True)

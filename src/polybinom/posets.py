@@ -44,6 +44,7 @@ __all__ = [
     "order_polytope_points",
     "parse_poset_file",
     "poset_certificate",
+    "strict_map_counts",
 ]
 
 @dataclass(frozen=True)
@@ -237,7 +238,7 @@ def _count_monotone_maps(p: Poset, low: int, high: int, strict: bool) -> int:
     return count_from(0)
 
 
-def _strict_map_counts(p: Poset) -> list[int]:
+def strict_map_counts(p: Poset) -> list[int]:
     """Strict order-preserving maps P -> {1..n} for n = 0..d+1.
 
     A strict map f is the chain of order ideals I_k = f^-1({1..k}), and each
@@ -291,7 +292,7 @@ def omega_star(p: Poset) -> StarVector:
         raise CapExceeded(f"order polynomial cap is {caps.ORDER_POLY_ELEMENT_CAP} elements, got {d}")
     if d == 0:
         raise ValueError("the empty poset has no star vector in this convention")
-    return star_from_values(_strict_map_counts(p), d, start=0)
+    return star_from_values(strict_map_counts(p), d, start=0)
 
 
 # ---------------------------------------------------------------------------

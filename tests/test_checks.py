@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from polybinom.checks import flow_checks, graph_checks
-from polybinom.cli import main
+from polybinom.cli import EXIT_COUNTEREXAMPLE, main
 from polybinom.decompositions import CADecomposition, InequalityReport, InequalityRow
 from polybinom.graphs import (
     Multigraph,
@@ -24,6 +24,7 @@ from polybinom.posets import (
     generate_posets,
     interior_point_count,
     omega_star,
+    strict_map_counts,
 )
 from polybinom.survey import (
     _graph_id,
@@ -214,6 +215,45 @@ def test_graph_checks_enumerate_acyclic_orientations_once(monkeypatch):
     assert len(calls) == 1
     assert checked.checks["order_polynomial_sum_matches"] == "pass"
     assert checked.result.acyclic_count == 24
+
+
+# two ways to miscount one orientation: a count at the node n = d+1 only, which
+# no degree-d polynomial fits, and the values of n added at every n, which fit
+# degree d but change the star vector
+MISCOUNTS = {
+    "breaks_node": lambda counts: counts[:-1] + [counts[-1] + 1],
+    "fits_degree": lambda counts: [c + n for n, c in enumerate(counts)],
+}
+
+
+def _miscount_first_orientation(monkeypatch, miscount):
+    import polybinom.chromatic as chromatic
+
+    calls = []
+
+    def miscounted(p):
+        calls.append(p)
+        counts = strict_map_counts(p)
+        return miscount(counts) if len(calls) == 1 else counts
+
+    monkeypatch.setattr(chromatic, "strict_map_counts", miscounted)
+
+
+@pytest.mark.parametrize("miscount", MISCOUNTS.values(), ids=MISCOUNTS.keys())
+def test_miscounted_orientation_is_a_reported_failure(monkeypatch, tmp_path, capsys, miscount):
+    _miscount_first_orientation(monkeypatch, miscount)
+    checked = graph_checks(complete_graph(4))
+    assert checked.failures == ["order_polynomial_sum_matches"]
+
+    _miscount_first_orientation(monkeypatch, miscount)
+    report = run_graph_survey(4)
+    assert [ce["check"] for ce in report.counterexamples] == ["order_polynomial_sum_matches"]
+
+    _miscount_first_orientation(monkeypatch, miscount)
+    path = tmp_path / "k4.graph"
+    path.write_text(format_graph_file(complete_graph(4)))
+    assert main(["chromatic", str(path)]) == EXIT_COUNTEREXAMPLE
+    assert capsys.readouterr().err == "failed checks: order_polynomial_sum_matches\n"
 
 
 @pytest.mark.parametrize("g", [complete_graph(4), cycle_graph(5)], ids=["K4", "C5"])

@@ -23,7 +23,8 @@ from polybinom.graphs import (
     enumerate_acyclic_orientations,
     path_graph,
 )
-from polybinom.polynomials import Polynomial, inverse_transform
+from polybinom.polynomials import Polynomial, StarVector, inverse_transform
+from polybinom.posets import omega_star
 from polybinom.survey import connected_graph_classes
 
 
@@ -91,7 +92,12 @@ class TestChromaticPolynomial:
             raise AssertionError("chromatic_star reached a checking route")
 
         for module in (polybinom.chromatic, polybinom.graphs, polybinom.posets):
-            for name in ("graph_certificate", "omega_star", "enumerate_acyclic_orientations"):
+            for name in (
+                "graph_certificate",
+                "omega_star",
+                "strict_map_counts",
+                "enumerate_acyclic_orientations",
+            ):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, checking_route)
         assert chi(complete_graph(4)) == Polynomial([0, -6, 11, -6, 1])
@@ -201,6 +207,19 @@ class TestOrderPolynomialRoute:
         for _ in range(6):
             g = random_connected_graph(rng, rng.randint(2, 5))
             assert _order_route(g) == chromatic_star(g)
+
+    def test_summing_counts_is_summing_order_stars(self):
+        # the identity is linear in the values, so the star vector of the
+        # summed counts is the entrywise sum of the per-poset order stars
+        for g in connected_graph_classes(6):
+            d = g.vertex_count
+            orientations = enumerate_acyclic_orientations(g)
+            total = [0] * (d + 1)
+            for poset in orientations:
+                for i, x in enumerate(omega_star(poset).entries):
+                    total[i] += x
+            summed = star_via_order_polynomials(g, orientations)
+            assert summed == StarVector(tuple(total), d, start=0), g
 
 
 class TestSampledDegreeSevenFamily:

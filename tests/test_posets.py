@@ -20,8 +20,8 @@ from polybinom.posets import (
     order_polytope_points,
     parse_poset_file,
     poset_certificate,
+    strict_map_counts,
 )
-from polybinom.posets import _strict_map_counts
 
 V_POSET = Poset.from_relation(3, [(0, 1), (0, 2)])
 
@@ -77,7 +77,7 @@ class TestOrderPolynomial:
         for d in range(1, 7):
             for p in generate_posets(d):
                 expected = [interior_point_count(p, n + 1) for n in range(d + 2)]
-                assert _strict_map_counts(p) == expected
+                assert strict_map_counts(p) == expected
 
     def test_order_star_shares_no_code_with_lattice_route(self, monkeypatch):
         from polybinom.chromatic import star_via_order_polynomials
