@@ -54,7 +54,7 @@ from .chromatic import (
 from .flows import (
     FlowResult,
     flow_analysis,
-    kochol_orientation_counts,
+    kochol_tables,
     modular_flow_count,
 )
 
@@ -86,7 +86,7 @@ __all__ = [
     "hstar_via_descents",
     "in_degree_sequence_count",
     "inverse_transform",
-    "kochol_orientation_counts",
+    "kochol_tables",
     "modular_flow_count",
     "monomial_inequality_forms",
     "omega_star",

@@ -62,8 +62,9 @@ POINT_ENUMERATION_BUDGET = 10**8
 
 # One flow count scans the product of its cotree value sets.
 FLOW_CANDIDATE_BUDGET = 30_000_000
-# The integral scan at n = xi+2 has (2(xi+1))^xi candidates: 14^6 ~ 7.5M fit
-# the budget, 16^7 ~ 268M do not, so the cap is the largest xi that fits.
+# `flow_analysis` makes one integral scan, at n = xi+2, over (2(xi+1))^xi
+# candidates: 14^6 ~ 7.5M fit the budget, 16^7 ~ 268M do not, so the cap is
+# the largest xi that fits.
 FLOW_XI_CAP = 6
 
 # surveys --------------------------------------------------------------------
@@ -72,6 +73,8 @@ FLOW_XI_CAP = 6
 # its 2045 classes would take about 95 s.  Must not exceed
 # LATTICE_POINT_ELEMENT_CAP, which `poset_checks` needs.
 POSET_SURVEY_CAP = 6
-# The flow survey skips xi = 6: one such instance (K5) takes about 2.7 s,
-# longer than the whole d <= 6 flow survey.
+# The flow survey skips xi = 6.  One such instance (K5) takes about 0.3 s
+# (Python 3.11, one core), and the 9 bridgeless classes with xi = 6 at
+# d <= 6 take about 2.2 s together, more than the 1.3 s of the whole d <= 6
+# flow survey; admitting them would also change that survey's output.
 FLOW_XI_SURVEY_CAP = 5

@@ -4,13 +4,17 @@ Flows are parametrized by the cycle space: fix a spanning forest, assign
 free values to the cotree edges, and read off the forced tree-edge values
 from the fundamental-cycle matrix.  That bounds the modular count at
 (n-1)^xi candidates and the integral scan at (2(n-1))^xi, with xi the
-cyclomatic number.
+cyclomatic number.  No scan builds its candidates: the cotree coordinates
+are split in two halves, each half's value combinations carry their partial
+tree sums, and pairs of combinations are tested in blocks.
 
 The integral scan is the Kochol table: it buckets every nowhere-zero integer
 flow by the totally cyclic orientation along which it is strictly positive.
 Bucket o at bound n is P_o(n), the interior lattice-point count of an open
 flow polytope, so each column is a polynomial of degree <= xi, and the
-integral flow polynomial is their sum, f(n) = sum_o P_o(n).
+integral flow polynomial is their sum, f(n) = sum_o P_o(n).  There is one
+scan, at the top bound n = xi+2; the tables at the lower bounds are read off
+each flow's largest |x|.
 
 The reference orientation of every edge is its stored (tail, head) pair, so
 re-ordering pairs is exactly a change of reference orientation; counts must
@@ -19,8 +23,9 @@ not depend on it.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -46,11 +51,12 @@ from .polynomials import Polynomial, StarVector, inverse_transform, star_from_va
 __all__ = [
     "FlowResult",
     "flow_analysis",
-    "kochol_orientation_counts",
+    "kochol_tables",
     "modular_flow_count",
 ]
 
-_CHUNK = 1 << 20
+# pairs of half combinations tested at once: about 1 MB of sums per class row
+_PAIR_BLOCK = 1 << 20
 
 
 def _spanning_forest(g: Multigraph) -> tuple[list[int], list[int], list[int], list[int]]:
@@ -65,8 +71,6 @@ def _spanning_forest(g: Multigraph) -> tuple[list[int], list[int], list[int], li
     parent_edge = [-1] * d
     visited = [False] * d
     tree: list[int] = []
-    from collections import deque
-
     for root in range(d):
         if visited[root]:
             continue
@@ -131,29 +135,6 @@ def _cycle_matrix(g: Multigraph) -> tuple[list[int], list[int], np.ndarray]:
     return tree, cotree, M
 
 
-def _candidate_chunks(value_sets: list[np.ndarray]) -> Iterator[np.ndarray]:
-    """Cartesian product of per-coordinate value sets, yielded in chunks."""
-    xi = len(value_sets)
-    total = 1
-    for vs in value_sets:
-        total *= len(vs)
-    if total > caps.FLOW_CANDIDATE_BUDGET:
-        raise CapExceeded(f"flow enumeration needs {total} candidates (budget {caps.FLOW_CANDIDATE_BUDGET})")
-    if xi == 0:
-        yield np.zeros((1, 0), dtype=np.int64)
-        return
-    if total <= _CHUNK:
-        grids = np.meshgrid(*value_sets, indexing="ij")
-        yield np.stack([grid.ravel() for grid in grids], axis=1).astype(np.int64)
-        return
-    for head in value_sets[0]:
-        for chunk in _candidate_chunks(value_sets[1:]):
-            block = np.empty((chunk.shape[0], xi), dtype=np.int64)
-            block[:, 0] = head
-            block[:, 1:] = chunk
-            yield block
-
-
 def _check_caps(g: Multigraph, n: int) -> int:
     if n < 1:
         raise ValueError("flow modulus/bound must be a positive integer")
@@ -163,6 +144,63 @@ def _check_caps(g: Multigraph, n: int) -> int:
     return xi
 
 
+def _series_classes(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows of M up to sign, and each tree edge's class and sign.
+
+    Tree edges whose rows agree up to sign are in series: they carry equal
+    or opposite values in every flow, so a scan tests one row per class.  A
+    graph of cyclomatic number xi has at most 3 xi series classes, however
+    many edges it has.  Returns (class rows, class of each tree edge, True
+    where the edge's row is the negated class row).
+    """
+    # a row is flipped when its first nonzero entry is negative
+    flipped = np.array([next((x < 0 for x in row if x), False) for row in M.tolist()], dtype=bool)
+    rows, cls = np.unique(np.where(flipped[:, None], -M, M), axis=0, return_inverse=True)
+    return rows, cls, flipped
+
+
+def _half_sums(rows: np.ndarray, values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Split the cotree coordinates in two halves; for each, every value
+    combination of its coordinates (one row each, from `values`) and their
+    partial sums along `rows` (shape: len(rows) by combinations).
+
+    A candidate is a pair of combinations, one per half, and its forced
+    tree values are the sums of their columns, so the (len(values))^xi
+    candidates are never built.
+    """
+    xi = rows.shape[1]
+    total = len(values) ** xi
+    if total > caps.FLOW_CANDIDATE_BUDGET:
+        raise CapExceeded(f"flow enumeration needs {total} candidates (budget {caps.FLOW_CANDIDATE_BUDGET})")
+    halves = []
+    for cols in (range(xi // 2), range(xi // 2, xi)):
+        k = len(cols)
+        index = np.indices((len(values),) * k).reshape(k, len(values) ** k)
+        combos = values[index].T
+        halves.append((combos, rows[:, list(cols)] @ combos.T))
+    return halves
+
+
+def _kept_pairs(
+    a: np.ndarray, b: np.ndarray, keep: Callable[[np.ndarray], np.ndarray]
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Pairs (i, j) of half combinations whose sums a[r, i] + b[r, j] pass
+    `keep` on every row r, in blocks of about `_PAIR_BLOCK` pairs: yields
+    the first i of the block and the mask over (i, j)."""
+    step = max(1, _PAIR_BLOCK // max(1, b.shape[1]))
+    for start in range(0, a.shape[1], step):
+        block = a[:, start:start + step]
+        ok = np.ones((block.shape[1], b.shape[1]), dtype=bool)
+        for ra, rb in zip(block, b):
+            ok &= keep(ra[:, None] + rb)
+        yield start, ok
+
+
+def _small(sums: np.ndarray, bound: int) -> np.ndarray:
+    """Narrowest signed integer type holding every pairwise sum up to `bound`."""
+    return sums.astype(np.result_type(np.min_scalar_type(-bound), np.int8))
+
+
 def modular_flow_count(g: Multigraph, n: int) -> int:
     """Nowhere-zero flows with values in Z_n under the reference orientation."""
     _check_caps(g, n)
@@ -170,56 +208,73 @@ def modular_flow_count(g: Multigraph, n: int) -> int:
         return 1
     if n == 1:
         return 0
-    tree, cotree, M = _cycle_matrix(g)
-    values = [np.arange(1, n, dtype=np.int64) for _ in cotree]
-    total = 0
-    for cand in _candidate_chunks(values):
-        if tree:
-            forced = (cand @ M.T) % n
-            ok = (forced != 0).all(axis=1)
-            total += int(ok.sum())
-        else:
-            total += cand.shape[0]
-    return total
+    _, _, M = _cycle_matrix(g)
+    rows, _, _ = _series_classes(M)
+    (_, a), (_, b) = _half_sums(rows, np.arange(1, n, dtype=np.int64))
+    a, b = _small(a % n, 2 * n), _small(b % n, 2 * n)
+    return sum(int(ok.sum()) for _, ok in _kept_pairs(a, b, lambda s: (s != 0) & (s != n)))
 
 
-def kochol_orientation_counts(g: Multigraph, n: int) -> dict[tuple[int, ...], int]:
-    """Integer flows 0 < |x| < n bucketed by the orientation they traverse.
+def kochol_tables(g: Multigraph, top: int) -> dict[int, dict[tuple[int, ...], int]]:
+    """The Kochol table at every bound n = 1..top, from one scan at `top`.
 
-    Every nowhere-zero integer flow is strictly positive along exactly one
-    orientation (flip each edge carrying a negative value), so the bucket of
-    a direction vector is precisely the count of its strictly positive flows
-    bounded by n, and the buckets sum to the integral flow count f(n).
+    Table n buckets the integer flows 0 < |x| < n by the orientation they
+    traverse.  Every nowhere-zero integer flow is strictly positive along
+    exactly one orientation (flip each edge carrying a negative value), so
+    the bucket of a direction vector is precisely the count of its strictly
+    positive flows bounded by n, and the buckets sum to the integral flow
+    count f(n).  The scan keeps each flow with |x| < top once, under its
+    orientation and its level max |x|; bucket o at n counts the flows of o
+    with level < n.  Each table lists its orientations in sorted order.
     """
-    _check_caps(g, n)
+    xi = _check_caps(g, top)
     m = g.edge_count
-    if m == 0 or n == 1:
-        return {}
+    tables: dict[int, dict[tuple[int, ...], int]] = {n: {} for n in range(1, top + 1)}
+    if m == 0 or top == 1:
+        return tables
     tree, cotree, M = _cycle_matrix(g)
-    span = np.concatenate([np.arange(-(n - 1), 0), np.arange(1, n)]).astype(np.int64)
-    values = [span for _ in cotree]
-    buckets: dict[tuple[int, ...], int] = {}
-    for cand in _candidate_chunks(values):
-        if tree:
-            forced = cand @ M.T
-            ok = ((forced != 0) & (np.abs(forced) < n)).all(axis=1)
-            cand, forced = cand[ok], forced[ok]
-        else:
-            forced = np.zeros((cand.shape[0], 0), dtype=np.int64)
-        if cand.shape[0] == 0:
-            continue
-        edge_vals = np.empty((cand.shape[0], m), dtype=np.int64)
-        edge_vals[:, tree] = forced
-        edge_vals[:, cotree] = cand
-        # sort the sign rows, packed 8 edges a byte, and count equal runs
-        signs = np.packbits(edge_vals < 0, axis=1)
-        signs = signs[np.lexsort(signs.T[::-1])]
-        starts = np.flatnonzero(np.r_[True, (signs[1:] != signs[:-1]).any(axis=1)])
-        counts = np.diff(np.r_[starts, signs.shape[0]])
-        rows = np.unpackbits(signs[starts], axis=1, count=m)
-        for row, cnt in zip(map(tuple, rows.tolist()), counts.tolist()):
-            buckets[row] = buckets.get(row, 0) + cnt
-    return dict(sorted(buckets.items()))
+    rows, cls, flipped = _series_classes(M)
+    span = np.concatenate([np.arange(-(top - 1), 0), np.arange(1, top)]).astype(np.int64)
+    (combos_a, a), (combos_b, b) = _half_sums(rows, span)
+    bound = (top - 1) * int(np.abs(rows).sum(axis=1).max(initial=0))
+    a, b = _small(a, bound), _small(b, bound)
+    # A kept flow's code is its orientation key shifted above its level.  Key
+    # bit j is the sign of cotree coordinate j and bit xi + r the sign of
+    # class r: at most 4 xi bits, so every code fits an int64.
+    shift = (top - 1).bit_length()
+    cut = combos_a.shape[1]
+    key_a = (combos_a < 0) @ (1 << np.arange(cut, dtype=np.int64))
+    key_b = (combos_b < 0) @ (1 << np.arange(cut, xi, dtype=np.int64))
+    class_bits = 1 << np.arange(xi, xi + len(rows), dtype=np.int64)
+    level_a = np.abs(combos_a).max(axis=1, initial=0)
+    level_b = np.abs(combos_b).max(axis=1, initial=0)
+    counts: dict[int, int] = {}
+    for start, ok in _kept_pairs(a, b, lambda s: (s != 0) & (np.abs(s) < top)):
+        i, j = np.nonzero(ok)
+        i += start
+        sums = a[:, i] + b[:, j]
+        key = key_a[i] | key_b[j] | ((sums < 0).T @ class_bits)
+        level = np.maximum(np.maximum(level_a[i], level_b[j]), np.abs(sums).max(axis=0, initial=0))
+        code = np.sort((key << shift) | level)  # codes are >= 0
+        starts = np.flatnonzero(np.diff(code, prepend=-1))
+        for c, k in zip(code[starts].tolist(), np.diff(starts, append=len(code)).tolist()):
+            counts[c] = counts.get(c, 0) + k
+
+    levels: dict[int, list[int]] = {}
+    for c, k in counts.items():
+        levels.setdefault(c >> shift, [0] * top)[c & ((1 << shift) - 1)] += k
+    for key, per_level in levels.items():
+        direction = [0] * m
+        for j, e in enumerate(cotree):
+            direction[e] = key >> j & 1
+        for e, r, flip in zip(tree, cls.tolist(), flipped.tolist()):
+            direction[e] = (key >> (xi + r) & 1) ^ flip
+        o, total = tuple(direction), 0
+        for n in range(1, top + 1):
+            total += per_level[n - 1]
+            if total:
+                tables[n][o] = total
+    return {n: dict(sorted(table.items())) for n, table in tables.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +344,9 @@ def flow_analysis(g: Multigraph) -> FlowResult:
     An xi above `caps.FLOW_XI_CAP` raises CapExceeded from the first count.
     The star vectors come from the counts at n = 1..xi+2, the last one an
     overdetermination node.  The integral count f(n) is the sum of the Kochol
-    table at n; the tables are kept on the result, one column P_o per
-    orientation, each a polynomial of degree <= xi.
+    table at n, and all xi+2 tables come from one scan at n = xi+2; they are
+    kept on the result, one column P_o per orientation, each a polynomial of
+    degree <= xi.
     """
     if g.bridges():
         raise NotApplicable("bridge", "a bridge admits no nowhere-zero flow")
@@ -299,7 +355,7 @@ def flow_analysis(g: Multigraph) -> FlowResult:
         raise NotApplicable("xi=0", "no cycles; both flow polynomials are constant 1")
 
     phi_star = star_from_values([modular_flow_count(g, n) for n in range(1, xi + 3)], xi, start=1)
-    kochol = {n: kochol_orientation_counts(g, n) for n in range(1, xi + 3)}
+    kochol = kochol_tables(g, xi + 2)
     f_star = star_from_values([sum(table.values()) for table in kochol.values()], xi, start=1)
     phi = inverse_transform(phi_star)
     if not phi.is_integral:

@@ -145,29 +145,28 @@ def test_order_route_builds_no_polynomial(monkeypatch):
     assert report.ok and len(report.instances) == 24
 
 
-def test_flow_checks_scan_each_bound_once(monkeypatch):
+def test_flow_checks_scan_once(monkeypatch):
     import polybinom.flows as flows
     from polybinom.graphs import complete_graph
 
-    calls, grids = [], []
-    scan, chunks = flows.kochol_orientation_counts, flows._candidate_chunks
+    calls, widths = [], []
+    tables, halves = flows.kochol_tables, flows._half_sums
 
-    def counted(g, n):
-        calls.append(n)
-        return scan(g, n)
+    def counted(g, top):
+        calls.append(top)
+        return tables(g, top)
 
-    def counted_chunks(value_sets):
-        grids.append(len(value_sets[0]))
-        return chunks(value_sets)
+    def counted_halves(rows, values):
+        widths.append(len(values))
+        return halves(rows, values)
 
-    monkeypatch.setattr(flows, "kochol_orientation_counts", counted)
-    monkeypatch.setattr(flows, "_candidate_chunks", counted_chunks)
+    monkeypatch.setattr(flows, "kochol_tables", counted)
+    monkeypatch.setattr(flows, "_half_sums", counted_halves)
     checked = flow_checks(complete_graph(4))
-    assert calls == [1, 2, 3, 4, 5]  # n = 1..xi+2 with xi = 3
-    # n = 1 needs no scan; then one modular grid of width n-1 and one
-    # integral grid of width 2(n-1) for each n = 2..5
-    expected = [n - 1 for n in range(2, 6)] + [2 * (n - 1) for n in range(2, 6)]
-    assert sorted(grids) == sorted(expected)
+    assert calls == [5]  # one scan at the top bound n = xi+2 with xi = 3
+    # n = 1 needs no scan; then one modular grid of width n-1 for each
+    # n = 2..5 and exactly one integral grid, of width 2(xi+1)
+    assert sorted(widths) == [n - 1 for n in range(2, 6)] + [8]
     assert not checked.failures
 
 
@@ -177,17 +176,17 @@ def test_misbucketed_flow_is_a_reported_failure(monkeypatch, tmp_path, capsys):
     import polybinom.flows as flows
     from polybinom.graphs import complete_graph
 
-    scan = flows.kochol_orientation_counts
+    scan = flows.kochol_tables
 
-    def moved(g, n):
-        table = scan(g, n)
-        if n == cyclomatic_number(g) + 2:
-            first, second = list(table)[:2]
-            table[first] -= 1
-            table[second] += 1
-        return table
+    def moved(g, top):
+        tables = scan(g, top)
+        assert top == cyclomatic_number(g) + 2
+        first, second = list(tables[top])[:2]
+        tables[top][first] -= 1
+        tables[top][second] += 1
+        return tables
 
-    monkeypatch.setattr(flows, "kochol_orientation_counts", moved)
+    monkeypatch.setattr(flows, "kochol_tables", moved)
     path = tmp_path / "k4.graph"
     path.write_text(format_graph_file(complete_graph(4)))
     assert main(["flow", str(path)]) == 1

@@ -1,6 +1,7 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 from polybinom import caps
@@ -9,7 +10,7 @@ from polybinom.flows import (
     FlowResult,
     _cycle_matrix,
     flow_analysis,
-    kochol_orientation_counts,
+    kochol_tables,
     modular_flow_count,
 )
 from polybinom.graphs import (
@@ -25,11 +26,97 @@ from polybinom.survey import connected_graph_classes, flow_fixture_set
 
 THETA = dipole(3)
 K4_DOUBLED = Multigraph(4, complete_graph(4).edges + ((0, 1),))
+PETERSEN = Multigraph(
+    10,
+    tuple((i, (i + 1) % 5) for i in range(5))
+    + tuple((i, i + 5) for i in range(5))
+    + tuple((5 + i, 5 + (i + 2) % 5) for i in range(5)),
+)
 
 
 def integral(g: Multigraph, n: int) -> int:
     """Nowhere-zero integer flows with 0 < |x| < n: the Kochol bucket sum."""
-    return sum(kochol_orientation_counts(g, n).values())
+    return sum(kochol_tables(g, n)[n].values())
+
+
+CHUNK = 1 << 20
+
+
+def _candidate_chunks(value_sets: list[np.ndarray]):
+    """Cartesian product of per-coordinate value sets, yielded in chunks."""
+    xi = len(value_sets)
+    if xi == 0:
+        yield np.zeros((1, 0), dtype=np.int64)
+        return
+    total = int(np.prod([len(vs) for vs in value_sets]))
+    if total <= CHUNK:
+        grids = np.meshgrid(*value_sets, indexing="ij")
+        yield np.stack([grid.ravel() for grid in grids], axis=1).astype(np.int64)
+        return
+    for head in value_sets[0]:
+        for rest in _candidate_chunks(value_sets[1:]):
+            block = np.empty((rest.shape[0], xi), dtype=np.int64)
+            block[:, 0] = head
+            block[:, 1:] = rest
+            yield block
+
+
+def kochol_table_at(g: Multigraph, n: int) -> dict[tuple[int, ...], int]:
+    """Independent oracle for one table of `kochol_tables`: the per-bound scan.
+
+    Builds every cotree vector with 0 < |x| < n, forces the tree values
+    through the full cycle matrix, and buckets the kept flows by their sign
+    rows; no series classes, no half products and no levels.
+    """
+    m = g.edge_count
+    if m == 0 or n == 1:
+        return {}
+    tree, cotree, M = _cycle_matrix(g)
+    span = np.concatenate([np.arange(-(n - 1), 0), np.arange(1, n)]).astype(np.int64)
+    buckets: dict[tuple[int, ...], int] = {}
+    for cand in _candidate_chunks([span for _ in cotree]):
+        forced = cand @ M.T
+        ok = ((forced != 0) & (np.abs(forced) < n)).all(axis=1)
+        cand, forced = cand[ok], forced[ok]
+        if cand.shape[0] == 0:
+            continue
+        edge_vals = np.empty((cand.shape[0], m), dtype=np.int64)
+        edge_vals[:, tree] = forced
+        edge_vals[:, cotree] = cand
+        # sort the sign rows, packed 8 edges a byte, and count equal runs
+        signs = np.packbits(edge_vals < 0, axis=1)
+        signs = signs[np.lexsort(signs.T[::-1])]
+        starts = np.flatnonzero(np.r_[True, (signs[1:] != signs[:-1]).any(axis=1)])
+        counts = np.diff(np.r_[starts, signs.shape[0]])
+        rows = np.unpackbits(signs[starts], axis=1, count=m)
+        for row, cnt in zip(map(tuple, rows.tolist()), counts.tolist()):
+            buckets[row] = buckets.get(row, 0) + cnt
+    return dict(sorted(buckets.items()))
+
+
+def flow_instances() -> list[tuple[str, Multigraph]]:
+    """Every instance `run_flow_survey(6)` checks, plus the xi = 6 CLI graphs
+    and fixtures off the survey: a loop, a disconnected graph, a doubled edge."""
+    survey = [(f"class{i}", g) for i, g in enumerate(connected_graph_classes(6))]
+    survey += flow_fixture_set()
+    checked = [
+        (name, g) for name, g in survey
+        if g.is_bridgeless and 1 <= cyclomatic_number(g) <= caps.FLOW_XI_SURVEY_CAP
+    ]
+    triangle = cycle_graph(3).edges
+    return checked + [
+        ("K5", complete_graph(5)),
+        ("petersen", PETERSEN),
+        ("K4_doubled", K4_DOUBLED),
+        ("theta_looped", Multigraph(2, THETA.edges + ((1, 1),))),
+        ("two_triangles", Multigraph(6, triangle + tuple((u + 3, v + 3) for u, v in triangle))),
+    ]
+
+
+@pytest.fixture(scope="module")
+def one_scan_tables():
+    """(name, graph, kochol_tables at xi+2) for every flow instance."""
+    return [(name, g, kochol_tables(g, cyclomatic_number(g) + 2)) for name, g in flow_instances()]
 
 
 def dense_integral(g: Multigraph, n: int) -> int:
@@ -247,38 +334,59 @@ class TestTutteOracle:
 
 class TestKochol:
     def test_theta_each_orientation_contributes_once(self):
-        table = kochol_orientation_counts(THETA, 3)
+        table = kochol_tables(THETA, 3)[3]
         assert len(table) == 6
         assert set(table.values()) == {1}
         assert sum(table.values()) == dense_integral(THETA, 3)
 
     def test_double_edge_n2(self):
-        table = kochol_orientation_counts(dipole(2), 2)
-        assert table == {(0, 1): 1, (1, 0): 1}
+        assert kochol_tables(dipole(2), 2) == {1: {}, 2: {(0, 1): 1, (1, 0): 1}}
 
     def test_n1_empty(self):
-        assert kochol_orientation_counts(THETA, 1) == {}
+        assert kochol_tables(THETA, 1) == {1: {}}
 
     def test_more_edges_than_an_int64_code_holds(self):
-        assert kochol_orientation_counts(cycle_graph(70), 2) == {(0,) * 70: 1, (1,) * 70: 1}
+        # 69 tree edges in series: one class row, one key bit
+        tables = kochol_tables(cycle_graph(70), 3)
+        assert tables == {
+            1: {},
+            2: {(0,) * 70: 1, (1,) * 70: 1},
+            3: {(0,) * 70: 2, (1,) * 70: 2},
+        }
 
     def test_keys_are_totally_cyclic(self):
         for g in (THETA, complete_graph(4), K4_DOUBLED):
             tc = set(enumerate_totally_cyclic_orientations(g))
+            xi = cyclomatic_number(g)
+            tables = kochol_tables(g, xi + 2)
             for n in (2, 3, 4):
-                assert set(kochol_orientation_counts(g, n)) <= tc
+                assert set(tables[n]) <= tc
             # every open flow polytope has dimension xi, so interior points
             # from n = xi+1 on
-            xi = cyclomatic_number(g)
-            assert set(kochol_orientation_counts(g, xi + 2)) == tc
+            assert set(tables[xi + 2]) == tc
 
     def test_buckets_match_per_orientation_recount(self):
         # the one-pass table must agree with independent per-orientation counts
         for g in (dipole(2), THETA, complete_graph(4)):
+            tables = kochol_tables(g, 3)
             for n in (2, 3):
-                table = kochol_orientation_counts(g, n)
                 for o in enumerate_totally_cyclic_orientations(g):
-                    assert table.get(o, 0) == positive_flow_count(g, o, n)
+                    assert tables[n].get(o, 0) == positive_flow_count(g, o, n)
+
+    def test_one_scan_matches_the_per_bound_scan(self, one_scan_tables):
+        # equal as dicts and in key order, at every bound n = 1..xi+2
+        for name, g, tables in one_scan_tables:
+            oracle = {n: kochol_table_at(g, n) for n in range(1, cyclomatic_number(g) + 3)}
+            assert tables == oracle, name
+            assert [list(t) for t in tables.values()] == [list(t) for t in oracle.values()], name
+
+    def test_one_scan_below_the_top_bound(self):
+        # a top bound past xi+2 gives the same lower tables
+        for g in (THETA, K4_DOUBLED, Multigraph(2, THETA.edges + ((0, 0),))):
+            xi = cyclomatic_number(g)
+            assert kochol_tables(g, xi + 4) == {
+                n: kochol_table_at(g, n) for n in range(1, xi + 5)
+            }
 
     def test_sum_identity_across_range(self):
         # f = sum_o P_o with each P_o recounted by the pure-Python route
@@ -287,4 +395,27 @@ class TestKochol:
             tc = enumerate_totally_cyclic_orientations(g)
             for n in range(1, r.xi + 3):
                 assert sum(positive_flow_count(g, o, n) for o in tc) == r.f(n)
-                assert r.kochol[n] == kochol_orientation_counts(g, n)
+                assert r.kochol[n] == kochol_table_at(g, n)
+
+
+class TestClosedForms:
+    # values at n = 2 with closed forms that share no code with the scans
+    def test_f2_counts_eulerian_orientations(self, one_scan_tables):
+        for name, g, tables in one_scan_tables:
+            eulerian = 0
+            for o in enumerate_totally_cyclic_orientations(g):
+                balance = [0] * g.vertex_count
+                for (u, v), bit in zip(g.edges, o):
+                    tail, head = (v, u) if bit else (u, v)
+                    balance[tail] += 1
+                    balance[head] -= 1
+                eulerian += not any(balance)
+            assert sum(tables[2].values()) == eulerian, name
+
+    def test_phi2_is_one_exactly_when_every_degree_is_even(self, one_scan_tables):
+        for name, g, _ in one_scan_tables:
+            degree = [0] * g.vertex_count
+            for u, v in g.edges:
+                degree[u] += 1
+                degree[v] += 1
+            assert modular_flow_count(g, 2) == all(d % 2 == 0 for d in degree), name
