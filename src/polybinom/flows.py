@@ -341,7 +341,9 @@ def flow_analysis(g: Multigraph) -> FlowResult:
 
     Preconditions: no bridges (a bridge forces the zero polynomial) and
     xi >= 1; violations raise NotApplicable with a machine-readable reason.
-    An xi above `caps.FLOW_XI_CAP` raises CapExceeded from the first count.
+    The caps are checked before any scan: an xi above `caps.FLOW_XI_CAP`
+    first, then the edge cap of the totally cyclic enumeration, which runs
+    before the flow scans.
     The star vectors come from the counts at n = 1..xi+2, the last one an
     overdetermination node.  The integral count f(n) is the sum of the Kochol
     table at n, and all xi+2 tables come from one scan at n = xi+2; they are
@@ -353,6 +355,8 @@ def flow_analysis(g: Multigraph) -> FlowResult:
     xi = cyclomatic_number(g)
     if xi == 0:
         raise NotApplicable("xi=0", "no cycles; both flow polynomials are constant 1")
+    _check_caps(g, xi + 2)
+    tc = enumerate_totally_cyclic_orientations(g)
 
     phi_star = star_from_values([modular_flow_count(g, n) for n in range(1, xi + 3)], xi, start=1)
     kochol = kochol_tables(g, xi + 2)
@@ -366,7 +370,6 @@ def flow_analysis(g: Multigraph) -> FlowResult:
     phi_split = symmetric_split(phi_star.entries, xi + 1)
     f_split = symmetric_split(f_star.entries, xi + 1)
 
-    tc = enumerate_totally_cyclic_orientations(g)
     tc_count = len(tc)
     indeg_count = in_degree_sequence_count(g, tc)
     constants_ok = (

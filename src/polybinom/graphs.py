@@ -5,9 +5,11 @@ pairs.  Pairs are unordered as edges but their stored order is meaningful
 as the reference orientation for flow computations (tail = first, head =
 second), so it is preserved verbatim from input.
 
-Acyclic orientations are enumerated by a backtracking search whose cost
-follows its output, each handed over as the poset it induces; totally
-cyclic ones by a scan of all 2^m direction vectors.  An orientation is its
+Acyclic and totally cyclic orientations are enumerated by backtracking
+searches with no dead ends, so their cost follows their output: at most m
+steps per orientation.  The acyclic search hands over each orientation as
+the poset it induces; the totally cyclic one fixes edges in a mixed graph
+that stays strongly connected (Boesch & Tindell 1980).  An orientation is its
 direction vector: one bit per edge, 0 keeps the stored (tail, head), 1
 reverses it.
 """
@@ -194,33 +196,54 @@ def enumerate_totally_cyclic_orientations(g: Multigraph) -> list[tuple[int, ...]
     That is equivalent to every edge lying on a coherently oriented cycle: a
     strongly connected component closes a cycle through each of its arcs,
     and an arc on a coherent cycle forces mutual reachability along it.  A
-    component is strongly connected when its lowest vertex reaches all of it
-    forward and backward, tested with reachability bitmasks.  Loops are
-    coherently cyclic in either direction, and both directions are counted
-    as distinct orientations.
+    bridge lies on no cycle, so a graph with one has none.
+
+    Otherwise a backtracking search starts from every non-loop edge as two
+    opposite arcs, so every component is strongly connected, and fixes the
+    edges from m-1 down to 0, bit 0 first, which lists the vectors in
+    increasing mask order.  Fixing an edge as t -> h drops the arc h -> t;
+    the components stay strongly connected iff h still reaches t, which one
+    reachability bitmask answers unless a parallel h -> t arc remains.  A
+    bridgeless, strongly connected mixed graph always has a strongly
+    connected orientation (Boesch & Tindell, Amer. Math. Monthly 1980), so
+    every kept prefix extends: the search has no dead ends and costs at most
+    m steps per orientation.  Loops are coherently cyclic in either
+    direction, and both directions are counted as distinct orientations.
     """
     m, d = g.edge_count, g.vertex_count
     if m > caps.ORIENTATION_EDGE_CAP:
         raise CapExceeded(
             f"orientation enumeration needs 2^{m} candidates; cap is m <= {caps.ORIENTATION_EDGE_CAP}"
         )
-    members: dict[int, int] = {}
-    for v, c in enumerate(g.component_ids()):
-        members[c] = members.get(c, 0) | 1 << v
-    # (lowest vertex, vertex mask) of each component that has two or more vertices
-    components = [((c & -c).bit_length() - 1, c) for c in members.values() if c & c - 1]
-    arcs = [(e, u, v) for e, (u, v) in enumerate(g.edges) if u != v]
+    if g.bridges():
+        return []
+    edges = g.edges
+    # for each edge, the other edges joining the same two vertices
+    twins = [[f for f in range(m) if f != e and {*edges[f]} == {u, v}] for e, (u, v) in enumerate(edges)]
+    adjacency = [0] * d
+    for u, v in edges:
+        if u != v:
+            adjacency[u] |= 1 << v
+            adjacency[v] |= 1 << u
     out = []
-    for mask in range(1 << m):
-        forward = [0] * d
-        backward = [0] * d
-        for e, u, v in arcs:
-            if mask >> e & 1:
-                u, v = v, u
-            forward[u] |= 1 << v
-            backward[v] |= 1 << u
-        if all(_reach(r, forward) == c and _reach(r, backward) == c for r, c in components):
-            out.append(tuple(mask >> e & 1 for e in range(m)))
+    stack = [(m, 0, tuple(adjacency))]
+    while stack:
+        e, mask, adjacency = stack.pop()
+        if e == 0:
+            out.append(tuple(mask >> i & 1 for i in range(m)))
+            continue
+        e -= 1
+        u, v = edges[e]
+        # bit 0 is pushed last, so it is searched first
+        for bit, t, h in ((1, v, u), (0, u, v)):
+            # a parallel h -> t arc remains while a twin is unfixed or points that way
+            if t == h or any(f < e or edges[f][mask >> f & 1] == h for f in twins[e]):
+                stack.append((e, mask | bit << e, adjacency))
+                continue
+            dropped = list(adjacency)
+            dropped[h] &= ~(1 << t)
+            if _reach(h, dropped) >> t & 1:
+                stack.append((e, mask | bit << e, tuple(dropped)))
     return out
 
 

@@ -14,8 +14,9 @@ The star vectors are integer finite differences of exact counts
 (`star_from_values`), with one extra count as an overdetermination node
 where it is cheap.  The strict order count comes from walks on the lattice
 J(P) of order ideals (`omega_star`, d <= 10); the lattice-point counts come
-from backtracking over maps (d <= 7) and are the independent oracle it is
-checked against.  The descent route is the fast cross-check of h*, with its
+from backtracking over maps (d <= 7), as a product over the components of
+the comparability graph, and are the independent oracle it is checked
+against.  The descent route is the fast cross-check of h*, with its
 convention (descents of the extension word under the lexicographically
 smallest natural labeling) frozen after calibration against the
 lattice-point oracle.
@@ -196,8 +197,10 @@ def antichain(d: int) -> Poset:
 def _count_monotone_maps(p: Poset, low: int, high: int, strict: bool) -> int:
     """Maps f: P -> {low..high} respecting the order (strictly or weakly).
 
-    Backtracks over elements in topological order; predecessors bound each
-    value from below, so pruning is exact.
+    Elements in different components of the comparability graph constrain
+    each other in no way, so the count is the product of the counts of the
+    components, each restricted to a poset on its own elements.  The budget
+    bounds the value box of the whole poset.
     """
     d = p.element_count
     if d == 0:
@@ -207,6 +210,33 @@ def _count_monotone_maps(p: Poset, low: int, high: int, strict: bool) -> int:
     span = high - low + 1
     if span**d > caps.POINT_ENUMERATION_BUDGET:
         raise CapExceeded(f"map enumeration budget exceeded: {span}^{d}")
+    related = [a | b for a, b in zip(p.above, p.below)]
+    full = left = (1 << d) - 1
+    total = 1
+    while left:
+        component = frontier = left & -left
+        while frontier:
+            step = 0
+            for v in _bits(frontier):
+                step |= related[v]
+            frontier = step & ~component
+            component |= step
+        left &= ~component
+        part = p if component == full else _restrict(p, component)
+        total *= _backtrack_maps(part, low, high, strict)
+    return total
+
+
+def _restrict(p: Poset, members: int) -> Poset:
+    """The subposet on the elements of `members`, relabeled 0.. in order."""
+    index = {v: i for i, v in enumerate(_bits(members))}
+    return Poset(len(index), tuple(sum(1 << index[b] for b in _bits(p.above[v])) for v in index))
+
+
+def _backtrack_maps(p: Poset, low: int, high: int, strict: bool) -> int:
+    """Backtracks over elements in topological order; predecessors bound each
+    value from below, so pruning is exact.  P is nonempty and low <= high."""
+    d = p.element_count
     order = p.natural_labeling()
     pos = {v: i for i, v in enumerate(order)}
     bump = 1 if strict else 0

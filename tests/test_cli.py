@@ -3,9 +3,17 @@ import json
 import pytest
 
 import polybinom.cli
+import polybinom.flows
 from polybinom import caps
 from polybinom.cli import main
-from polybinom.graphs import complete_graph, cycle_graph, dipole, format_graph_file
+from polybinom.graphs import (
+    Multigraph,
+    complete_graph,
+    cycle_graph,
+    cyclomatic_number,
+    dipole,
+    format_graph_file,
+)
 
 K3 = "vertices 3\nedge 0 1\nedge 0 2\nedge 1 2\n"
 P3 = "vertices 3\nedge 0 1\nedge 1 2\n"
@@ -106,6 +114,22 @@ class TestFlowCommand:
     def test_xi_above_cap_exits_3(self, write, capsys):
         assert main(["flow", write("dipole8.graph", format_graph_file(dipole(8)))]) == 3
         assert "cyclomatic number 7 exceeds cap 6" in capsys.readouterr().err
+
+    def test_edge_cap_exits_3_before_any_scan(self, write, capsys, monkeypatch):
+        def scan(*args, **kwargs):
+            raise AssertionError("a flow scan ran above the edge cap")
+
+        monkeypatch.setattr(polybinom.flows, "modular_flow_count", scan)
+        monkeypatch.setattr(polybinom.flows, "kochol_tables", scan)
+        # C20 with five chords: bridgeless, xi = 6 within its cap, m = 25 above the edge cap
+        g = Multigraph(20, cycle_graph(20).edges + ((0, 10), (2, 12), (4, 14), (6, 16), (8, 18)))
+        assert (g.edge_count, cyclomatic_number(g)) == (25, 6)
+        assert main(["flow", write("c20_chords.graph", format_graph_file(g))]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "cap exceeded: orientation enumeration needs 2^25 candidates; cap is m <= 24\n"
+        # over both caps, the xi cap is reported
+        assert main(["flow", write("dipole25.graph", format_graph_file(dipole(25)))]) == 3
+        assert "cyclomatic number 24 exceeds cap 6" in capsys.readouterr().err
 
 
 class TestOrderCommand:

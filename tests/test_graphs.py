@@ -1,8 +1,10 @@
+import time
 from collections import deque
 
 import pytest
 
 import polybinom.chromatic
+import polybinom.graphs
 from polybinom import caps
 from polybinom.chromatic import chromatic_analysis
 from polybinom.errors import CapExceeded, InputFormatError
@@ -232,6 +234,91 @@ class TestTotallyCyclicEquivalence:
             if all(_edge_on_coherent_cycle(g, o, e) for e in range(g.edge_count))
         ]
         assert enumerate_totally_cyclic_orientations(g) == cyclic
+
+
+def _reach_mask(root: int, adjacency: list[int]) -> int:
+    seen = frontier = 1 << root
+    while frontier:
+        step = 0
+        for v, out in enumerate(adjacency):
+            if frontier >> v & 1:
+                step |= out
+        frontier = step & ~seen
+        seen |= step
+    return seen
+
+
+def totally_cyclic_by_scan(g: Multigraph) -> list[tuple[int, ...]]:
+    """Oracle: every one of the 2^m direction vectors in bitmask order, kept
+    if each component with two or more vertices is reached from its lowest
+    vertex forward and backward."""
+    m, d = g.edge_count, g.vertex_count
+    members: dict[int, int] = {}
+    for v, c in enumerate(g.component_ids()):
+        members[c] = members.get(c, 0) | 1 << v
+    components = [((c & -c).bit_length() - 1, c) for c in members.values() if c & c - 1]
+    out = []
+    for mask in range(1 << m):
+        forward = [0] * d
+        backward = [0] * d
+        for e, (u, v) in enumerate(g.edges):
+            if mask >> e & 1:
+                u, v = v, u
+            forward[u] |= 1 << v
+            backward[v] |= 1 << u
+        if all(_reach_mask(r, forward) == c and _reach_mask(r, backward) == c for r, c in components):
+            out.append(tuple(mask >> e & 1 for e in range(m)))
+    return out
+
+
+class TestTotallyCyclicScanOracle:
+    """The search lists exactly what the 2^m scan keeps, in the same order."""
+
+    def test_d6_family(self):
+        for g in connected_graph_classes(6):
+            assert enumerate_totally_cyclic_orientations(g) == totally_cyclic_by_scan(g), g
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            dipole(3),
+            Multigraph(3, ((0, 1), (1, 0), (1, 2), (2, 1))),  # antiparallel twins as stored
+            Multigraph(3, ((0, 1), (0, 1), (1, 2), (1, 2))),
+            Multigraph(3, ((0, 1), (1, 1), (1, 2), (2, 0), (0, 0))),  # loops on a triangle
+            Multigraph(3, ((1, 1),)),  # no edge but a loop on a vertex of its own
+            # two nontrivial components and an isolated vertex
+            Multigraph(7, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 3), (5, 3), (4, 5))),
+            Multigraph(4, complete_graph(4).edges * 2),
+            Multigraph(4, complete_graph(4).edges + tuple((v, u) for u, v in complete_graph(4).edges)),
+            Multigraph(4, ()),
+        ],
+        ids=["dipole3", "antiparallel", "parallel_path", "loops", "lone_loop", "two_components",
+             "k4_doubled", "k4_doubled_antiparallel", "edgeless"],
+    )
+    def test_multigraphs(self, g):
+        assert enumerate_totally_cyclic_orientations(g) == totally_cyclic_by_scan(g)
+
+    def test_bridge(self, monkeypatch):
+        def search(*args):
+            raise AssertionError("searched a graph with a bridge")
+
+        # two triangles joined by an edge, and a triangle and a dipole joined by one
+        bridged = (
+            Multigraph(6, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3))),
+            Multigraph(5, ((3, 1), (1, 4), (4, 3), (0, 2), (2, 0), (0, 3))),
+        )
+        for g in bridged:
+            assert totally_cyclic_by_scan(g) == []
+        monkeypatch.setattr(polybinom.graphs, "_reach", search)
+        for g in bridged:
+            assert enumerate_totally_cyclic_orientations(g) == []
+
+    def test_long_cycle(self):
+        # 2^20 direction vectors, two of them totally cyclic: the search pays
+        # for the two
+        start = time.perf_counter()
+        assert enumerate_totally_cyclic_orientations(cycle_graph(20)) == [(0,) * 20, (1,) * 20]
+        assert time.perf_counter() - start < 1.0
 
 
 class TestOrientationToPoset:

@@ -1,5 +1,7 @@
 import math
+from itertools import product
 
+import numpy as np
 import pytest
 
 from polybinom import caps
@@ -130,6 +132,28 @@ class TestOrderPolytope:
         assert order_polytope_points(chain(7), 12) == math.comb(19, 7)
         with pytest.raises(CapExceeded, match=r"budget exceeded: 14\^7"):
             order_polytope_points(chain(7), 13)
+
+    def test_budget_bounds_the_whole_poset(self):
+        # each component of the antichain is one element, far inside the
+        # budget, but the budget is taken on the value box of all seven
+        assert order_polytope_points(antichain(7), 12) == 13**7
+        with pytest.raises(CapExceeded, match=r"budget exceeded: 14\^7"):
+            order_polytope_points(antichain(7), 13)
+
+    def test_counts_match_brute_force(self):
+        # the oracle multiplies over the components of the comparability
+        # graph; every map of the value box, kept if it respects each relation
+        for d in range(1, 6):
+            posets = generate_posets(d)
+            relations = [[(a, b) for a in range(d) for b in range(d) if p.less(a, b)] for p in posets]
+            for n in range(d + 3):
+                for interior, values in ((False, range(n + 1)), (True, range(1, n))):
+                    maps = np.array(list(product(values, repeat=d)), dtype=np.int64).reshape(-1, d)
+                    for p, pairs in zip(posets, relations):
+                        kept = np.ones(len(maps), dtype=bool)
+                        for a, b in pairs:
+                            kept &= maps[:, a] < maps[:, b] if interior else maps[:, a] <= maps[:, b]
+                        assert order_polytope_points(p, n, interior) == int(kept.sum()), (p, n, interior)
 
     def test_strict_count_is_shifted_interior(self):
         for p in (chain(3), antichain(3), V_POSET):
