@@ -13,6 +13,7 @@ __all__ = [
     "FLOW_CANDIDATE_BUDGET",
     "FLOW_XI_CAP",
     "FLOW_XI_SURVEY_CAP",
+    "GRAPH_SURVEY_CAP",
     "LATTICE_POINT_ELEMENT_CAP",
     "ORDER_POLY_ELEMENT_CAP",
     "ORIENTATION_EDGE_CAP",
@@ -37,11 +38,12 @@ ORIENTATION_EDGE_CAP = 24
 # ORDER_POLY_ELEMENT_CAP: the order-star cross-route of `chromatic` walks
 # the order ideals of each acyclic orientation as a poset on all d vertices.
 CHROMATIC_VERTEX_CAP = 10
-# Enumeration plus the order-polynomial cross-route cost about 0.07 ms per
-# acyclic orientation at d = 8 (K8) and 0.21 ms at d = 10 (random graphs
-# with 34k to 69k orientations; Python 3.11, one core, best of 3), so this
-# bounds a `chromatic` run by about 10 s.  K8 (8! = 40,320) is admitted and
-# runs in about 3.5 s; K9 (362,880) would take about 28 s.
+# Enumeration plus the order-polynomial cross-route cost about 0.045 ms per
+# acyclic orientation at d = 8 (K8) and 0.12 to 0.16 ms at d = 10 (random
+# graphs with 34k to 50k orientations; Python 3.11, one core, best of 3), so
+# this bounds a `chromatic` run by about 10 s.  K8 (8! = 40,320) is admitted
+# and runs in about 1.8 s; K9 (362,880) would take about 20 s, at about
+# 0.055 ms per orientation (the walk on a 9-element chain alone is 0.043 ms).
 ACYCLIC_ORIENTATION_CAP = 50_000
 
 # posets ---------------------------------------------------------------------
@@ -71,6 +73,13 @@ FLOW_CANDIDATE_BUDGET = 30_000_000
 FLOW_XI_CAP = 6
 
 # surveys --------------------------------------------------------------------
+
+# The exhaustive graph and flow surveys check every connected class on up to
+# this many vertices: about 35 s and 4.3 s at d = 7.  The d <= 8 family alone
+# takes 34 s and 73 MB (12,113 classes), and a 120-class sample of the 11,117
+# classes at d = 8 takes 0.22 s each, about 41 minutes for that graph survey
+# (Python 3.11, one core).  Must not exceed CHROMATIC_VERTEX_CAP (`graph_checks`).
+GRAPH_SURVEY_CAP = 7
 
 # `generate_posets(7)` scans 2^21 relation masks in about 23 s, and checking
 # its 2045 classes would take about 95 s.  Must not exceed

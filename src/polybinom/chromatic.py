@@ -11,18 +11,20 @@ splits into palindromic parts whose positivity, chains, and constant terms
 are audited against the acyclic-orientation oracle.
 
 The same star vector also arises as the star vector of the summed strict
-counts of the posets induced by the acyclic orientations (Stanley 1973);
+counts of the orders induced by the acyclic orientations (Stanley 1973);
 that cross-route is the module's central consistency check.  It takes one
 finite-difference pass per graph, so its overdetermination node n = d+1
 sits on the sum, not on each orientation.  The orientation search hands
-over each of those posets directly, already transitively closed, so the
-cross-route builds no orientation and no second closure.
+over each of those orders as its tuple of ``above`` masks, already
+transitively closed, and the walks read the masks as they are, so the
+cross-route builds no orientation, no `Poset` and no second closure.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from . import caps
 from .decompositions import (
@@ -36,7 +38,7 @@ from .decompositions import (
 from .errors import CapExceeded, NotApplicable
 from .graphs import Multigraph, enumerate_acyclic_orientations
 from .polynomials import Polynomial, StarVector, inverse_transform, star_from_values
-from .posets import Poset, strict_map_counts
+from .posets import strict_map_counts
 
 __all__ = [
     "ChromaticResult",
@@ -98,11 +100,12 @@ def chromatic_star(g: Multigraph) -> StarVector:
     return star_from_values(values, d)
 
 
-def star_via_order_polynomials(g: Multigraph, orientations: tuple[Poset, ...]) -> StarVector:
-    """Star vector of the summed strict counts of the acyclic-orientation posets.
+def star_via_order_polynomials(g: Multigraph, orientations: Sequence[tuple[int, ...]]) -> StarVector:
+    """Star vector of the summed strict counts of the acyclic-orientation orders.
 
-    ``orientations`` are the acyclic orientations of g, each as the poset it
-    induces on all d vertices (`enumerate_acyclic_orientations`).  Their
+    ``orientations`` are the acyclic orientations of g, each as the ``above``
+    masks of the order it induces on all d vertices
+    (`enumerate_acyclic_orientations`); no `Poset` is built for them.  Their
     strict counts at n = 0..d+1 add up to chi_G(n) (Stanley 1973), and the
     identity is linear in the values, so the counts are summed and turned
     into one star vector per graph; the total must reproduce
@@ -113,8 +116,8 @@ def star_via_order_polynomials(g: Multigraph, orientations: tuple[Poset, ...]) -
         raise NotApplicable("loop", "graphs with loops have no acyclic orientations")
     d = g.vertex_count
     total = [0] * (d + 2)
-    for poset in orientations:
-        for n, count in enumerate(strict_map_counts(poset)):
+    for above in orientations:
+        for n, count in enumerate(strict_map_counts(above)):
             total[n] += count
     return star_from_values(total, d)
 
@@ -125,7 +128,7 @@ class ChromaticResult:
     chi: Polynomial
     chi_star: StarVector
     split: SymmetricSplit
-    acyclic_orientations: tuple[Poset, ...] = field(repr=False)  # each as its poset
+    acyclic_orientations: tuple[tuple[int, ...], ...] = field(repr=False)  # each as its above masks
     audits: tuple[InequalityReport, ...] = field(compare=False)
     constants_match_oracle: bool = True
 
@@ -150,7 +153,7 @@ def chromatic_analysis(g: Multigraph) -> ChromaticResult:
     """Star vector, palindromic split, and all chromatic inequality audits.
 
     The split's constant terms are compared against the number of
-    enumerated acyclic orientations, kept as their posets for the
+    enumerated acyclic orientations, kept as their orders for the
     order-polynomial cross-route, and failed audits are reported in the
     result.  chi is rebuilt from the star vector for display.  That number
     is |chi(-1)| (Stanley 1973), which is checked against

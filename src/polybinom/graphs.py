@@ -8,8 +8,10 @@ second), so it is preserved verbatim from input.
 Acyclic and totally cyclic orientations are enumerated by backtracking
 searches with no dead ends, so their cost follows their output: at most m
 steps per orientation.  The acyclic search hands over each orientation as
-the poset it induces; the totally cyclic one fixes edges in a mixed graph
-that stays strongly connected (Boesch & Tindell 1980).  An orientation is its
+the order it induces, a tuple of ``above`` bitmasks already transitively
+closed, which the order-star walks of `posets` read as they are; the
+totally cyclic one fixes edges in a mixed graph that stays strongly
+connected (Boesch & Tindell 1980).  A totally cyclic orientation is its
 direction vector: one bit per edge, 0 keeps the stored (tail, head), 1
 reverses it.
 """
@@ -22,7 +24,6 @@ from typing import Sequence
 
 from . import caps
 from .errors import CapExceeded, InputFormatError
-from .posets import Poset
 
 __all__ = [
     "Multigraph",
@@ -64,9 +65,6 @@ class Multigraph:
     @property
     def has_loops(self) -> bool:
         return any(u == v for u, v in self.edges)
-
-    def loops(self) -> tuple[int, ...]:
-        return tuple(i for i, (u, v) in enumerate(self.edges) if u == v)
 
     def component_ids(self) -> list[int]:
         """Component index per vertex; loops attach to their own vertex."""
@@ -149,8 +147,8 @@ def delete_edge(g: Multigraph, e: int) -> Multigraph:
 # orientations
 
 
-def enumerate_acyclic_orientations(g: Multigraph) -> list[Poset]:
-    """All orientations with no coherently oriented cycle, each as its poset.
+def enumerate_acyclic_orientations(g: Multigraph) -> list[tuple[int, ...]]:
+    """All orientations with no coherently oriented cycle, each as its order.
 
     A backtracking search over the edges in index order keeps, per vertex,
     the bitmask of the vertices it reaches.  Edge e may point t -> h only if
@@ -162,10 +160,11 @@ def enumerate_acyclic_orientations(g: Multigraph) -> list[Poset]:
     (Stanley 1973), before they enumerate.
 
     At a leaf the reachability masks are the transitive closure of the
-    orientation, so it is returned as the poset on the vertices with
-    ``above[v] = reach[v]`` minus v, in search order.  The poset determines
-    the orientation (the ends of every edge are comparable), so the list has
-    one entry per acyclic orientation.
+    orientation, so it is returned as the tuple ``above[v] = reach[v]`` minus
+    v: the ``above`` masks of the strict order it induces on the vertices
+    (``Poset(d, above)`` accepts every one), in search order.  The order
+    determines the orientation (the ends of every edge are comparable), so
+    the list has one entry per acyclic orientation.
 
     A loop is itself a directed cycle, so a graph with loops has none.
     Antiparallel twins form a 2-cycle, so parallel edges must agree in
@@ -174,19 +173,19 @@ def enumerate_acyclic_orientations(g: Multigraph) -> list[Poset]:
     if g.has_loops:
         return []
     edges, m, d = g.edges, g.edge_count, g.vertex_count
-    posets = []
+    orders = []
     stack = [(0, tuple(1 << v for v in range(d)))]
     while stack:
         e, reach = stack.pop()
         if e == m:
-            posets.append(Poset(d, tuple(r & ~(1 << v) for v, r in enumerate(reach))))
+            orders.append(tuple(r & ~(1 << v) for v, r in enumerate(reach)))
             continue
         u, v = edges[e]
         for t, h in ((u, v), (v, u)):
             if not reach[h] >> t & 1:
                 gain = reach[h]
                 stack.append((e + 1, tuple(r | gain if r >> t & 1 else r for r in reach)))
-    return posets
+    return orders
 
 
 def enumerate_totally_cyclic_orientations(g: Multigraph) -> list[tuple[int, ...]]:

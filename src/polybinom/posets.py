@@ -12,14 +12,16 @@ linear extensions.
 
 The star vectors are integer finite differences of exact counts
 (`star_from_values`), with one extra count as an overdetermination node
-where it is cheap.  The strict order count comes from walks on the lattice
-J(P) of order ideals (`omega_star`, d <= 10); the lattice-point counts come
-from backtracking over maps (d <= 7), as a product over the components of
-the comparability graph, and are the independent oracle it is checked
-against.  The descent route is the fast cross-check of h*, with its
-convention (descents of the extension word under the lexicographically
-smallest natural labeling) frozen after calibration against the
-lattice-point oracle.
+where it is cheap.  The strict order count comes from walks on the up-sets
+of P, read off its ``above`` masks (`strict_map_counts`, which also takes
+the bare masks of the acyclic-orientation search; `omega_star`, d <= 10);
+the lattice-point counts come from backtracking over maps (d <= 7) on P's
+masks, multiplied over the components of the comparability graph, and are
+the independent oracle it is checked against.  A `Poset` is built and
+validated only where an order enters the program.  The descent route is
+the fast cross-check of h*, with its convention (descents of the extension
+word under the lexicographically smallest natural labeling) frozen after
+calibration against the lattice-point oracle.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from typing import Iterator, Sequence
 
 from . import caps
 from .errors import CapExceeded, InputFormatError
+from .graphs import invariant_sorting_maps, refine_invariants
 from .polynomials import StarVector, star_from_values
 
 __all__ = [
@@ -93,13 +96,9 @@ class Poset:
         while changed:
             changed = False
             for i in range(d):
-                mask = above[i]
-                acc = mask
-                j = mask
-                while j:
-                    b = (j & -j).bit_length() - 1
+                mask = acc = above[i]
+                for b in _bits(mask):
                     acc |= above[b]
-                    j &= j - 1
                 if acc != mask:
                     above[i] = acc
                     changed = True
@@ -115,24 +114,18 @@ class Poset:
     def below(self) -> tuple[int, ...]:
         masks = [0] * self.element_count
         for i in range(self.element_count):
-            j = self.above[i]
-            while j:
-                b = (j & -j).bit_length() - 1
+            for b in _bits(self.above[i]):
                 masks[b] |= 1 << i
-                j &= j - 1
         return tuple(masks)
 
     def cover_pairs(self) -> tuple[tuple[int, int], ...]:
         """Transitive reduction: pairs a < b with nothing strictly between."""
-        out = []
-        for a in range(self.element_count):
-            j = self.above[a]
-            while j:
-                b = (j & -j).bit_length() - 1
-                j &= j - 1
-                if not (self.above[a] & self.below[b]):
-                    out.append((a, b))
-        return tuple(sorted(out))
+        return tuple(
+            (a, b)
+            for a in range(self.element_count)
+            for b in _bits(self.above[a])
+            if not self.above[a] & self.below[b]
+        )
 
     @property
     def is_antichain(self) -> bool:
@@ -140,19 +133,16 @@ class Poset:
 
     def natural_labeling(self) -> tuple[int, ...]:
         """Lexicographically smallest topological order of the elements."""
-        d = self.element_count
-        placed = 0
-        order = []
-        remaining = set(range(d))
-        while remaining:
-            for v in sorted(remaining):
-                if self.below[v] & ~placed == 0:
-                    order.append(v)
-                    placed |= 1 << v
-                    remaining.remove(v)
+        d, below = self.element_count, self.below
+        order, placed = [], 0
+        while len(order) < d:
+            for v in range(d):
+                if not placed >> v & 1 and below[v] & ~placed == 0:
                     break
             else:
                 raise AssertionError("no minimal element found; order is cyclic")
+            order.append(v)
+            placed |= 1 << v
         return tuple(order)
 
     def linear_extensions(self) -> Iterator[tuple[int, ...]]:
@@ -199,7 +189,8 @@ def _count_monotone_maps(p: Poset, low: int, high: int, strict: bool) -> int:
 
     Elements in different components of the comparability graph constrain
     each other in no way, so the count is the product of the counts of the
-    components, each restricted to a poset on its own elements.  The budget
+    components.  Each backtracks on P's own masks in P's natural labeling
+    filtered to its elements, which is its own natural labeling.  The budget
     bounds the value box of the whole poset.
     """
     d = p.element_count
@@ -211,7 +202,8 @@ def _count_monotone_maps(p: Poset, low: int, high: int, strict: bool) -> int:
     if span**d > caps.POINT_ENUMERATION_BUDGET:
         raise CapExceeded(f"map enumeration budget exceeded: {span}^{d}")
     related = [a | b for a, b in zip(p.above, p.below)]
-    full = left = (1 << d) - 1
+    labeling = p.natural_labeling()
+    left = (1 << d) - 1
     total = 1
     while left:
         component = frontier = left & -left
@@ -222,31 +214,19 @@ def _count_monotone_maps(p: Poset, low: int, high: int, strict: bool) -> int:
             frontier = step & ~component
             component |= step
         left &= ~component
-        part = p if component == full else _restrict(p, component)
-        total *= _backtrack_maps(part, low, high, strict)
+        order = [v for v in labeling if component >> v & 1]
+        total *= _backtrack_maps(order, p.below, low, high, strict)
     return total
 
 
-def _restrict(p: Poset, members: int) -> Poset:
-    """The subposet on the elements of `members`, relabeled 0.. in order."""
-    index = {v: i for i, v in enumerate(_bits(members))}
-    return Poset(len(index), tuple(sum(1 << index[b] for b in _bits(p.above[v])) for v in index))
-
-
-def _backtrack_maps(p: Poset, low: int, high: int, strict: bool) -> int:
-    """Backtracks over elements in topological order; predecessors bound each
-    value from below, so pruning is exact.  P is nonempty and low <= high."""
-    d = p.element_count
-    order = p.natural_labeling()
+def _backtrack_maps(order: list[int], below: Sequence[int], low: int, high: int, strict: bool) -> int:
+    """Backtracks over the elements of `order`, a topological order of a
+    down-closed set of elements; predecessors bound each value from below, so
+    pruning is exact.  `order` is nonempty and low <= high."""
+    d = len(order)
     pos = {v: i for i, v in enumerate(order)}
     bump = 1 if strict else 0
-    preds: list[list[int]] = [[] for _ in range(d)]
-    for i, v in enumerate(order):
-        mask = p.below[v]
-        while mask:
-            b = (mask & -mask).bit_length() - 1
-            preds[i].append(pos[b])
-            mask &= mask - 1
+    preds = [[pos[b] for b in _bits(below[v])] for v in order]
     values = [0] * d
 
     def count_from(i: int) -> int:
@@ -268,39 +248,42 @@ def _backtrack_maps(p: Poset, low: int, high: int, strict: bool) -> int:
     return count_from(0)
 
 
-def strict_map_counts(p: Poset) -> list[int]:
-    """Strict order-preserving maps P -> {1..n} for n = 0..d+1.
+def strict_map_counts(above: Sequence[int]) -> list[int]:
+    """Strict order-preserving maps P -> {1..n} for n = 0..d+1, where
+    ``above[v]`` masks the elements above v (`Poset.above`, or an order from
+    `enumerate_acyclic_orientations`).
 
-    A strict map f is the chain of order ideals I_k = f^-1({1..k}), and each
-    step I_{k-1} -> I_k adds an antichain: a subset, possibly empty, of the
-    minimal elements of P minus I_{k-1}.  So counts[n] is the number of
-    length-n walks from the empty ideal to P along such steps (Stanley,
-    *Ordered structures and partitions*, 1972), counted over the lattice
-    J(P) of order ideals as bitmasks.
+    A strict map f is the chain of up-sets F_k = f^-1({n-k+1..n}), and each
+    step adds an antichain: a subset, possibly empty, of the maximal elements
+    of P minus F_{k-1}.  So counts[n] is the number of length-n walks from
+    the empty up-set to P (Stanley, *Ordered structures and partitions*,
+    1972).  These are the walks on the order ideals of the dual of P, and
+    f -> n+1-f maps the strict maps of P onto those of the dual, so no
+    ``below`` mask is needed.  The walk needs no closed order, and a cyclic
+    tuple never reaches the full set, so it counts 0 at every n.
     """
-    d = p.element_count
-    below = p.below
+    d = len(above)
     full = (1 << d) - 1
     successors: dict[int, list[int]] = {}
     walks = {0: 1}
     counts = [walks.get(full, 0)]
     for _ in range(d + 1):
         advanced: dict[int, int] = {}
-        for ideal, ways in walks.items():
-            steps = successors.get(ideal)
+        for upset, ways in walks.items():
+            steps = successors.get(upset)
             if steps is None:
-                minimal = 0
+                maximal = 0
                 for b in range(d):
-                    if not (ideal >> b) & 1 and below[b] & ~ideal == 0:
-                        minimal |= 1 << b
+                    if not (upset >> b) & 1 and above[b] & ~upset == 0:
+                        maximal |= 1 << b
                 steps = []
-                added = minimal
+                added = maximal
                 while True:
-                    steps.append(ideal | added)
+                    steps.append(upset | added)
                     if not added:
                         break
-                    added = (added - 1) & minimal
-                successors[ideal] = steps
+                    added = (added - 1) & maximal
+                successors[upset] = steps
             for step in steps:
                 advanced[step] = advanced.get(step, 0) + ways
         walks = advanced
@@ -322,7 +305,7 @@ def omega_star(p: Poset) -> StarVector:
         raise CapExceeded(f"order polynomial cap is {caps.ORDER_POLY_ELEMENT_CAP} elements, got {d}")
     if d == 0:
         raise ValueError("the empty poset has no star vector in this convention")
-    return star_from_values(strict_map_counts(p), d, start=0)
+    return star_from_values(strict_map_counts(p.above), d, start=0)
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +410,6 @@ def _upper_triangular_closures(d: int) -> Iterator[tuple[int, ...]]:
 
 
 def _poset_invariant(d: int, above: Sequence[int], below: Sequence[int]) -> tuple[int, ...]:
-    from .graphs import refine_invariants  # shared partition-refinement helper
-
     init = [(bin(below[v]).count("1"), bin(above[v]).count("1")) for v in range(d)]
 
     def profile(v: int, inv):
@@ -448,8 +429,6 @@ def _bits(mask: int) -> Iterator[int]:
 
 def poset_certificate(p: Poset) -> tuple:
     """Hashable encoding equal exactly for isomorphic posets."""
-    from .graphs import invariant_sorting_maps
-
     d = p.element_count
     if d == 0:
         return (0, 0)

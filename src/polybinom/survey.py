@@ -246,11 +246,18 @@ def _flow_record(checked: FlowChecks) -> dict:
 # survey drivers: family construction, then one shared check loop
 
 
+def _graph_family(max_size: int) -> list[Multigraph]:
+    """The exhaustive graph family; refused above `caps.GRAPH_SURVEY_CAP` before it is built."""
+    if max_size > caps.GRAPH_SURVEY_CAP:
+        raise CapExceeded(f"graph survey cap is {caps.GRAPH_SURVEY_CAP} vertices, got {max_size}")
+    return connected_graph_classes(max_size)
+
+
 def run_graph_survey(max_size: int, mode: str = "exhaustive", seed: int = 0) -> SurveyReport:
-    """`graph_checks` over connected loopless simple graphs."""
+    """`graph_checks` over connected loopless simple graphs (see `_graph_family`)."""
     report = SurveyReport("graphs", {"max_size": max_size, "mode": mode, "seed": seed})
     if mode == "exhaustive":
-        graphs = connected_graph_classes(max_size)
+        graphs = _graph_family(max_size)
     elif mode == "sample":
         graphs = sample_graphs(seed, count=25, max_d=max_size)
     else:
@@ -279,12 +286,13 @@ def run_poset_survey(max_size: int, mode: str = "exhaustive", seed: int = 0) -> 
 
 
 def run_flow_survey(max_size: int, mode: str = "exhaustive", seed: int = 0) -> SurveyReport:
-    """`flow_checks` over bridgeless instances with 1 <= xi <= `caps.FLOW_XI_SURVEY_CAP`."""
+    """`flow_checks` over bridgeless instances with 1 <= xi <= `caps.FLOW_XI_SURVEY_CAP`
+    (exhaustive family: see `_graph_family`)."""
     report = SurveyReport(
         "flows", {"max_size": max_size, "mode": mode, "seed": seed, "max_xi": caps.FLOW_XI_SURVEY_CAP}
     )
     if mode == "exhaustive":
-        graphs = connected_graph_classes(max_size)
+        graphs = _graph_family(max_size)
         instances = [(_graph_id(g), g) for g in graphs] + flow_fixture_set()
     elif mode == "sample":
         instances = [

@@ -230,9 +230,9 @@ def _miscount_first_orientation(monkeypatch, miscount):
 
     calls = []
 
-    def miscounted(p):
-        calls.append(p)
-        counts = strict_map_counts(p)
+    def miscounted(above):
+        calls.append(above)
+        counts = strict_map_counts(above)
         return miscount(counts) if len(calls) == 1 else counts
 
     monkeypatch.setattr(chromatic, "strict_map_counts", miscounted)
@@ -249,6 +249,41 @@ def test_miscounted_orientation_is_a_reported_failure(monkeypatch, tmp_path, cap
     assert [ce["check"] for ce in report.counterexamples] == ["order_polynomial_sum_matches"]
 
     _miscount_first_orientation(monkeypatch, miscount)
+    path = tmp_path / "k4.graph"
+    path.write_text(format_graph_file(complete_graph(4)))
+    assert main(["chromatic", str(path)]) == EXIT_COUNTEREXAMPLE
+    assert capsys.readouterr().err == "failed checks: order_polynomial_sum_matches\n"
+
+
+def _corrupt_first_orientation(monkeypatch):
+    import polybinom.chromatic as chromatic
+
+    enumerate_orders = chromatic.enumerate_acyclic_orientations
+
+    def corrupted(g):
+        # on K4 only, 0 < 1 < 0: the masks of no order, which no runtime
+        # validation refuses
+        orders = enumerate_orders(g)
+        if g != complete_graph(4):
+            return orders
+        first, *rest = orders
+        return [(0b010, 0b001, *first[2:]), *rest]
+
+    monkeypatch.setattr(chromatic, "enumerate_acyclic_orientations", corrupted)
+
+
+def test_corrupted_orientation_is_a_reported_failure(monkeypatch, tmp_path, capsys):
+    # the walk needs no closed order, and a cyclic one counts 0 at every n,
+    # so the cross-route sum misses chi and the check fails
+    _corrupt_first_orientation(monkeypatch)
+    checked = graph_checks(complete_graph(4))
+    assert checked.failures == ["order_polynomial_sum_matches"]
+
+    report = run_graph_survey(4)
+    assert report.counterexamples == [
+        {"id": _graph_id(complete_graph(4)), "check": "order_polynomial_sum_matches"}
+    ]
+
     path = tmp_path / "k4.graph"
     path.write_text(format_graph_file(complete_graph(4)))
     assert main(["chromatic", str(path)]) == EXIT_COUNTEREXAMPLE

@@ -24,7 +24,7 @@ from polybinom.graphs import (
     path_graph,
 )
 from polybinom.polynomials import Polynomial, StarVector, inverse_transform
-from polybinom.posets import omega_star
+from polybinom.posets import Poset, omega_star
 from polybinom.survey import connected_graph_classes
 
 
@@ -215,8 +215,8 @@ class TestOrderPolynomialRoute:
             d = g.vertex_count
             orientations = enumerate_acyclic_orientations(g)
             total = [0] * (d + 1)
-            for poset in orientations:
-                for i, x in enumerate(omega_star(poset).entries):
+            for above in orientations:
+                for i, x in enumerate(omega_star(Poset(d, above)).entries):
                     total[i] += x
             summed = star_via_order_polynomials(g, orientations)
             assert summed == StarVector(tuple(total), d, start=0), g

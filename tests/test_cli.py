@@ -4,6 +4,7 @@ import pytest
 
 import polybinom.cli
 import polybinom.flows
+import polybinom.survey
 from polybinom import caps
 from polybinom.cli import main
 from polybinom.graphs import (
@@ -232,6 +233,19 @@ class TestSurveyCommand:
         assert "instances: 8  skipped: 0" in capsys.readouterr().out
         assert main(["survey", "posets", "--max-size", "4"]) == 3
         assert capsys.readouterr().err == "cap exceeded: poset survey cap is 3 elements, got 4\n"
+
+    @pytest.mark.parametrize("kind", ["graphs", "flows"])
+    def test_exhaustive_graph_survey_cap(self, kind, monkeypatch, capsys):
+        # above the cap the survey is refused before any class is generated
+        def refuse(max_d):
+            raise AssertionError("generated a graph family above the cap")
+
+        monkeypatch.setattr(polybinom.survey, "connected_graph_classes", refuse)
+        assert caps.GRAPH_SURVEY_CAP == 7
+        assert main(["survey", kind, "--max-size", "8"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "cap exceeded: graph survey cap is 7 vertices, got 8\n"
 
     def test_flows_with_fixtures(self, capsys):
         assert main(["survey", "flows", "--max-size", "3"]) == 0

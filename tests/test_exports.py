@@ -52,6 +52,7 @@ def test_readme_names_every_cap():
         "DESCENT_ELEMENT_CAP": ["the descent route `d <= {}`"],
         "FLOW_XI_CAP": ["flows `xi <= {}`"],
         "POSET_SURVEY_CAP": ["the exhaustive poset survey `d <= {}`"],
+        "GRAPH_SURVEY_CAP": ["the exhaustive graph and flow surveys `d <= {}`"],
         "FLOW_XI_SURVEY_CAP": ["the flow survey `xi <= {}`"],
     }
     declared = sorted(name for name in vars(caps) if name.isupper())
@@ -67,4 +68,6 @@ def test_cap_relations():
     # `poset_checks` hits the lattice-point cap before the others
     assert caps.LATTICE_POINT_ELEMENT_CAP <= min(caps.DESCENT_ELEMENT_CAP, caps.ORDER_POLY_ELEMENT_CAP)
     assert caps.POSET_SURVEY_CAP <= caps.LATTICE_POINT_ELEMENT_CAP
+    # `graph_checks` takes every graph of the exhaustive graph survey
+    assert caps.GRAPH_SURVEY_CAP <= caps.CHROMATIC_VERTEX_CAP
     assert caps.FLOW_XI_SURVEY_CAP <= caps.FLOW_XI_CAP

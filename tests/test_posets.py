@@ -79,7 +79,18 @@ class TestOrderPolynomial:
         for d in range(1, 7):
             for p in generate_posets(d):
                 expected = [interior_point_count(p, n + 1) for n in range(d + 2)]
-                assert strict_map_counts(p) == expected
+                assert strict_map_counts(p.above) == expected
+
+    def test_walk_counts_are_those_of_the_dual(self):
+        # f -> n+1-f maps the strict maps of P onto those of its dual, so the
+        # walk on the above masks counts the same as the walk on the below masks
+        for d in range(1, 7):
+            for p in generate_posets(d):
+                assert strict_map_counts(p.above) == strict_map_counts(p.below), p
+
+    def test_cyclic_masks_count_nothing(self):
+        # 0 < 1 < 0 is no order: neither element is ever free to be added
+        assert strict_map_counts((0b010, 0b001, 0)) == [0] * 5
 
     def test_order_star_shares_no_code_with_lattice_route(self, monkeypatch):
         from polybinom.chromatic import star_via_order_polynomials
