@@ -41,8 +41,8 @@ from .polynomials import (
 from .posets import (
     Poset,
     hstar_via_descents,
+    lattice_point_counts,
     omega_star,
-    order_polytope_points,
 )
 from .chromatic import (
     ChromaticResult,
@@ -87,10 +87,10 @@ __all__ = [
     "in_degree_sequence_count",
     "inverse_transform",
     "kochol_tables",
+    "lattice_point_counts",
     "modular_flow_count",
     "monomial_inequality_forms",
     "omega_star",
-    "order_polytope_points",
     "star_from_values",
     "star_via_order_polynomials",
     "symmetric_split",

@@ -53,14 +53,20 @@ ACYCLIC_ORIENTATION_CAP = 50_000
 ORDER_POLY_ELEMENT_CAP = 10
 # `hstar_via_descents` lists every linear extension, at most d! = 40,320.
 DESCENT_ELEMENT_CAP = 8
-# The lattice-point oracle scans at most 8^7 maps on the checking routes
-# (d <= 7, dilates n <= d+2).  At d = 8 the closed 8th dilate has a 9^8
-# (about 43M) value box, which POINT_ENUMERATION_BUDGET admits, so the
-# oracle declares its own cap.  It must not exceed DESCENT_ELEMENT_CAP or
-# ORDER_POLY_ELEMENT_CAP: `poset_checks` relies on hitting this cap first.
+# The lattice-point oracle walks each component once, at the top dilate
+# (closed at n = d, interior at n = d+2): on the checking routes a value box
+# of at most 8^7 maps (d <= 7, d+1 values), of which it backtracks over the
+# first d-2 elements only.  That takes about 7.5 ms per poset at d = 7,
+# closed and interior together, and 70 ms at most (Python 3.11, one core).
+# At d = 8 the closed 8th dilate has a 9^8 (about 43M) value box, which
+# POINT_ENUMERATION_BUDGET admits, so the oracle declares its own cap;
+# `order` checks it against the file's element count before building the
+# poset.  It must not exceed DESCENT_ELEMENT_CAP or ORDER_POLY_ELEMENT_CAP:
+# `poset_checks` relies on hitting this cap first.
 LATTICE_POINT_ELEMENT_CAP = 7
-# `order_polytope_points` refuses a value box span^d larger than this.  No
-# checking route reaches it; it bounds direct calls at a large dilate.
+# `lattice_point_counts` refuses a top dilate whose value box span^d is
+# larger than this.  No checking route reaches it; it bounds direct calls at
+# a large dilate.
 POINT_ENUMERATION_BUDGET = 10**8
 
 # flows ----------------------------------------------------------------------
@@ -81,10 +87,11 @@ FLOW_XI_CAP = 6
 # (Python 3.11, one core).  Must not exceed CHROMATIC_VERTEX_CAP (`graph_checks`).
 GRAPH_SURVEY_CAP = 7
 
-# `generate_posets(7)` scans 2^21 relation masks in about 23 s, and checking
-# its 2045 classes would take about 95 s.  Must not exceed
-# LATTICE_POINT_ELEMENT_CAP, which `poset_checks` needs.
-POSET_SURVEY_CAP = 6
+# The exhaustive poset survey at d = 7 grows its 2045 classes in about 1 s
+# and checks all 2450 classes of d <= 7 in 16 to 18 s, at 57 MB peak RSS
+# (Python 3.11, one core).  Must not exceed LATTICE_POINT_ELEMENT_CAP, which
+# `poset_checks` needs.
+POSET_SURVEY_CAP = 7
 # The flow survey skips xi = 6.  One such instance (K5) takes about 0.3 s
 # (Python 3.11, one core), and the 9 bridgeless classes with xi = 6 at
 # d <= 6 take about 2.2 s together, more than the 1.3 s of the whole d <= 6

@@ -15,20 +15,27 @@ The star vectors are integer finite differences of exact counts
 where it is cheap.  The strict order count comes from walks on the up-sets
 of P, read off its ``above`` masks (`strict_map_counts`, which also takes
 the bare masks of the acyclic-orientation search; `omega_star`, d <= 10);
-the lattice-point counts come from backtracking over maps (d <= 7) on P's
-masks, multiplied over the components of the comparability graph, and are
-the independent oracle it is checked against.  A `Poset` is built and
-validated only where an order enters the program.  The descent route is
-the fast cross-check of h*, with its convention (descents of the extension
-word under the lexicographically smallest natural labeling) frozen after
-calibration against the lattice-point oracle.
+the lattice-point counts are the independent oracle it is checked against
+(`lattice_point_counts`, d <= 7).  They come from one backtracking walk over
+the maps of each component of the comparability graph at the top dilate,
+each map bucketed by its largest value, so cumulative sums give every
+smaller dilate and products over the components give P's counts.  A
+`Poset` is built and validated only where an order enters the program.  The
+descent route is the fast cross-check of h*, with its convention (descents
+of the extension word under the lexicographically smallest natural
+labeling) frozen after calibration against the lattice-point oracle.
+
+`generate_posets` grows the isomorphism classes one element at a time, a
+new maximal element above one order ideal of each smaller class, and
+deduplicates them by `poset_certificate`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from itertools import accumulate
+from typing import Iterable, Iterator, Sequence
 
 from . import caps
 from .errors import CapExceeded, InputFormatError
@@ -42,10 +49,9 @@ __all__ = [
     "ehrhart_star",
     "generate_posets",
     "hstar_via_descents",
-    "interior_point_count",
     "interior_star",
+    "lattice_point_counts",
     "omega_star",
-    "order_polytope_points",
     "parse_poset_file",
     "poset_certificate",
     "strict_map_counts",
@@ -106,9 +112,6 @@ class Poset:
             if (above[i] >> i) & 1:
                 raise ValueError("relation contains a cycle; not a partial order")
         return cls(d, tuple(above))
-
-    def less(self, a: int, b: int) -> bool:
-        return bool((self.above[a] >> b) & 1)
 
     @cached_property
     def below(self) -> tuple[int, ...]:
@@ -184,70 +187,6 @@ def antichain(d: int) -> Poset:
 # counting maps
 
 
-def _count_monotone_maps(p: Poset, low: int, high: int, strict: bool) -> int:
-    """Maps f: P -> {low..high} respecting the order (strictly or weakly).
-
-    Elements in different components of the comparability graph constrain
-    each other in no way, so the count is the product of the counts of the
-    components.  Each backtracks on P's own masks in P's natural labeling
-    filtered to its elements, which is its own natural labeling.  The budget
-    bounds the value box of the whole poset.
-    """
-    d = p.element_count
-    if d == 0:
-        return 1
-    if high < low:
-        return 0
-    span = high - low + 1
-    if span**d > caps.POINT_ENUMERATION_BUDGET:
-        raise CapExceeded(f"map enumeration budget exceeded: {span}^{d}")
-    related = [a | b for a, b in zip(p.above, p.below)]
-    labeling = p.natural_labeling()
-    left = (1 << d) - 1
-    total = 1
-    while left:
-        component = frontier = left & -left
-        while frontier:
-            step = 0
-            for v in _bits(frontier):
-                step |= related[v]
-            frontier = step & ~component
-            component |= step
-        left &= ~component
-        order = [v for v in labeling if component >> v & 1]
-        total *= _backtrack_maps(order, p.below, low, high, strict)
-    return total
-
-
-def _backtrack_maps(order: list[int], below: Sequence[int], low: int, high: int, strict: bool) -> int:
-    """Backtracks over the elements of `order`, a topological order of a
-    down-closed set of elements; predecessors bound each value from below, so
-    pruning is exact.  `order` is nonempty and low <= high."""
-    d = len(order)
-    pos = {v: i for i, v in enumerate(order)}
-    bump = 1 if strict else 0
-    preds = [[pos[b] for b in _bits(below[v])] for v in order]
-    values = [0] * d
-
-    def count_from(i: int) -> int:
-        lo = low
-        for q in preds[i]:
-            bound = values[q] + bump
-            if bound > lo:
-                lo = bound
-        if lo > high:
-            return 0
-        if i == d - 1:
-            return high - lo + 1
-        total = 0
-        for val in range(lo, high + 1):
-            values[i] = val
-            total += count_from(i + 1)
-        return total
-
-    return count_from(0)
-
-
 def strict_map_counts(above: Sequence[int]) -> list[int]:
     """Strict order-preserving maps P -> {1..n} for n = 0..d+1, where
     ``above[v]`` masks the elements above v (`Poset.above`, or an order from
@@ -312,32 +251,129 @@ def omega_star(p: Poset) -> StarVector:
 # order polytope oracles
 
 
-def order_polytope_points(p: Poset, n: int, interior: bool = False) -> int:
-    """Lattice points of the n-th dilate of the order polytope (or its interior).
+def _check_lattice_point_cap(d: int) -> None:
+    if d > caps.LATTICE_POINT_ELEMENT_CAP:
+        raise CapExceeded(
+            f"lattice-point enumeration cap is {caps.LATTICE_POINT_ELEMENT_CAP} elements, got {d}"
+        )
+
+
+def _maps_by_largest_value(order: list[int], below: Sequence[int], low: int, high: int, strict: bool) -> list[int]:
+    """``by_max[v]``: the maps f: order -> {low..high} respecting the order
+    (strictly or weakly) whose largest value is v, for v = 0..high.
+
+    Backtracks over the elements of `order`, a topological order of a
+    down-closed set of elements; predecessors bound each value from below, so
+    pruning is exact.  What the last two elements add depends only on the
+    next-to-last one's lower bound, the largest value so far and the last
+    one's bound from the other elements, so the walk tallies those triples
+    and each distinct triple is expanded once.  There the last element adds
+    its whole range at once: the values up to the current largest keep it,
+    and each larger value is a new largest, one count for every v in a range
+    that ends at `high`, so only the range's start is recorded and a prefix
+    sum spreads it.  `order` is nonempty.
+    """
+    d = len(order)
+    pos = {v: i for i, v in enumerate(order)}
+    bump = 1 if strict else 0
+    preds = [[pos[b] for b in _bits(below[v])] for v in order]
+    values = [0] * d
+    last = d - 1
+    # the last element's bound from every element but the next-to-last
+    tied = last - 1 in preds[last]
+    fixed = [q for q in preds[last] if q != last - 1]
+    by_max = [0] * (high + 1)
+    starts = [0] * (high + 1)
+    tally: dict[tuple[int, int, int], int] = {}
+
+    def walk(i: int, largest: int) -> None:
+        lo = low
+        for q in preds[i]:
+            bound = values[q] + bump
+            if bound > lo:
+                lo = bound
+        if lo > high:
+            return
+        if i == last:  # a component of one element
+            starts[lo] += 1
+        elif i == last - 1:
+            floor = low
+            for q in fixed:
+                bound = values[q] + bump
+                if bound > floor:
+                    floor = bound
+            key = (lo, largest, floor)
+            tally[key] = tally.get(key, 0) + 1
+        else:
+            for val in range(lo, high + 1):
+                values[i] = val
+                walk(i + 1, val if val > largest else largest)
+
+    walk(0, -1)
+    for (lo, largest, floor), times in tally.items():
+        for val in range(lo, high + 1):
+            top = val if val > largest else largest
+            end = val + bump if tied and val + bump > floor else floor
+            if end > high:
+                break
+            if top >= end:
+                by_max[top] += times * (top - end + 1)
+                end = top + 1
+            if end <= high:
+                starts[end] += times
+    return [count + spread for count, spread in zip(by_max, accumulate(starts))]
+
+
+def lattice_point_counts(p: Poset, top: int, *, interior: bool = False) -> list[int]:
+    """Lattice points of the n-th dilate of the order polytope (or of its
+    interior), for n = 0..top.
 
     Closed: weakly order-preserving maps into {0..n}.  Interior: strictly
-    order-preserving maps into {1..n-1}.
+    order-preserving maps into {1..n-1}.  Each component of the comparability
+    graph is walked once, at the top dilate, with every map bucketed by its
+    largest value; the maps of a smaller dilate are those whose largest value
+    fits it, so cumulative sums give every dilate.  Elements in different
+    components constrain each other in no way, so P's counts are the
+    products of the components' counts.  Each component backtracks on P's
+    own masks in P's natural labeling filtered to its elements, which is its
+    own natural labeling.  The budget bounds the value box of the whole
+    poset at the top dilate.
     """
-    if n < 0:
+    if top < 0:
         raise ValueError("dilation factor must be nonnegative")
-    if p.element_count > caps.LATTICE_POINT_ELEMENT_CAP:
-        raise CapExceeded(
-            f"lattice-point enumeration cap is {caps.LATTICE_POINT_ELEMENT_CAP} elements, "
-            f"got {p.element_count}"
-        )
-    if interior:
-        return _count_monotone_maps(p, 1, n - 1, strict=True)
-    return _count_monotone_maps(p, 0, n, strict=False)
-
-
-def interior_point_count(p: Poset, n: int) -> int:
-    return order_polytope_points(p, n, interior=True)
+    d = p.element_count
+    _check_lattice_point_cap(d)
+    counts = [1] * (top + 1)
+    if d == 0:
+        return counts
+    low, high = (1, top - 1) if interior else (0, top)
+    span = high - low + 1
+    if span > 0 and span**d > caps.POINT_ENUMERATION_BUDGET:
+        raise CapExceeded(f"map enumeration budget exceeded: {span}^{d}")
+    related = [a | b for a, b in zip(p.above, p.below)]
+    labeling = p.natural_labeling()
+    # the interior of the n-th dilate takes values up to n-1
+    shift = [0] if interior else []
+    left = (1 << d) - 1
+    while left:
+        component = frontier = left & -left
+        while frontier:
+            step = 0
+            for v in _bits(frontier):
+                step |= related[v]
+            frontier = step & ~component
+            component |= step
+        left &= ~component
+        order = [v for v in labeling if component >> v & 1]
+        by_max = _maps_by_largest_value(order, p.below, low, high, interior)
+        counts = [c * fits for c, fits in zip(counts, shift + list(accumulate(by_max)))]
+    return counts
 
 
 def ehrhart_star(p: Poset) -> StarVector:
     """h* of the order polytope from its lattice-point counts at n = 0..d."""
     d = p.element_count
-    return star_from_values([order_polytope_points(p, n) for n in range(d + 1)], d, start=0)
+    return star_from_values(lattice_point_counts(p, d), d, start=0)
 
 
 def interior_star(p: Poset) -> StarVector:
@@ -347,8 +383,7 @@ def interior_star(p: Poset) -> StarVector:
     it was built from.
     """
     d = p.element_count
-    counts = [interior_point_count(p, n) for n in range(1, d + 3)]
-    return star_from_values(counts, d, start=1)
+    return star_from_values(lattice_point_counts(p, d + 2, interior=True)[1:], d, start=1)
 
 
 def hstar_via_descents(p: Poset) -> StarVector:
@@ -378,35 +413,6 @@ def hstar_via_descents(p: Poset) -> StarVector:
 
 # ---------------------------------------------------------------------------
 # exhaustive generation up to isomorphism
-
-
-def _upper_triangular_closures(d: int) -> Iterator[tuple[int, ...]]:
-    """All transitively closed strict orders compatible with 0 < 1 < ... < d-1.
-
-    Every isomorphism class has at least one such representative (relabel by
-    any topological order).
-    """
-    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    npairs = len(pairs)
-    for mask in range(1 << npairs):
-        above = [0] * d
-        for k in range(npairs):
-            if (mask >> k) & 1:
-                i, j = pairs[k]
-                above[i] |= 1 << j
-        ok = True
-        for i in range(d):
-            j = above[i]
-            while j:
-                b = (j & -j).bit_length() - 1
-                if above[b] & ~above[i]:
-                    ok = False
-                    break
-                j &= j - 1
-            if not ok:
-                break
-        if ok:
-            yield tuple(above)
 
 
 def _poset_invariant(d: int, above: Sequence[int], below: Sequence[int]) -> tuple[int, ...]:
@@ -446,24 +452,80 @@ def poset_certificate(p: Poset) -> tuple:
 
 
 def generate_posets(d: int) -> list[Poset]:
-    """All isomorphism classes of posets on d labeled elements.
+    """All isomorphism classes of posets on d labeled elements, ordered by
+    certificate.
 
-    Enumerates naturally labeled representatives (strict upper-triangular
-    closed relations) and deduplicates by canonical certificate.  Class
-    counts for d = 1..6 are 1, 2, 5, 16, 63, 318, which the test suite pins
-    as a generator self-check.
+    Grows the classes one element at a time (`_grow`, after Brinkmann and
+    McKay, *Posets on up to 16 points*, Order 2002): every poset on k
+    elements is one on k-1 elements with a maximal element put back above
+    the order ideal it covered.  Each class is represented by its smallest
+    upper-triangular relation mask (`_smallest_relabeling`).  Class counts
+    for d = 1..6 are 1, 2, 5, 16, 63, 318, which the test suite pins as a
+    generator self-check.
     """
     if d < 0:
         raise ValueError("element count must be nonnegative")
-    if d == 0:
-        return [Poset(0, ())]
-    reps: dict[tuple, Poset] = {}
-    for above in _upper_triangular_closures(d):
-        p = Poset(d, above)
-        cert = poset_certificate(p)
-        if cert not in reps:
-            reps[cert] = p
-    return [reps[c] for c in sorted(reps)]
+    empty = Poset(0, ())
+    classes = {poset_certificate(empty): empty}
+    for k in range(1, d + 1):
+        classes = _grow(classes.values(), k)
+    return [Poset(d, _smallest_relabeling(classes[c])) for c in sorted(classes)]
+
+
+def _grow(classes: Iterable[Poset], k: int) -> dict[tuple, Poset]:
+    """The classes on k elements, by certificate: each naturally labeled
+    class on k-1 elements with a new top element k-1 above one of its order
+    ideals.  The new element is maximal and its down-set is that ideal, so
+    every class is reached, and each stays naturally labeled."""
+    top = 1 << (k - 1)
+    grown: dict[tuple, Poset] = {}
+    for p in classes:
+        # a natural labeling puts everything below v before v
+        ideals = [0]
+        for v, under in enumerate(p.below):
+            ideals += [ideal | 1 << v for ideal in ideals if under & ~ideal == 0]
+        for ideal in ideals:
+            q = Poset(k, tuple(m | top if ideal >> v & 1 else m for v, m in enumerate(p.above)) + (0,))
+            grown.setdefault(poset_certificate(q), q)
+    return grown
+
+
+def _smallest_relabeling(p: Poset) -> tuple[int, ...]:
+    """The smallest upper-triangular relation mask of p's class, as ``above``
+    masks: the mask whose bit k is the k-th pair (i, j), i < j, in
+    lexicographic order.
+
+    Relabeling along a linear extension puts the element at position i in
+    row i, whose bits are the positions above it; later rows are the higher
+    bits.  So the extension is filled from the top position down, each
+    position with a maximal unplaced element whose row (the positions above
+    it) is smallest, and every tie is carried along.  Ties whose unplaced
+    elements see the same positions above them have the same future, and are
+    kept once.
+    """
+    d = p.element_count
+    rows = [0] * d
+    states = {((1 << d) - 1, (0,) * d)}  # (unplaced elements, positions above each)
+    for i in range(d - 1, -1, -1):
+        best, ties = None, []
+        for unplaced, seen in states:
+            for u in _bits(unplaced):
+                if p.above[u] & unplaced:
+                    continue
+                row = seen[u]
+                if best is None or row < best:
+                    best, ties = row, []
+                if row == best:
+                    ties.append((unplaced, seen, u))
+        rows[i] = best
+        states = set()
+        for unplaced, seen, u in ties:
+            after = list(seen)
+            after[u] = 0
+            for b in _bits(p.below[u]):
+                after[b] |= 1 << i
+            states.add((unplaced & ~(1 << u), tuple(after)))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +566,9 @@ def parse_poset_file(text: str) -> Poset:
             raise InputFormatError(f"unknown directive {fields[0]!r}", lineno)
     if element_count is None:
         raise InputFormatError("missing 'elements <d>' line")
+    # every check of an order reads its lattice points, so a larger header
+    # is refused before any per-element work
+    _check_lattice_point_cap(element_count)
     try:
         return Poset.from_relation(element_count, covers)
     except ValueError as exc:

@@ -22,7 +22,7 @@ from polybinom.posets import (
     chain,
     format_poset_file,
     generate_posets,
-    interior_point_count,
+    lattice_point_counts,
     omega_star,
     strict_map_counts,
 )
@@ -126,9 +126,11 @@ def test_descent_disagreement_is_a_reported_failure(monkeypatch):
 
 
 def test_wrong_interior_counts_are_a_reported_failure(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(
-        "polybinom.posets.interior_point_count", lambda p, n: interior_point_count(p, n) + 1
-    )
+    def one_too_many(p, top, *, interior=False):
+        counts = lattice_point_counts(p, top, interior=interior)
+        return [count + 1 for count in counts] if interior else counts
+
+    monkeypatch.setattr("polybinom.posets.lattice_point_counts", one_too_many)
     path = tmp_path / "chain3.poset"
     path.write_text(format_poset_file(chain(3)))
     assert main(["order", str(path)]) == 1
@@ -293,14 +295,20 @@ def test_corrupted_orientation_is_a_reported_failure(monkeypatch, tmp_path, caps
 @pytest.mark.parametrize("g", [complete_graph(4), cycle_graph(5)], ids=["K4", "C5"])
 def test_graph_checks_close_no_order_twice(monkeypatch, g):
     # the orientation search hands over each order already closed, so the
-    # order-polynomial cross-route never rebuilds one from its arcs
-    def refuse(cls, d, pairs):
-        raise AssertionError("an acyclic orientation was closed a second time")
+    # order-polynomial cross-route walks each one once, as the search left it
+    walked = []
 
-    monkeypatch.setattr(Poset, "from_relation", classmethod(refuse))
+    def counting(above):
+        walked.append(above)
+        return strict_map_counts(above)
+
+    monkeypatch.setattr("polybinom.chromatic.strict_map_counts", counting)
     checked = graph_checks(g)
     assert checked.failures == []
     assert checked.checks["order_polynomial_sum_matches"] == "pass"
+    orders = checked.result.acyclic_orientations
+    assert len(walked) == len(orders)
+    assert all(seen is order for seen, order in zip(walked, orders))
 
 
 @st.composite

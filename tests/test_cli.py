@@ -15,6 +15,7 @@ from polybinom.graphs import (
     dipole,
     format_graph_file,
 )
+from polybinom.posets import Poset
 
 K3 = "vertices 3\nedge 0 1\nedge 0 2\nedge 1 2\n"
 P3 = "vertices 3\nedge 0 1\nedge 1 2\n"
@@ -153,6 +154,16 @@ class TestOrderCommand:
         capsys.readouterr()
         assert main(["order", write("a8.poset", "elements 8\n")]) == 3
         assert "lattice-point enumeration cap is 7 elements, got 8" in capsys.readouterr().err
+
+    def test_huge_element_count_is_refused_before_any_element_is_built(self, write, monkeypatch, capsys):
+        def refuse(cls, d, pairs):
+            raise AssertionError("a poset was built before its element count was checked")
+
+        monkeypatch.setattr(Poset, "from_relation", classmethod(refuse))
+        assert main(["order", write("huge.poset", "elements 100000000\ncover 0 1\n")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "cap exceeded: lattice-point enumeration cap is 7 elements, got 100000000\n"
 
     def test_non_decimal_element_count_is_rejected(self, write, capsys):
         assert main(["order", write("sup.poset", "# header\nelements \u00b2\n")]) == 2

@@ -18,7 +18,7 @@ MODULES = ["polybinom"] + [
 # caps no CLI command or survey can reach on its own, so the README does not name them
 INTERNAL_CAPS = {
     "FLOW_CANDIDATE_BUDGET": "FLOW_XI_CAP is checked first and keeps every flow count inside it",
-    "POINT_ENUMERATION_BUDGET": "the checking routes scan at most 8^7 maps",
+    "POINT_ENUMERATION_BUDGET": "the checking routes walk a value box of at most 8^7 maps",
 }
 
 

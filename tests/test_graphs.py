@@ -342,10 +342,14 @@ class TestOrientationToPoset:
         assert enumerate_acyclic_orientations(Multigraph(3, ())) == [antichain(3).above]
 
     def test_cyclic_rejected(self):
-        # the reachability masks a directed cycle 0 -> 1 -> 2 -> 0 would leave
-        # are no order; the validation every search poset passes refuses them
-        with pytest.raises(ValueError):
-            Poset(3, (0b110, 0b101, 0b011))
+        # either directed triangle would leave the reachability masks
+        # (0b110, 0b101, 0b011), which are no order; the search lists only
+        # the 2^3 - 2 acyclic orientations, each an order `Poset` accepts
+        orders = enumerate_acyclic_orientations(cycle_graph(3))
+        assert len(orders) == 6
+        assert (0b110, 0b101, 0b011) not in orders
+        for above in orders:
+            Poset(3, above)
 
 
 class TestCertificates:

@@ -16,10 +16,9 @@ from polybinom.posets import (
     format_poset_file,
     generate_posets,
     hstar_via_descents,
-    interior_point_count,
     interior_star,
+    lattice_point_counts,
     omega_star,
-    order_polytope_points,
     parse_poset_file,
     poset_certificate,
     strict_map_counts,
@@ -28,10 +27,76 @@ from polybinom.posets import (
 V_POSET = Poset.from_relation(3, [(0, 1), (0, 2)])
 
 
+def _bits(mask: int):
+    return [b for b in range(mask.bit_length()) if mask >> b & 1]
+
+
+def scanned_posets(d: int) -> list[Poset]:
+    """The mask-scan oracle of `generate_posets`: every order compatible with
+    0 < 1 < ... < d-1, in the order of its relation mask (bit k is the k-th
+    pair (i, j), i < j, in lexicographic order), the first hit of each class
+    kept, classes ordered by certificate."""
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    reps: dict[tuple, Poset] = {}
+    for mask in range(1 << len(pairs)):
+        above = [0] * d
+        for k, (i, j) in enumerate(pairs):
+            if mask >> k & 1:
+                above[i] |= 1 << j
+        if all(above[b] & ~above[i] == 0 for i in range(d) for b in _bits(above[i])):
+            p = Poset(d, tuple(above))
+            reps.setdefault(poset_certificate(p), p)
+    return [reps[c] for c in sorted(reps)]
+
+
+def points_at(p: Poset, n: int, interior: bool = False) -> int:
+    """The per-dilate oracle of `lattice_point_counts`: the maps into {0..n}
+    (weak) or {1..n-1} (strict) of one dilate, multiplied over the components
+    of the comparability graph, each backtracked in P's natural labeling with
+    its predecessors' values as lower bounds and the last element's range
+    counted at once."""
+    low, high = (1, n - 1) if interior else (0, n)
+    bump = 1 if interior else 0
+    d = p.element_count
+    related = [a | b for a, b in zip(p.above, p.below)]
+    labeling = p.natural_labeling()
+    left = (1 << d) - 1
+    total = 1
+    while left:
+        component = frontier = left & -left
+        while frontier:
+            step = 0
+            for v in _bits(frontier):
+                step |= related[v]
+            frontier = step & ~component
+            component |= step
+        left &= ~component
+        order = [v for v in labeling if component >> v & 1]
+        pos = {v: i for i, v in enumerate(order)}
+        preds = [[pos[b] for b in _bits(p.below[v])] for v in order]
+        values = [0] * len(order)
+
+        def count_from(i: int) -> int:
+            lo = low
+            for q in preds[i]:
+                if values[q] + bump > lo:
+                    lo = values[q] + bump
+            if i == len(order) - 1:
+                return max(high - lo + 1, 0)
+            count = 0
+            for val in range(lo, high + 1):
+                values[i] = val
+                count += count_from(i + 1)
+            return count
+
+        total *= count_from(0)
+    return total
+
+
 class TestPosetConstruction:
     def test_closure_is_computed(self):
         p = Poset.from_relation(3, [(0, 1), (1, 2)])
-        assert p.less(0, 2)
+        assert p.above[0] >> 2 & 1
         assert p.cover_pairs() == ((0, 1), (1, 2))
 
     def test_cycles_rejected(self):
@@ -78,7 +143,7 @@ class TestOrderPolynomial:
         # strict maps into {1..n} are the interior points of the (n+1)-th dilate
         for d in range(1, 7):
             for p in generate_posets(d):
-                expected = [interior_point_count(p, n + 1) for n in range(d + 2)]
+                expected = lattice_point_counts(p, d + 2, interior=True)[1:]
                 assert strict_map_counts(p.above) == expected
 
     def test_walk_counts_are_those_of_the_dual(self):
@@ -99,7 +164,8 @@ class TestOrderPolynomial:
         def lattice_route(*args, **kwargs):
             raise AssertionError("the order star reached the lattice-point route")
 
-        monkeypatch.setattr("polybinom.posets._count_monotone_maps", lattice_route)
+        monkeypatch.setattr("polybinom.posets.lattice_point_counts", lattice_route)
+        monkeypatch.setattr("polybinom.posets._maps_by_largest_value", lattice_route)
         assert omega_star(antichain(4)).entries == (0, 1, 11, 11, 1)
         k4 = complete_graph(4)
         orientations = enumerate_acyclic_orientations(k4)
@@ -121,14 +187,20 @@ class TestOrderPolynomial:
 
 class TestOrderPolytope:
     def test_closed_chain_multisets(self):
-        assert order_polytope_points(chain(3), 3) == 20
+        assert lattice_point_counts(chain(3), 3) == [1, 4, 10, 20]
 
     def test_no_interior_point_in_first_dilate(self):
         for p in (chain(3), antichain(3), V_POSET):
-            assert order_polytope_points(p, 1, interior=True) == 0
+            assert lattice_point_counts(p, 1, interior=True) == [0, 0]
 
     def test_antichain_interior(self):
-        assert order_polytope_points(antichain(2), 2, interior=True) == 1
+        assert lattice_point_counts(antichain(2), 3, interior=True) == [0, 0, 1, 4]
+
+    def test_empty_poset_has_one_point_in_every_dilate(self):
+        empty = Poset(0, ())
+        assert lattice_point_counts(empty, 3) == lattice_point_counts(empty, 3, interior=True) == [1] * 4
+        with pytest.raises(ValueError):
+            lattice_point_counts(empty, -1)
 
     def test_cap(self):
         assert ehrhart_star(antichain(7)).entries[0] == 1
@@ -137,48 +209,68 @@ class TestOrderPolytope:
                 route(antichain(8))
 
     def test_point_enumeration_budget(self):
-        # the budget bounds the value box span^d exactly: 13^7 ~ 62.7M is
-        # admitted, 14^7 ~ 105M is not
+        # the budget bounds the value box span^d of the top dilate exactly:
+        # 13^7 ~ 62.7M is admitted, 14^7 ~ 105M is not
         assert 13**7 <= caps.POINT_ENUMERATION_BUDGET < 14**7
-        assert order_polytope_points(chain(7), 12) == math.comb(19, 7)
+        assert lattice_point_counts(chain(7), 12) == [math.comb(n + 7, 7) for n in range(13)]
         with pytest.raises(CapExceeded, match=r"budget exceeded: 14\^7"):
-            order_polytope_points(chain(7), 13)
+            lattice_point_counts(chain(7), 13)
+        # the interior of the n-th dilate takes n-1 values
+        assert lattice_point_counts(chain(7), 14, interior=True)[14] == math.comb(13, 7)
+        with pytest.raises(CapExceeded, match=r"budget exceeded: 14\^7"):
+            lattice_point_counts(chain(7), 15, interior=True)
 
     def test_budget_bounds_the_whole_poset(self):
         # each component of the antichain is one element, far inside the
         # budget, but the budget is taken on the value box of all seven
-        assert order_polytope_points(antichain(7), 12) == 13**7
+        assert lattice_point_counts(antichain(7), 12) == [(n + 1) ** 7 for n in range(13)]
         with pytest.raises(CapExceeded, match=r"budget exceeded: 14\^7"):
-            order_polytope_points(antichain(7), 13)
+            lattice_point_counts(antichain(7), 13)
 
     def test_counts_match_brute_force(self):
-        # the oracle multiplies over the components of the comparability
-        # graph; every map of the value box, kept if it respects each relation
+        # every map of the value box, kept if it respects each relation
         for d in range(1, 6):
             posets = generate_posets(d)
-            relations = [[(a, b) for a in range(d) for b in range(d) if p.less(a, b)] for p in posets]
+            relations = [[(a, b) for a in range(d) for b in _bits(p.above[a])] for p in posets]
+            counts = {
+                interior: [lattice_point_counts(p, d + 2, interior=interior) for p in posets]
+                for interior in (False, True)
+            }
             for n in range(d + 3):
                 for interior, values in ((False, range(n + 1)), (True, range(1, n))):
                     maps = np.array(list(product(values, repeat=d)), dtype=np.int64).reshape(-1, d)
-                    for p, pairs in zip(posets, relations):
+                    for p, pairs, points in zip(posets, relations, counts[interior]):
                         kept = np.ones(len(maps), dtype=bool)
                         for a, b in pairs:
                             kept &= maps[:, a] < maps[:, b] if interior else maps[:, a] <= maps[:, b]
-                        assert order_polytope_points(p, n, interior) == int(kept.sum()), (p, n, interior)
+                        assert points[n] == int(kept.sum()), (p, n, interior)
+
+    def test_one_pass_matches_the_per_dilate_oracle(self):
+        # one walk at the top dilate, bucketed by the largest value, against
+        # one backtracking per dilate: every class with d <= 6, chain7 and antichain7
+        posets = [p for d in range(1, 7) for p in generate_posets(d)] + [chain(7), antichain(7)]
+        assert len(posets) == 407
+        for p in posets:
+            d = p.element_count
+            assert lattice_point_counts(p, d) == [points_at(p, n) for n in range(d + 1)], p
+            inner = lattice_point_counts(p, d + 2, interior=True)
+            assert inner[1:] == [points_at(p, n, interior=True) for n in range(1, d + 3)], p
 
     def test_strict_count_is_shifted_interior(self):
         for p in (chain(3), antichain(3), V_POSET):
             poly = inverse_transform(omega_star(p))
+            inner = lattice_point_counts(p, p.element_count + 3, interior=True)
             for n in range(1, p.element_count + 3):
-                assert poly(n) == interior_point_count(p, n + 1)
+                assert poly(n) == inner[n + 1]
 
     def test_reciprocity(self):
         for p in (chain(4), antichain(3), V_POSET):
             d = p.element_count
             hstar = ehrhart_star(p)
             ehr = inverse_transform(hstar)
+            inner = lattice_point_counts(p, d + 2, interior=True)
             for n in range(1, d + 3):
-                assert (-1) ** d * ehr(-n) == interior_point_count(p, n)
+                assert (-1) ** d * ehr(-n) == inner[n]
                 assert hstar.value(-n) == ehr(-n)
 
     def test_hstar_via_descents_examples(self):
@@ -198,7 +290,8 @@ class TestOrderPolytope:
             raise AssertionError("the descent oracle reached the lattice-point route")
 
         monkeypatch.setattr("polybinom.posets.ehrhart_star", lattice_route)
-        monkeypatch.setattr("polybinom.posets.order_polytope_points", lattice_route)
+        monkeypatch.setattr("polybinom.posets.lattice_point_counts", lattice_route)
+        monkeypatch.setattr("polybinom.posets._maps_by_largest_value", lattice_route)
         assert hstar_via_descents(antichain(3)).entries == (1, 4, 1, 0)
 
     def test_interior_relations(self):
@@ -215,6 +308,12 @@ class TestGeneratedFamilies:
 
     def test_class_count_d6(self):
         assert len(generate_posets(6)) == 318
+
+    def test_growth_matches_the_mask_scan(self):
+        # the same representatives (each class's smallest relation mask) in
+        # the same order as the scan of every naturally labeled order
+        for d in range(7):
+            assert [p.above for p in generate_posets(d)] == [p.above for p in scanned_posets(d)], d
 
     def test_certificates_separate_classes(self):
         posets = generate_posets(4)
