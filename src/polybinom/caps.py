@@ -38,18 +38,20 @@ ORIENTATION_EDGE_CAP = 24
 # ORDER_POLY_ELEMENT_CAP: the order-star cross-route of `chromatic` walks
 # the order ideals of each acyclic orientation as a poset on all d vertices.
 CHROMATIC_VERTEX_CAP = 10
-# Enumeration plus the order-polynomial cross-route cost about 0.045 ms per
-# acyclic orientation at d = 8 (K8) and 0.12 to 0.16 ms at d = 10 (random
-# graphs with 34k to 50k orientations; Python 3.11, one core, best of 3), so
-# this bounds a `chromatic` run by about 10 s.  K8 (8! = 40,320) is admitted
-# and runs in about 1.8 s; K9 (362,880) would take about 20 s, at about
-# 0.055 ms per orientation (the walk on a 9-element chain alone is 0.043 ms).
+# Enumeration plus the order-polynomial cross-route cost about 0.021 ms per
+# acyclic orientation at d = 8 (K8) and 0.048 to 0.057 ms at d = 10 (random
+# graphs with 32k to 39k orientations; Python 3.11, 2 shared cores, best of
+# 3), so this bounds the cross-route of a `chromatic` run by about 3 s.  K8
+# (8! = 40,320) takes 0.85 s; K9 (362,880) took 11.5 s in one run (5.9 s to
+# enumerate, 5.6 s to walk; the walk on a 9-element chain alone is
+# 0.015 ms) and 119 MB peak RSS.
 ACYCLIC_ORIENTATION_CAP = 50_000
 
 # posets ---------------------------------------------------------------------
 
-# `strict_map_counts` walks the lattice of order ideals, at most 2^d = 1024
-# of them at d = 10, for d+1 steps; `omega_star` enforces this cap.
+# `strict_chain_code` passes once over the up-sets it reaches, at most
+# 2^d = 1024 of them at d = 10, each step one shifted add of a packed code
+# with d * d.bit_length() = 40-bit fields; `omega_star` enforces this cap.
 ORDER_POLY_ELEMENT_CAP = 10
 # `hstar_via_descents` lists every linear extension, at most d! = 40,320.
 DESCENT_ELEMENT_CAP = 8

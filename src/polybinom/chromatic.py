@@ -12,10 +12,11 @@ are audited against the acyclic-orientation oracle.
 
 The same star vector also arises as the star vector of the summed strict
 counts of the orders induced by the acyclic orientations (Stanley 1973);
-that cross-route is the module's central consistency check.  It takes one
-finite-difference pass per graph, so its overdetermination node n = d+1
-sits on the sum, not on each orientation.  The orientation search hands
-over each of those orders as its tuple of ``above`` masks, already
+that cross-route is the module's central consistency check.  Each order's
+walk packs its chain counts into one integer, the graph adds those, and the
+total is expanded and differenced once, so its overdetermination node
+n = d+1 sits on the sum, not on each orientation.  The orientation search
+hands over each of those orders as its tuple of ``above`` masks, already
 transitively closed, and the walks read the masks as they are, so the
 cross-route builds no orientation, no `Poset` and no second closure.
 """
@@ -38,7 +39,7 @@ from .decompositions import (
 from .errors import CapExceeded, NotApplicable
 from .graphs import Multigraph, enumerate_acyclic_orientations
 from .polynomials import Polynomial, StarVector, inverse_transform, star_from_values
-from .posets import strict_map_counts
+from .posets import chain_code_counts, strict_chain_code
 
 __all__ = [
     "ChromaticResult",
@@ -106,20 +107,21 @@ def star_via_order_polynomials(g: Multigraph, orientations: Sequence[tuple[int, 
     ``orientations`` are the acyclic orientations of g, each as the ``above``
     masks of the order it induces on all d vertices
     (`enumerate_acyclic_orientations`); no `Poset` is built for them.  Their
-    strict counts at n = 0..d+1 add up to chi_G(n) (Stanley 1973), and the
-    identity is linear in the values, so the counts are summed and turned
-    into one star vector per graph; the total must reproduce
-    `chromatic_star` exactly.  n = d+1 is the node on the sum: a total that
-    does not fit degree d raises ValueError from `star_from_values`.
+    strict counts add up to chi_G(n) (Stanley 1973), and the identity is
+    linear in the chain counts, so each order's chain code
+    (`strict_chain_code`, one walk per orientation) is added to one total,
+    which is expanded once into the counts at n = 0..d+1 and turned into one
+    star vector per graph; it must reproduce `chromatic_star` exactly.
+    n = d+1 is the node on the sum: a total that does not fit degree d raises
+    ValueError from `star_from_values`.
     """
     if g.has_loops:
         raise NotApplicable("loop", "graphs with loops have no acyclic orientations")
     d = g.vertex_count
-    total = [0] * (d + 2)
+    total = 0
     for above in orientations:
-        for n, count in enumerate(strict_map_counts(above)):
-            total[n] += count
-    return star_from_values(total, d)
+        total += strict_chain_code(above)
+    return star_from_values(chain_code_counts(total, d), d)
 
 
 @dataclass(frozen=True)

@@ -366,10 +366,6 @@ class CADecomposition:
     a: tuple[int, ...]
     audits: tuple[InequalityReport, ...] = field(compare=False)
 
-    def interior_entries(self) -> tuple[int, ...]:
-        padded_a = self.a + (0,)
-        return tuple(cc - aa for cc, aa in zip(self.c, padded_a))
-
 
 def ca_decomposition(h: StarVector) -> CADecomposition:
     """Degree-independent c/a split: c and a are the p and q parts of the

@@ -362,7 +362,10 @@ def parse_graph_file(text: str) -> Multigraph:
                 raise InputFormatError("duplicate 'vertices' line", lineno)
             if len(fields) != 2 or not fields[1].isdecimal():
                 raise InputFormatError("expected 'vertices <n>'", lineno)
-            vertex_count = int(fields[1])
+            try:
+                vertex_count = int(fields[1])
+            except ValueError:  # more digits than int() converts
+                raise InputFormatError("vertex count is too large", lineno)
         elif fields[0] == "edge":
             if vertex_count is None:
                 raise InputFormatError("'edge' before 'vertices'", lineno)

@@ -64,12 +64,6 @@ def binomial_poly_value(a: int, d: int) -> int:
     return num // math.factorial(d)
 
 
-def _fraction_to_int(x: Fraction, what: str) -> int:
-    if x.denominator != 1:
-        raise ValueError(f"{what} is not an integer: {x}")
-    return x.numerator
-
-
 class Polynomial:
     """Dense exact univariate polynomial, coefficients ascending by power.
 
@@ -95,15 +89,8 @@ class Polynomial:
         return len(self._coeffs) - 1 if self._coeffs else float("-inf")
 
     @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    @property
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self._coeffs)
-
-    def int_coeffs(self) -> tuple[int, ...]:
-        return tuple(_fraction_to_int(c, "coefficient") for c in self._coeffs)
 
     def __call__(self, n: int | Fraction) -> int | Fraction:
         acc = Fraction(0)

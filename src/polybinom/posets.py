@@ -12,18 +12,22 @@ linear extensions.
 
 The star vectors are integer finite differences of exact counts
 (`star_from_values`), with one extra count as an overdetermination node
-where it is cheap.  The strict order count comes from walks on the up-sets
-of P, read off its ``above`` masks (`strict_map_counts`, which also takes
-the bare masks of the acyclic-orientation search; `omega_star`, d <= 10);
-the lattice-point counts are the independent oracle it is checked against
-(`lattice_point_counts`, d <= 7).  They come from one backtracking walk over
-the maps of each component of the comparability graph at the top dilate,
-each map bucketed by its largest value, so cumulative sums give every
-smaller dilate and products over the components give P's counts.  A
-`Poset` is built and validated only where an order enters the program.  The
-descent route is the fast cross-check of h*, with its convention (descents
-of the extension word under the lexicographically smallest natural
-labeling) frozen after calibration against the lattice-point oracle.
+where it is cheap.  The strict order count comes from one pass over the
+up-sets of P that can be reached, read off its ``above`` masks
+(`strict_chain_code`, which also takes the bare masks of the
+acyclic-orientation search; `omega_star`, d <= 10).  It counts the chains of
+up-sets with nonempty steps by length, packed as the fields of one integer,
+and `chain_code_counts` expands a code, or a sum of codes, into the counts
+at n = 0..d+1.  The lattice-point counts are the independent oracle it is
+checked against (`lattice_point_counts`, d <= 7).  They come from one
+backtracking walk over the maps of each component of the comparability
+graph at the top dilate, each map bucketed by its largest value, so
+cumulative sums give every smaller dilate and products over the components
+give P's counts.  A `Poset` is built and validated only where an order
+enters the program.  The descent route is the fast cross-check of h*,
+with its convention (descents of the extension word under the
+lexicographically smallest natural labeling) frozen after calibration
+against the lattice-point oracle.
 
 `generate_posets` grows the isomorphism classes one element at a time, a
 new maximal element above one order ideal of each smaller class, and
@@ -35,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from . import caps
@@ -46,6 +51,7 @@ __all__ = [
     "Poset",
     "antichain",
     "chain",
+    "chain_code_counts",
     "ehrhart_star",
     "generate_posets",
     "hstar_via_descents",
@@ -54,7 +60,7 @@ __all__ = [
     "omega_star",
     "parse_poset_file",
     "poset_certificate",
-    "strict_map_counts",
+    "strict_chain_code",
 ]
 
 @dataclass(frozen=True)
@@ -187,46 +193,80 @@ def antichain(d: int) -> Poset:
 # counting maps
 
 
-def strict_map_counts(above: Sequence[int]) -> list[int]:
-    """Strict order-preserving maps P -> {1..n} for n = 0..d+1, where
-    ``above[v]`` masks the elements above v (`Poset.above`, or an order from
-    `enumerate_acyclic_orientations`).
+def _field_width(d: int) -> int:
+    """Bits per field of a chain code on d elements.
 
-    A strict map f is the chain of up-sets F_k = f^-1({n-k+1..n}), and each
-    step adds an antichain: a subset, possibly empty, of the maximal elements
-    of P minus F_{k-1}.  So counts[n] is the number of length-n walks from
-    the empty up-set to P (Stanley, *Ordered structures and partitions*,
-    1972).  These are the walks on the order ideals of the dual of P, and
+    Field k of one order's code counts its surjective strict maps onto {1..k},
+    and field k of a graph's summed code counts its surjective proper
+    colourings onto {1..k} (each fixes one acyclic orientation, Stanley 1973).
+    Either is at most k^d <= d^d < 2^(d * d.bit_length()), so no field
+    carries into the next.  At d = 0 the one field holds the empty chain.
+    """
+    return d * d.bit_length() or 1
+
+
+def strict_chain_code(above: Sequence[int]) -> int:
+    """The chains of up-sets of P with nonempty steps, by length, packed into
+    one integer, where ``above[v]`` masks the elements above v (`Poset.above`,
+    or an order from `enumerate_acyclic_orientations`).
+
+    A strict map f: P -> {1..n} is the chain of up-sets F_j = f^-1({n-j+1..n}),
+    and each step adds an antichain: a subset of the maximal elements of P
+    minus F_{j-1}, empty where f skips a value.  So the strict maps onto
+    exactly k values are the chains from the empty up-set to P in k nonempty
+    steps (Stanley, *Ordered structures and partitions*, 1972).  The walk
+    makes one pass over the up-sets it reaches, in order of size, and keeps
+    each one's chain counts as fields of `_field_width(d)` bits, field k at
+    bit k * width; a step adds the code shifted by one field.  Field k of the
+    result is the number s_k of chains to P of length k, and
+    `chain_code_counts` expands it into Omega(n) = sum_k s_k C(n, k).
+
+    These are the walks on the order ideals of the dual of P, and
     f -> n+1-f maps the strict maps of P onto those of the dual, so no
     ``below`` mask is needed.  The walk needs no closed order, and a cyclic
-    tuple never reaches the full set, so it counts 0 at every n.
+    tuple never reaches the full set, so its code is 0.
     """
     d = len(above)
+    width = _field_width(d)
     full = (1 << d) - 1
-    successors: dict[int, list[int]] = {}
-    walks = {0: 1}
-    counts = [walks.get(full, 0)]
-    for _ in range(d + 1):
-        advanced: dict[int, int] = {}
-        for upset, ways in walks.items():
-            steps = successors.get(upset)
-            if steps is None:
-                maximal = 0
-                for b in range(d):
-                    if not (upset >> b) & 1 and above[b] & ~upset == 0:
-                        maximal |= 1 << b
-                steps = []
-                added = maximal
-                while True:
-                    steps.append(upset | added)
-                    if not added:
-                        break
-                    added = (added - 1) & maximal
-                successors[upset] = steps
-            for step in steps:
-                advanced[step] = advanced.get(step, 0) + ways
-        walks = advanced
-        counts.append(walks.get(full, 0))
+    by_size: list[dict[int, int]] = [{} for _ in range(d + 1)]
+    by_size[0][0] = 1
+    for size in range(d):
+        for upset, ways in by_size[size].items():
+            rest = full & ~upset
+            maximal = 0
+            free = rest
+            while free:
+                low = free & -free
+                if not above[low.bit_length() - 1] & rest:
+                    maximal |= low
+                free ^= low
+            ways <<= width
+            added = maximal
+            while added:
+                reached = by_size[size + added.bit_count()]
+                step = upset | added
+                reached[step] = reached.get(step, 0) + ways
+                added = (added - 1) & maximal
+    return by_size[d].get(full, 0)
+
+
+def chain_code_counts(code: int, d: int) -> list[int]:
+    """Strict order counts at n = 0..d+1 from a chain code on d elements, or
+    from a sum of such codes: sum_k s_k C(n, k) over every field k of the
+    code.  No walk sets a field above k = d, but every field is expanded, so
+    a set field d+1 moves the count at n = d+1 off every degree-d polynomial."""
+    width = _field_width(d)
+    mask = (1 << width) - 1
+    counts = [0] * (d + 2)
+    k = 0
+    while code:
+        chains = code & mask
+        if chains:
+            for n in range(k, d + 2):  # C(n, k) = 0 below n = k
+                counts[n] += chains * comb(n, k)
+        code >>= width
+        k += 1
     return counts
 
 
@@ -244,7 +284,7 @@ def omega_star(p: Poset) -> StarVector:
         raise CapExceeded(f"order polynomial cap is {caps.ORDER_POLY_ELEMENT_CAP} elements, got {d}")
     if d == 0:
         raise ValueError("the empty poset has no star vector in this convention")
-    return star_from_values(strict_map_counts(p.above), d, start=0)
+    return star_from_values(chain_code_counts(strict_chain_code(p.above), d), d, start=0)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +585,10 @@ def parse_poset_file(text: str) -> Poset:
                 raise InputFormatError("duplicate 'elements' line", lineno)
             if len(fields) != 2 or not fields[1].isdecimal():
                 raise InputFormatError("expected 'elements <d>'", lineno)
-            element_count = int(fields[1])
+            try:
+                element_count = int(fields[1])
+            except ValueError:  # more digits than int() converts
+                raise InputFormatError("element count is too large", lineno)
         elif fields[0] == "cover":
             if element_count is None:
                 raise InputFormatError("'cover' before 'elements'", lineno)

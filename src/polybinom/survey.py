@@ -150,9 +150,6 @@ class SurveyReport:
     def ok(self) -> bool:
         return not self.counterexamples
 
-    def check_column(self, name: str) -> list[str]:
-        return [inst["checks"].get(name, "absent") for inst in self.instances]
-
     def to_json(self, *, timestamp: str | None = None) -> dict:
         body = {
             "schema": 1,

@@ -24,7 +24,7 @@ from polybinom.posets import (
     generate_posets,
     lattice_point_counts,
     omega_star,
-    strict_map_counts,
+    strict_chain_code,
 )
 from polybinom.survey import (
     _graph_id,
@@ -121,7 +121,7 @@ def test_descent_disagreement_is_a_reported_failure(monkeypatch):
 
     monkeypatch.setattr(Poset, "linear_extensions", all_but_first)
     report = run_poset_survey(3)
-    assert set(report.check_column("descents_match_lattice_hstar")) == {"fail"}
+    assert {inst["checks"].get("descents_match_lattice_hstar") for inst in report.instances} == {"fail"}
     assert {ce["check"] for ce in report.counterexamples} == {"descents_match_lattice_hstar"}
 
 
@@ -218,12 +218,18 @@ def test_graph_checks_enumerate_acyclic_orientations_once(monkeypatch):
     assert checked.result.acyclic_count == 24
 
 
-# two ways to miscount one orientation: a count at the node n = d+1 only, which
-# no degree-d polynomial fits, and the values of n added at every n, which fit
-# degree d but change the star vector
+def _field(k: int, d: int) -> int:
+    # field k of a chain code on d elements sits at bit k * d * d.bit_length()
+    return 1 << k * d * d.bit_length()
+
+
+# two ways to miscount one orientation's chain code: a chain of length d+1,
+# which no walk on d elements has and which moves only the count at the node
+# n = d+1, which no degree-d polynomial then fits; and one more chain of
+# length 1, which adds n at every n, fits degree d, but changes the star vector
 MISCOUNTS = {
-    "breaks_node": lambda counts: counts[:-1] + [counts[-1] + 1],
-    "fits_degree": lambda counts: [c + n for n, c in enumerate(counts)],
+    "breaks_node": lambda code, d: code + _field(d + 1, d),
+    "fits_degree": lambda code, d: code + _field(1, d),
 }
 
 
@@ -234,10 +240,10 @@ def _miscount_first_orientation(monkeypatch, miscount):
 
     def miscounted(above):
         calls.append(above)
-        counts = strict_map_counts(above)
-        return miscount(counts) if len(calls) == 1 else counts
+        code = strict_chain_code(above)
+        return miscount(code, len(above)) if len(calls) == 1 else code
 
-    monkeypatch.setattr(chromatic, "strict_map_counts", miscounted)
+    monkeypatch.setattr(chromatic, "strict_chain_code", miscounted)
 
 
 @pytest.mark.parametrize("miscount", MISCOUNTS.values(), ids=MISCOUNTS.keys())
@@ -300,9 +306,9 @@ def test_graph_checks_close_no_order_twice(monkeypatch, g):
 
     def counting(above):
         walked.append(above)
-        return strict_map_counts(above)
+        return strict_chain_code(above)
 
-    monkeypatch.setattr("polybinom.chromatic.strict_map_counts", counting)
+    monkeypatch.setattr("polybinom.chromatic.strict_chain_code", counting)
     checked = graph_checks(g)
     assert checked.failures == []
     assert checked.checks["order_polynomial_sum_matches"] == "pass"

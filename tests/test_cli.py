@@ -289,6 +289,17 @@ class TestTable1Command:
         assert set(payload["degrees"]) == {"5", "6", "7"}
 
 
+@pytest.mark.parametrize(
+    "command, header, noun",
+    [("chromatic", "vertices", "vertex"), ("flow", "vertices", "vertex"), ("order", "elements", "element")],
+)
+def test_header_count_too_long_for_int_is_rejected(write, capsys, command, header, noun):
+    # int() refuses more than 4300 digits although isdecimal() accepts them
+    path = write("huge.input", f"{header} {'9' * 5000}\n")
+    assert main([command, path]) == 2
+    assert capsys.readouterr().err == f"rejected (parse-error): line 1: {noun} count is too large\n"
+
+
 class TestUnreadableFiles:
     @pytest.mark.parametrize("command", ["chromatic", "flow", "order"])
     @pytest.mark.parametrize("kind", ["directory", "binary"])

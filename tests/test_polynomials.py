@@ -38,7 +38,7 @@ class TestBinomials:
 class TestPolynomial:
     def test_trailing_zeros_stripped(self):
         assert Polynomial([1, 2, 0, 0]).coeffs == (1, 2)
-        assert Polynomial([0, 0]).is_zero
+        assert Polynomial([0, 0]).coeffs == ()
 
     def test_degree_sentinel(self):
         assert Polynomial().degree == float("-inf")
@@ -64,7 +64,7 @@ class TestInterpolate:
     def test_quadratic_through_flow_counts(self):
         v = star_from_values([0, 0, 6], 2, start=1)
         assert v.entries == (0, 0, 0, 6)
-        assert inverse_transform(v).int_coeffs() == (6, -9, 3)
+        assert inverse_transform(v).coeffs == (6, -9, 3)
 
     def test_identity_line(self):
         assert inverse_transform(star_from_values([0, 1], 1)) == Polynomial([0, 1])
@@ -85,8 +85,7 @@ class TestInterpolate:
         v = star_from_values([n * (n - 1) * (n - 2) // 6 for n in range(1, 6)], 3, start=1)
         p = inverse_transform(v)
         assert not p.is_integral
-        with pytest.raises(ValueError):
-            p.int_coeffs()
+        assert p.coeffs[3] == Fraction(1, 6)
         assert p(10) == 120
 
 

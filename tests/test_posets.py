@@ -20,8 +20,9 @@ from polybinom.posets import (
     lattice_point_counts,
     omega_star,
     parse_poset_file,
+    chain_code_counts,
     poset_certificate,
-    strict_map_counts,
+    strict_chain_code,
 )
 
 V_POSET = Poset.from_relation(3, [(0, 1), (0, 2)])
@@ -47,6 +48,37 @@ def scanned_posets(d: int) -> list[Poset]:
             p = Poset(d, tuple(above))
             reps.setdefault(poset_certificate(p), p)
     return [reps[c] for c in sorted(reps)]
+
+
+def stepped_counts(above) -> list[int]:
+    """The step-by-step oracle of `strict_chain_code`: the strict maps into
+    {1..n} for n = 0..d+1 as the walks of length n from the empty up-set to
+    P, each step adding any subset, empty or not, of the maximal elements
+    left, with all walks of one length advanced together."""
+    d = len(above)
+    full = (1 << d) - 1
+    walks = {0: 1}
+    counts = [walks.get(full, 0)]
+    for _ in range(d + 1):
+        advanced: dict[int, int] = {}
+        for upset, ways in walks.items():
+            maximal = 0
+            for b in range(d):
+                if not upset >> b & 1 and above[b] & ~upset == 0:
+                    maximal |= 1 << b
+            added = maximal
+            while True:
+                advanced[upset | added] = advanced.get(upset | added, 0) + ways
+                if not added:
+                    break
+                added = (added - 1) & maximal
+        walks = advanced
+        counts.append(walks.get(full, 0))
+    return counts
+
+
+def walk_counts(above) -> list[int]:
+    return chain_code_counts(strict_chain_code(above), len(above))
 
 
 def points_at(p: Poset, n: int, interior: bool = False) -> int:
@@ -144,18 +176,49 @@ class TestOrderPolynomial:
         for d in range(1, 7):
             for p in generate_posets(d):
                 expected = lattice_point_counts(p, d + 2, interior=True)[1:]
-                assert strict_map_counts(p.above) == expected
+                assert walk_counts(p.above) == expected
 
     def test_walk_counts_are_those_of_the_dual(self):
         # f -> n+1-f maps the strict maps of P onto those of its dual, so the
         # walk on the above masks counts the same as the walk on the below masks
         for d in range(1, 7):
             for p in generate_posets(d):
-                assert strict_map_counts(p.above) == strict_map_counts(p.below), p
+                assert strict_chain_code(p.above) == strict_chain_code(p.below), p
 
     def test_cyclic_masks_count_nothing(self):
         # 0 < 1 < 0 is no order: neither element is ever free to be added
-        assert strict_map_counts((0b010, 0b001, 0)) == [0] * 5
+        assert strict_chain_code((0b010, 0b001, 0)) == 0
+        assert walk_counts((0b010, 0b001, 0)) == [0] * 5
+
+    def test_one_pass_matches_the_stepped_walk(self):
+        # every acyclic orientation of the connected graphs with d <= 6, and
+        # every poset class with d <= 6
+        from polybinom.graphs import enumerate_acyclic_orientations
+        from polybinom.survey import connected_graph_classes
+
+        orders = [o for g in connected_graph_classes(6) for o in enumerate_acyclic_orientations(g)]
+        assert len(orders) == 19717
+        posets = [p.above for d in range(1, 7) for p in generate_posets(d)]
+        assert len(posets) == 405
+        for above in orders + posets:
+            assert walk_counts(above) == stepped_counts(above), above
+
+    def test_field_width_at_the_cap(self):
+        # at d = 10 a field is 10 * 4 = 40 bits wide, field k at bit 40k; the
+        # chain's one strict map onto {1..10} is its only chain, and field k
+        # of the antichain counts the surjections onto {1..k}
+        width = 40
+        assert strict_chain_code(chain(10).above) == 1 << 10 * width
+        assert walk_counts(chain(10).above) == [math.comb(n, 10) for n in range(12)]
+        onto = [sum((-1) ** j * math.comb(k, j) * (k - j) ** 10 for j in range(k + 1)) for k in range(11)]
+        assert strict_chain_code(antichain(10).above) == sum(s << k * width for k, s in enumerate(onto))
+        assert walk_counts(antichain(10).above) == [n**10 for n in range(12)]
+
+    def test_every_field_is_expanded(self):
+        # a chain longer than d, which no walk makes, still reaches the count
+        # at n = d+1
+        code = strict_chain_code(chain(3).above) + (1 << 4 * 3 * 2)
+        assert chain_code_counts(code, 3) == [0, 0, 0, 1, 5]
 
     def test_order_star_shares_no_code_with_lattice_route(self, monkeypatch):
         from polybinom.chromatic import star_via_order_polynomials
