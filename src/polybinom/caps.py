@@ -11,6 +11,7 @@ __all__ = [
     "CHROMATIC_VERTEX_CAP",
     "DESCENT_ELEMENT_CAP",
     "FLOW_CANDIDATE_BUDGET",
+    "FLOW_VERTEX_CAP",
     "FLOW_XI_CAP",
     "FLOW_XI_SURVEY_CAP",
     "GRAPH_SURVEY_CAP",
@@ -73,11 +74,23 @@ POINT_ENUMERATION_BUDGET = 10**8
 
 # flows ----------------------------------------------------------------------
 
+# `flow_analysis` refuses a larger graph before its first pass over the
+# vertices.  Isolated vertices carry no flow, but they cost time: the bridge
+# test makes m+1 component passes, and `in_degree_sequence_count` fills d
+# entries per totally cyclic orientation.  The costliest graph found within
+# the other flow caps is the Petersen graph (1,920 orientations; 16 parallel
+# edges have 65,534 but xi = 15, which FLOW_XI_CAP refuses first).  Padded
+# with isolated vertices, `flow` on it takes 0.21 s at d = 10, 0.35 s and
+# 45 MB at d = 1000, and 1.35 s and 54 MB at d = 10,000 (Python 3.11, one
+# core).  At d = 10^7, before this cap, `flow` took 8.1 s and 1.46 GB.
+FLOW_VERTEX_CAP = 1000
+
 # One flow count scans the product of its cotree value sets.
 FLOW_CANDIDATE_BUDGET = 30_000_000
 # `flow_analysis` makes one integral scan, at n = xi+2, over (2(xi+1))^xi
 # candidates: 14^6 ~ 7.5M fit the budget, 16^7 ~ 268M do not, so the cap is
-# the largest xi that fits.
+# the largest xi that fits.  The scan tests only half of those pairs (x and
+# -x are counted together), but the budget is charged on the full grid.
 FLOW_XI_CAP = 6
 
 # surveys --------------------------------------------------------------------
@@ -94,8 +107,9 @@ GRAPH_SURVEY_CAP = 7
 # (Python 3.11, one core).  Must not exceed LATTICE_POINT_ELEMENT_CAP, which
 # `poset_checks` needs.
 POSET_SURVEY_CAP = 7
-# The flow survey skips xi = 6.  One such instance (K5) takes about 0.3 s
-# (Python 3.11, one core), and the 9 bridgeless classes with xi = 6 at
-# d <= 6 take about 2.2 s together, more than the 1.3 s of the whole d <= 6
-# flow survey; admitting them would also change that survey's output.
+# The flow survey skips xi = 6.  One such instance (K5) takes about 0.13 s
+# (`flow_checks`, best of 5; Python 3.11, one core), and the 9 bridgeless
+# classes with xi = 6 at d <= 6 take about 1.2 s together, more than the
+# 0.4 s of the whole d <= 6 flow survey; admitting them would also change
+# that survey's output.
 FLOW_XI_SURVEY_CAP = 5

@@ -8,7 +8,10 @@ takes its verdict and exit code from it, so both judge an instance alike.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .chromatic import ChromaticResult, chromatic_analysis, star_via_order_polynomials
 from .decompositions import (
@@ -24,7 +27,7 @@ from .decompositions import (
 from .errors import NotApplicable
 from .flows import FlowResult, flow_analysis
 from .graphs import Multigraph
-from .polynomials import StarVector, star_from_values
+from .polynomials import StarVector
 from .posets import Poset, ehrhart_star, hstar_via_descents, interior_star, omega_star
 
 __all__ = [
@@ -143,16 +146,27 @@ def _orientation_columns_fit(r: FlowResult) -> bool:
     """f = sum_o P_o as polynomials: the column P_o(1..xi+2) of every totally
     cyclic orientation fits degree <= xi, with n = xi+2 as the node, and its
     star vector is nonnegative.  A flow counted under the wrong orientation
-    leaves every sum unchanged but breaks two columns."""
-    for o in r.tc_orientation_set:
-        column = [table.get(o, 0) for table in r.kochol.values()]
-        try:
-            star = star_from_values(column, r.xi, start=1)
-        except ValueError:
-            return False
-        if min(star.entries) < 0:
-            return False
-    return True
+    leaves every sum unchanged but breaks two columns.
+
+    All columns are checked in one product with the matrix of (xi+1)-th
+    differences: column j of ``columns @ steps`` is the star entry h_j of
+    `star_from_values` (start 1) for j <= xi and the node's difference at
+    j = xi+1.  Every value is at most `caps.FLOW_CANDIDATE_BUDGET` (3e7) and
+    each difference sums at most xi+2 = 8 values times C(7, k) <= 35, so the
+    int64 sums stay below 8 * 35 * 3e7, about 1e10.
+    """
+    D = r.xi
+    columns = np.array(
+        [[table.get(o, 0) for table in r.kochol.values()] for o in r.tc_orientation_set],
+        dtype=np.int64,
+    ).reshape(-1, D + 2)
+    steps = np.array(
+        [[(-1) ** (j - i) * math.comb(D + 1, j - i) if j >= i else 0 for j in range(D + 2)]
+         for i in range(D + 2)],
+        dtype=np.int64,
+    )
+    star = columns @ steps
+    return not star[:, D + 1].any() and bool((star[:, :D + 1] >= 0).all())
 
 
 def flow_checks(g: Multigraph) -> FlowChecks:

@@ -14,7 +14,10 @@ Bucket o at bound n is P_o(n), the interior lattice-point count of an open
 flow polytope, so each column is a polynomial of degree <= xi, and the
 integral flow polynomial is their sum, f(n) = sum_o P_o(n).  There is one
 scan, at the top bound n = xi+2; the tables at the lower bounds are read off
-each flow's largest |x|.
+each flow's largest |x|.  The scan tests half the pairs: x -> -x maps the
+flows positive along o onto those positive along the reverse orientation -o,
+level for level, so P_o = P_{-o}, and only the flows whose last cotree
+coordinate is positive are scanned, each counted for o and for -o.
 
 The reference orientation of every edge is its stored (tail, head) pair, so
 re-ordering pairs is exactly a change of reference orientation; counts must
@@ -135,9 +138,15 @@ def _cycle_matrix(g: Multigraph) -> tuple[list[int], list[int], np.ndarray]:
     return tree, cotree, M
 
 
+def _check_vertex_cap(g: Multigraph) -> None:
+    if g.vertex_count > caps.FLOW_VERTEX_CAP:
+        raise CapExceeded(f"flow cap is {caps.FLOW_VERTEX_CAP} vertices, got {g.vertex_count}")
+
+
 def _check_caps(g: Multigraph, n: int) -> int:
     if n < 1:
         raise ValueError("flow modulus/bound must be a positive integer")
+    _check_vertex_cap(g)
     xi = cyclomatic_number(g)
     if xi > caps.FLOW_XI_CAP:
         raise CapExceeded(f"cyclomatic number {xi} exceeds cap {caps.FLOW_XI_CAP}")
@@ -225,7 +234,11 @@ def kochol_tables(g: Multigraph, top: int) -> dict[int, dict[tuple[int, ...], in
     positive flows bounded by n, and the buckets sum to the integral flow
     count f(n).  The scan keeps each flow with |x| < top once, under its
     orientation and its level max |x|; bucket o at n counts the flows of o
-    with level < n.  Each table lists its orientations in sorted order.
+    with level < n.  Only the flows whose last cotree coordinate is positive
+    are scanned: the twin -x of such a flow has the same level and is
+    positive along the reversed orientation, so each kept (orientation,
+    level) is credited to both.  Each table lists its orientations in sorted
+    order.
     """
     xi = _check_caps(g, top)
     m = g.edge_count
@@ -236,12 +249,18 @@ def kochol_tables(g: Multigraph, top: int) -> dict[int, dict[tuple[int, ...], in
     rows, cls, flipped = _series_classes(M)
     span = np.concatenate([np.arange(-(top - 1), 0), np.arange(1, top)]).astype(np.int64)
     (combos_a, a), (combos_b, b) = _half_sums(rows, span)
+    # x and -x are both kept or both dropped, so scan only the flows whose
+    # last cotree coordinate is positive; half b always holds that coordinate
+    positive = combos_b[:, -1] > 0
+    combos_b, b = combos_b[positive], b[:, positive]
     bound = (top - 1) * int(np.abs(rows).sum(axis=1).max(initial=0))
     a, b = _small(a, bound), _small(b, bound)
     # A kept flow's code is its orientation key shifted above its level.  Key
     # bit j is the sign of cotree coordinate j and bit xi + r the sign of
-    # class r: at most 4 xi bits, so every code fits an int64.
+    # class r: at most 4 xi bits, so every code fits an int64.  The twin -x
+    # has the same level and every key bit flipped.
     shift = (top - 1).bit_length()
+    mirror = (1 << (xi + len(rows))) - 1
     cut = combos_a.shape[1]
     key_a = (combos_a < 0) @ (1 << np.arange(cut, dtype=np.int64))
     key_b = (combos_b < 0) @ (1 << np.arange(cut, xi, dtype=np.int64))
@@ -262,7 +281,8 @@ def kochol_tables(g: Multigraph, top: int) -> dict[int, dict[tuple[int, ...], in
 
     levels: dict[int, list[int]] = {}
     for c, k in counts.items():
-        levels.setdefault(c >> shift, [0] * top)[c & ((1 << shift) - 1)] += k
+        for key in (c >> shift, (c >> shift) ^ mirror):
+            levels.setdefault(key, [0] * top)[c & ((1 << shift) - 1)] += k
     for key, per_level in levels.items():
         direction = [0] * m
         for j, e in enumerate(cotree):
@@ -341,15 +361,18 @@ def flow_analysis(g: Multigraph) -> FlowResult:
 
     Preconditions: no bridges (a bridge forces the zero polynomial) and
     xi >= 1; violations raise NotApplicable with a machine-readable reason.
-    The caps are checked before any scan: an xi above `caps.FLOW_XI_CAP`
-    first, then the edge cap of the totally cyclic enumeration, which runs
-    before the flow scans.
+    The caps are checked before any scan: `caps.FLOW_VERTEX_CAP` before any
+    pass over the vertices, then, after the bridge and xi = 0 tests, an xi
+    above `caps.FLOW_XI_CAP`, then the edge cap of the totally cyclic
+    enumeration, which runs before the flow scans.  The graph computes its
+    component count once, and every later cap check reads it.
     The star vectors come from the counts at n = 1..xi+2, the last one an
     overdetermination node.  The integral count f(n) is the sum of the Kochol
     table at n, and all xi+2 tables come from one scan at n = xi+2; they are
     kept on the result, one column P_o per orientation, each a polynomial of
     degree <= xi.
     """
+    _check_vertex_cap(g)
     if g.bridges():
         raise NotApplicable("bridge", "a bridge admits no nowhere-zero flow")
     xi = cyclomatic_number(g)

@@ -19,6 +19,7 @@ reverses it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations, product
 from typing import Sequence
 
@@ -87,8 +88,9 @@ class Multigraph:
             out.append(roots.setdefault(r, len(roots)))
         return out
 
-    @property
+    @cached_property
     def component_count(self) -> int:
+        """Computed once per graph; the bridge test and every cap check read it."""
         ids = self.component_ids()
         return max(ids) + 1 if ids else 0
 

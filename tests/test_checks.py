@@ -1,6 +1,7 @@
 """The shared check tables: CLI/survey parity and failures reported, not raised."""
 
 import json
+import math
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -151,8 +152,8 @@ def test_flow_checks_scan_once(monkeypatch):
     import polybinom.flows as flows
     from polybinom.graphs import complete_graph
 
-    calls, widths = [], []
-    tables, halves = flows.kochol_tables, flows._half_sums
+    calls, widths, pairs = [], [], []
+    tables, halves, kept = flows.kochol_tables, flows._half_sums, flows._kept_pairs
 
     def counted(g, top):
         calls.append(top)
@@ -162,14 +163,87 @@ def test_flow_checks_scan_once(monkeypatch):
         widths.append(len(values))
         return halves(rows, values)
 
+    def counted_pairs(a, b, keep):
+        pairs.append(0)
+        for start, ok in kept(a, b, keep):
+            pairs[-1] += ok.size
+            yield start, ok
+
     monkeypatch.setattr(flows, "kochol_tables", counted)
     monkeypatch.setattr(flows, "_half_sums", counted_halves)
+    monkeypatch.setattr(flows, "_kept_pairs", counted_pairs)
     checked = flow_checks(complete_graph(4))
     assert calls == [5]  # one scan at the top bound n = xi+2 with xi = 3
     # n = 1 needs no scan; then one modular grid of width n-1 for each
     # n = 2..5 and exactly one integral grid, of width 2(xi+1)
     assert sorted(widths) == [n - 1 for n in range(2, 6)] + [8]
+    # the modular scans test their (n-1)^xi pairs; the integral scan tests
+    # half of its (2(xi+1))^xi, the flows whose last cotree value is positive
+    assert pairs == [(n - 1) ** 3 for n in range(2, 6)] + [8**3 // 2]
     assert not checked.failures
+
+
+def _flow_cli_verdicts(tmp_path, capsys, g):
+    """Exit code and failed checks of `flow` on g, and its JSON flags."""
+    path = tmp_path / "instance.graph"
+    path.write_text(format_graph_file(g))
+    code = main(["flow", str(path)])
+    err = capsys.readouterr().err
+    assert main(["flow", "--json", str(path)]) == code
+    payload = json.loads(capsys.readouterr().out)
+    flags = {name: payload[name] for name in ("kochol_sums_match_f", "kochol_keys_totally_cyclic")}
+    return code, err, flags
+
+
+def test_unmirrored_tables_are_a_reported_failure(monkeypatch, tmp_path, capsys):
+    # the scan credits each flow's orientation and its reverse; a table that
+    # keeps one of each pair misses half the totally cyclic orientations
+    import polybinom.flows as flows
+
+    scan = flows.kochol_tables
+
+    def halved(g, top):
+        return {
+            n: {o: k for o, k in table.items() if o < tuple(1 - bit for bit in o)}
+            for n, table in scan(g, top).items()
+        }
+
+    monkeypatch.setattr(flows, "kochol_tables", halved)
+    code, err, flags = _flow_cli_verdicts(tmp_path, capsys, complete_graph(4))
+    assert code == EXIT_COUNTEREXAMPLE
+    assert "kochol_keys_totally_cyclic" in err
+    assert flags["kochol_keys_totally_cyclic"] is False
+
+
+def test_column_with_a_negative_star_entry_is_a_reported_failure(monkeypatch, tmp_path, capsys):
+    # moving c * C(n+xi-i, xi) between two columns keeps every column of
+    # degree <= xi and every sum, so f is unchanged and the node holds; only
+    # the sign of star entry i of the first column sees it
+    import polybinom.flows as flows
+    from polybinom.polynomials import star_from_values
+
+    scan = flows.kochol_tables
+
+    def shifted(g, top):
+        tables = scan(g, top)
+        xi = cyclomatic_number(g)
+        first, second = list(tables[top])[:2]
+        star = star_from_values([t.get(first, 0) for t in tables.values()], xi, start=1)
+        i = 2
+        c = star.entries[i] + 1
+        for n, table in tables.items():
+            moved = c * math.comb(n + xi - i, xi)
+            table[first] = table.get(first, 0) - moved
+            table[second] = table.get(second, 0) + moved
+        column = [t[first] for t in tables.values()]
+        assert star_from_values(column, xi, start=1).entries[i] == -1
+        return tables
+
+    monkeypatch.setattr(flows, "kochol_tables", shifted)
+    code, err, flags = _flow_cli_verdicts(tmp_path, capsys, complete_graph(4))
+    assert code == EXIT_COUNTEREXAMPLE
+    assert err == "failed checks: kochol_sums_match_f\n"
+    assert flags == {"kochol_sums_match_f": False, "kochol_keys_totally_cyclic": True}
 
 
 def test_misbucketed_flow_is_a_reported_failure(monkeypatch, tmp_path, capsys):

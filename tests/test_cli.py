@@ -1,6 +1,9 @@
 import json
+import string
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import polybinom.cli
 import polybinom.flows
@@ -132,6 +135,17 @@ class TestFlowCommand:
         # over both caps, the xi cap is reported
         assert main(["flow", write("dipole25.graph", format_graph_file(dipole(25)))]) == 3
         assert "cyclomatic number 24 exceeds cap 6" in capsys.readouterr().err
+
+    def test_huge_vertex_count_is_refused_before_any_vertex_pass(self, write, monkeypatch, capsys):
+        def refuse(self):
+            raise AssertionError("a pass over the vertices ran before the vertex count was checked")
+
+        monkeypatch.setattr(Multigraph, "component_ids", refuse)
+        for text in ("vertices 100000000\n", "vertices 100000000\nedge 0 1\n"):
+            assert main(["flow", write("huge.graph", text)]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"cap exceeded: flow cap is {caps.FLOW_VERTEX_CAP} vertices, got 100000000\n"
 
 
 class TestOrderCommand:
@@ -336,3 +350,61 @@ class TestUnreadableFiles:
         assert captured.out == ""
         assert captured.err.startswith("rejected (file-error): ")
         assert captured.err.count("\n") == 1
+
+
+# counts and endpoints as a file may spell them: small, negative, huge, more
+# digits than int() converts, digits of other scripts (Arabic-Indic three and
+# fullwidth three are decimal; superscript two and Roman numeral eight are
+# not), or any short text
+NUMERALS = st.one_of(
+    st.integers(0, 6).map(str),
+    st.integers(-(10**12), -1).map(str),
+    st.sampled_from(["1000", "1001", "100000000"]),
+    st.integers(4301, 5000).map(lambda k: "9" * k),
+    st.text(alphabet="0123456789\u0663\uff13\u00b2\u2167", min_size=1, max_size=3),
+    st.text(max_size=3),
+)
+DIRECTIVES = ("vertices", "elements", "edge", "cover")
+
+
+def file_texts(header: str, pair: str):
+    """A header, up to 7 lines of the command's own pair directive, each
+    with small endpoints or one odd one, then at most one line of noise: a
+    repeated header, another directive or a comment."""
+    small = st.integers(0, 2).map(str)
+    # one_of flattens nested one_ofs, so each header is built on its own to
+    # keep the small counts at half the draws
+    head = st.builds(lambda c: f"{header} {c}", st.integers(3, 6)) | st.builds(
+        lambda c: f"{header} {c}", NUMERALS
+    )
+    pairs = st.one_of(
+        st.builds(lambda u, v: f"{pair} {u} {v}", small, small),
+        st.builds(lambda u, v: f"{pair} {u} {v}", small, NUMERALS),
+        st.builds(lambda u, v: f"{pair} {u} {v}", NUMERALS, small),
+    )
+    noise = st.one_of(
+        head,
+        st.builds(
+            lambda word, fields: " ".join([word, *fields]),
+            st.sampled_from(DIRECTIVES) | st.text(alphabet=string.ascii_letters, min_size=1, max_size=6),
+            st.lists(NUMERALS, max_size=3),
+        ),
+        st.sampled_from(["", "# comment", f"{header} 3 # trailing comment"]),
+    )
+    return st.builds(
+        lambda first, middle, last: "\n".join([first, *middle, *last]),
+        head, st.lists(pairs, max_size=7), st.lists(noise, max_size=1),
+    )
+
+
+@pytest.mark.parametrize(
+    "command, header, pair",
+    [("chromatic", "vertices", "edge"), ("flow", "vertices", "edge"), ("order", "elements", "cover")],
+)
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_file_text_ends_in_an_exit_code(tmp_path, capsys, command, header, pair, data):
+    path = tmp_path / "input"
+    path.write_text(data.draw(file_texts(header, pair)))
+    assert main([command, str(path)]) in (0, 1, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err

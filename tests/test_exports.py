@@ -51,6 +51,7 @@ def test_readme_names_every_cap():
         ],
         "DESCENT_ELEMENT_CAP": ["the descent route `d <= {}`"],
         "FLOW_XI_CAP": ["flows `xi <= {}`"],
+        "FLOW_VERTEX_CAP": ["`flow` takes graphs on `d <= {}` vertices"],
         "POSET_SURVEY_CAP": ["the exhaustive poset survey `d <= {}`"],
         "GRAPH_SURVEY_CAP": ["the exhaustive graph and flow surveys `d <= {}`"],
         "FLOW_XI_SURVEY_CAP": ["the flow survey `xi <= {}`"],
@@ -71,3 +72,5 @@ def test_cap_relations():
     # `graph_checks` takes every graph of the exhaustive graph survey
     assert caps.GRAPH_SURVEY_CAP <= caps.CHROMATIC_VERTEX_CAP
     assert caps.FLOW_XI_SURVEY_CAP <= caps.FLOW_XI_CAP
+    # the flow survey checks every graph class it lists
+    assert caps.GRAPH_SURVEY_CAP <= caps.FLOW_VERTEX_CAP

@@ -292,6 +292,43 @@ class TestFlowAnalysis:
             flow_analysis(Multigraph(1, ()))
         assert err.value.reason == "xi=0"
 
+    def test_vertex_cap_is_checked_at_its_boundary(self):
+        # isolated vertices carry no flow: a padded double edge keeps its answer
+        cap = caps.FLOW_VERTEX_CAP
+        r = flow_analysis(Multigraph(cap, dipole(2).edges))
+        assert (r.phi_star.entries, r.f_star.entries) == ((0, 0, 1), (0, 0, 2))
+        # above the cap even a graph with a bridge is refused by the cap
+        for g in (Multigraph(cap + 1, dipole(2).edges), Multigraph(cap + 1, path_graph(3).edges)):
+            with pytest.raises(CapExceeded, match=f"flow cap is {cap} vertices, got {cap + 1}"):
+                flow_analysis(g)
+        with pytest.raises(CapExceeded, match="flow cap"):
+            kochol_tables(Multigraph(cap + 1, dipole(2).edges), 3)
+
+    def test_refusals_keep_their_order(self):
+        # a bridge is reported before an xi above the cap
+        over = Multigraph(3, dipole(caps.FLOW_XI_CAP + 2).edges + ((1, 2),))
+        with pytest.raises(NotApplicable) as err:
+            flow_analysis(over)
+        assert err.value.reason == "bridge"
+        # the public scans still check the xi cap when called directly
+        for scan in (modular_flow_count, kochol_tables):
+            with pytest.raises(CapExceeded, match=f"exceeds cap {caps.FLOW_XI_CAP}"):
+                scan(dipole(caps.FLOW_XI_CAP + 2), 3)
+
+    def test_component_count_is_computed_once(self, monkeypatch):
+        g = Multigraph(5, K4_DOUBLED.edges + ((4, 4),))
+        passes = []
+        component_ids = Multigraph.component_ids
+
+        def counted(self):
+            passes.append(self is g)
+            return component_ids(self)
+
+        monkeypatch.setattr(Multigraph, "component_ids", counted)
+        flow_analysis(g)
+        # the bridge test also counts the components of each g minus an edge
+        assert passes.count(True) == 1
+
     def test_non_integral_phi_rejected(self, monkeypatch):
         # C(n, 3) is integer-valued and of degree xi = 3, but phi must have
         # integer monomial coefficients
