@@ -27,7 +27,6 @@ from .errors import (
 from .graphs import (
     Multigraph,
     cyclomatic_number,
-    delete_edge,
     enumerate_acyclic_orientations,
     enumerate_totally_cyclic_orientations,
     in_degree_sequence_count,
@@ -79,7 +78,6 @@ __all__ = [
     "chromatic_analysis",
     "chromatic_star",
     "cyclomatic_number",
-    "delete_edge",
     "enumerate_acyclic_orientations",
     "enumerate_totally_cyclic_orientations",
     "flow_analysis",

@@ -58,9 +58,11 @@ ORDER_POLY_ELEMENT_CAP = 10
 DESCENT_ELEMENT_CAP = 8
 # The lattice-point oracle walks each component once, at the top dilate
 # (closed at n = d, interior at n = d+2): on the checking routes a value box
-# of at most 8^7 maps (d <= 7, d+1 values), of which it backtracks over the
-# first d-2 elements only.  That takes about 7.5 ms per poset at d = 7,
-# closed and interior together, and 70 ms at most (Python 3.11, one core).
+# of at most 8^7 maps (d <= 7, d+1 values), of which it branches on the
+# non-maximal elements only.  That takes about 0.6 ms per poset at d = 7,
+# closed and interior together, and 3.4 ms at most; a seeded sample of 200
+# of the 16,999 classes at d = 8 takes about 2 ms per poset and 11 ms at
+# most (Python 3.11, one core).
 # At d = 8 the closed 8th dilate has a 9^8 (about 43M) value box, which
 # POINT_ENUMERATION_BUDGET admits, so the oracle declares its own cap;
 # `order` checks it against the file's element count before building the
@@ -76,13 +78,14 @@ POINT_ENUMERATION_BUDGET = 10**8
 
 # `flow_analysis` refuses a larger graph before its first pass over the
 # vertices.  Isolated vertices carry no flow, but they cost time: the bridge
-# test makes m+1 component passes, and `in_degree_sequence_count` fills d
-# entries per totally cyclic orientation.  The costliest graph found within
-# the other flow caps is the Petersen graph (1,920 orientations; 16 parallel
-# edges have 65,534 but xi = 15, which FLOW_XI_CAP refuses first).  Padded
-# with isolated vertices, `flow` on it takes 0.21 s at d = 10, 0.35 s and
-# 45 MB at d = 1000, and 1.35 s and 54 MB at d = 10,000 (Python 3.11, one
-# core).  At d = 10^7, before this cap, `flow` took 8.1 s and 1.46 GB.
+# search and the component count each pass over every vertex, and
+# `in_degree_sequence_count` fills d entries per totally cyclic orientation.
+# The costliest graph found within the other flow caps is the Petersen graph
+# (1,920 orientations; 16 parallel edges have 65,534 but xi = 15, which
+# FLOW_XI_CAP refuses first).  Padded with isolated vertices, `flow` on it
+# takes 0.21 s at d = 10, 0.35 s and 45 MB at d = 1000, and 1.35 s and 54 MB
+# at d = 10,000 (Python 3.11, one core).  At d = 10^7, before this cap,
+# `flow` took 8.1 s and 1.46 GB.
 FLOW_VERTEX_CAP = 1000
 
 # One flow count scans the product of its cotree value sets.
@@ -96,14 +99,14 @@ FLOW_XI_CAP = 6
 # surveys --------------------------------------------------------------------
 
 # The exhaustive graph and flow surveys check every connected class on up to
-# this many vertices: about 35 s and 4.3 s at d = 7.  The d <= 8 family alone
+# this many vertices: about 18 s and 3.5 s at d = 7.  The d <= 8 family alone
 # takes 34 s and 73 MB (12,113 classes), and a 120-class sample of the 11,117
 # classes at d = 8 takes 0.22 s each, about 41 minutes for that graph survey
 # (Python 3.11, one core).  Must not exceed CHROMATIC_VERTEX_CAP (`graph_checks`).
 GRAPH_SURVEY_CAP = 7
 
 # The exhaustive poset survey at d = 7 grows its 2045 classes in about 1 s
-# and checks all 2450 classes of d <= 7 in 16 to 18 s, at 57 MB peak RSS
+# and checks all 2450 classes of d <= 7 in about 4.2 s, at 57 MB peak RSS
 # (Python 3.11, one core).  Must not exceed LATTICE_POINT_ELEMENT_CAP, which
 # `poset_checks` needs.
 POSET_SURVEY_CAP = 7

@@ -31,7 +31,6 @@ __all__ = [
     "complete_graph",
     "cycle_graph",
     "cyclomatic_number",
-    "delete_edge",
     "dipole",
     "enumerate_acyclic_orientations",
     "enumerate_totally_cyclic_orientations",
@@ -90,7 +89,7 @@ class Multigraph:
 
     @cached_property
     def component_count(self) -> int:
-        """Computed once per graph; the bridge test and every cap check read it."""
+        """Computed once per graph; every cap check reads it."""
         ids = self.component_ids()
         return max(ids) + 1 if ids else 0
 
@@ -99,15 +98,50 @@ class Multigraph:
         return self.component_count <= 1
 
     def bridges(self) -> tuple[int, ...]:
-        """Edge indices whose deletion increases the component count."""
-        base = self.component_count
-        out = []
+        """Edge indices whose deletion increases the component count.
+
+        One iterative depth-first search with low-links (Tarjan 1974), O(n + m):
+        a tree edge is a bridge iff no edge from below it reaches its parent
+        or higher.  Edges are told apart by index, so a parallel twin of a
+        tree edge is a back edge and neither is a bridge; loops are skipped.
+        """
+        d = self.vertex_count
+        incident: list[list[tuple[int, int]]] = [[] for _ in range(d)]
         for i, (u, v) in enumerate(self.edges):
-            if u == v:
+            if u != v:
+                incident[u].append((v, i))
+                incident[v].append((u, i))
+        entry = [-1] * d  # discovery time
+        low = [0] * d  # the earliest discovery time reached from the subtree
+        clock = 0
+        out = []
+        for root in range(d):
+            if entry[root] >= 0:
                 continue
-            if delete_edge(self, i).component_count > base:
-                out.append(i)
-        return tuple(out)
+            entry[root] = low[root] = clock
+            clock += 1
+            stack = [(root, -1, iter(incident[root]))]  # vertex, tree edge into it, edges left
+            while stack:
+                v, via, left = stack[-1]
+                for w, i in left:
+                    if i == via:
+                        continue
+                    if entry[w] < 0:
+                        entry[w] = low[w] = clock
+                        clock += 1
+                        stack.append((w, i, iter(incident[w])))
+                        break
+                    if entry[w] < low[v]:
+                        low[v] = entry[w]
+                else:
+                    stack.pop()
+                    if stack:
+                        parent = stack[-1][0]
+                        if low[v] < low[parent]:
+                            low[parent] = low[v]
+                        if low[v] > entry[parent]:
+                            out.append(via)
+        return tuple(sorted(out))
 
     @property
     def is_bridgeless(self) -> bool:
@@ -137,12 +171,6 @@ def dipole(k: int) -> Multigraph:
 def cyclomatic_number(g: Multigraph) -> int:
     """|E| - |V| + number of components: the cycle-space dimension."""
     return g.edge_count - g.vertex_count + g.component_count
-
-
-def delete_edge(g: Multigraph, e: int) -> Multigraph:
-    if not 0 <= e < g.edge_count:
-        raise IndexError(f"edge index {e} out of range")
-    return Multigraph(g.vertex_count, g.edges[:e] + g.edges[e + 1 :])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import string
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -146,6 +147,15 @@ class TestFlowCommand:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"cap exceeded: flow cap is {caps.FLOW_VERTEX_CAP} vertices, got 100000000\n"
+
+    def test_many_parallel_edges_are_refused_quickly(self, write, capsys):
+        # the bridge test runs before the xi cap; one linear search over the
+        # 4000 edges keeps the refusal fast
+        text = "vertices 2\n" + "edge 0 1\n" * 4000
+        start = time.perf_counter()
+        assert main(["flow", write("dipole4000.graph", text)]) == 3
+        assert time.perf_counter() - start < 0.5
+        assert "cyclomatic number 3999 exceeds cap 6" in capsys.readouterr().err
 
 
 class TestOrderCommand:

@@ -1,3 +1,4 @@
+import random
 import time
 from collections import deque
 
@@ -13,7 +14,6 @@ from polybinom.graphs import (
     complete_graph,
     cycle_graph,
     cyclomatic_number,
-    delete_edge,
     dipole,
     enumerate_acyclic_orientations,
     enumerate_totally_cyclic_orientations,
@@ -24,7 +24,22 @@ from polybinom.graphs import (
     path_graph,
 )
 from polybinom.posets import Poset, antichain, chain
-from polybinom.survey import connected_graph_classes
+from polybinom.survey import connected_graph_classes, flow_fixture_set
+
+
+def delete_edge(g: Multigraph, e: int) -> Multigraph:
+    if not 0 <= e < g.edge_count:
+        raise IndexError(f"edge index {e} out of range")
+    return Multigraph(g.vertex_count, g.edges[:e] + g.edges[e + 1 :])
+
+
+def bridges_by_deletion(g: Multigraph) -> tuple[int, ...]:
+    """The per-edge oracle of `Multigraph.bridges`: every edge whose deleted
+    copy of the graph has more components."""
+    return tuple(
+        i for i, (u, v) in enumerate(g.edges)
+        if u != v and delete_edge(g, i).component_count > g.component_count
+    )
 
 
 class TestStructure:
@@ -47,6 +62,35 @@ class TestStructure:
         loops_only = Multigraph(2, ((0, 0),))
         assert loops_only.component_count == 2  # the loop does not join 0 and 1
         assert loops_only.is_bridgeless
+
+    def test_bridges_match_the_deletion_oracle(self):
+        graphs = connected_graph_classes(6) + [g for _, g in flow_fixture_set()] + [
+            Multigraph(1, ((0, 0),)),
+            Multigraph(3, ((0, 0), (0, 1), (1, 1), (1, 2), (2, 2))),  # loops on a path
+            Multigraph(3, ((0, 1), (1, 0), (1, 2))),  # an antiparallel twin and a bridge
+            Multigraph(5, ()),  # isolated vertices only
+            Multigraph(7, ((0, 1), (1, 2), (2, 0), (4, 5), (5, 6), (6, 6))),  # components and isolated 3
+            Multigraph(6, ((5, 4), (4, 3), (3, 5), (3, 2), (2, 1), (1, 0), (0, 2))),  # two triangles, one bridge
+            Multigraph(4, ((0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (2, 3))),
+            Multigraph(0, ()),
+        ]
+        assert len(graphs) == 143 + 6 + 8
+        rng = random.Random(19)
+        for _ in range(300):  # multigraphs with loops, twins and several components
+            d = rng.randint(1, 8)
+            graphs.append(Multigraph(d, tuple((rng.randrange(d), rng.randrange(d)) for _ in range(rng.randint(0, 12)))))
+        for g in graphs:
+            assert g.bridges() == bridges_by_deletion(g), g
+        assert Multigraph(6, ((5, 4), (4, 3), (3, 5), (3, 2), (2, 1), (1, 0), (0, 2))).bridges() == (3,)
+
+    def test_bridge_search_is_linear(self):
+        # 4000 parallel edges: the search visits each once, where one deleted
+        # copy per edge took seconds
+        g = dipole(4000)
+        start = time.perf_counter()
+        assert g.bridges() == ()
+        assert time.perf_counter() - start < 0.5
+        assert path_graph(4000).bridges() == tuple(range(3999))
 
 
 class TestDeleteContract:

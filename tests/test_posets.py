@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import product
 
 import numpy as np
@@ -291,22 +292,29 @@ class TestOrderPolytope:
             lattice_point_counts(antichain(7), 13)
 
     def test_counts_match_brute_force(self):
-        # every map of the value box, kept if it respects each relation
+        # every map of the value box, kept if it respects each relation, at
+        # every dilate up to d+2 and at the boundary tops 0, 1 and 2, where
+        # the value range of each walk is empty or holds one or two values
         for d in range(1, 6):
             posets = generate_posets(d)
             relations = [[(a, b) for a in range(d) for b in _bits(p.above[a])] for p in posets]
+            tops = (0, 1, 2, d + 2)
             counts = {
-                interior: [lattice_point_counts(p, d + 2, interior=interior) for p in posets]
+                (interior, top): [lattice_point_counts(p, top, interior=interior) for p in posets]
                 for interior in (False, True)
+                for top in tops
             }
             for n in range(d + 3):
                 for interior, values in ((False, range(n + 1)), (True, range(1, n))):
                     maps = np.array(list(product(values, repeat=d)), dtype=np.int64).reshape(-1, d)
-                    for p, pairs, points in zip(posets, relations, counts[interior]):
+                    for i, (p, pairs) in enumerate(zip(posets, relations)):
                         kept = np.ones(len(maps), dtype=bool)
                         for a, b in pairs:
                             kept &= maps[:, a] < maps[:, b] if interior else maps[:, a] <= maps[:, b]
-                        assert points[n] == int(kept.sum()), (p, n, interior)
+                        for top in tops:
+                            if n <= top:
+                                points = counts[interior, top][i]
+                                assert points[n] == int(kept.sum()), (p, n, top, interior)
 
     def test_one_pass_matches_the_per_dilate_oracle(self):
         # one walk at the top dilate, bucketed by the largest value, against
@@ -318,6 +326,33 @@ class TestOrderPolytope:
             assert lattice_point_counts(p, d) == [points_at(p, n) for n in range(d + 1)], p
             inner = lattice_point_counts(p, d + 2, interior=True)
             assert inner[1:] == [points_at(p, n, interior=True) for n in range(1, d + 3)], p
+
+    def test_bound_state_walk_matches_the_per_dilate_oracle_at_d7(self):
+        # a seeded sample of the 2045 classes at d = 7, the two extremes, and
+        # the shapes with the most maximal or most minimal elements in one
+        # component: six minimal elements under one top, one bottom under six
+        # tops.  Each sampled class is relabeled at random: a class's smallest
+        # relabeling gives its maximal elements the top labels, so only other
+        # labelings put a maximal element before a non-maximal one in the
+        # natural labeling, which the walk must move last
+        rng = random.Random(19)
+        sample = []
+        for p in rng.sample(generate_posets(7), 100):
+            label = rng.sample(range(7), 7)
+            sample.append(Poset.from_relation(7, [(label[a], label[b]) for a in range(7) for b in _bits(p.above[a])]))
+        mixed = 0
+        for p in sample:
+            order = p.natural_labeling()
+            mixed += any(not p.above[u] and p.above[v] for i, u in enumerate(order) for v in order[i + 1 :])
+        assert mixed >= 50
+        fan_in = Poset.from_relation(7, [(i, 6) for i in range(6)])
+        fan_out = Poset.from_relation(7, [(0, i) for i in range(1, 7)])
+        for p in sample + [chain(7), antichain(7), fan_in, fan_out]:
+            assert lattice_point_counts(p, 7) == [points_at(p, n) for n in range(8)], p
+            inner = lattice_point_counts(p, 9, interior=True)
+            assert inner[1:] == [points_at(p, n, interior=True) for n in range(1, 10)], p
+        assert lattice_point_counts(fan_in, 3) == [sum((v + 1) ** 6 for v in range(n + 1)) for n in range(4)]
+        assert lattice_point_counts(fan_out, 3) == [sum((n - v + 1) ** 6 for v in range(n + 1)) for n in range(4)]
 
     def test_strict_count_is_shifted_interior(self):
         for p in (chain(3), antichain(3), V_POSET):
