@@ -15,7 +15,6 @@ from .decompositions import (
     SymmetricSplit,
     ab_decomposition,
     ca_decomposition,
-    check_partial_sum_inequalities,
     symmetric_split,
 )
 from .errors import (
@@ -74,7 +73,6 @@ __all__ = [
     "SymmetricSplit",
     "ab_decomposition",
     "ca_decomposition",
-    "check_partial_sum_inequalities",
     "chromatic_analysis",
     "chromatic_star",
     "cyclomatic_number",

@@ -38,6 +38,8 @@ ORIENTATION_EDGE_CAP = 24
 # set, 3^d steps (59,049 at d = 10).  It must not exceed
 # ORDER_POLY_ELEMENT_CAP: the order-star cross-route of `chromatic` walks
 # the order ideals of each acyclic orientation as a poset on all d vertices.
+# The sampled graph and flow surveys refuse a --max-size above it before any
+# draw, since each draw lists all d(d-1)/2 vertex pairs.
 CHROMATIC_VERTEX_CAP = 10
 # Enumeration plus the order-polynomial cross-route cost about 0.021 ms per
 # acyclic orientation at d = 8 (K8) and 0.048 to 0.057 ms at d = 10 (random
@@ -52,7 +54,8 @@ ACYCLIC_ORIENTATION_CAP = 50_000
 
 # `strict_chain_code` passes once over the up-sets it reaches, at most
 # 2^d = 1024 of them at d = 10, each step one shifted add of a packed code
-# with d * d.bit_length() = 40-bit fields; `omega_star` enforces this cap.
+# with d * d.bit_length() = 40-bit fields; `omega_star` enforces this cap,
+# and the sampled poset survey refuses a larger --max-size before any draw.
 ORDER_POLY_ELEMENT_CAP = 10
 # `hstar_via_descents` lists every linear extension, at most d! = 40,320.
 DESCENT_ELEMENT_CAP = 8

@@ -1,4 +1,4 @@
-"""Chromatic polynomials, their star vectors, and the symmetric split audits.
+"""Chromatic polynomials, their star vectors, and their palindromic splits.
 
 chi_G is summed in the falling-factorial basis, with coefficients counted by
 a dynamic program over vertex bitmasks: the number of partitions of the
@@ -7,12 +7,14 @@ n = 0..d+1 give the star vector over degree bound d (the vertex count) by
 finite differences, as for every other route; the `Polynomial` chi is
 rebuilt from that vector only for display.  The route shares no code with
 the orientation and order-star routes that check it.  The star vector
-splits into palindromic parts whose positivity, chains, and constant terms
-are audited against the acyclic-orientation oracle.
+splits into palindromic parts; their positivity, chains and constant terms
+are audited, against the acyclic-orientation oracle, in `polybinom.checks`,
+which builds every audit.  This module only computes.
 
 The same star vector also arises as the star vector of the summed strict
 counts of the orders induced by the acyclic orientations (Stanley 1973);
-that cross-route is the module's central consistency check.  Each order's
+that cross-route, `star_via_order_polynomials`, is the central consistency
+check of `graph_checks`.  Each order's
 walk packs its chain counts into one integer, the graph adds those, and the
 total is expanded and differenced once, so its overdetermination node
 n = d+1 sits on the sum, not on each orientation.  The orientation search
@@ -28,14 +30,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import caps
-from .decompositions import (
-    InequalityReport,
-    SymmetricSplit,
-    check_partial_sum_inequalities,
-    chain_report,
-    nonnegativity_report,
-    symmetric_split,
-)
+from .decompositions import SymmetricSplit, symmetric_split
 from .errors import CapExceeded, NotApplicable
 from .graphs import Multigraph, enumerate_acyclic_orientations
 from .polynomials import Polynomial, StarVector, inverse_transform, star_from_values
@@ -131,8 +126,6 @@ class ChromaticResult:
     chi_star: StarVector
     split: SymmetricSplit
     acyclic_orientations: tuple[tuple[int, ...], ...] = field(repr=False)  # each as its above masks
-    audits: tuple[InequalityReport, ...] = field(compare=False)
-    constants_match_oracle: bool = True
 
     @property
     def acyclic_count(self) -> int:
@@ -146,27 +139,22 @@ class ChromaticResult:
             "a": list(self.split.p),
             "b": list(self.split.q),
             "acyclic_orientations": self.acyclic_count,
-            "constants_match_oracle": self.constants_match_oracle,
-            "audits": [r.to_json() for r in self.audits],
         }
 
 
 def chromatic_analysis(g: Multigraph) -> ChromaticResult:
-    """Star vector, palindromic split, and all chromatic inequality audits.
+    """Star vector, palindromic split, and the acyclic orientations.
 
-    The split's constant terms are compared against the number of
-    enumerated acyclic orientations, kept as their orders for the
-    order-polynomial cross-route, and failed audits are reported in the
-    result.  chi is rebuilt from the star vector for display.  That number
-    is |chi(-1)| (Stanley 1973), which is checked against
-    `caps.ACYCLIC_ORIENTATION_CAP` before any orientation is enumerated; it only
-    sizes the cap, and the constants are compared with the enumerated list.
+    The orientations are kept as their orders, for the constant-term oracle
+    and the order-polynomial cross-route of `polybinom.checks`.  chi is
+    rebuilt from the star vector for display.  Their number is |chi(-1)|
+    (Stanley 1973), which is checked against `caps.ACYCLIC_ORIENTATION_CAP`
+    before any orientation is enumerated; it only sizes the cap.
     """
     if g.vertex_count == 0:
         raise NotApplicable("empty", "no vertices")
     if g.has_loops:
         raise NotApplicable("loop", "chi vanishes identically on graphs with loops")
-    d = g.vertex_count
     star = chromatic_star(g)
     if star.value(0) != 0:
         raise AssertionError("chromatic polynomial must have zero constant term")
@@ -175,23 +163,9 @@ def chromatic_analysis(g: Multigraph) -> ChromaticResult:
         raise CapExceeded(
             f"graph has {count} acyclic orientations; cap is {caps.ACYCLIC_ORIENTATION_CAP}"
         )
-    split = symmetric_split(star.entries, d)
+    split = symmetric_split(star.entries, g.vertex_count)
     orientations = tuple(enumerate_acyclic_orientations(g))
-    acyclic = len(orientations)
-    # d = 1 has an empty b part; only the a constant can be compared then
-    constants_ok = split.p[0] == acyclic and (not split.q or split.q[0] == acyclic)
-    audits = (
-        nonnegativity_report(star.entries, "chromatic_star_nonnegative"),
-        chain_report(split.p, d - 1, "chromatic_chain_a"),
-        chain_report(split.q, d - 2, "chromatic_chain_b"),
-        nonnegativity_report(split.p, "chromatic_a_positive", minimum=1),
-        nonnegativity_report(split.q, "chromatic_b_positive", minimum=1),
-        check_partial_sum_inequalities(star.entries, d, "chromatic_tail_sums"),
-        check_partial_sum_inequalities(star.entries, d, "chromatic_mirror"),
-        check_partial_sum_inequalities(star.entries, d, "binomial_coefficient_bound"),
-    )
-    chi = inverse_transform(star)
-    return ChromaticResult(g, chi, star, split, orientations, audits, constants_ok)
+    return ChromaticResult(g, inverse_transform(star), star, split, orientations)
 
 
 # ---------------------------------------------------------------------------

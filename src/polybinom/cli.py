@@ -16,6 +16,7 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -45,6 +46,8 @@ ORDER_FLAGS = (
     "interior_shift_is_order_star",
     "descents_match_lattice_hstar",
 )
+# the audits `order` shows of its table, in table order
+ORDER_AUDITS = ("order_tail_sums", "binomial_coefficient_bound")
 
 
 def _timestamp() -> str:
@@ -87,6 +90,17 @@ def _flags(checked, names: tuple[str, ...]) -> dict[str, bool]:
     return {name: checked.checks[name] == "pass" for name in names}
 
 
+def _graph_payload(checked, constants: str, flags: tuple[str, ...]) -> dict:
+    """A graph command's JSON body: its computed quantities, whether the
+    constants check `constants` passed, its audits and its flags."""
+    return {
+        **checked.result.to_json(),
+        "constants_match_oracle": checked.checks[constants] == "pass",
+        "audits": [r.to_json() for r in checked.audits],
+        **_flags(checked, flags),
+    }
+
+
 def _exit_code(checked) -> int:
     """Exit code from the whole check table; failing checks are named on stderr."""
     if checked.failures:
@@ -112,11 +126,12 @@ def _cmd_chromatic(args) -> int:
     checked = graph_checks(g)
     result = checked.result
     if args.csv:
-        _write_audit_csv(args.csv, args.file, result.audits)
+        _write_audit_csv(args.csv, args.file, checked.audits)
     if args.json:
-        payload = {**result.to_json(), **_flags(checked, CHROMATIC_FLAGS)}
+        payload = _graph_payload(checked, "constants_match_acyclic_oracle", CHROMATIC_FLAGS)
         _emit_json({**payload, **_header(digest, checked)})
     else:
+        constants_ok = checked.checks["constants_match_acyclic_oracle"] == "pass"
         order_sum_ok = checked.checks["order_polynomial_sum_matches"] == "pass"
         print(f"graph: {g.vertex_count} vertices, {g.edge_count} edges")
         print(f"chi: {result.chi.pretty()}")
@@ -124,10 +139,10 @@ def _cmd_chromatic(args) -> int:
         print(f"a: {result.split.p}")
         print(f"b: {result.split.q}")
         print(f"acyclic orientations: {result.acyclic_count}")
-        print(f"constants match oracle: {result.constants_match_oracle}")
+        print(f"constants match oracle: {constants_ok}")
         print(f"order-polynomial sum matches: {order_sum_ok}")
         print("audits:")
-        print("\n".join(_audit_lines(result.audits)))
+        print("\n".join(_audit_lines(checked.audits)))
     return _exit_code(checked)
 
 
@@ -139,14 +154,15 @@ def _cmd_flow(args) -> int:
     result = checked.result
     kochol, xi = result.kochol, result.xi
     if args.csv:
-        _write_audit_csv(args.csv, args.file, result.audits)
+        _write_audit_csv(args.csv, args.file, checked.audits)
     if args.json:
         table = {
             str(n): {"".join(map(str, k)): v for k, v in t.items()} for n, t in kochol.items()
         }
-        payload = {**result.to_json(), "kochol_table": table, **_flags(checked, FLOW_FLAGS)}
+        payload = {**_graph_payload(checked, "constants_match_oracles", FLOW_FLAGS), "kochol_table": table}
         _emit_json({**payload, **_header(digest, checked)})
     else:
+        constants_ok = checked.checks["constants_match_oracles"] == "pass"
         kochol_ok = checked.checks["kochol_sums_match_f"] == "pass"
         print(f"graph: {g.vertex_count} vertices, {g.edge_count} edges, xi = {xi}")
         print(f"phi: {result.phi.pretty()}")
@@ -159,12 +175,12 @@ def _cmd_flow(args) -> int:
         print(f"d: {result.f_split.q}")
         print(f"totally cyclic orientations: {result.tc_orientation_count}")
         print(f"in-degree sequences: {result.indegree_sequence_count}")
-        print(f"constants match oracles: {result.constants_match_oracle}")
+        print(f"constants match oracles: {constants_ok}")
         print(f"orientation-sum identity (n=1..{xi + 2}): {kochol_ok}")
         top = kochol[xi + 2]
         print(f"orientation table at n={xi + 2}: {len(top)} orientations, total {sum(top.values())}")
         print("audits:")
-        print("\n".join(_audit_lines(result.audits)))
+        print("\n".join(_audit_lines(checked.audits)))
     return _exit_code(checked)
 
 
@@ -173,8 +189,9 @@ def _cmd_order(args) -> int:
     p = parse_poset_file(text)
     checked = poset_checks(p)
     order_poly = inverse_transform(checked.star)
+    audits = [r for r in checked.audits if r.family in ORDER_AUDITS]
     if args.csv:
-        _write_audit_csv(args.csv, args.file, checked.audits)
+        _write_audit_csv(args.csv, args.file, audits)
     if args.json:
         payload = {
             "poset": p.to_json(),
@@ -184,7 +201,7 @@ def _cmd_order(args) -> int:
             "b": list(checked.split.q),
             "hstar": checked.hstar.to_json(),
             "checks": _flags(checked, ORDER_FLAGS),
-            "audits": [r.to_json() for r in checked.audits],
+            "audits": [r.to_json() for r in audits],
         }
         _emit_json({**payload, **_header(digest, checked)})
     else:
@@ -197,7 +214,7 @@ def _cmd_order(args) -> int:
         for name, value in _flags(checked, ORDER_FLAGS).items():
             print(f"{name}: {value}")
         print("audits:")
-        print("\n".join(_audit_lines(checked.audits)))
+        print("\n".join(_audit_lines(audits)))
     return _exit_code(checked)
 
 
@@ -295,11 +312,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _same_file(csv_path: str, file: str | None) -> bool:
+    """Whether --csv names FILE, through any spelling or link; opening it for
+    writing would empty the input before it is read."""
+    try:
+        return file is not None and os.path.samefile(csv_path, file)
+    except OSError:  # either path missing or unreadable: not the same file
+        return False
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if getattr(args, "csv", None):
+            if _same_file(args.csv, getattr(args, "file", None)):
+                raise OSError(f"--csv {args.csv} names the input FILE {args.file}")
             # opened before any work, so an unwritable path fails fast; the
             # command writes its rows to the open handle
             with open(args.csv, "w", newline="") as args.csv:

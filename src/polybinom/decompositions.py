@@ -10,6 +10,8 @@ p palindromic of length D+1 (p_j = p_{D-j}) and q palindromic of length D
 Positivity and the monotonicity chains of these parts are the substance of
 the theorems verified by this package, so they are *audited* and reported,
 never assumed: a failed audit is a "fail" verdict in a report, not an error.
+This module holds the parts and the inequality rules, one plain function
+per rule; every audit is built in `polybinom.checks`, which calls them.
 
 For a start=0 star vector h of lattice-point counts, with degree s and
 codegree l = D+1-s, Stapledon's parts are symmetric splits of reversed,
@@ -27,9 +29,10 @@ truncated and interior-reversed h:
 
 from __future__ import annotations
 
+import operator
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from .polynomials import StarVector, binomial
 
@@ -40,11 +43,19 @@ __all__ = [
     "InequalityRow",
     "SymmetricSplit",
     "ab_decomposition",
+    "binomial_coefficient_bound",
     "ca_decomposition",
     "chain_report",
-    "check_partial_sum_inequalities",
+    "chromatic_mirror",
+    "entrywise_dominance",
+    "flow_mirror",
+    "flow_tail_sums_base",
+    "flow_tail_sums_shifted",
+    "hstar_tail_vs_head",
+    "hstar_top_vs_head",
     "nonnegativity_report",
     "symmetric_split",
+    "tail_sums",
 ]
 
 
@@ -98,137 +109,98 @@ def _span(v: Sequence[int], lo: int, hi: int) -> int:
     return sum(_entry(v, i) for i in range(lo, hi + 1))
 
 
-def chain_report(v: Sequence[int], max_j: int, family: str, **params) -> InequalityReport:
-    """Audit v_0 <= v_1 <= v_j for 1 <= j <= max_j (rows are lhs >= rhs)."""
-    rows = []
-    if max_j >= 1 and len(v) > 1:
-        rows.append(InequalityRow(1, _entry(v, 1), _entry(v, 0), _entry(v, 1) >= _entry(v, 0)))
-        for j in range(2, max_j + 1):
-            rows.append(InequalityRow(j, _entry(v, j), _entry(v, 1), _entry(v, j) >= _entry(v, 1)))
-    return InequalityReport(family, ">=", dict(params, max_j=max_j), tuple(rows))
+_HOLDS = {">=": operator.ge, "<=": operator.le}
 
 
-def nonnegativity_report(v: Sequence[int], family: str, *, minimum: int = 0, **params) -> InequalityReport:
-    rows = tuple(InequalityRow(i, x, minimum, x >= minimum) for i, x in enumerate(v))
-    return InequalityReport(family, ">=", dict(params, minimum=minimum), rows)
+def _report(family: str, relation: str, parameters: dict, rows) -> InequalityReport:
+    """A report of (j, lhs, rhs) rows, each holding when lhs <relation> rhs."""
+    holds = _HOLDS[relation]
+    rows = tuple(InequalityRow(j, lhs, rhs, holds(lhs, rhs)) for j, lhs, rhs in rows)
+    return InequalityReport(family, relation, parameters, rows)
 
 
 # ---------------------------------------------------------------------------
-# partial-sum and entrywise inequality families
+# inequality rules
+#
+# Each rule returns one report under the family name its caller gives.  The
+# partial-sum, mirror and binomial rules are called as rule(v, degree,
+# family), where ``degree`` is the structural index bound: the vertex/element
+# count d for the chromatic, order and h* rules, the cyclomatic number xi for
+# the flow rules.  Violations become failing rows, never exceptions; an empty
+# index range yields a "vacuous" verdict.
 
-FamilyRule = Callable[[Sequence[int], int], tuple[list[InequalityRow], str, dict]]
 
-
-def _tail_sums(v: Sequence[int], d: int):
-    # sum v[d-2 .. d-j] >= sum v[2 .. j] for 2 <= j <= floor(d/2)
+def chain_report(v: Sequence[int], max_j: int, family: str) -> InequalityReport:
+    """v_0 <= v_1 <= v_j for 1 <= j <= max_j (rows are lhs >= rhs)."""
     rows = []
-    for j in range(2, d // 2 + 1):
-        lhs = _span(v, d - j, d - 2)
-        rhs = _span(v, 2, j)
-        rows.append(InequalityRow(j, lhs, rhs, lhs >= rhs))
-    return rows, ">=", {"d": d}
+    if max_j >= 1 and len(v) > 1:
+        rows.append((1, _entry(v, 1), _entry(v, 0)))
+        rows += [(j, _entry(v, j), _entry(v, 1)) for j in range(2, max_j + 1)]
+    return _report(family, ">=", {"max_j": max_j}, rows)
 
 
-def _flow_tail_sums_base(v: Sequence[int], xi: int):
-    # sum v[xi-j .. xi-1] >= sum v[1 .. j] for 1 <= j <= floor((xi-1)/2)
-    rows = []
-    for j in range(1, (xi - 1) // 2 + 1):
-        lhs = _span(v, xi - j, xi - 1)
-        rhs = _span(v, 1, j)
-        rows.append(InequalityRow(j, lhs, rhs, lhs >= rhs))
-    return rows, ">=", {"xi": xi}
+def nonnegativity_report(v: Sequence[int], family: str, *, minimum: int = 0) -> InequalityReport:
+    """v_i >= minimum for every i."""
+    return _report(family, ">=", {"minimum": minimum}, ((i, x, minimum) for i, x in enumerate(v)))
 
 
-def _flow_tail_sums_shifted(v: Sequence[int], xi: int):
-    # sum v[xi-j .. xi-1] >= sum v[2 .. j+1] for 1 <= j <= floor((xi-1)/2)
-    rows = []
-    for j in range(1, (xi - 1) // 2 + 1):
-        lhs = _span(v, xi - j, xi - 1)
-        rhs = _span(v, 2, j + 1)
-        rows.append(InequalityRow(j, lhs, rhs, lhs >= rhs))
-    return rows, ">=", {"xi": xi}
+def entrywise_dominance(split: SymmetricSplit, hi: int, family: str) -> InequalityReport:
+    """p_j >= q_j for 1 <= j <= hi, with q padded by zeros."""
+    rows = ((j, _entry(split.p, j), _entry(split.q, j)) for j in range(1, hi + 1))
+    return _report(family, ">=", {"range": f"1..{hi}"}, rows)
 
 
-def _hstar_tail_vs_head(v: Sequence[int], d: int):
-    # sum v[d-j .. d-1] <= sum v[2 .. j+1] for 1 <= j <= floor(d/2) - 1
-    rows = []
-    for j in range(1, d // 2):
-        lhs = _span(v, d - j, d - 1)
-        rhs = _span(v, 2, j + 1)
-        rows.append(InequalityRow(j, lhs, rhs, lhs <= rhs))
-    return rows, "<=", {"d": d}
+def tail_sums(v: Sequence[int], d: int, family: str) -> InequalityReport:
+    """sum v[d-2 .. d-j] >= sum v[2 .. j] for 2 <= j <= floor(d/2)."""
+    rows = ((j, _span(v, d - j, d - 2), _span(v, 2, j)) for j in range(2, d // 2 + 1))
+    return _report(family, ">=", {"d": d}, rows)
 
 
-def _hstar_top_vs_head(v: Sequence[int], d: int):
-    # sum v[d-j+1 .. d] <= sum v[2 .. j+1] for 1 <= j <= floor(d/2) - 1
-    rows = []
-    for j in range(1, d // 2):
-        lhs = _span(v, d - j + 1, d)
-        rhs = _span(v, 2, j + 1)
-        rows.append(InequalityRow(j, lhs, rhs, lhs <= rhs))
-    return rows, "<=", {"d": d}
+def flow_tail_sums_base(v: Sequence[int], xi: int, family: str) -> InequalityReport:
+    """sum v[xi-j .. xi-1] >= sum v[1 .. j] for 1 <= j <= floor((xi-1)/2)."""
+    rows = ((j, _span(v, xi - j, xi - 1), _span(v, 1, j)) for j in range(1, (xi - 1) // 2 + 1))
+    return _report(family, ">=", {"xi": xi}, rows)
 
 
-def _chromatic_mirror(v: Sequence[int], d: int):
-    # v[d-j] >= v[j] for 2 <= j <= floor((d-1)/2)
-    rows = []
-    for j in range(2, (d - 1) // 2 + 1):
-        lhs, rhs = _entry(v, d - j), _entry(v, j)
-        rows.append(InequalityRow(j, lhs, rhs, lhs >= rhs))
-    return rows, ">=", {"d": d}
+def flow_tail_sums_shifted(v: Sequence[int], xi: int, family: str) -> InequalityReport:
+    """sum v[xi-j .. xi-1] >= sum v[2 .. j+1] for 1 <= j <= floor((xi-1)/2)."""
+    rows = ((j, _span(v, xi - j, xi - 1), _span(v, 2, j + 1)) for j in range(1, (xi - 1) // 2 + 1))
+    return _report(family, ">=", {"xi": xi}, rows)
 
 
-def _flow_mirror(v: Sequence[int], xi: int):
-    # v[xi-j] >= v[j]; run the mirror-nonredundant range 1 <= j <= floor(xi/2).
-    # Larger j would compare the same pairs reversed (and can genuinely fail),
-    # so the audited range is recorded in the parameters.
-    rows = []
-    for j in range(1, xi // 2 + 1):
-        lhs, rhs = _entry(v, xi - j), _entry(v, j)
-        rows.append(InequalityRow(j, lhs, rhs, lhs >= rhs))
-    return rows, ">=", {"xi": xi, "range": "1..floor(xi/2)"}
+def hstar_tail_vs_head(v: Sequence[int], d: int, family: str) -> InequalityReport:
+    """sum v[d-j .. d-1] <= sum v[2 .. j+1] for 1 <= j <= floor(d/2) - 1."""
+    rows = ((j, _span(v, d - j, d - 1), _span(v, 2, j + 1)) for j in range(1, d // 2))
+    return _report(family, "<=", {"d": d}, rows)
 
 
-def _binomial_coefficient_bound(v: Sequence[int], d: int):
-    # v[d-j] <= C(v[d-1] + j - 1, j) for 1 <= j <= d
-    rows = []
-    top = _entry(v, d - 1)
-    for j in range(1, d + 1):
-        lhs = _entry(v, d - j)
-        rhs = binomial(top + j - 1, j)
-        rows.append(InequalityRow(j, lhs, rhs, lhs <= rhs))
-    return rows, "<=", {"d": d}
+def hstar_top_vs_head(v: Sequence[int], d: int, family: str) -> InequalityReport:
+    """sum v[d-j+1 .. d] <= sum v[2 .. j+1] for 1 <= j <= floor(d/2) - 1."""
+    rows = ((j, _span(v, d - j + 1, d), _span(v, 2, j + 1)) for j in range(1, d // 2))
+    return _report(family, "<=", {"d": d}, rows)
 
 
-_FAMILIES: dict[str, FamilyRule] = {
-    "chromatic_tail_sums": _tail_sums,
-    "order_tail_sums": _tail_sums,
-    "flow_tail_sums_base": _flow_tail_sums_base,
-    "flow_tail_sums_shifted": _flow_tail_sums_shifted,
-    "hstar_tail_vs_head": _hstar_tail_vs_head,
-    "hstar_top_vs_head": _hstar_top_vs_head,
-    "chromatic_mirror": _chromatic_mirror,
-    "flow_mirror": _flow_mirror,
-    "binomial_coefficient_bound": _binomial_coefficient_bound,
-}
-
-INEQUALITY_FAMILIES = tuple(sorted(_FAMILIES))
+def chromatic_mirror(v: Sequence[int], d: int, family: str) -> InequalityReport:
+    """v[d-j] >= v[j] for 2 <= j <= floor((d-1)/2)."""
+    rows = ((j, _entry(v, d - j), _entry(v, j)) for j in range(2, (d - 1) // 2 + 1))
+    return _report(family, ">=", {"d": d}, rows)
 
 
-def check_partial_sum_inequalities(v: Sequence[int], degree: int, family: str) -> InequalityReport:
-    """Audit one inequality family against the vector.
+def flow_mirror(v: Sequence[int], xi: int, family: str) -> InequalityReport:
+    """v[xi-j] >= v[j] over the mirror-nonredundant range 1 <= j <= floor(xi/2).
 
-    ``degree`` is the structural index bound of the family: the vertex/element
-    count d for chromatic/order/h* families, the cyclomatic number xi for the
-    flow families.  Violations become failing rows, never exceptions; an
-    empty index range yields an explicitly "vacuous" verdict.
+    Larger j would compare the same pairs reversed (and can genuinely fail),
+    so the audited range is recorded in the parameters.
     """
-    try:
-        rule = _FAMILIES[family]
-    except KeyError:
-        raise ValueError(f"unknown inequality family {family!r}; known: {INEQUALITY_FAMILIES}")
-    rows, relation, params = rule(v, degree)
-    return InequalityReport(family, relation, params, tuple(rows))
+    rows = ((j, _entry(v, xi - j), _entry(v, j)) for j in range(1, xi // 2 + 1))
+    return _report(family, ">=", {"xi": xi, "range": "1..floor(xi/2)"}, rows)
+
+
+def binomial_coefficient_bound(v: Sequence[int], d: int, family: str) -> InequalityReport:
+    """v[d-j] <= C(v[d-1] + j - 1, j) for 1 <= j <= d."""
+    top = _entry(v, d - 1)
+    rows = ((j, _entry(v, d - j), binomial(top + j - 1, j)) for j in range(1, d + 1))
+    return _report(family, "<=", {"d": d}, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +286,6 @@ class ABDecomposition:
     b: tuple[int, ...]
     s: int
     codegree: int
-    audit: InequalityReport = field(compare=False)
 
 
 def _lattice_entries(h: StarVector, name: str) -> tuple[int, ...]:
@@ -335,8 +306,7 @@ def ab_decomposition(h: StarVector) -> ABDecomposition:
     """Split a start=0 lattice-point star vector into its a/b pair.
 
     a is the p part of reversed h and b the q part of h truncated at its
-    degree s (module docstring).  The defining identity is asserted; the
-    chain 1 = a_0 <= a_1 <= a_j is returned as an audit.
+    degree s (module docstring).  The defining identity is asserted.
     """
     v = _lattice_entries(h, "a/b")
     D = h.degree_bound
@@ -351,8 +321,7 @@ def ab_decomposition(h: StarVector) -> ABDecomposition:
         rhs[l + j] += bb
     if lhs != _trim(rhs):
         raise AssertionError(f"a/b identity failed: {lhs} != {_trim(rhs)}")
-    audit = chain_report(a, D - 1, "ab_chain_a", normalized=v[0] == 1)
-    return ABDecomposition(a, b, s, l, audit)
+    return ABDecomposition(a, b, s, l)
 
 
 @dataclass(frozen=True)
@@ -364,7 +333,6 @@ class CADecomposition:
 
     c: tuple[int, ...]
     a: tuple[int, ...]
-    audits: tuple[InequalityReport, ...] = field(compare=False)
 
 
 def ca_decomposition(h: StarVector) -> CADecomposition:
@@ -373,11 +341,6 @@ def ca_decomposition(h: StarVector) -> CADecomposition:
     h(z) = c(z) - z a(z).  Comparing that reversal with the interior counts
     is the `hstar_reversal_is_interior` check.
     """
-    v = _lattice_entries(h, "c/a")
-    D = h.degree_bound
-    split = symmetric_split(h.interior_reversal().entries, D + 1)
-    audits = (
-        chain_report(split.q, D - 1, "ca_chain_a", normalized=v[0] == 1),
-        chain_report(split.p, D, "ca_chain_c", normalized=v[0] == 1),
-    )
-    return CADecomposition(split.p, split.q, audits)
+    _lattice_entries(h, "c/a")
+    split = symmetric_split(h.interior_reversal().entries, h.degree_bound + 1)
+    return CADecomposition(split.p, split.q)

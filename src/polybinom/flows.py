@@ -1,4 +1,4 @@
-"""Nowhere-zero flow counting, flow polynomials, and their split audits.
+"""Nowhere-zero flow counting, flow polynomials, and their palindromic splits.
 
 Flows are parametrized by the cycle space: fix a spanning forest, assign
 free values to the cotree edges, and read off the forced tree-edge values
@@ -22,6 +22,10 @@ coordinate is positive are scanned, each counted for o and for -o.
 The reference orientation of every edge is its stored (tail, head) pair, so
 re-ordering pairs is exactly a change of reference orientation; counts must
 not depend on it.
+
+This module only computes: every audit of the splits, and the comparison of
+their constant terms with the orientation oracles, is built in
+`polybinom.checks`.
 """
 
 from __future__ import annotations
@@ -33,15 +37,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import caps
-from .decompositions import (
-    InequalityReport,
-    InequalityRow,
-    SymmetricSplit,
-    check_partial_sum_inequalities,
-    chain_report,
-    nonnegativity_report,
-    symmetric_split,
-)
+from .decompositions import SymmetricSplit, symmetric_split
 from .errors import CapExceeded, NotApplicable
 from .graphs import (
     Multigraph,
@@ -298,7 +294,7 @@ def kochol_tables(g: Multigraph, top: int) -> dict[int, dict[tuple[int, ...], in
 
 
 # ---------------------------------------------------------------------------
-# flow polynomials and their audits
+# flow polynomials
 
 
 @dataclass(frozen=True)
@@ -313,9 +309,7 @@ class FlowResult:
     f_split: SymmetricSplit
     indegree_sequence_count: int
     tc_orientation_set: frozenset[tuple[int, ...]]
-    audits: tuple[InequalityReport, ...] = field(compare=False)
     kochol: dict[int, dict[tuple[int, ...], int]] = field(compare=False)  # n = 1..xi+2
-    constants_match_oracle: bool = True
 
     @property
     def tc_orientation_count(self) -> int:
@@ -335,29 +329,11 @@ class FlowResult:
             "d": list(self.f_split.q),
             "totally_cyclic_orientations": self.tc_orientation_count,
             "indegree_sequences": self.indegree_sequence_count,
-            "constants_match_oracle": self.constants_match_oracle,
-            "audits": [r.to_json() for r in self.audits],
         }
 
 
-def _tagged(report: InequalityReport, vector: str) -> InequalityReport:
-    """Distinguish the same family audited on two different vectors."""
-    return InequalityReport(
-        f"{report.family}[{vector}]", report.relation, report.parameters, report.rows
-    )
-
-
-def _entrywise_dominance(upper: Sequence[int], lower: Sequence[int], family: str, hi: int):
-    rows = tuple(
-        InequalityRow(j, upper[j], lower[j] if j < len(lower) else 0,
-                      upper[j] >= (lower[j] if j < len(lower) else 0))
-        for j in range(1, hi + 1)
-    )
-    return InequalityReport(family, ">=", {"range": f"1..{hi}"}, rows)
-
-
 def flow_analysis(g: Multigraph) -> FlowResult:
-    """Both flow polynomials with their star vectors, splits, and audits.
+    """Both flow polynomials with their star vectors, splits, and orientation oracles.
 
     Preconditions: no bridges (a bridge forces the zero polynomial) and
     xi >= 1; violations raise NotApplicable with a machine-readable reason.
@@ -365,7 +341,7 @@ def flow_analysis(g: Multigraph) -> FlowResult:
     pass over the vertices, then, after the bridge and xi = 0 tests, an xi
     above `caps.FLOW_XI_CAP`, then the edge cap of the totally cyclic
     enumeration, which runs before the flow scans.  The graph computes its
-    component count once, and every later cap check reads it.
+    component count and its bridges once, and every later check reads them.
     The star vectors come from the counts at n = 1..xi+2, the last one an
     overdetermination node.  The integral count f(n) is the sum of the Kochol
     table at n, and all xi+2 tables come from one scan at n = xi+2; they are
@@ -373,7 +349,7 @@ def flow_analysis(g: Multigraph) -> FlowResult:
     degree <= xi.
     """
     _check_vertex_cap(g)
-    if g.bridges():
+    if g.bridges:
         raise NotApplicable("bridge", "a bridge admits no nowhere-zero flow")
     xi = cyclomatic_number(g)
     if xi == 0:
@@ -393,38 +369,7 @@ def flow_analysis(g: Multigraph) -> FlowResult:
     phi_split = symmetric_split(phi_star.entries, xi + 1)
     f_split = symmetric_split(f_star.entries, xi + 1)
 
-    tc_count = len(tc)
-    indeg_count = in_degree_sequence_count(g, tc)
-    constants_ok = (
-        phi_split.p[0] == indeg_count
-        and phi_split.q[0] == indeg_count
-        and f_split.p[0] == tc_count
-        and f_split.q[0] == tc_count
-        and phi_star.entries[xi + 1] == indeg_count
-        and f_star.entries[xi + 1] == tc_count
-    )
-    audits = (
-        nonnegativity_report(phi_star.entries, "modular_star_nonnegative"),
-        nonnegativity_report(f_star.entries, "integral_star_nonnegative"),
-        chain_report(phi_split.p, xi, "modular_chain_alpha"),
-        chain_report(phi_split.q, xi - 1, "modular_chain_beta"),
-        chain_report(f_split.p, xi, "integral_chain_c"),
-        chain_report(f_split.q, xi - 1, "integral_chain_d"),
-        nonnegativity_report(phi_split.p, "modular_alpha_positive", minimum=1),
-        nonnegativity_report(phi_split.q, "modular_beta_positive", minimum=1),
-        nonnegativity_report(f_split.p, "integral_c_positive", minimum=1),
-        nonnegativity_report(f_split.q, "integral_d_positive", minimum=1),
-        _entrywise_dominance(phi_split.p, phi_split.q, "modular_alpha_ge_beta", xi),
-        _entrywise_dominance(f_split.p, f_split.q, "integral_c_ge_d", xi),
-        _tagged(check_partial_sum_inequalities(phi_star.entries, xi, "flow_tail_sums_base"), "phi"),
-        _tagged(check_partial_sum_inequalities(phi_star.entries, xi, "flow_tail_sums_shifted"), "phi"),
-        _tagged(check_partial_sum_inequalities(f_star.entries, xi, "flow_tail_sums_base"), "f"),
-        _tagged(check_partial_sum_inequalities(f_star.entries, xi, "flow_tail_sums_shifted"), "f"),
-        check_partial_sum_inequalities(phi_star.entries, xi, "flow_mirror"),
-    )
-
     return FlowResult(
         g, xi, phi, f, phi_star, f_star, phi_split, f_split,
-        indeg_count, frozenset(tc),
-        audits, kochol, constants_ok,
+        in_degree_sequence_count(g, tc), frozenset(tc), kochol,
     )

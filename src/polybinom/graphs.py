@@ -97,6 +97,7 @@ class Multigraph:
     def is_connected(self) -> bool:
         return self.component_count <= 1
 
+    @cached_property
     def bridges(self) -> tuple[int, ...]:
         """Edge indices whose deletion increases the component count.
 
@@ -104,6 +105,8 @@ class Multigraph:
         a tree edge is a bridge iff no edge from below it reaches its parent
         or higher.  Edges are told apart by index, so a parallel twin of a
         tree edge is a back edge and neither is a bridge; loops are skipped.
+        Computed once per graph: the flow survey, `flow_analysis` and the
+        totally cyclic search all read it.
         """
         d = self.vertex_count
         incident: list[list[tuple[int, int]]] = [[] for _ in range(d)]
@@ -145,7 +148,7 @@ class Multigraph:
 
     @property
     def is_bridgeless(self) -> bool:
-        return not self.bridges()
+        return not self.bridges
 
     def to_json(self) -> dict:
         return {"vertices": self.vertex_count, "edges": [list(e) for e in self.edges]}
@@ -244,7 +247,7 @@ def enumerate_totally_cyclic_orientations(g: Multigraph) -> list[tuple[int, ...]
         raise CapExceeded(
             f"orientation enumeration needs 2^{m} candidates; cap is m <= {caps.ORIENTATION_EDGE_CAP}"
         )
-    if g.bridges():
+    if g.bridges:
         return []
     edges = g.edges
     # for each edge, the other edges joining the same two vertices

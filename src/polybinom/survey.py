@@ -85,6 +85,9 @@ def _random_graph(rng: random.Random, max_d: int) -> Multigraph:
 def sample_graphs(seed: int, count: int, max_d: int, *, bridgeless: bool = False) -> list[Multigraph]:
     if max_d < 2:
         raise NotApplicable("max-size", f"sampled graphs need max-size >= 2, got {max_d}")
+    # each draw lists all d(d-1)/2 vertex pairs, so the size is refused first
+    if max_d > caps.CHROMATIC_VERTEX_CAP:
+        raise CapExceeded(f"sampled graph cap is {caps.CHROMATIC_VERTEX_CAP} vertices, got {max_d}")
     rng = random.Random(seed)
     out = []
     attempts = 0
@@ -102,6 +105,8 @@ def sample_graphs(seed: int, count: int, max_d: int, *, bridgeless: bool = False
 def sample_posets(seed: int, count: int, max_d: int) -> list[Poset]:
     if max_d < 1:
         raise NotApplicable("max-size", f"sampled posets need max-size >= 1, got {max_d}")
+    if max_d > caps.ORDER_POLY_ELEMENT_CAP:
+        raise CapExceeded(f"sampled poset cap is {caps.ORDER_POLY_ELEMENT_CAP} elements, got {max_d}")
     rng = random.Random(seed)
     out = []
     while len(out) < count:

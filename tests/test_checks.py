@@ -1,5 +1,7 @@
 """The shared check tables: CLI/survey parity and failures reported, not raised."""
 
+import dataclasses
+import functools
 import json
 import math
 
@@ -7,9 +9,11 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from polybinom.checks import flow_checks, graph_checks
+from polybinom.checks import flow_checks, graph_checks, poset_checks
+from polybinom.chromatic import chromatic_analysis
 from polybinom.cli import EXIT_COUNTEREXAMPLE, main
-from polybinom.decompositions import CADecomposition, InequalityReport, InequalityRow
+from polybinom.decompositions import InequalityReport, ab_decomposition, ca_decomposition
+from polybinom.flows import flow_analysis
 from polybinom.graphs import (
     Multigraph,
     complete_graph,
@@ -21,6 +25,7 @@ from polybinom.polynomials import Polynomial
 from polybinom.posets import (
     Poset,
     chain,
+    ehrhart_star,
     format_poset_file,
     generate_posets,
     lattice_point_counts,
@@ -96,11 +101,101 @@ def test_cli_and_survey_agree_on_every_instance(tmp_path, capsys):
                 assert _lookup(payload, cli_path) == record[field], (command, instance_id, field)
 
 
+# the table entries of each kind that are not audit reports
+ORACLE_CHECKS = {
+    "graph": {
+        "split_reconstructs",
+        "constants_match_acyclic_oracle",
+        "top_entry_is_acyclic_count",
+        "reciprocity_at_minus_one",
+        "order_polynomial_sum_matches",
+    },
+    "flow": {
+        "phi_split_reconstructs",
+        "f_split_reconstructs",
+        "constants_match_oracles",
+        "phi_degree_is_xi",
+        "f_degree_is_xi",
+        "kochol_sums_match_f",
+        "kochol_keys_totally_cyclic",
+    },
+    "poset": {
+        "split_reconstructs",
+        "top_entry_is_one",
+        "constants_are_one",
+        "first_entry_zero_unless_antichain",
+        "descents_match_lattice_hstar",
+        "reciprocity",
+        "hstar_reversal_is_interior",
+        "interior_shift_is_order_star",
+    },
+}
+
+
+def _checked_instances(kind):
+    if kind == "graph":
+        return [graph_checks(g) for g in [*connected_graph_classes(4), complete_graph(5), cycle_graph(6)]]
+    if kind == "flow":
+        return [flow_checks(g) for _, g in [*flow_fixture_set(), ("K4", complete_graph(4))]]
+    return [poset_checks(p) for d in range(1, 5) for p in generate_posets(d)]
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLE_CHECKS))
+def test_every_audit_is_in_the_table_under_its_family(kind):
+    verdicts = set()
+    for checked in _checked_instances(kind):
+        families = [audit.family for audit in checked.audits]
+        assert len(set(families)) == len(families)
+        for audit in checked.audits:
+            assert checked.checks[audit.family] == audit.verdict
+            verdicts.add(audit.verdict)
+        assert set(checked.checks) - set(families) == ORACLE_CHECKS[kind]
+    # the instances reach more than one verdict
+    assert len(verdicts) > 1
+
+
+def test_analyses_only_compute(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("an analysis built an audit report")
+
+    h = ehrhart_star(chain(3))
+    monkeypatch.setattr(InequalityReport, "__init__", refuse)
+    chromatic_analysis(complete_graph(4))
+    flow_analysis(complete_graph(4))
+    ab_decomposition(h)
+    ca_decomposition(h)
+    # the checks build the reports, so the patch bites there
+    with pytest.raises(AssertionError, match="audit report"):
+        graph_checks(complete_graph(4))
+
+
+def test_flow_checks_find_the_bridges_once(monkeypatch):
+    search = Multigraph.bridges.func
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return search(g)
+
+    counting = functools.cached_property(counted)
+    counting.__set_name__(Multigraph, "bridges")
+    monkeypatch.setattr(Multigraph, "bridges", counting)
+    flow_checks(complete_graph(4))
+    assert len(calls) == 1
+    # the flow survey asks first whether a graph above the xi cap is
+    # bridgeless; each graph is still searched once
+    calls.clear()
+    report = run_flow_survey(6)
+    assert any(skip["reason"] == "cap" for skip in report.skipped)
+    assert len(calls) == len({id(g) for g in calls})
+
+
 def test_order_exit_code_follows_the_whole_table(monkeypatch, tmp_path, capsys):
-    failing = InequalityReport("ca_chain_c", ">=", {}, (InequalityRow(1, 0, 1, False),))
+    # a c part that drops after c_0 breaks the chain c_0 <= c_1 <= c_j
+    split = ca_decomposition
     monkeypatch.setattr(
         "polybinom.checks.ca_decomposition",
-        lambda h: CADecomposition((), (), (failing,)),
+        lambda h: dataclasses.replace(split(h), c=(1, 0, 0, 0, 1)),
     )
     path = tmp_path / "chain3.poset"
     path.write_text(format_poset_file(chain(3)))
@@ -421,7 +516,7 @@ def test_chromatic_checks_ignore_labels_and_reference_orientations(graphs):
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 def test_flow_checks_ignore_labels_and_reference_orientations(graphs):
     g, moved = graphs
-    assume(not g.bridges() and 1 <= cyclomatic_number(g) <= 3)
+    assume(not g.bridges and 1 <= cyclomatic_number(g) <= 3)
     # the Kochol tables are keyed on edge directions, which the reversals
     # change, so only their verdicts are compared
     before, after = flow_checks(g), flow_checks(moved)

@@ -6,6 +6,7 @@ import pytest
 import polybinom.chromatic
 import polybinom.graphs
 import polybinom.posets
+from polybinom.checks import graph_checks
 from polybinom.errors import CapExceeded, NotApplicable
 from polybinom.chromatic import (
     EXPECTED_FORMS,
@@ -126,7 +127,7 @@ class TestChromaticStar:
         assert r.split.p == (4, 6, 6, 4)
         assert r.split.q == (4, 6, 4)
         assert r.acyclic_count == 4
-        assert r.constants_match_oracle
+        assert graph_checks(path_graph(3)).checks["constants_match_acyclic_oracle"] == "pass"
         r = chromatic_analysis(path_graph(2))
         assert r.chi_star.entries == (0, 0, 2)
         assert r.split.p == (2, 2, 2)
@@ -241,9 +242,9 @@ class TestSampledDegreeSevenFamily:
     # family as well
     @staticmethod
     def assert_holds(g: Multigraph):
-        r = chromatic_analysis(g)
-        assert r.constants_match_oracle
-        assert [a.family for a in r.audits if a.verdict == "fail"] == []
+        checked = graph_checks(g)
+        assert checked.checks["constants_match_acyclic_oracle"] == "pass"
+        assert [a.family for a in checked.audits if a.verdict == "fail"] == []
 
     @pytest.mark.parametrize(
         "g",

@@ -1,6 +1,7 @@
 import json
 import string
 import time
+import types
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,6 +20,7 @@ from polybinom.graphs import (
     dipole,
     format_graph_file,
 )
+from polybinom.polynomials import StarVector
 from polybinom.posets import Poset
 
 K3 = "vertices 3\nedge 0 1\nedge 0 2\nedge 1 2\n"
@@ -198,6 +200,16 @@ class TestOrderCommand:
         assert main(["order", write("bad.poset", bad)]) == 2
 
 
+def _refuse_draws(monkeypatch):
+    """Make any sampled draw fail at once: above the cap a draw would list
+    d(d-1)/2 vertex pairs, too many to hold in memory at a huge size."""
+
+    def refuse(seed):
+        raise AssertionError("a sample was drawn above the sample cap")
+
+    monkeypatch.setattr(polybinom.survey, "random", types.SimpleNamespace(Random=refuse))
+
+
 class TestSurveyCommand:
     def test_graphs_exhaustive(self, capsys):
         assert main(["survey", "graphs", "--max-size", "4"]) == 0
@@ -221,6 +233,33 @@ class TestSurveyCommand:
         out = capsys.readouterr().out
         assert "skipped: 2" in out
         assert "verdict: pass" in out
+
+    @pytest.mark.parametrize(
+        "kind, cap, noun",
+        [
+            ("graphs", "CHROMATIC_VERTEX_CAP", "graph cap is 4 vertices"),
+            ("flows", "CHROMATIC_VERTEX_CAP", "graph cap is 4 vertices"),
+            ("posets", "ORDER_POLY_ELEMENT_CAP", "poset cap is 4 elements"),
+        ],
+    )
+    def test_sample_size_cap(self, kind, cap, noun, monkeypatch, capsys):
+        monkeypatch.setattr(caps, cap, 4)
+        assert main(["survey", kind, "--mode", "sample", "--max-size", "4"]) == 0
+        capsys.readouterr()
+
+        _refuse_draws(monkeypatch)
+        assert main(["survey", kind, "--mode", "sample", "--max-size", "5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cap exceeded: sampled {noun}, got 5\n"
+
+    @pytest.mark.parametrize("kind", ["graphs", "posets", "flows"])
+    def test_huge_sample_size_is_refused_at_once(self, kind, monkeypatch, capsys):
+        _refuse_draws(monkeypatch)
+        start = time.perf_counter()
+        assert main(["survey", kind, "--mode", "sample", "--max-size", "100000000"]) == 3
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err.startswith("cap exceeded: sampled ")
 
     # sampling draws sizes from 2..max-size (graphs) or 1..max-size (posets)
     @pytest.mark.parametrize(
@@ -350,6 +389,28 @@ class TestUnreadableFiles:
         assert captured.err.startswith("rejected (file-error): ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("command, text", [("chromatic", K3), ("flow", THETA), ("order", CHAIN3)])
+    @pytest.mark.parametrize("spelling", ["input.txt", "./input.txt", "link.txt"])
+    def test_csv_that_names_the_input_is_refused(self, tmp_path, monkeypatch, capsys, command, text, spelling):
+        # opening the CSV for writing would empty FILE before it is read
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        (tmp_path / "link.txt").symlink_to(path)
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--csv", spelling, "input.txt"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"rejected (file-error): --csv {spelling} names the input FILE input.txt\n"
+        assert path.read_text() == text
+
+    def test_unwritable_csv_of_a_file_command_fails_before_any_work(self, write, tmp_path, monkeypatch, capsys):
+        def refuse(g):
+            raise AssertionError("the instance was checked before --csv was opened")
+
+        monkeypatch.setattr(polybinom.cli, "graph_checks", refuse)
+        assert main(["chromatic", "--csv", str(tmp_path), write("k3.graph", K3)]) == 2
+        assert capsys.readouterr().err.startswith("rejected (file-error): ")
+
     def test_unwritable_csv_fails_before_any_work(self, tmp_path, monkeypatch, capsys):
         def refuse(*args):
             raise AssertionError("the survey ran before --csv was opened")
@@ -360,6 +421,213 @@ class TestUnreadableFiles:
         assert captured.out == ""
         assert captured.err.startswith("rejected (file-error): ")
         assert captured.err.count("\n") == 1
+
+
+# The text and CSV layout of each file command, recorded on K4, the theta
+# graph and a 5-element poset (two minimal elements below one element below
+# two maximal ones).  The CSV rows are written with the input path first.
+K4 = format_graph_file(complete_graph(4))
+P5 = "elements 5\ncover 0 2\ncover 1 2\ncover 2 3\ncover 2 4\n"
+
+PINNED_TEXT_CHROMATIC = """\
+graph: 4 vertices, 6 edges
+chi: n^4 - 6*n^3 + 11*n^2 - 6*n
+chi_star: (0, 0, 0, 0, 24)
+a: (24, 24, 24, 24, 24)
+b: (24, 24, 24, 24)
+acyclic orientations: 24
+constants match oracle: True
+order-polynomial sum matches: True
+audits:
+  chromatic_star_nonnegative: pass
+  chromatic_chain_a: pass
+  chromatic_chain_b: pass
+  chromatic_a_positive: pass
+  chromatic_b_positive: pass
+  chromatic_tail_sums: pass
+  chromatic_mirror: vacuous
+  binomial_coefficient_bound: pass
+"""
+
+PINNED_TEXT_FLOW = """\
+graph: 2 vertices, 3 edges, xi = 2
+phi: n^2 - 3*n + 2
+f: 3*n^2 - 9*n + 6
+phi_star: (0, 0, 0, 2)
+f_star: (0, 0, 0, 6)
+alpha: (2, 2, 2, 2)
+beta: (2, 2, 2)
+c: (6, 6, 6, 6)
+d: (6, 6, 6)
+totally cyclic orientations: 6
+in-degree sequences: 2
+constants match oracles: True
+orientation-sum identity (n=1..4): True
+orientation table at n=4: 6 orientations, total 18
+audits:
+  modular_star_nonnegative: pass
+  integral_star_nonnegative: pass
+  modular_chain_alpha: pass
+  modular_chain_beta: pass
+  integral_chain_c: pass
+  integral_chain_d: pass
+  modular_alpha_positive: pass
+  modular_beta_positive: pass
+  integral_c_positive: pass
+  integral_d_positive: pass
+  modular_alpha_ge_beta: pass
+  integral_c_ge_d: pass
+  flow_tail_sums_base[phi]: vacuous
+  flow_tail_sums_shifted[phi]: vacuous
+  flow_tail_sums_base[f]: vacuous
+  flow_tail_sums_shifted[f]: vacuous
+  flow_mirror: pass
+"""
+
+PINNED_TEXT_ORDER = """\
+poset: 5 elements, covers [(0, 2), (1, 2), (2, 3), (2, 4)]
+order polynomial: 1/30*n^5 - 1/6*n^4 + 1/3*n^3 - 1/3*n^2 + 2/15*n
+omega_star: (0, 0, 0, 1, 2, 1)
+a: (1, 3, 4, 4, 3, 1)
+b: (1, 3, 4, 3, 1)
+hstar (order polytope): (1, 2, 1, 0, 0, 0)
+top_entry_is_one: True
+reciprocity: True
+hstar_reversal_is_interior: True
+interior_shift_is_order_star: True
+descents_match_lattice_hstar: True
+audits:
+  order_tail_sums: pass
+  binomial_coefficient_bound: pass
+"""
+
+PINNED_CSV_CHROMATIC = """\
+chromatic_star_nonnegative,0,0,0,True
+chromatic_star_nonnegative,1,0,0,True
+chromatic_star_nonnegative,2,0,0,True
+chromatic_star_nonnegative,3,0,0,True
+chromatic_star_nonnegative,4,24,0,True
+chromatic_chain_a,1,24,24,True
+chromatic_chain_a,2,24,24,True
+chromatic_chain_a,3,24,24,True
+chromatic_chain_b,1,24,24,True
+chromatic_chain_b,2,24,24,True
+chromatic_a_positive,0,24,1,True
+chromatic_a_positive,1,24,1,True
+chromatic_a_positive,2,24,1,True
+chromatic_a_positive,3,24,1,True
+chromatic_a_positive,4,24,1,True
+chromatic_b_positive,0,24,1,True
+chromatic_b_positive,1,24,1,True
+chromatic_b_positive,2,24,1,True
+chromatic_b_positive,3,24,1,True
+chromatic_tail_sums,2,0,0,True
+binomial_coefficient_bound,1,0,0,True
+binomial_coefficient_bound,2,0,0,True
+binomial_coefficient_bound,3,0,0,True
+binomial_coefficient_bound,4,0,0,True
+"""
+
+PINNED_CSV_FLOW = """\
+modular_star_nonnegative,0,0,0,True
+modular_star_nonnegative,1,0,0,True
+modular_star_nonnegative,2,0,0,True
+modular_star_nonnegative,3,2,0,True
+integral_star_nonnegative,0,0,0,True
+integral_star_nonnegative,1,0,0,True
+integral_star_nonnegative,2,0,0,True
+integral_star_nonnegative,3,6,0,True
+modular_chain_alpha,1,2,2,True
+modular_chain_alpha,2,2,2,True
+modular_chain_beta,1,2,2,True
+integral_chain_c,1,6,6,True
+integral_chain_c,2,6,6,True
+integral_chain_d,1,6,6,True
+modular_alpha_positive,0,2,1,True
+modular_alpha_positive,1,2,1,True
+modular_alpha_positive,2,2,1,True
+modular_alpha_positive,3,2,1,True
+modular_beta_positive,0,2,1,True
+modular_beta_positive,1,2,1,True
+modular_beta_positive,2,2,1,True
+integral_c_positive,0,6,1,True
+integral_c_positive,1,6,1,True
+integral_c_positive,2,6,1,True
+integral_c_positive,3,6,1,True
+integral_d_positive,0,6,1,True
+integral_d_positive,1,6,1,True
+integral_d_positive,2,6,1,True
+modular_alpha_ge_beta,1,2,2,True
+modular_alpha_ge_beta,2,2,2,True
+integral_c_ge_d,1,6,6,True
+integral_c_ge_d,2,6,6,True
+flow_mirror,1,0,0,True
+"""
+
+PINNED_CSV_ORDER = """\
+order_tail_sums,2,1,0,True
+binomial_coefficient_bound,1,2,2,True
+binomial_coefficient_bound,2,1,3,True
+binomial_coefficient_bound,3,0,4,True
+binomial_coefficient_bound,4,0,5,True
+binomial_coefficient_bound,5,0,6,True
+"""
+
+PINNED = {
+    "chromatic": (K4, PINNED_TEXT_CHROMATIC, PINNED_CSV_CHROMATIC),
+    "flow": (THETA, PINNED_TEXT_FLOW, PINNED_CSV_FLOW),
+    "order": (P5, PINNED_TEXT_ORDER, PINNED_CSV_ORDER),
+}
+
+# one injected fault per command, the stderr line it must produce, and the
+# audit lines of the text output that show the failing rows
+INJECTED = {
+    "chromatic": (
+        "polybinom.chromatic.chromatic_star",
+        lambda g: StarVector((0, 0, 6, 0, 18), 4),
+        "failed checks: constants_match_acyclic_oracle, top_entry_is_acyclic_count, "
+        "reciprocity_at_minus_one, binomial_coefficient_bound, order_polynomial_sum_matches\n",
+        "  binomial_coefficient_bound: fail\n    j=2: 6 !<= 0\n",
+    ),
+    "flow": (
+        "polybinom.flows.modular_flow_count",
+        lambda g, n: [0, 2, 6, 12][n - 1],
+        "failed checks: constants_match_oracles, modular_alpha_positive, modular_beta_positive\n",
+        "  modular_alpha_positive: fail\n    j=0: 0 !>= 1\n    j=3: 0 !>= 1\n"
+        "  modular_beta_positive: fail\n    j=0: 0 !>= 1\n    j=2: 0 !>= 1\n",
+    ),
+    "order": (
+        "polybinom.checks.omega_star",
+        lambda p: StarVector((0, 0, 1, 0, 2, 1), 5),
+        "failed checks: order_chain_b, order_tail_sums, interior_shift_is_order_star\n",
+        "  order_tail_sums: fail\n    j=2: 0 !>= 1\n",
+    ),
+}
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("command", sorted(PINNED))
+    def test_text(self, write, capsys, command):
+        text, expected, _ = PINNED[command]
+        assert main([command, write("input.txt", text)]) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("command", sorted(PINNED))
+    def test_csv(self, write, tmp_path, command):
+        text, _, rows = PINNED[command]
+        path, csv_path = write("input.txt", text), tmp_path / "audit.csv"
+        assert main([command, "--csv", str(csv_path), path]) == 0
+        expected = "".join(f"{path},{row}\r\n" for row in rows.splitlines())
+        assert csv_path.read_bytes().decode() == "instance,family,j,lhs,rhs,holds\r\n" + expected
+
+    @pytest.mark.parametrize("command", sorted(INJECTED))
+    def test_failed_checks_line(self, write, capsys, monkeypatch, command):
+        target, fault, err, audit_lines = INJECTED[command]
+        monkeypatch.setattr(target, fault)
+        assert main([command, write("input.txt", PINNED[command][0])]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == err
+        assert audit_lines in captured.out
 
 
 # counts and endpoints as a file may spell them: small, negative, huge, more

@@ -6,9 +6,12 @@ from hypothesis import strategies as st
 
 from polybinom.decompositions import (
     ab_decomposition,
+    binomial_coefficient_bound,
     ca_decomposition,
-    check_partial_sum_inequalities,
+    entrywise_dominance,
+    flow_mirror,
     symmetric_split,
+    tail_sums,
 )
 from polybinom.polynomials import StarVector
 from polybinom.posets import ehrhart_star, generate_posets
@@ -217,37 +220,43 @@ class TestCADecomposition:
 
 class TestInequalityFamilies:
     def test_tail_sums_vacuous_for_small_degree(self):
-        report = check_partial_sum_inequalities((0, 0, 0, 6), 3, "chromatic_tail_sums")
+        report = tail_sums((0, 0, 0, 6), 3, "chromatic_tail_sums")
         assert report.verdict == "vacuous"
 
     def test_flow_mirror_theta(self):
-        report = check_partial_sum_inequalities((0, 0, 0, 2), 2, "flow_mirror")
+        report = flow_mirror((0, 0, 0, 2), 2, "flow_mirror")
         assert [(r.j, r.lhs, r.rhs, r.holds) for r in report.rows] == [(1, 0, 0, True)]
         assert report.verdict == "pass"
 
     def test_order_tail_sums_eulerian(self):
-        report = check_partial_sum_inequalities((0, 1, 11, 11, 1), 4, "order_tail_sums")
+        report = tail_sums((0, 1, 11, 11, 1), 4, "order_tail_sums")
         assert [(r.j, r.lhs, r.rhs) for r in report.rows] == [(2, 11, 11)]
         assert report.verdict == "pass"
 
     def test_binomial_bound_rows(self):
         # top-neighbor entry 0 forces all lower entries to 0
-        report = check_partial_sum_inequalities((0, 0, 0, 6), 3, "binomial_coefficient_bound")
+        report = binomial_coefficient_bound((0, 0, 0, 6), 3, "binomial_coefficient_bound")
         assert report.verdict == "pass"
-        report = check_partial_sum_inequalities((0, 2, 2, 4), 3, "binomial_coefficient_bound")
+        report = binomial_coefficient_bound((0, 2, 2, 4), 3, "binomial_coefficient_bound")
         assert [(r.j, r.lhs, r.rhs) for r in report.rows] == [(1, 2, 2), (2, 2, 3), (3, 0, 4)]
 
     def test_detects_violation_without_raising(self):
-        report = check_partial_sum_inequalities((0, 0, 9, 0, 0, 0), 5, "chromatic_tail_sums")
+        report = tail_sums((0, 0, 9, 0, 0, 0), 5, "chromatic_tail_sums")
         assert report.verdict == "fail"
         assert report.failures
 
-    def test_unknown_family(self):
-        with pytest.raises(ValueError):
-            check_partial_sum_inequalities((1,), 1, "no_such_family")
+    def test_entrywise_dominance_rows(self):
+        # (0, 0, 2, 0) splits as p = (0, 2, 2, 0) minus q = (0, 2, 0)
+        split = symmetric_split((0, 0, 2, 0), 3)
+        report = entrywise_dominance(split, 2, "modular_alpha_ge_beta")
+        assert [(r.j, r.lhs, r.rhs, r.holds) for r in report.rows] == [(1, 2, 2, True), (2, 2, 0, True)]
+        assert report.parameters == {"range": "1..2"}
+        # (0, -2, 0, 1) splits as p = (1, 1, 1, 1) minus q = (1, 3, 1)
+        report = entrywise_dominance(symmetric_split((0, -2, 0, 1), 3), 2, "integral_c_ge_d")
+        assert [(r.j, r.lhs, r.rhs) for r in report.failures] == [(1, 1, 3)]
 
     def test_json_shape(self):
-        report = check_partial_sum_inequalities((0, 1, 11, 11, 1), 4, "order_tail_sums")
+        report = tail_sums((0, 1, 11, 11, 1), 4, "order_tail_sums")
         blob = report.to_json()
         assert blob["family"] == "order_tail_sums"
         assert blob["verdict"] == "pass"

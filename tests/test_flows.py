@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from polybinom import caps
+from polybinom.checks import flow_checks
 from polybinom.errors import CapExceeded, NotApplicable
 from polybinom.flows import (
     FlowResult,
@@ -264,7 +265,7 @@ class TestFlowAnalysis:
         assert r.f_split.q == (2, 2)
         assert r.tc_orientation_count == 2
         assert r.indegree_sequence_count == 1
-        assert r.constants_match_oracle
+        assert flow_checks(dipole(2)).checks["constants_match_oracles"] == "pass"
 
     def test_theta(self):
         r = flow_analysis(THETA)
@@ -340,10 +341,10 @@ class TestFlowAnalysis:
 
     def test_audits_pass_on_fixtures(self):
         for g in (dipole(2), THETA, dipole(4), dipole(5), complete_graph(4), K4_DOUBLED):
-            r = flow_analysis(g)
-            assert isinstance(r, FlowResult)
-            assert r.constants_match_oracle
-            assert [a.family for a in r.audits if a.verdict == "fail"] == []
+            checked = flow_checks(g)
+            assert isinstance(checked.result, FlowResult)
+            assert checked.checks["constants_match_oracles"] == "pass"
+            assert [a.family for a in checked.audits if a.verdict == "fail"] == []
 
 
 class TestTutteOracle:

@@ -438,9 +438,10 @@ class TestGeneratedFamilies:
 class TestExhaustiveSplitsD6:
     def test_order_splits_hold_for_all_318_classes(self):
         from polybinom.decompositions import (
+            binomial_coefficient_bound,
             chain_report,
-            check_partial_sum_inequalities,
             nonnegativity_report,
+            tail_sums,
         )
 
         posets = generate_posets(6)
@@ -456,12 +457,8 @@ class TestExhaustiveSplitsD6:
             assert chain_report(split.q, d - 2, "b").verdict == "pass"
             assert nonnegativity_report(split.p, "a", minimum=1).verdict == "pass"
             assert nonnegativity_report(split.q, "b", minimum=1).verdict == "pass"
-            assert check_partial_sum_inequalities(
-                star.entries, d, "order_tail_sums"
-            ).verdict in ("pass", "vacuous")
-            assert check_partial_sum_inequalities(
-                star.entries, d, "binomial_coefficient_bound"
-            ).verdict == "pass"
+            assert tail_sums(star.entries, d, "order_tail_sums").verdict in ("pass", "vacuous")
+            assert binomial_coefficient_bound(star.entries, d, "binomial_coefficient_bound").verdict == "pass"
 
 
 class TestPosetFile:
