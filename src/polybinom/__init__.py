@@ -25,8 +25,8 @@ from .errors import (
 )
 from .graphs import (
     Multigraph,
+    acyclic_orientations_up_to_reversal,
     cyclomatic_number,
-    enumerate_acyclic_orientations,
     enumerate_totally_cyclic_orientations,
     in_degree_sequence_count,
 )
@@ -72,11 +72,11 @@ __all__ = [
     "StarVector",
     "SymmetricSplit",
     "ab_decomposition",
+    "acyclic_orientations_up_to_reversal",
     "ca_decomposition",
     "chromatic_analysis",
     "chromatic_star",
     "cyclomatic_number",
-    "enumerate_acyclic_orientations",
     "enumerate_totally_cyclic_orientations",
     "flow_analysis",
     "hstar_via_descents",

@@ -41,13 +41,14 @@ ORIENTATION_EDGE_CAP = 24
 # The sampled graph and flow surveys refuse a --max-size above it before any
 # draw, since each draw lists all d(d-1)/2 vertex pairs.
 CHROMATIC_VERTEX_CAP = 10
-# Enumeration plus the order-polynomial cross-route cost about 0.021 ms per
-# acyclic orientation at d = 8 (K8) and 0.048 to 0.057 ms at d = 10 (random
-# graphs with 32k to 39k orientations; Python 3.11, 2 shared cores, best of
-# 3), so this bounds the cross-route of a `chromatic` run by about 3 s.  K8
-# (8! = 40,320) takes 0.85 s; K9 (362,880) took 11.5 s in one run (5.9 s to
-# enumerate, 5.6 s to walk; the walk on a 9-element chain alone is
-# 0.015 ms) and 119 MB peak RSS.
+# The search lists one orientation per reversal pair and the order-polynomial
+# cross-route walks each listed order once.  `graph_checks` then costs about
+# 0.011 ms per acyclic orientation, counting both of each pair, at d = 8
+# (K8, 8! = 40,320 orientations, 0.43 s) and 0.018 to 0.021 ms at d = 10
+# (four seeded random graphs with 33k to 43k orientations; Python 3.11,
+# 2 shared cores, best of 3).  So this cap bounds the cross-route of a
+# `chromatic` run by about 1 s.  For information only: with the cap lifted,
+# K9 (362,880) took 6.2 s and 76 MB peak RSS in one run.
 ACYCLIC_ORIENTATION_CAP = 50_000
 
 # posets ---------------------------------------------------------------------
@@ -102,10 +103,11 @@ FLOW_XI_CAP = 6
 # surveys --------------------------------------------------------------------
 
 # The exhaustive graph and flow surveys check every connected class on up to
-# this many vertices: about 18 s and 3.5 s at d = 7.  The d <= 8 family alone
-# takes 34 s and 73 MB (12,113 classes), and a 120-class sample of the 11,117
-# classes at d = 8 takes 0.22 s each, about 41 minutes for that graph survey
-# (Python 3.11, one core).  Must not exceed CHROMATIC_VERTEX_CAP (`graph_checks`).
+# this many vertices: about 9 s and 3.5 s at d = 7.  The d <= 8 family alone
+# takes 26 to 34 s and 73 MB (12,113 classes), and a seeded 120-class sample
+# of the 11,117 classes at d = 8 takes 0.034 s each in `graph_checks`, about
+# 6 minutes for that graph survey (Python 3.11, one core).  Must not exceed
+# CHROMATIC_VERTEX_CAP (`graph_checks`).
 GRAPH_SURVEY_CAP = 7
 
 # The exhaustive poset survey at d = 7 grows its 2045 classes in about 1 s

@@ -14,7 +14,9 @@ which builds every audit.  This module only computes.
 The same star vector also arises as the star vector of the summed strict
 counts of the orders induced by the acyclic orientations (Stanley 1973);
 that cross-route, `star_via_order_polynomials`, is the central consistency
-check of `graph_checks`.  Each order's
+check of `graph_checks`.  An orientation and its reverse induce dual orders,
+which have the same strict counts, so the route walks one order per
+reversal pair and doubles the sum.  Each order's
 walk packs its chain counts into one integer, the graph adds those, and the
 total is expanded and differenced once, so its overdetermination node
 n = d+1 sits on the sum, not on each orientation.  The orientation search
@@ -32,7 +34,7 @@ from typing import Sequence
 from . import caps
 from .decompositions import SymmetricSplit, symmetric_split
 from .errors import CapExceeded, NotApplicable
-from .graphs import Multigraph, enumerate_acyclic_orientations
+from .graphs import Multigraph, acyclic_orientations_up_to_reversal
 from .polynomials import Polynomial, StarVector, inverse_transform, star_from_values
 from .posets import chain_code_counts, strict_chain_code
 
@@ -99,16 +101,21 @@ def chromatic_star(g: Multigraph) -> StarVector:
 def star_via_order_polynomials(g: Multigraph, orientations: Sequence[tuple[int, ...]]) -> StarVector:
     """Star vector of the summed strict counts of the acyclic-orientation orders.
 
-    ``orientations`` are the acyclic orientations of g, each as the ``above``
-    masks of the order it induces on all d vertices
-    (`enumerate_acyclic_orientations`); no `Poset` is built for them.  Their
-    strict counts add up to chi_G(n) (Stanley 1973), and the identity is
-    linear in the chain counts, so each order's chain code
-    (`strict_chain_code`, one walk per orientation) is added to one total,
-    which is expanded once into the counts at n = 0..d+1 and turned into one
-    star vector per graph; it must reproduce `chromatic_star` exactly.
-    n = d+1 is the node on the sum: a total that does not fit degree d raises
-    ValueError from `star_from_values`.
+    ``orientations`` are the acyclic orientations of g up to reversal, each
+    as the ``above`` masks of the order it induces on all d vertices
+    (`acyclic_orientations_up_to_reversal`); no `Poset` is built for them.
+    The strict counts of all acyclic orientations add up to chi_G(n)
+    (Stanley 1973).  The reverse of an orientation induces the dual order,
+    and f -> n+1-f maps the strict maps of an order onto those of its dual,
+    so for m >= 1 each listed order stands for two orientations with the
+    same counts; an edgeless graph's one orientation stands for itself.  The
+    identity is linear in the chain counts, so each order's chain code
+    (`strict_chain_code`, one walk per listed order) is added to one total,
+    which is doubled when g has edges, expanded once into the counts at
+    n = 0..d+1 and turned into one star vector per graph; it must reproduce
+    `chromatic_star` exactly.  A miscounted walk is therefore counted twice.
+    n = d+1 is the node on the sum: a total that does not fit degree d
+    raises ValueError from `star_from_values`.
     """
     if g.has_loops:
         raise NotApplicable("loop", "graphs with loops have no acyclic orientations")
@@ -116,6 +123,8 @@ def star_via_order_polynomials(g: Multigraph, orientations: Sequence[tuple[int, 
     total = 0
     for above in orientations:
         total += strict_chain_code(above)
+    if g.edges:
+        total *= 2
     return star_from_values(chain_code_counts(total, d), d)
 
 
@@ -125,11 +134,13 @@ class ChromaticResult:
     chi: Polynomial
     chi_star: StarVector
     split: SymmetricSplit
-    acyclic_orientations: tuple[tuple[int, ...], ...] = field(repr=False)  # each as its above masks
+    # one per reversal pair, each as its above masks
+    acyclic_orientations: tuple[tuple[int, ...], ...] = field(repr=False)
 
     @property
     def acyclic_count(self) -> int:
-        return len(self.acyclic_orientations)
+        """Every listed orientation but an edgeless graph's stands for two."""
+        return len(self.acyclic_orientations) * (2 if self.graph.edges else 1)
 
     def to_json(self) -> dict:
         return {
@@ -143,13 +154,16 @@ class ChromaticResult:
 
 
 def chromatic_analysis(g: Multigraph) -> ChromaticResult:
-    """Star vector, palindromic split, and the acyclic orientations.
+    """Star vector, palindromic split, and the acyclic orientations up to
+    reversal.
 
-    The orientations are kept as their orders, for the constant-term oracle
-    and the order-polynomial cross-route of `polybinom.checks`.  chi is
-    rebuilt from the star vector for display.  Their number is |chi(-1)|
-    (Stanley 1973), which is checked against `caps.ACYCLIC_ORIENTATION_CAP`
-    before any orientation is enumerated; it only sizes the cap.
+    The orientations are kept as their orders, one per reversal pair, for
+    the constant-term oracle and the order-polynomial cross-route of
+    `polybinom.checks`; `ChromaticResult.acyclic_count` counts them all.
+    chi is rebuilt from the star vector for display.  Their number is
+    |chi(-1)| (Stanley 1973), which is checked against
+    `caps.ACYCLIC_ORIENTATION_CAP` before any orientation is enumerated; it
+    only sizes the cap.
     """
     if g.vertex_count == 0:
         raise NotApplicable("empty", "no vertices")
@@ -164,7 +178,7 @@ def chromatic_analysis(g: Multigraph) -> ChromaticResult:
             f"graph has {count} acyclic orientations; cap is {caps.ACYCLIC_ORIENTATION_CAP}"
         )
     split = symmetric_split(star.entries, g.vertex_count)
-    orientations = tuple(enumerate_acyclic_orientations(g))
+    orientations = tuple(acyclic_orientations_up_to_reversal(g))
     return ChromaticResult(g, inverse_transform(star), star, split, orientations)
 
 

@@ -7,8 +7,9 @@ second), so it is preserved verbatim from input.
 
 Acyclic and totally cyclic orientations are enumerated by backtracking
 searches with no dead ends, so their cost follows their output: at most m
-steps per orientation.  The acyclic search hands over each orientation as
-the order it induces, a tuple of ``above`` bitmasks already transitively
+steps per orientation.  The acyclic search lists one orientation per
+reversal pair, the one in which edge 0 points as stored, and hands it over
+as the order it induces, a tuple of ``above`` bitmasks already transitively
 closed, which the order-star walks of `posets` read as they are; the
 totally cyclic one fixes edges in a mixed graph that stays strongly
 connected (Boesch & Tindell 1980).  A totally cyclic orientation is its
@@ -28,11 +29,11 @@ from .errors import CapExceeded, InputFormatError
 
 __all__ = [
     "Multigraph",
+    "acyclic_orientations_up_to_reversal",
     "complete_graph",
     "cycle_graph",
     "cyclomatic_number",
     "dipole",
-    "enumerate_acyclic_orientations",
     "enumerate_totally_cyclic_orientations",
     "format_graph_file",
     "graph_certificate",
@@ -180,8 +181,16 @@ def cyclomatic_number(g: Multigraph) -> int:
 # orientations
 
 
-def enumerate_acyclic_orientations(g: Multigraph) -> list[tuple[int, ...]]:
-    """All orientations with no coherently oriented cycle, each as its order.
+def acyclic_orientations_up_to_reversal(g: Multigraph) -> list[tuple[int, ...]]:
+    """One acyclic orientation per reversal pair, each as its order: those in
+    which edge 0 points as stored, tail -> head.
+
+    Reversing every edge maps the acyclic orientations onto themselves, the
+    reverse of o inducing the dual of the order of o, and for m >= 1 no
+    orientation is its own reverse.  So fixing edge 0 keeps exactly one of
+    each pair, and a graph with m >= 1 edges has twice as many acyclic
+    orientations as are listed.  An edgeless graph has one, the empty
+    orientation, which is listed.
 
     A backtracking search over the edges in index order keeps, per vertex,
     the bitmask of the vertices it reaches.  Edge e may point t -> h only if
@@ -189,25 +198,30 @@ def enumerate_acyclic_orientations(g: Multigraph) -> list[tuple[int, ...]]:
     that h reaches.  An acyclic partial orientation always extends (an edge
     whose ends reach each other would close a cycle already), so the search
     has no dead ends and its cost follows the output, at most m steps per
-    orientation.  Callers cap that output by its count, |chi_G(-1)|
-    (Stanley 1973), before they enumerate.
+    listed orientation.  Callers cap the full count, |chi_G(-1)|
+    (Stanley 1973), before they search.
 
     At a leaf the reachability masks are the transitive closure of the
     orientation, so it is returned as the tuple ``above[v] = reach[v]`` minus
     v: the ``above`` masks of the strict order it induces on the vertices
     (``Poset(d, above)`` accepts every one), in search order.  The order
     determines the orientation (the ends of every edge are comparable), so
-    the list has one entry per acyclic orientation.
+    no order is listed twice.
 
     A loop is itself a directed cycle, so a graph with loops has none.
     Antiparallel twins form a 2-cycle, so parallel edges must agree in
-    direction; the reachability test enforces that.
+    direction; the reachability test enforces that, twins of edge 0
+    included.
     """
     if g.has_loops:
         return []
     edges, m, d = g.edges, g.edge_count, g.vertex_count
+    reach = [1 << v for v in range(d)]
+    if m:
+        u, v = edges[0]
+        reach[u] |= 1 << v
     orders = []
-    stack = [(0, tuple(1 << v for v in range(d)))]
+    stack = [(min(m, 1), tuple(reach))]
     while stack:
         e, reach = stack.pop()
         if e == m:

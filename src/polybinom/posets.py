@@ -211,7 +211,7 @@ def _field_width(d: int) -> int:
 def strict_chain_code(above: Sequence[int]) -> int:
     """The chains of up-sets of P with nonempty steps, by length, packed into
     one integer, where ``above[v]`` masks the elements above v (`Poset.above`,
-    or an order from `enumerate_acyclic_orientations`).
+    or an order from `acyclic_orientations_up_to_reversal`).
 
     A strict map f: P -> {1..n} is the chain of up-sets F_j = f^-1({n-j+1..n}),
     and each step adds an antichain: a subset of the maximal elements of P

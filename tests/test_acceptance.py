@@ -17,10 +17,12 @@ from polybinom.cli import main
 from polybinom.chromatic import chromatic_analysis, chromatic_star, match_reference_forms
 from polybinom.decompositions import ab_decomposition, ca_decomposition
 from polybinom.flows import flow_analysis
-from polybinom.graphs import complete_graph, dipole, path_graph
+from polybinom.graphs import complete_graph, cycle_graph, dipole, format_graph_file, path_graph
 from polybinom.polynomials import Polynomial, inverse_transform, star_from_values
 from polybinom.posets import antichain, ehrhart_star
 from polybinom.survey import run_flow_survey, run_graph_survey, run_poset_survey
+from test_chromatic import wheel_graph
+from test_flows import PETERSEN
 
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
@@ -266,6 +268,25 @@ def test_order_json_matches_frozen_reference(name, text, tmp_path, capsys):
     path = tmp_path / f"{name}.txt"
     path.write_text(text)
     assert main(["order", "--json", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    payload.pop("run")
+    assert payload == _reference(name)
+
+
+@pytest.mark.parametrize(
+    "name, command, g",
+    [
+        ("chromatic-K6", "chromatic", complete_graph(6)),
+        ("chromatic-W7", "chromatic", wheel_graph(6)),
+        ("chromatic-C7", "chromatic", cycle_graph(7)),
+        ("flow-K5", "flow", complete_graph(5)),
+        ("flow-petersen", "flow", PETERSEN),
+    ],
+)
+def test_graph_json_matches_frozen_reference(name, command, g, tmp_path, capsys):
+    path = tmp_path / f"{name}.txt"
+    path.write_text(format_graph_file(g))
+    assert main([command, "--json", str(path)]) == 0
     payload = json.loads(capsys.readouterr().out)
     payload.pop("run")
     assert payload == _reference(name)

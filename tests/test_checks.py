@@ -16,6 +16,7 @@ from polybinom.decompositions import InequalityReport, ab_decomposition, ca_deco
 from polybinom.flows import flow_analysis
 from polybinom.graphs import (
     Multigraph,
+    acyclic_orientations_up_to_reversal,
     complete_graph,
     cycle_graph,
     cyclomatic_number,
@@ -41,6 +42,7 @@ from polybinom.survey import (
     run_graph_survey,
     run_poset_survey,
 )
+from test_graphs import enumerate_acyclic_orientations
 
 # survey record field -> the CLI JSON path of the same vector
 SHARED = {
@@ -374,13 +376,13 @@ def test_graph_checks_enumerate_acyclic_orientations_once(monkeypatch):
     from polybinom.graphs import complete_graph
 
     calls = []
-    enumerate_once = chromatic.enumerate_acyclic_orientations
+    enumerate_once = chromatic.acyclic_orientations_up_to_reversal
 
     def counted(g):
         calls.append(g)
         return enumerate_once(g)
 
-    monkeypatch.setattr(chromatic, "enumerate_acyclic_orientations", counted)
+    monkeypatch.setattr(chromatic, "acyclic_orientations_up_to_reversal", counted)
     checked = graph_checks(complete_graph(4))
     assert len(calls) == 1
     assert checked.checks["order_polynomial_sum_matches"] == "pass"
@@ -435,7 +437,7 @@ def test_miscounted_orientation_is_a_reported_failure(monkeypatch, tmp_path, cap
 def _corrupt_first_orientation(monkeypatch):
     import polybinom.chromatic as chromatic
 
-    enumerate_orders = chromatic.enumerate_acyclic_orientations
+    enumerate_orders = chromatic.acyclic_orientations_up_to_reversal
 
     def corrupted(g):
         # on K4 only, 0 < 1 < 0: the masks of no order, which no runtime
@@ -446,7 +448,7 @@ def _corrupt_first_orientation(monkeypatch):
         first, *rest = orders
         return [(0b010, 0b001, *first[2:]), *rest]
 
-    monkeypatch.setattr(chromatic, "enumerate_acyclic_orientations", corrupted)
+    monkeypatch.setattr(chromatic, "acyclic_orientations_up_to_reversal", corrupted)
 
 
 def test_corrupted_orientation_is_a_reported_failure(monkeypatch, tmp_path, capsys):
@@ -465,6 +467,26 @@ def test_corrupted_orientation_is_a_reported_failure(monkeypatch, tmp_path, caps
     path.write_text(format_graph_file(complete_graph(4)))
     assert main(["chromatic", str(path)]) == EXIT_COUNTEREXAMPLE
     assert capsys.readouterr().err == "failed checks: order_polynomial_sum_matches\n"
+
+
+# two ways to get the halving wrong: lose one order of the halved list, or
+# forget to fix edge 0 and list every orientation, each then counted twice
+WRONG_HALVES = {
+    "one_order_dropped": lambda g: acyclic_orientations_up_to_reversal(g)[1:],
+    "edge_0_free": enumerate_acyclic_orientations,
+}
+
+
+@pytest.mark.parametrize("search", WRONG_HALVES.values(), ids=WRONG_HALVES.keys())
+@pytest.mark.parametrize("g", [complete_graph(4), cycle_graph(5)], ids=["K4", "C5"])
+def test_wrong_halving_is_a_reported_failure(monkeypatch, g, search):
+    monkeypatch.setattr("polybinom.chromatic.acyclic_orientations_up_to_reversal", search)
+    assert graph_checks(g).failures == [
+        "constants_match_acyclic_oracle",
+        "top_entry_is_acyclic_count",
+        "reciprocity_at_minus_one",
+        "order_polynomial_sum_matches",
+    ]
 
 
 @pytest.mark.parametrize("g", [complete_graph(4), cycle_graph(5)], ids=["K4", "C5"])

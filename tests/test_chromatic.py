@@ -19,14 +19,16 @@ from polybinom.chromatic import (
 )
 from polybinom.graphs import (
     Multigraph,
+    acyclic_orientations_up_to_reversal,
     complete_graph,
     cycle_graph,
-    enumerate_acyclic_orientations,
     path_graph,
 )
 from polybinom.polynomials import Polynomial, StarVector, inverse_transform
 from polybinom.posets import Poset, omega_star
 from polybinom.survey import connected_graph_classes
+from test_flows import PETERSEN
+from test_graphs import enumerate_acyclic_orientations
 
 
 def wheel_graph(rim: int) -> Multigraph:
@@ -92,16 +94,19 @@ class TestChromaticPolynomial:
         def checking_route(*args, **kwargs):
             raise AssertionError("chromatic_star reached a checking route")
 
-        for module in (polybinom.chromatic, polybinom.graphs, polybinom.posets):
-            for name in (
-                "graph_certificate",
-                "omega_star",
-                "strict_chain_code",
-                "chain_code_counts",
-                "enumerate_acyclic_orientations",
-            ):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, checking_route)
+        modules = (polybinom.chromatic, polybinom.graphs, polybinom.posets)
+        for name in (
+            "graph_certificate",
+            "omega_star",
+            "strict_chain_code",
+            "chain_code_counts",
+            "acyclic_orientations_up_to_reversal",
+        ):
+            owners = [module for module in modules if hasattr(module, name)]
+            # a renamed route must be renamed here too, not silently unguarded
+            assert owners, name
+            for module in owners:
+                monkeypatch.setattr(module, name, checking_route)
         assert chi(complete_graph(4)) == Polynomial([0, -6, 11, -6, 1])
         assert chi(cycle_graph(5)) == Polynomial([0, 4, -10, 10, -5, 1])
 
@@ -192,10 +197,11 @@ class TestTutteOracle:
                 assert star.value(n) == (-1) ** (d - 1) * n * t, (g, n)
             acyclic = int(tutte.subs({"x": 2, "y": 0}))
             assert len(enumerate_acyclic_orientations(g)) == acyclic, g
+            assert chromatic_analysis(g).acyclic_count == acyclic, g
 
 
 def _order_route(g: Multigraph):
-    return star_via_order_polynomials(g, enumerate_acyclic_orientations(g))
+    return star_via_order_polynomials(g, acyclic_orientations_up_to_reversal(g))
 
 
 class TestOrderPolynomialRoute:
@@ -220,21 +226,21 @@ class TestOrderPolynomialRoute:
             for above in orientations:
                 for i, x in enumerate(omega_star(Poset(d, above)).entries):
                     total[i] += x
-            summed = star_via_order_polynomials(g, orientations)
+            summed = star_via_order_polynomials(g, acyclic_orientations_up_to_reversal(g))
             assert summed == StarVector(tuple(total), d, start=0), g
 
     def test_ten_vertices_at_the_cap(self):
-        # the Petersen graph: 16,680 chain codes with 40-bit fields summed
-        # into one, whose fields count the surjective proper colourings
-        petersen = Multigraph(
-            10,
-            tuple((i, (i + 1) % 5) for i in range(5))
-            + tuple((i, i + 5) for i in range(5))
-            + tuple((5 + i, 5 + (i + 2) % 5) for i in range(5)),
-        )
-        orientations = enumerate_acyclic_orientations(petersen)
-        assert len(orientations) == 16680
-        assert star_via_order_polynomials(petersen, orientations) == chromatic_star(petersen)
+        # the Petersen graph: 8,340 chain codes with 40-bit fields summed
+        # and doubled into one, whose fields count the surjective proper
+        # colourings of all 16,680 orientations
+        assert len(enumerate_acyclic_orientations(PETERSEN)) == 16680
+        orientations = acyclic_orientations_up_to_reversal(PETERSEN)
+        assert star_via_order_polynomials(PETERSEN, orientations) == chromatic_star(PETERSEN)
+
+    def test_petersen_lists_one_order_per_reversal_pair(self):
+        r = chromatic_analysis(PETERSEN)
+        assert len(r.acyclic_orientations) == 8340
+        assert r.acyclic_count == 16680
 
 
 class TestSampledDegreeSevenFamily:

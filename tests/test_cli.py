@@ -1,7 +1,11 @@
 import json
+import os
 import string
+import subprocess
+import sys
 import time
 import types
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -686,3 +690,29 @@ def test_every_file_text_ends_in_an_exit_code(tmp_path, capsys, command, header,
     path.write_text(data.draw(file_texts(header, pair)))
     assert main([command, str(path)]) in (0, 1, 2, 3)
     assert "Traceback" not in capsys.readouterr().err
+
+
+class TestModuleEntryPoint:
+    """`python -m polybinom` from a checkout, with only ``src`` on the path."""
+
+    SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+    def run(self, tmp_path, *argv):
+        env = {**os.environ, "PYTHONPATH": self.SRC}
+        return subprocess.run(
+            [sys.executable, *argv], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+        )
+
+    def test_survey_exits_0(self, tmp_path):
+        proc = self.run(tmp_path, "-m", "polybinom", "survey", "graphs", "--max-size", "3", "--json")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["counterexamples"] == []
+
+    def test_cap_exits_3(self, tmp_path):
+        proc = self.run(tmp_path, "-m", "polybinom", "survey", "graphs", "--max-size", "8")
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("cap exceeded: ")
+
+    def test_cli_does_not_import_it(self, tmp_path):
+        proc = self.run(tmp_path, "-c", "import sys, polybinom.cli; print('polybinom.__main__' in sys.modules)")
+        assert proc.stdout == "False\n", proc.stderr

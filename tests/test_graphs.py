@@ -11,11 +11,11 @@ from polybinom.chromatic import chromatic_analysis
 from polybinom.errors import CapExceeded, InputFormatError
 from polybinom.graphs import (
     Multigraph,
+    acyclic_orientations_up_to_reversal,
     complete_graph,
     cycle_graph,
     cyclomatic_number,
     dipole,
-    enumerate_acyclic_orientations,
     enumerate_totally_cyclic_orientations,
     format_graph_file,
     graph_certificate,
@@ -40,6 +40,37 @@ def bridges_by_deletion(g: Multigraph) -> tuple[int, ...]:
         i for i, (u, v) in enumerate(g.edges)
         if u != v and delete_edge(g, i).component_count > g.component_count
     )
+
+
+def enumerate_acyclic_orientations(g: Multigraph) -> list[tuple[int, ...]]:
+    """Oracle: all orientations with no coherently oriented cycle, each as its
+    order, by the same backtracking search as
+    `acyclic_orientations_up_to_reversal` with edge 0 left free.
+
+    A backtracking search over the edges in index order keeps, per vertex,
+    the bitmask of the vertices it reaches.  Edge e may point t -> h only if
+    h does not already reach t; every vertex that reaches t then gains all
+    that h reaches.  At a leaf the reachability masks are the transitive
+    closure of the orientation, returned as the tuple ``above[v] = reach[v]``
+    minus v.  A loop is itself a directed cycle, so a graph with loops has
+    none.
+    """
+    if g.has_loops:
+        return []
+    edges, m, d = g.edges, g.edge_count, g.vertex_count
+    orders = []
+    stack = [(0, tuple(1 << v for v in range(d)))]
+    while stack:
+        e, reach = stack.pop()
+        if e == m:
+            orders.append(tuple(r & ~(1 << v) for v, r in enumerate(reach)))
+            continue
+        u, v = edges[e]
+        for t, h in ((u, v), (v, u)):
+            if not reach[h] >> t & 1:
+                gain = reach[h]
+                stack.append((e + 1, tuple(r | gain if r >> t & 1 else r for r in reach)))
+    return orders
 
 
 class TestStructure:
@@ -155,7 +186,7 @@ class TestOrientations:
         def refuse(g):
             raise AssertionError("enumerated above the cap")
 
-        monkeypatch.setattr(polybinom.chromatic, "enumerate_acyclic_orientations", refuse)
+        monkeypatch.setattr(polybinom.chromatic, "acyclic_orientations_up_to_reversal", refuse)
         # K9 has 9! = 362,880 acyclic orientations
         assert caps.ACYCLIC_ORIENTATION_CAP < 362_880
         with pytest.raises(CapExceeded, match="graph has 362880 acyclic orientations"):
@@ -210,26 +241,71 @@ def posets_by_search(g: Multigraph) -> list[tuple[int, ...]]:
     return sorted(orders)
 
 
+SCAN_ORACLE_MULTIGRAPHS = {
+    "dipole3": dipole(3),
+    "antiparallel": Multigraph(3, ((0, 1), (1, 0), (1, 2))),  # antiparallel twins as stored
+    "k4_twin": Multigraph(4, complete_graph(4).edges + ((1, 0),)),
+    "triangle_twins": Multigraph(3, ((0, 1), (1, 2), (2, 0), (2, 1), (0, 2))),
+    "two_blocks": Multigraph(5, ((3, 1), (1, 4), (4, 3), (0, 2), (2, 0), (0, 3))),
+    "loop": Multigraph(3, ((0, 1), (1, 1), (1, 2))),
+    "edgeless": Multigraph(4, ()),
+}
+
+
 class TestAcyclicScanOracle:
     def test_d6_family(self):
         for g in connected_graph_classes(6):
             assert posets_by_search(g) == posets_by_scan(g), g
 
-    @pytest.mark.parametrize(
-        "g",
-        [
-            dipole(3),
-            Multigraph(3, ((0, 1), (1, 0), (1, 2))),  # antiparallel twins as stored
-            Multigraph(4, complete_graph(4).edges + ((1, 0),)),
-            Multigraph(3, ((0, 1), (1, 2), (2, 0), (2, 1), (0, 2))),
-            Multigraph(5, ((3, 1), (1, 4), (4, 3), (0, 2), (2, 0), (0, 3))),
-            Multigraph(3, ((0, 1), (1, 1), (1, 2))),  # a loop
-            Multigraph(4, ()),
-        ],
-        ids=["dipole3", "antiparallel", "k4_twin", "triangle_twins", "two_blocks", "loop", "edgeless"],
-    )
+    @pytest.mark.parametrize("g", SCAN_ORACLE_MULTIGRAPHS.values(), ids=SCAN_ORACLE_MULTIGRAPHS.keys())
     def test_multigraphs(self, g):
         assert posets_by_search(g) == posets_by_scan(g)
+
+
+def assert_halves_the_oracle(g: Multigraph) -> None:
+    """The search lists one order of each reversal pair of the full oracle,
+    the one in which edge 0 points as stored; the reverse orientation
+    induces the dual order, whose ``above`` masks are the ``below`` ones."""
+    half = acyclic_orientations_up_to_reversal(g)
+    full = enumerate_acyclic_orientations(g)
+    posets = [Poset(g.vertex_count, above) for above in half]
+    assert [p.above for p in posets] == half
+    if not g.edges:
+        # the empty orientation is its own reverse
+        assert half == full == [(0,) * g.vertex_count]
+        return
+    reverses = [p.below for p in posets]
+    assert sorted(half + reverses) == sorted(full), g
+    assert not set(half) & set(reverses), g
+    u, v = g.edges[0]
+    assert all(above[u] >> v & 1 for above in half), g
+
+
+# two triangles, edge 0 in the second with a parallel twin, and an isolated vertex
+DISCONNECTED = Multigraph(7, ((4, 3), (0, 1), (1, 2), (2, 0), (3, 5), (5, 4), (4, 3)))
+
+
+class TestAcyclicOrientationsUpToReversal:
+    def test_d6_family(self):
+        for g in connected_graph_classes(6):
+            assert_halves_the_oracle(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [*SCAN_ORACLE_MULTIGRAPHS.values(), DISCONNECTED],
+        ids=[*SCAN_ORACLE_MULTIGRAPHS, "disconnected"],
+    )
+    def test_multigraphs(self, g):
+        assert_halves_the_oracle(g)
+
+    def test_counts_stand_for_both_orientations(self):
+        assert len(acyclic_orientations_up_to_reversal(complete_graph(3))) == 3
+        assert chromatic_analysis(complete_graph(3)).acyclic_count == 6
+        assert chromatic_analysis(DISCONNECTED).acyclic_count == len(enumerate_acyclic_orientations(DISCONNECTED))
+
+    def test_edgeless_graph_has_one_orientation(self):
+        assert acyclic_orientations_up_to_reversal(Multigraph(4, ())) == [(0, 0, 0, 0)]
+        assert chromatic_analysis(Multigraph(4, ())).acyclic_count == 1
 
 
 def _edge_on_coherent_cycle(g: Multigraph, direction: tuple[int, ...], e: int) -> bool:
