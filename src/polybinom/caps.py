@@ -110,10 +110,10 @@ FLOW_XI_CAP = 6
 # CHROMATIC_VERTEX_CAP (`graph_checks`).
 GRAPH_SURVEY_CAP = 7
 
-# The exhaustive poset survey at d = 7 grows its 2045 classes in about 1 s
-# and checks all 2450 classes of d <= 7 in about 4.2 s, at 57 MB peak RSS
-# (Python 3.11, one core).  Must not exceed LATTICE_POINT_ELEMENT_CAP, which
-# `poset_checks` needs.
+# The exhaustive poset survey at d = 7 grows its 2045 classes in 0.45 to
+# 0.71 s and checks all 2450 classes of d <= 7 in 5.0 to 5.7 s, at 57 MB
+# peak RSS (Python 3.11, one process on 2 shared cores).  Must not exceed
+# LATTICE_POINT_ELEMENT_CAP, which `poset_checks` needs.
 POSET_SURVEY_CAP = 7
 # The flow survey skips xi = 6.  One such instance (K5) takes about 0.13 s
 # (`flow_checks`, best of 5; Python 3.11, one core), and the 9 bridgeless

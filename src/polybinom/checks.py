@@ -240,8 +240,13 @@ def flow_checks(g: Multigraph) -> FlowChecks:
             phi_split.p[0] == phi_split.q[0] == phi_star[xi + 1] == indegrees
             and f_split.p[0] == f_split.q[0] == f_star[xi + 1] == tc
         ),
-        "phi_degree_is_xi": _verdict(r.phi.degree == xi),
-        "f_degree_is_xi": _verdict(r.f.degree == xi),
+        # each polynomial fits its count at the node n = xi+2; phi has integer
+        # coefficients, while f, a sum of Ehrhart polynomials of open
+        # polytopes, is only integer-valued in general
+        "phi_degree_is_xi": _verdict(
+            r.phi.degree == xi and r.phi.is_integral and r.phi(xi + 2) == r.phi_node
+        ),
+        "f_degree_is_xi": _verdict(r.f.degree == xi and r.f(xi + 2) == r.f_node),
         **_verdicts(audits),
         # the frozen flow references fix this name; it checks f = sum_o P_o termwise
         "kochol_sums_match_f": _verdict(_orientation_columns_fit(r)),

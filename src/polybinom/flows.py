@@ -307,6 +307,8 @@ class FlowResult:
     f_star: StarVector
     phi_split: SymmetricSplit
     f_split: SymmetricSplit
+    phi_node: int  # the counts at n = xi+2, which the polynomials must fit
+    f_node: int
     indegree_sequence_count: int
     tc_orientation_set: frozenset[tuple[int, ...]]
     kochol: dict[int, dict[tuple[int, ...], int]] = field(compare=False)  # n = 1..xi+2
@@ -342,11 +344,13 @@ def flow_analysis(g: Multigraph) -> FlowResult:
     above `caps.FLOW_XI_CAP`, then the edge cap of the totally cyclic
     enumeration, which runs before the flow scans.  The graph computes its
     component count and its bridges once, and every later check reads them.
-    The star vectors come from the counts at n = 1..xi+2, the last one an
-    overdetermination node.  The integral count f(n) is the sum of the Kochol
-    table at n, and all xi+2 tables come from one scan at n = xi+2; they are
-    kept on the result, one column P_o per orientation, each a polynomial of
-    degree <= xi.
+    The star vectors come from the counts at n = 1..xi+1, which determine a
+    polynomial of degree <= xi, and the counts at n = xi+2 are kept on the
+    result as overdetermination nodes; `polybinom.checks` judges whether the
+    polynomials fit them, and whether phi has integer coefficients.  The
+    integral count f(n) is the sum of the Kochol table at n, and all xi+2
+    tables come from one scan at n = xi+2; they are kept on the result, one
+    column P_o per orientation, each a polynomial of degree <= xi.
     """
     _check_vertex_cap(g)
     if g.bridges:
@@ -357,19 +361,15 @@ def flow_analysis(g: Multigraph) -> FlowResult:
     _check_caps(g, xi + 2)
     tc = enumerate_totally_cyclic_orientations(g)
 
-    phi_star = star_from_values([modular_flow_count(g, n) for n in range(1, xi + 3)], xi, start=1)
+    *phi_counts, phi_node = [modular_flow_count(g, n) for n in range(1, xi + 3)]
     kochol = kochol_tables(g, xi + 2)
-    f_star = star_from_values([sum(table.values()) for table in kochol.values()], xi, start=1)
-    phi = inverse_transform(phi_star)
-    if not phi.is_integral:
-        raise ValueError(f"flow polynomial has non-integer coefficients: {phi.pretty()}")
-    # f is a sum of Ehrhart polynomials of open polytopes: integer-valued but
-    # with rational monomial coefficients in general
-    f = inverse_transform(f_star)
+    *f_counts, f_node = [sum(table.values()) for table in kochol.values()]
+    phi_star = star_from_values(phi_counts, xi, start=1)
+    f_star = star_from_values(f_counts, xi, start=1)
     phi_split = symmetric_split(phi_star.entries, xi + 1)
     f_split = symmetric_split(f_star.entries, xi + 1)
 
     return FlowResult(
-        g, xi, phi, f, phi_star, f_star, phi_split, f_split,
-        in_degree_sequence_count(g, tc), frozenset(tc), kochol,
+        g, xi, inverse_transform(phi_star), inverse_transform(f_star), phi_star, f_star,
+        phi_split, f_split, phi_node, f_node, in_degree_sequence_count(g, tc), frozenset(tc), kochol,
     )

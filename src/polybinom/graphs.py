@@ -319,7 +319,7 @@ def in_degree_sequence_count(g: Multigraph, directions: Sequence[tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
-# canonical certificates (isomorphism dedup of the survey families)
+# canonical graph certificates (isomorphism dedup of the graph families)
 
 
 def _normalize_invariants(values: Sequence) -> tuple[int, ...]:
@@ -327,7 +327,7 @@ def _normalize_invariants(values: Sequence) -> tuple[int, ...]:
     return tuple(ranks[v] for v in values)
 
 
-def refine_invariants(n: int, initial: Sequence, profile) -> tuple[int, ...]:
+def _refine_invariants(n: int, initial: Sequence, profile) -> tuple[int, ...]:
     """Iterated 1-neighborhood refinement of a vertex invariant."""
     inv = _normalize_invariants(initial)
     while True:
@@ -337,7 +337,7 @@ def refine_invariants(n: int, initial: Sequence, profile) -> tuple[int, ...]:
         inv = nxt
 
 
-def invariant_sorting_maps(inv: tuple[int, ...]) -> list[tuple[int, ...]]:
+def _invariant_sorting_maps(inv: tuple[int, ...]) -> list[tuple[int, ...]]:
     """All relabelings v -> slot that sort vertices by invariant."""
     classes: dict[int, list[int]] = {}
     for v, c in enumerate(inv):
@@ -372,7 +372,7 @@ def _graph_invariant(g: Multigraph) -> tuple[int, ...]:
     def profile(v: int, inv: tuple[int, ...]):
         return tuple(sorted(inv[w] for w in adj[v]))
 
-    return refine_invariants(n, deg, profile)
+    return _refine_invariants(n, deg, profile)
 
 
 def _encode_edges(g: Multigraph, relabel: Sequence[int]) -> tuple[tuple[int, int], ...]:
@@ -387,7 +387,7 @@ def graph_certificate(g: Multigraph) -> tuple:
     The certificate is the minimum, over all invariant-sorting relabelings,
     of the sorted edge multiset.
     """
-    maps = invariant_sorting_maps(_graph_invariant(g))
+    maps = _invariant_sorting_maps(_graph_invariant(g))
     best = min(_encode_edges(g, relabel) for relabel in maps)
     return (g.vertex_count, best)
 

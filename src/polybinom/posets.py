@@ -33,8 +33,10 @@ lexicographically smallest natural labeling) frozen after calibration
 against the lattice-point oracle.
 
 `generate_posets` grows the isomorphism classes one element at a time, a
-new maximal element above one order ideal of each smaller class, and
-deduplicates them by `poset_certificate`.
+new maximal element above one order ideal of each smaller class.  A class
+has one canonical form, its smallest relabeling along a linear extension
+(`_smallest_relabeling`); `poset_certificate` packs it into one integer,
+which both deduplicates the classes and decodes into their representatives.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from typing import Iterable, Iterator, Sequence
 
 from . import caps
 from .errors import CapExceeded, InputFormatError
-from .graphs import invariant_sorting_maps, refine_invariants
 from .polynomials import StarVector, star_from_values
 
 __all__ = [
@@ -453,17 +454,6 @@ def hstar_via_descents(p: Poset) -> StarVector:
 # exhaustive generation up to isomorphism
 
 
-def _poset_invariant(d: int, above: Sequence[int], below: Sequence[int]) -> tuple[int, ...]:
-    init = [(bin(below[v]).count("1"), bin(above[v]).count("1")) for v in range(d)]
-
-    def profile(v: int, inv):
-        ups = tuple(sorted(inv[b] for b in _bits(above[v])))
-        downs = tuple(sorted(inv[b] for b in _bits(below[v])))
-        return (downs, ups)
-
-    return refine_invariants(d, init, profile)
-
-
 def _bits(mask: int) -> Iterator[int]:
     while mask:
         b = (mask & -mask).bit_length() - 1
@@ -471,67 +461,63 @@ def _bits(mask: int) -> Iterator[int]:
         mask &= mask - 1
 
 
-def poset_certificate(p: Poset) -> tuple:
-    """Hashable encoding equal exactly for isomorphic posets."""
+def poset_certificate(p: Poset) -> tuple[int, int]:
+    """``(d, code)``, equal exactly for isomorphic posets: the rows of the
+    class's smallest relabeling (`_smallest_relabeling`) packed into one
+    integer, row i at bit i * d.  Bit i * d + j is the pair (i, j), so codes
+    order as the relation masks they pack."""
     d = p.element_count
-    if d == 0:
-        return (0, 0)
-    inv = _poset_invariant(d, p.above, p.below)
-    maps = invariant_sorting_maps(inv)
-    best = None
-    for relabel in maps:
-        code = 0
-        for i in range(d):
-            for b in _bits(p.above[i]):
-                code |= 1 << (relabel[i] * d + relabel[b])
-        if best is None or code < best:
-            best = code
-    return (d, best)
+    return (d, sum(row << (i * d) for i, row in enumerate(_smallest_relabeling(p))))
+
+
+def _rows(certificate: tuple[int, int]) -> tuple[int, ...]:
+    """The ``above`` masks of the smallest relabeling a certificate packs."""
+    d, code = certificate
+    return tuple(code >> (i * d) & ((1 << d) - 1) for i in range(d))
 
 
 def generate_posets(d: int) -> list[Poset]:
-    """All isomorphism classes of posets on d labeled elements, ordered by
-    certificate.
+    """All isomorphism classes of posets on d labeled elements, each as the
+    canonical form its certificate decodes into, ordered by certificate.
 
     Grows the classes one element at a time (`_grow`, after Brinkmann and
     McKay, *Posets on up to 16 points*, Order 2002): every poset on k
     elements is one on k-1 elements with a maximal element put back above
-    the order ideal it covered.  Each class is represented by its smallest
-    upper-triangular relation mask (`_smallest_relabeling`).  Class counts
-    for d = 1..6 are 1, 2, 5, 16, 63, 318, which the test suite pins as a
-    generator self-check.
+    the order ideal it covered.  Class counts for d = 1..7 are 1, 2, 5, 16,
+    63, 318, 2045, which the test suite pins as a generator self-check.
     """
     if d < 0:
         raise ValueError("element count must be nonnegative")
-    empty = Poset(0, ())
-    classes = {poset_certificate(empty): empty}
+    certificates = {poset_certificate(Poset(0, ()))}
     for k in range(1, d + 1):
-        classes = _grow(classes.values(), k)
-    return [Poset(d, _smallest_relabeling(classes[c])) for c in sorted(classes)]
+        certificates = _grow(certificates, k)
+    return [Poset(d, _rows(c)) for c in sorted(certificates)]
 
 
-def _grow(classes: Iterable[Poset], k: int) -> dict[tuple, Poset]:
-    """The classes on k elements, by certificate: each naturally labeled
-    class on k-1 elements with a new top element k-1 above one of its order
+def _grow(certificates: Iterable[tuple[int, int]], k: int) -> set[tuple[int, int]]:
+    """The certificates of the classes on k elements: each class on k-1
+    elements, decoded from its certificate as its smallest relabeling (which
+    is naturally labeled), with a new top element k-1 above one of its order
     ideals.  The new element is maximal and its down-set is that ideal, so
-    every class is reached, and each stays naturally labeled."""
+    every class is reached, and one relabeling is computed per pair."""
     top = 1 << (k - 1)
-    grown: dict[tuple, Poset] = {}
-    for p in classes:
+    grown: set[tuple[int, int]] = set()
+    for certificate in certificates:
+        p = Poset(k - 1, _rows(certificate))
         # a natural labeling puts everything below v before v
         ideals = [0]
         for v, under in enumerate(p.below):
             ideals += [ideal | 1 << v for ideal in ideals if under & ~ideal == 0]
         for ideal in ideals:
             q = Poset(k, tuple(m | top if ideal >> v & 1 else m for v, m in enumerate(p.above)) + (0,))
-            grown.setdefault(poset_certificate(q), q)
+            grown.add(poset_certificate(q))
     return grown
 
 
 def _smallest_relabeling(p: Poset) -> tuple[int, ...]:
-    """The smallest upper-triangular relation mask of p's class, as ``above``
-    masks: the mask whose bit k is the k-th pair (i, j), i < j, in
-    lexicographic order.
+    """The canonical form of p's class: its smallest upper-triangular
+    relation mask, as ``above`` masks, where bit k of the mask is the k-th
+    pair (i, j), i < j, in lexicographic order.
 
     Relabeling along a linear extension puts the element at position i in
     row i, whose bits are the positions above it; later rows are the higher

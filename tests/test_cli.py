@@ -119,6 +119,17 @@ class TestFlowCommand:
         assert payload["phi_star"]["entries"] == [0, 0, 1]
         assert payload["f_star"]["entries"] == [0, 0, 2]
 
+    @pytest.mark.parametrize("counts", [(0, 0, 3, 8), (0, 0, 1, 3)])
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_modular_miscount_is_a_failed_check(self, write, capsys, monkeypatch, counts, json_flag):
+        # phi of the theta graph is (n-1)(n-2), with counts 0, 0, 2, 6 at
+        # n = 1..4.  The first counts break the node n = 4 (and make phi
+        # non-integral); the second fit 1/2 (n-1)(n-2), which has no integer
+        # coefficients.  Both are a failed check and exit 1, not a traceback
+        monkeypatch.setattr(polybinom.flows, "modular_flow_count", lambda g, n: counts[n - 1])
+        assert main(["flow", *json_flag, write("theta.graph", THETA)]) == 1
+        assert capsys.readouterr().err == "failed checks: constants_match_oracles, phi_degree_is_xi\n"
+
     def test_bridge_rejected(self, write, capsys):
         assert main(["flow", write("p3.graph", P3)]) == 2
         assert "bridge" in capsys.readouterr().err

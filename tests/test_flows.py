@@ -331,13 +331,37 @@ class TestFlowAnalysis:
         assert passes.count(True) == 1
 
     def test_non_integral_phi_rejected(self, monkeypatch):
-        # C(n, 3) is integer-valued and of degree xi = 3, but phi must have
-        # integer monomial coefficients
+        # C(n, 3) is integer-valued and of degree xi = 3, and fits the node,
+        # but phi must have integer monomial coefficients
         monkeypatch.setattr(
             "polybinom.flows.modular_flow_count", lambda g, n: n * (n - 1) * (n - 2) // 6
         )
-        with pytest.raises(ValueError, match="non-integer coefficients"):
-            flow_analysis(complete_graph(4))
+        checked = flow_checks(complete_graph(4))
+        assert checked.result.phi_node == checked.result.phi(5) == 10
+        assert checked.checks["phi_degree_is_xi"] == "fail"
+
+    def test_modular_node_miscount_fails_a_check(self, monkeypatch):
+        # the theta graph has phi = (n-1)(n-2): counts 0, 0, 2 at n = 1..3
+        # and 6 at the node n = 4; a count of 7 there fits no quadratic
+        # through the first three
+        monkeypatch.setattr("polybinom.flows.modular_flow_count", lambda g, n: [0, 0, 2, 7][n - 1])
+        checked = flow_checks(THETA)
+        assert (checked.result.phi(4), checked.result.phi_node) == (6, 7)
+        assert checked.failures == ["phi_degree_is_xi"]
+
+    def test_integral_node_miscount_fails_a_check(self, monkeypatch):
+        # one flow too many at the top bound breaks the node of f and of
+        # that orientation's column
+        def miscounted(g, top):
+            tables = kochol_tables(g, top)
+            first = next(iter(tables[top]))
+            tables[top][first] += 1
+            return tables
+
+        monkeypatch.setattr("polybinom.flows.kochol_tables", miscounted)
+        checked = flow_checks(THETA)
+        assert checked.result.f_node == checked.result.f(4) + 1
+        assert checked.failures == ["f_degree_is_xi", "kochol_sums_match_f"]
 
     def test_audits_pass_on_fixtures(self):
         for g in (dipole(2), THETA, dipole(4), dipole(5), complete_graph(4), K4_DOUBLED):

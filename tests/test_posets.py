@@ -36,10 +36,13 @@ def _bits(mask: int):
 def scanned_posets(d: int) -> list[Poset]:
     """The mask-scan oracle of `generate_posets`: every order compatible with
     0 < 1 < ... < d-1, in the order of its relation mask (bit k is the k-th
-    pair (i, j), i < j, in lexicographic order), the first hit of each class
-    kept, classes ordered by certificate."""
+    pair (i, j), i < j, in lexicographic order), kept when no relabeling
+    along one of its own linear extensions has a smaller mask.  So each
+    class is kept once, as its smallest mask, and the classes come out in
+    the order of those masks."""
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    reps: dict[tuple, Poset] = {}
+    bit = {pair: 1 << k for k, pair in enumerate(pairs)}
+    reps = []
     for mask in range(1 << len(pairs)):
         above = [0] * d
         for k, (i, j) in enumerate(pairs):
@@ -47,8 +50,13 @@ def scanned_posets(d: int) -> list[Poset]:
                 above[i] |= 1 << j
         if all(above[b] & ~above[i] == 0 for i in range(d) for b in _bits(above[i])):
             p = Poset(d, tuple(above))
-            reps.setdefault(poset_certificate(p), p)
-    return [reps[c] for c in sorted(reps)]
+            relations = [(a, b) for a in range(d) for b in _bits(above[a])]
+            if all(
+                mask <= sum(bit[position[a], position[b]] for a, b in relations)
+                for position in ({v: i for i, v in enumerate(ext)} for ext in p.linear_extensions())
+            ):
+                reps.append(p)
+    return reps
 
 
 def stepped_counts(above) -> list[int]:
@@ -407,6 +415,10 @@ class TestGeneratedFamilies:
     def test_class_count_d6(self):
         assert len(generate_posets(6)) == 318
 
+    def test_class_count_d7(self):
+        # OEIS A000112
+        assert len(generate_posets(7)) == 2045
+
     def test_growth_matches_the_mask_scan(self):
         # the same representatives (each class's smallest relation mask) in
         # the same order as the scan of every naturally labeled order
@@ -422,6 +434,17 @@ class TestGeneratedFamilies:
         p = Poset.from_relation(4, [(0, 1), (1, 3), (2, 3)])
         q = Poset.from_relation(4, [(3, 2), (2, 0), (1, 0)])
         assert poset_certificate(p) == poset_certificate(q)
+
+    def test_certificate_is_relabeling_invariant_at_d7(self):
+        # a random relabeling of each sampled class has the class's
+        # certificate, which packs the representative's own rows, row i at
+        # bit 7i
+        rng = random.Random(7)
+        for p in rng.sample(generate_posets(7), 200):
+            label = rng.sample(range(7), 7)
+            q = Poset.from_relation(7, [(label[a], label[b]) for a in range(7) for b in _bits(p.above[a])])
+            packed = sum(row << (7 * i) for i, row in enumerate(p.above))
+            assert poset_certificate(q) == poset_certificate(p) == (7, packed), p
 
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_top_entry_is_always_one(self, d):
