@@ -111,13 +111,14 @@ FLOW_XI_CAP = 6
 GRAPH_SURVEY_CAP = 7
 
 # The exhaustive poset survey at d = 7 grows its 2045 classes in 0.45 to
-# 0.71 s and checks all 2450 classes of d <= 7 in 5.0 to 5.7 s, at 57 MB
+# 0.53 s and checks all 2450 classes of d <= 7 in 5.0 to 5.7 s, at 57 MB
 # peak RSS (Python 3.11, one process on 2 shared cores).  Must not exceed
 # LATTICE_POINT_ELEMENT_CAP, which `poset_checks` needs.
 POSET_SURVEY_CAP = 7
-# The flow survey skips xi = 6.  One such instance (K5) takes about 0.13 s
+# The flow survey skips xi = 6.  One such instance (K5) takes about 0.06 s
 # (`flow_checks`, best of 5; Python 3.11, one core), and the 9 bridgeless
-# classes with xi = 6 at d <= 6 take about 1.2 s together, more than the
-# 0.4 s of the whole d <= 6 flow survey; admitting them would also change
-# that survey's output.
+# classes with xi = 6 at d <= 6 take 0.43 to 0.50 s together, more than the
+# 0.37 to 0.44 s of the whole d <= 6 flow survey; the 106 with xi = 6 at
+# d = 7 take about 6 s.  Admitting them would also change the survey's
+# output.
 FLOW_XI_SURVEY_CAP = 5

@@ -6,7 +6,11 @@ from the fundamental-cycle matrix.  That bounds the modular count at
 (n-1)^xi candidates and the integral scan at (2(n-1))^xi, with xi the
 cyclomatic number.  No scan builds its candidates: the cotree coordinates
 are split in two halves, each half's value combinations carry their partial
-tree sums, and pairs of combinations are tested in blocks.
+tree sums, and pairs of combinations are tested in blocks.  One block's
+buffers are allocated once per scan; each row's sums are added into them,
+and a pair is kept by one unsigned compare of its largest |sum| - 1 (which
+wraps to the largest value at a zero sum).  The integral scan then reads
+only its kept pairs again, row by row.
 
 The integral scan is the Kochol table: it buckets every nowhere-zero integer
 flow by the totally cyclic orientation along which it is strictly positive.
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -54,7 +58,9 @@ __all__ = [
     "modular_flow_count",
 ]
 
-# pairs of half combinations tested at once: about 1 MB of sums per class row
+# pairs of half combinations tested at once: the block's sum, peak and
+# verdict buffers take about 1 MB each in int8, allocated once per scan and
+# overwritten row by row; the kept pairs of one block are all that is held
 _PAIR_BLOCK = 1 << 20
 
 
@@ -186,24 +192,43 @@ def _half_sums(rows: np.ndarray, values: np.ndarray) -> list[tuple[np.ndarray, n
     return halves
 
 
-def _kept_pairs(
-    a: np.ndarray, b: np.ndarray, keep: Callable[[np.ndarray], np.ndarray]
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Pairs (i, j) of half combinations whose sums a[r, i] + b[r, j] pass
-    `keep` on every row r, in blocks of about `_PAIR_BLOCK` pairs: yields
-    the first i of the block and the mask over (i, j)."""
+def _kept_pairs(a: np.ndarray, b: np.ndarray, top: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Pairs (i, j) of half combinations whose sums s = a[r, i] + b[r, j]
+    satisfy 0 < |s| < top on every row r, in blocks of about `_PAIR_BLOCK`
+    pairs.  Yields the first i of the block, the verdict over (i, j), and
+    the peak over (i, j), which at a kept pair is its largest |s| - 1 over
+    the rows (0 when there are none).  Both are views of buffers allocated
+    once, which the next block overwrites.
+
+    a and b share a signed integer type that holds every sum and +-top.
+    Each row's sums are added into one buffer, which takes |s| - 1 in place.
+    Read unsigned, that is |s| - 1 exactly, also at the type's minimum (int8
+    -128, whose abs wraps to itself), and the largest unsigned value at
+    s = 0.  So a pair passes every row exactly when the unsigned maximum
+    over its rows is below top - 1: one compare per block.
+    """
+    unsigned = np.dtype(f"u{a.dtype.itemsize}")
     step = max(1, _PAIR_BLOCK // max(1, b.shape[1]))
+    shape = (min(step, a.shape[1]), b.shape[1])
+    sums, peak, ok = np.empty(shape, a.dtype), np.zeros(shape, a.dtype), np.empty(shape, bool)
+    sums_u, peak_u = sums.view(unsigned), peak.view(unsigned)
     for start in range(0, a.shape[1], step):
         block = a[:, start:start + step]
-        ok = np.ones((block.shape[1], b.shape[1]), dtype=bool)
-        for ra, rb in zip(block, b):
-            ok &= keep(ra[:, None] + rb)
-        yield start, ok
+        k = block.shape[1]
+        for r, (ra, rb) in enumerate(zip(block, b)):
+            s = sums[:k] if r else peak[:k]  # the first row writes the peak itself
+            np.add(ra[:, None], rb, out=s)
+            np.abs(s, out=s)
+            np.subtract(s, 1, out=s)
+            if r:
+                np.maximum(peak_u[:k], sums_u[:k], out=peak_u[:k])
+        np.less(peak_u[:k], top - 1, out=ok[:k])
+        yield start, ok[:k], peak[:k]
 
 
-def _small(sums: np.ndarray, bound: int) -> np.ndarray:
-    """Narrowest signed integer type holding every pairwise sum up to `bound`."""
-    return sums.astype(np.result_type(np.min_scalar_type(-bound), np.int8))
+def _small(values: np.ndarray, bound: int) -> np.ndarray:
+    """`values` in the narrowest signed integer type holding -bound..bound."""
+    return values.astype(np.result_type(np.min_scalar_type(-bound - 1), np.int8))
 
 
 def modular_flow_count(g: Multigraph, n: int) -> int:
@@ -216,8 +241,18 @@ def modular_flow_count(g: Multigraph, n: int) -> int:
     _, _, M = _cycle_matrix(g)
     rows, _, _ = _series_classes(M)
     (_, a), (_, b) = _half_sums(rows, np.arange(1, n, dtype=np.int64))
-    a, b = _small(a % n, 2 * n), _small(b % n, 2 * n)
-    return sum(int(ok.sum()) for _, ok in _kept_pairs(a, b, lambda s: (s != 0) & (s != n)))
+    # with residues a in [0, n) and b - n in [-n, 0), a sum is 0 mod n
+    # exactly when it is 0 or -n: the pairs kept are those with 0 < |s| < n
+    a, b = _small(a % n, n), _small(b % n - n, n)
+    return sum(int(np.count_nonzero(ok)) for _, ok, _ in _kept_pairs(a, b, n))
+
+
+def _half_codes(combos: np.ndarray, first: int, shift: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each combination's code, the sign of its coordinate c at bit
+    `first` + c above a level field of `shift` bits, and its level max |x|."""
+    bits = np.arange(first, first + combos.shape[1], dtype=np.int64) + shift
+    return (np.left_shift(combos < 0, bits).sum(axis=1, dtype=np.int64),
+            np.abs(combos).max(axis=1, initial=0))
 
 
 def kochol_tables(g: Multigraph, top: int) -> dict[int, dict[tuple[int, ...], int]]:
@@ -233,13 +268,23 @@ def kochol_tables(g: Multigraph, top: int) -> dict[int, dict[tuple[int, ...], in
     with level < n.  Only the flows whose last cotree coordinate is positive
     are scanned: the twin -x of such a flow has the same level and is
     positive along the reversed orientation, so each kept (orientation,
-    level) is credited to both.  Each table lists its orientations in sorted
-    order.
+    level) is credited to both.
+
+    A kept flow's code is its orientation key above its level.  Key bit j is
+    the sign of cotree coordinate j, and bit xi + r the sign of series class
+    r.  Each half combination carries its cotree bits; a kept pair ORs its
+    halves' bits with the sign of each class row's sum, built row by row
+    over the kept pairs only, and its level is the largest of the halves'
+    levels and the block's peak.  Codes are counted per block, so no more
+    than one block of kept pairs is held.  The tables then come from one
+    count per (orientation, level), summed over the levels; each key is
+    decoded to its direction once, and each table lists its orientations in
+    sorted order.
     """
     xi = _check_caps(g, top)
     m = g.edge_count
     tables: dict[int, dict[tuple[int, ...], int]] = {n: {} for n in range(1, top + 1)}
-    if m == 0 or top == 1:
+    if xi == 0 or top == 1:  # a forest carries no nowhere-zero flow
         return tables
     tree, cotree, M = _cycle_matrix(g)
     rows, cls, flipped = _series_classes(M)
@@ -250,47 +295,53 @@ def kochol_tables(g: Multigraph, top: int) -> dict[int, dict[tuple[int, ...], in
     positive = combos_b[:, -1] > 0
     combos_b, b = combos_b[positive], b[:, positive]
     bound = (top - 1) * int(np.abs(rows).sum(axis=1).max(initial=0))
-    a, b = _small(a, bound), _small(b, bound)
-    # A kept flow's code is its orientation key shifted above its level.  Key
-    # bit j is the sign of cotree coordinate j and bit xi + r the sign of
-    # class r: at most 4 xi bits, so every code fits an int64.  The twin -x
-    # has the same level and every key bit flipped.
+    a, b = _small(a, max(bound, top)), _small(b, max(bound, top))
+    # at most 4 xi key bits and the level's: every code fits an int64
     shift = (top - 1).bit_length()
-    mirror = (1 << (xi + len(rows))) - 1
-    cut = combos_a.shape[1]
-    key_a = (combos_a < 0) @ (1 << np.arange(cut, dtype=np.int64))
-    key_b = (combos_b < 0) @ (1 << np.arange(cut, xi, dtype=np.int64))
-    class_bits = 1 << np.arange(xi, xi + len(rows), dtype=np.int64)
-    level_a = np.abs(combos_a).max(axis=1, initial=0)
-    level_b = np.abs(combos_b).max(axis=1, initial=0)
-    counts: dict[int, int] = {}
-    for start, ok in _kept_pairs(a, b, lambda s: (s != 0) & (np.abs(s) < top)):
-        i, j = np.nonzero(ok)
-        i += start
-        sums = a[:, i] + b[:, j]
-        key = key_a[i] | key_b[j] | ((sums < 0).T @ class_bits)
-        level = np.maximum(np.maximum(level_a[i], level_b[j]), np.abs(sums).max(axis=0, initial=0))
-        code = np.sort((key << shift) | level)  # codes are >= 0
-        starts = np.flatnonzero(np.diff(code, prepend=-1))
-        for c, k in zip(code[starts].tolist(), np.diff(starts, append=len(code)).tolist()):
-            counts[c] = counts.get(c, 0) + k
+    code_a, level_a = _half_codes(combos_a, 0, shift)
+    code_b, level_b = _half_codes(combos_b, combos_a.shape[1], shift)
+    level_a, level_b, minus_b = level_a.astype(a.dtype), level_b.astype(a.dtype), -b
+    found_codes, found_counts = [], []
+    for start, ok, peak in _kept_pairs(a, b, top):
+        flat = np.flatnonzero(ok)
+        i = flat // b.shape[1]  # block rows: half a from `start` on
+        j = flat - i * b.shape[1]
+        level = peak.take(flat)
+        level += 1
+        np.maximum(level, level_a[start:].take(i), out=level)
+        np.maximum(level, level_b.take(j), out=level)
+        code = code_a[start:].take(i)
+        code |= code_b.take(j)
+        code |= level
+        x, y = np.empty_like(level), np.empty_like(level)
+        negative, bit = np.empty(len(flat), bool), np.empty_like(code)
+        for r, (ra, rb) in enumerate(zip(a, minus_b)):
+            ra[start:].take(i, out=x)
+            rb.take(j, out=y)
+            np.less(x, y, out=negative)  # x < -b: the class sum is negative
+            np.left_shift(negative, shift + xi + r, out=bit)
+            code |= bit
+        found, counts = np.unique(code, return_counts=True)
+        found_codes.append(found)
+        found_counts.append(counts)
 
-    levels: dict[int, list[int]] = {}
-    for c, k in counts.items():
-        for key in (c >> shift, (c >> shift) ^ mirror):
-            levels.setdefault(key, [0] * top)[c & ((1 << shift) - 1)] += k
-    for key, per_level in levels.items():
-        direction = [0] * m
-        for j, e in enumerate(cotree):
-            direction[e] = key >> j & 1
-        for e, r, flip in zip(tree, cls.tolist(), flipped.tolist()):
-            direction[e] = (key >> (xi + r) & 1) ^ flip
-        o, total = tuple(direction), 0
-        for n in range(1, top + 1):
-            total += per_level[n - 1]
-            if total:
-                tables[n][o] = total
-    return {n: dict(sorted(table.items())) for n, table in tables.items()}
+    code = np.concatenate(found_codes)
+    key = code >> shift
+    # the twin -x has the same level and every key bit flipped
+    key = np.concatenate([key, key ^ ((1 << (xi + len(rows))) - 1)])
+    level = np.tile(code & ((1 << shift) - 1), 2)
+    keys, at = np.unique(key, return_inverse=True)
+    per_level = np.zeros((len(keys), top), dtype=np.int64)
+    np.add.at(per_level, (at, level), np.tile(np.concatenate(found_counts), 2))
+    below = per_level.cumsum(axis=1)  # column n - 1: the flows with level < n
+    directions = np.empty((len(keys), m), dtype=np.int64)
+    directions[:, cotree] = keys[:, None] >> np.arange(xi) & 1
+    directions[:, tree] = (keys[:, None] >> (xi + cls) & 1) ^ flipped
+    order = np.lexsort(directions.T[::-1])
+    orientations = list(map(tuple, directions[order].tolist()))
+    for n, column in enumerate(below[order].T.tolist(), start=1):
+        tables[n] = {o: k for o, k in zip(orientations, column) if k}
+    return tables
 
 
 # ---------------------------------------------------------------------------

@@ -533,7 +533,11 @@ def _smallest_relabeling(p: Poset) -> tuple[int, ...]:
     for i in range(d - 1, -1, -1):
         best, ties = None, []
         for unplaced, seen in states:
-            for u in _bits(unplaced):
+            rest = unplaced
+            while rest:  # the set bits of `unplaced`, inline: this loop is the generator's hot path
+                low = rest & -rest
+                rest ^= low
+                u = low.bit_length() - 1
                 if p.above[u] & unplaced:
                     continue
                 row = seen[u]
@@ -546,8 +550,11 @@ def _smallest_relabeling(p: Poset) -> tuple[int, ...]:
         for unplaced, seen, u in ties:
             after = list(seen)
             after[u] = 0
-            for b in _bits(p.below[u]):
-                after[b] |= 1 << i
+            rest = p.below[u]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                after[low.bit_length() - 1] |= 1 << i
             states.add((unplaced & ~(1 << u), tuple(after)))
     return tuple(rows)
 

@@ -260,11 +260,11 @@ def test_flow_checks_scan_once(monkeypatch):
         widths.append(len(values))
         return halves(rows, values)
 
-    def counted_pairs(a, b, keep):
+    def counted_pairs(a, b, top):
         pairs.append(0)
-        for start, ok in kept(a, b, keep):
+        for start, ok, peak in kept(a, b, top):
             pairs[-1] += ok.size
-            yield start, ok
+            yield start, ok, peak
 
     monkeypatch.setattr(flows, "kochol_tables", counted)
     monkeypatch.setattr(flows, "_half_sums", counted_halves)

@@ -1,9 +1,11 @@
+import hashlib
 import random
 from itertools import product
 
 import numpy as np
 import pytest
 
+import polybinom.flows as flows
 from polybinom import caps
 from polybinom.checks import flow_checks
 from polybinom.errors import CapExceeded, NotApplicable
@@ -407,6 +409,16 @@ class TestKochol:
     def test_n1_empty(self):
         assert kochol_tables(THETA, 1) == {1: {}}
 
+    def test_a_forest_has_empty_tables(self):
+        assert kochol_tables(path_graph(3), 4) == {n: {} for n in range(1, 5)}
+
+    def test_a_bridge_forces_zero_past_the_sums_type(self):
+        # every tree row is zero, so every sum fits int8, but the bound does
+        # not: a zero sum must still be dropped
+        g = Multigraph(2, ((0, 0), (0, 1)))
+        assert kochol_tables(g, 300) == {n: {} for n in range(1, 301)}
+        assert modular_flow_count(g, 300) == 0
+
     def test_more_edges_than_an_int64_code_holds(self):
         # 69 tree edges in series: one class row, one key bit
         tables = kochol_tables(cycle_graph(70), 3)
@@ -442,6 +454,22 @@ class TestKochol:
             assert tables == oracle, name
             assert [list(t) for t in tables.values()] == [list(t) for t in oracle.values()], name
 
+    def test_tables_are_pinned_on_every_bridgeless_class_to_d7(self):
+        # the per-bound oracle above is too slow past d = 6, so the tables
+        # (key order included) and the modular counts of the 350 bridgeless
+        # classes with d <= 7 and xi <= 6, plus the fixtures, are pinned by
+        # a digest of the scan's output, frozen before its block kernel was
+        # rewritten
+        digest, count = hashlib.sha256(), 0
+        for g in [*connected_graph_classes(7), *(g for _, g in flow_fixture_set())]:
+            xi = cyclomatic_number(g)
+            if g.is_bridgeless and 1 <= xi <= 6:
+                tables = [list(table.items()) for table in kochol_tables(g, xi + 2).values()]
+                digest.update(repr((tables, [modular_flow_count(g, n) for n in range(1, xi + 3)])).encode())
+                count += 1
+        assert count == 356
+        assert digest.hexdigest()[:16] == "de590ce5c6afee90"
+
     def test_one_scan_below_the_top_bound(self):
         # a top bound past xi+2 gives the same lower tables
         for g in (THETA, K4_DOUBLED, Multigraph(2, THETA.edges + ((0, 0),))):
@@ -449,6 +477,13 @@ class TestKochol:
             assert kochol_tables(g, xi + 4) == {
                 n: kochol_table_at(g, n) for n in range(1, xi + 5)
             }
+
+    @pytest.mark.parametrize("g, top", [(dipole(2), 129), (THETA, 65)])
+    def test_tree_sums_reaching_128(self, g, top):
+        # the largest tree value is exactly 128, which int8 cannot hold: the
+        # scan must widen, or the flows at x = +-128 get the wrong sign
+        tables = kochol_tables(g, top)
+        assert [tables[n] for n in (top - 1, top)] == [kochol_table_at(g, n) for n in (top - 1, top)]
 
     def test_sum_identity_across_range(self):
         # f = sum_o P_o with each P_o recounted by the pure-Python route
@@ -481,3 +516,51 @@ class TestClosedForms:
                 degree[u] += 1
                 degree[v] += 1
             assert modular_flow_count(g, 2) == all(d % 2 == 0 for d in degree), name
+
+
+class TestPairKernel:
+    # `_kept_pairs` keeps 0 < |s| < top by one unsigned compare of |s| - 1
+    @pytest.mark.parametrize("dtype, top", [(np.int8, 100), (np.int8, 127), (np.int16, 1000), (np.int16, 32767)])
+    def test_range_test_at_its_edges(self, dtype, top):
+        low = int(np.iinfo(dtype).min)  # -128 in int8: its abs wraps to itself
+        sums = [0, 1, -1, top - 1, 1 - top, top, -top, low]
+        a = np.array([sums], dtype)  # one row: combination i of half a sums to sums[i]
+        (start, ok, peak), = flows._kept_pairs(a, np.zeros((1, 1), dtype), top)
+        kept = [0 < abs(s) < top for s in sums]
+        assert start == 0 and ok[:, 0].tolist() == kept
+        assert peak[ok].tolist() == [abs(s) - 1 for s, k in zip(sums, kept) if k]
+
+    def test_a_pair_is_kept_only_when_every_row_passes(self):
+        a = np.array([[1, 2, -3, 0], [0, 4, 1, -2]], np.int8)
+        b = np.array([[0, -2, 1], [1, -1, 3]], np.int8)
+        (_, ok, peak), = flows._kept_pairs(a, b, 4)
+        sums = a[:, :, None] + b[:, None, :]  # row, i, j
+        passes = ((sums != 0) & (np.abs(sums) < 4)).all(axis=0)
+        assert ok.tolist() == passes.tolist() and passes.any()
+        assert peak[ok].tolist() == (np.abs(sums).max(axis=0)[passes] - 1).tolist()
+
+    @pytest.mark.parametrize(
+        "g, block", [(complete_graph(4), 100), (complete_graph(4), 50), (complete_graph(5), 3 * 1372)]
+    )
+    def test_any_block_size_gives_the_same_counts(self, monkeypatch, g, block):
+        # the block size bounds memory only: several blocks, a partial last
+        # one included, give the default block's tables and counts
+        xi = cyclomatic_number(g)
+        tables = kochol_tables(g, xi + 2)
+        counts = [modular_flow_count(g, n) for n in range(1, xi + 3)]
+        scans, kept = [], flows._kept_pairs
+
+        def recorded(a, b, top):
+            scans.append([])
+            for start, ok, peak in kept(a, b, top):
+                scans[-1].append(ok.shape[0])
+                yield start, ok, peak
+
+        monkeypatch.setattr(flows, "_PAIR_BLOCK", block)
+        monkeypatch.setattr(flows, "_kept_pairs", recorded)
+        blocked = kochol_tables(g, xi + 2)
+        assert blocked == tables
+        assert [list(t) for t in blocked.values()] == [list(t) for t in tables.values()]
+        assert len(scans[0]) > 1  # the integral scan
+        assert [modular_flow_count(g, n) for n in range(1, xi + 3)] == counts
+        assert any(len(heights) > 1 and heights[-1] < heights[0] for heights in scans)

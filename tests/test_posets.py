@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from itertools import product
@@ -424,6 +425,24 @@ class TestGeneratedFamilies:
         # the same order as the scan of every naturally labeled order
         for d in range(7):
             assert [p.above for p in generate_posets(d)] == [p.above for p in scanned_posets(d)], d
+
+    def test_classes_and_certificates_are_pinned_to_d7(self):
+        # the class counts and a digest of every certificate, in order, as
+        # the generator gave them when the smallest relabeling became the
+        # certificate: a faster canonical form must give the same classes
+        pinned = {
+            1: (1, "fcbd8f2ee97e86ea"),
+            2: (2, "58ab0b36ac1bd749"),
+            3: (5, "4f42c78781509ea5"),
+            4: (16, "578b3888e9de119f"),
+            5: (63, "784a5d9f96bbe16b"),
+            6: (318, "b4e6e6d8b8d2b932"),
+            7: (2045, "785a1921f5c7f13f"),
+        }
+        for d, (count, digest) in pinned.items():
+            certificates = [poset_certificate(p) for p in generate_posets(d)]
+            assert len(certificates) == count, d
+            assert hashlib.sha256(repr(certificates).encode()).hexdigest()[:16] == digest, d
 
     def test_certificates_separate_classes(self):
         posets = generate_posets(4)
