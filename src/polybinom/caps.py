@@ -81,9 +81,10 @@ POINT_ENUMERATION_BUDGET = 10**8
 # flows ----------------------------------------------------------------------
 
 # `flow_analysis` refuses a larger graph before its first pass over the
-# vertices.  Isolated vertices carry no flow, but they cost time: the bridge
-# search and the component count each pass over every vertex, and
-# `in_degree_sequence_count` fills d entries per totally cyclic orientation.
+# vertices.  Isolated vertices carry no flow, but they cost time: the one
+# search of the graph, which finds its components, bridges and spanning
+# forest, passes over every vertex, and `in_degree_sequence_count` fills d
+# entries per totally cyclic orientation.
 # The costliest graph found within the other flow caps is the Petersen graph
 # (1,920 orientations; 16 parallel edges have 65,534 but xi = 15, which
 # FLOW_XI_CAP refuses first).  Padded with isolated vertices, `flow` on it

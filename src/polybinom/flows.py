@@ -2,7 +2,10 @@
 
 Flows are parametrized by the cycle space: fix a spanning forest, assign
 free values to the cotree edges, and read off the forced tree-edge values
-from the fundamental-cycle matrix.  That bounds the modular count at
+from the fundamental-cycle matrix.  The forest is the one of the graph's
+bridge search, and the matrix, grouped into series classes, is
+`Multigraph.cycle_space`, built once per graph: every scan of one instance
+reads the same cycle space.  That bounds the modular count at
 (n-1)^xi candidates and the integral scan at (2(n-1))^xi, with xi the
 cyclomatic number.  No scan builds its candidates: the cotree coordinates
 are split in two halves, each half's value combinations carry their partial
@@ -34,9 +37,8 @@ their constant terms with the orientation oracles, is built in
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -64,82 +66,6 @@ __all__ = [
 _PAIR_BLOCK = 1 << 20
 
 
-def _spanning_forest(g: Multigraph) -> tuple[list[int], list[int], list[int], list[int]]:
-    """BFS forest in edge-index order: (tree edges, cotree edges, parent, parent_edge)."""
-    d = g.vertex_count
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(d)]
-    for i, (u, v) in enumerate(g.edges):
-        if u != v:
-            incident[u].append((i, v))
-            incident[v].append((i, u))
-    parent = [-1] * d
-    parent_edge = [-1] * d
-    visited = [False] * d
-    tree: list[int] = []
-    for root in range(d):
-        if visited[root]:
-            continue
-        visited[root] = True
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for ei, w in incident[v]:
-                if not visited[w]:
-                    visited[w] = True
-                    parent[w] = v
-                    parent_edge[w] = ei
-                    tree.append(ei)
-                    queue.append(w)
-    tree_set = set(tree)
-    cotree = [i for i in range(g.edge_count) if i not in tree_set]
-    return tree, cotree, parent, parent_edge
-
-
-def _depths(d: int, parent: Sequence[int]) -> list[int]:
-    depth = [0] * d
-    for v in range(d):
-        w, steps = v, 0
-        while parent[w] != -1:
-            w = parent[w]
-            steps += 1
-        depth[v] = steps
-    return depth
-
-
-def _cycle_matrix(g: Multigraph) -> tuple[list[int], list[int], np.ndarray]:
-    """Tree/cotree split plus the signed fundamental-cycle matrix M.
-
-    M has one row per tree edge, one column per cotree edge; the forced tree
-    value is M @ (cotree values).  The cycle of a cotree edge (u, v) runs
-    along the edge u -> v and back through the forest from v to u; a tree
-    edge picks up +1 when the return path traverses it tail-to-head.
-    """
-    tree, cotree, parent, parent_edge = _spanning_forest(g)
-    tree_pos = {e: i for i, e in enumerate(tree)}
-    depth = _depths(g.vertex_count, parent)
-    M = np.zeros((len(tree), len(cotree)), dtype=np.int64)
-    for col, ce in enumerate(cotree):
-        u, v = g.edges[ce]
-        if u == v:
-            continue  # a loop's cycle is the edge itself
-        x, y = v, u  # walk the return path v ... u
-        while x != y:
-            if depth[x] >= depth[y]:
-                t = parent_edge[x]
-                p = parent[x]
-                sign = 1 if g.edges[t] == (x, p) else -1
-                M[tree_pos[t], col] += sign
-                x = p
-            else:
-                t = parent_edge[y]
-                p = parent[y]
-                # traversed against the climb direction on the u-side
-                sign = 1 if g.edges[t] == (p, y) else -1
-                M[tree_pos[t], col] += sign
-                y = p
-    return tree, cotree, M
-
-
 def _check_vertex_cap(g: Multigraph) -> None:
     if g.vertex_count > caps.FLOW_VERTEX_CAP:
         raise CapExceeded(f"flow cap is {caps.FLOW_VERTEX_CAP} vertices, got {g.vertex_count}")
@@ -155,19 +81,10 @@ def _check_caps(g: Multigraph, n: int) -> int:
     return xi
 
 
-def _series_classes(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct rows of M up to sign, and each tree edge's class and sign.
-
-    Tree edges whose rows agree up to sign are in series: they carry equal
-    or opposite values in every flow, so a scan tests one row per class.  A
-    graph of cyclomatic number xi has at most 3 xi series classes, however
-    many edges it has.  Returns (class rows, class of each tree edge, True
-    where the edge's row is the negated class row).
-    """
-    # a row is flipped when its first nonzero entry is negative
-    flipped = np.array([next((x < 0 for x in row if x), False) for row in M.tolist()], dtype=bool)
-    rows, cls = np.unique(np.where(flipped[:, None], -M, M), axis=0, return_inverse=True)
-    return rows, cls, flipped
+def _class_rows(g: Multigraph) -> np.ndarray:
+    """The series-class rows of `Multigraph.cycle_space`, one column per cotree edge."""
+    _, cotree, rows, _, _ = g.cycle_space
+    return np.array(rows, dtype=np.int64).reshape(len(rows), len(cotree))
 
 
 def _half_sums(rows: np.ndarray, values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -238,8 +155,7 @@ def modular_flow_count(g: Multigraph, n: int) -> int:
         return 1
     if n == 1:
         return 0
-    _, _, M = _cycle_matrix(g)
-    rows, _, _ = _series_classes(M)
+    rows = _class_rows(g)
     (_, a), (_, b) = _half_sums(rows, np.arange(1, n, dtype=np.int64))
     # with residues a in [0, n) and b - n in [-n, 0), a sum is 0 mod n
     # exactly when it is 0 or -n: the pairs kept are those with 0 < |s| < n
@@ -286,8 +202,8 @@ def kochol_tables(g: Multigraph, top: int) -> dict[int, dict[tuple[int, ...], in
     tables: dict[int, dict[tuple[int, ...], int]] = {n: {} for n in range(1, top + 1)}
     if xi == 0 or top == 1:  # a forest carries no nowhere-zero flow
         return tables
-    tree, cotree, M = _cycle_matrix(g)
-    rows, cls, flipped = _series_classes(M)
+    tree, cotree, _, cls, flipped = g.cycle_space
+    cls, flipped, rows = np.array(cls, dtype=np.int64), np.array(flipped, dtype=bool), _class_rows(g)
     span = np.concatenate([np.arange(-(top - 1), 0), np.arange(1, top)]).astype(np.int64)
     (combos_a, a), (combos_b, b) = _half_sums(rows, span)
     # x and -x are both kept or both dropped, so scan only the flows whose
@@ -321,6 +237,9 @@ def kochol_tables(g: Multigraph, top: int) -> dict[int, dict[tuple[int, ...], in
             np.less(x, y, out=negative)  # x < -b: the class sum is negative
             np.left_shift(negative, shift + xi + r, out=bit)
             code |= bit
+        # the block's temporaries set the peak memory: free them before
+        # np.unique sorts a copy of the codes
+        del flat, i, j, level, x, y, negative, bit
         found, counts = np.unique(code, return_counts=True)
         found_codes.append(found)
         found_counts.append(counts)
@@ -393,8 +312,9 @@ def flow_analysis(g: Multigraph) -> FlowResult:
     The caps are checked before any scan: `caps.FLOW_VERTEX_CAP` before any
     pass over the vertices, then, after the bridge and xi = 0 tests, an xi
     above `caps.FLOW_XI_CAP`, then the edge cap of the totally cyclic
-    enumeration, which runs before the flow scans.  The graph computes its
-    component count and its bridges once, and every later check reads them.
+    enumeration, which runs before the flow scans.  The graph is searched
+    once, for its components, bridges and spanning forest, and builds its
+    cycle space once; every later check and all xi + 3 scans read them.
     The star vectors come from the counts at n = 1..xi+1, which determine a
     polynomial of degree <= xi, and the counts at n = xi+2 are kept on the
     result as overdetermination nodes; `polybinom.checks` judges whether the

@@ -5,6 +5,10 @@ pairs.  Pairs are unordered as edges but their stored order is meaningful
 as the reference orientation for flow computations (tail = first, head =
 second), so it is preserved verbatim from input.
 
+A graph is traversed once: one depth-first search, cached on the graph,
+counts its components, finds its bridges and records a spanning forest,
+and the cycle space that the flow scans read is built from that forest.
+
 Acyclic and totally cyclic orientations are enumerated by backtracking
 searches with no dead ends, so their cost follows their output: at most m
 steps per orientation.  The acyclic search lists one orientation per
@@ -67,47 +71,18 @@ class Multigraph:
     def has_loops(self) -> bool:
         return any(u == v for u, v in self.edges)
 
-    def component_ids(self) -> list[int]:
-        """Component index per vertex; loops attach to their own vertex."""
-        parent = list(range(self.vertex_count))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v in self.edges:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[max(ru, rv)] = min(ru, rv)
-        roots: dict[int, int] = {}
-        out = []
-        for v in range(self.vertex_count):
-            r = find(v)
-            out.append(roots.setdefault(r, len(roots)))
-        return out
-
     @cached_property
-    def component_count(self) -> int:
-        """Computed once per graph; every cap check reads it."""
-        ids = self.component_ids()
-        return max(ids) + 1 if ids else 0
+    def _search(self) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """The one traversal of the graph: (root count, bridges, parent of
+        each vertex, tree edge into each vertex), -1 at the roots.
 
-    @property
-    def is_connected(self) -> bool:
-        return self.component_count <= 1
-
-    @cached_property
-    def bridges(self) -> tuple[int, ...]:
-        """Edge indices whose deletion increases the component count.
-
-        One iterative depth-first search with low-links (Tarjan 1974), O(n + m):
-        a tree edge is a bridge iff no edge from below it reaches its parent
-        or higher.  Edges are told apart by index, so a parallel twin of a
-        tree edge is a back edge and neither is a bridge; loops are skipped.
-        Computed once per graph: the flow survey, `flow_analysis` and the
-        totally cyclic search all read it.
+        One iterative depth-first search with low-links (Tarjan 1974), O(n + m),
+        rooted at each unvisited vertex in index order, so its roots count the
+        components and its tree edges span a forest.  A tree edge is a bridge
+        iff no edge from below it reaches its parent or higher.  Edges are told
+        apart by index, so a parallel twin of a tree edge is a back edge and
+        neither is a bridge; loops are skipped, and a vertex with only loops is
+        a component of its own.
         """
         d = self.vertex_count
         incident: list[list[tuple[int, int]]] = [[] for _ in range(d)]
@@ -117,35 +92,98 @@ class Multigraph:
                 incident[v].append((u, i))
         entry = [-1] * d  # discovery time
         low = [0] * d  # the earliest discovery time reached from the subtree
-        clock = 0
+        parent = [-1] * d
+        via = [-1] * d  # the tree edge into each vertex
+        clock = roots = 0
         out = []
         for root in range(d):
             if entry[root] >= 0:
                 continue
+            roots += 1
             entry[root] = low[root] = clock
             clock += 1
-            stack = [(root, -1, iter(incident[root]))]  # vertex, tree edge into it, edges left
+            stack = [(root, iter(incident[root]))]  # vertex, edges left
             while stack:
-                v, via, left = stack[-1]
+                v, left = stack[-1]
                 for w, i in left:
-                    if i == via:
+                    if i == via[v]:
                         continue
                     if entry[w] < 0:
                         entry[w] = low[w] = clock
                         clock += 1
-                        stack.append((w, i, iter(incident[w])))
+                        parent[w], via[w] = v, i
+                        stack.append((w, iter(incident[w])))
                         break
                     if entry[w] < low[v]:
                         low[v] = entry[w]
                 else:
                     stack.pop()
-                    if stack:
-                        parent = stack[-1][0]
-                        if low[v] < low[parent]:
-                            low[parent] = low[v]
-                        if low[v] > entry[parent]:
-                            out.append(via)
-        return tuple(sorted(out))
+                    p = parent[v]
+                    if p >= 0:
+                        if low[v] < low[p]:
+                            low[p] = low[v]
+                        if low[v] > entry[p]:
+                            out.append(via[v])
+        return roots, tuple(sorted(out)), tuple(parent), tuple(via)
+
+    @property
+    def component_count(self) -> int:
+        """The roots of the search; loops join no two vertices."""
+        return self._search[0]
+
+    @property
+    def is_connected(self) -> bool:
+        return self.component_count <= 1
+
+    @property
+    def bridges(self) -> tuple[int, ...]:
+        """Edge indices whose deletion increases the component count, read off
+        the search.  The graph is searched once: the survey, `flow_analysis`,
+        the totally cyclic search and every cap check read the same result."""
+        return self._search[1]
+
+    @cached_property
+    def cycle_space(self) -> tuple[
+        tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...], tuple[bool, ...]
+    ]:
+        """The fundamental cycles of the search's forest, by series class:
+        (tree edges, cotree edges, class rows, class of each tree edge, True
+        where the tree edge's row is the negated class row).
+
+        The forced value of tree edge t in a flow is row t of the signed
+        fundamental-cycle matrix M times the cotree values.  The cycle of a
+        cotree edge (u, v) runs along it from u to v and back through the
+        forest from v to u; a tree edge counts +1 where that return path runs
+        tail to head.  With R[w] the signed path from w up to its root, the
+        column of (u, v) is R[v] - R[u]: the part above the two ends' lowest
+        common ancestor cancels, and a loop's column is zero.  Each column
+        walks two root paths, so the matrix costs O(xi d).
+
+        Tree edges whose rows agree up to sign are in series: they carry equal
+        or opposite values in every flow, so a scan tests one row per class.
+        A row is flipped when its first nonzero entry is negative, and the
+        class rows are the distinct flipped rows in sorted order; a bridge's
+        row is zero.  A graph of cyclomatic number xi has at most 3 xi series
+        classes besides that one, however many edges it has.  Computed once per graph: every
+        flow count of `flow_analysis` and its Kochol scan read it.
+        """
+        _, _, parent, via = self._search
+        tree = sorted(e for e in via if e >= 0)
+        in_tree = set(tree)
+        cotree = [e for e in range(self.edge_count) if e not in in_tree]
+        position = {e: r for r, e in enumerate(tree)}
+        matrix = [[0] * len(cotree) for _ in tree]
+        for col, e in enumerate(cotree):
+            for w, sign in zip(self.edges[e], (-1, 1)):  # -R[u], then +R[v]
+                while via[w] >= 0:
+                    t = via[w]
+                    matrix[position[t]][col] += sign if self.edges[t][0] == w else -sign
+                    w = parent[w]
+        flipped = tuple(next((x < 0 for x in row if x), False) for row in matrix)
+        rows = [tuple(-x for x in row) if flip else tuple(row) for row, flip in zip(matrix, flipped)]
+        classes = sorted(set(rows))
+        index = {row: r for r, row in enumerate(classes)}
+        return tuple(tree), tuple(cotree), tuple(classes), tuple(index[row] for row in rows), flipped
 
     @property
     def is_bridgeless(self) -> bool:

@@ -1,7 +1,6 @@
 """The shared check tables: CLI/survey parity and failures reported, not raised."""
 
 import dataclasses
-import functools
 import json
 import math
 
@@ -171,25 +170,21 @@ def test_analyses_only_compute(monkeypatch):
         graph_checks(complete_graph(4))
 
 
-def test_flow_checks_find_the_bridges_once(monkeypatch):
-    search = Multigraph.bridges.func
-    calls = []
-
-    def counted(g):
-        calls.append(g)
-        return search(g)
-
-    counting = functools.cached_property(counted)
-    counting.__set_name__(Multigraph, "bridges")
-    monkeypatch.setattr(Multigraph, "bridges", counting)
+def test_flow_checks_find_the_bridges_once(computed):
+    calls, spaces = computed("_search"), computed("cycle_space")
     flow_checks(complete_graph(4))
     assert len(calls) == 1
+    assert len(spaces) == 1
     # the flow survey asks first whether a graph above the xi cap is
-    # bridgeless; each graph is still searched once
+    # bridgeless; each graph is still searched once, and each checked
+    # instance builds one cycle space
     calls.clear()
+    spaces.clear()
     report = run_flow_survey(6)
     assert any(skip["reason"] == "cap" for skip in report.skipped)
     assert len(calls) == len({id(g) for g in calls})
+    assert len(calls) == len(report.instances) + len(report.skipped)
+    assert len(spaces) == len({id(g) for g in spaces}) == len(report.instances)
 
 
 def test_order_exit_code_follows_the_whole_table(monkeypatch, tmp_path, capsys):

@@ -158,7 +158,7 @@ class TestFlowCommand:
         def refuse(self):
             raise AssertionError("a pass over the vertices ran before the vertex count was checked")
 
-        monkeypatch.setattr(Multigraph, "component_ids", refuse)
+        monkeypatch.setattr(Multigraph, "_search", property(refuse))
         for text in ("vertices 100000000\n", "vertices 100000000\nedge 0 1\n"):
             assert main(["flow", write("huge.graph", text)]) == 3
             captured = capsys.readouterr()

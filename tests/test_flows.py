@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import deque
 from itertools import product
 
 import numpy as np
@@ -11,7 +12,6 @@ from polybinom.checks import flow_checks
 from polybinom.errors import CapExceeded, NotApplicable
 from polybinom.flows import (
     FlowResult,
-    _cycle_matrix,
     flow_analysis,
     kochol_tables,
     modular_flow_count,
@@ -40,6 +40,59 @@ PETERSEN = Multigraph(
 def integral(g: Multigraph, n: int) -> int:
     """Nowhere-zero integer flows with 0 < |x| < n: the Kochol bucket sum."""
     return sum(kochol_tables(g, n)[n].values())
+
+
+def cycle_matrix(g: Multigraph) -> tuple[list[int], list[int], np.ndarray]:
+    """The Kochol oracles' own basis: tree edges, cotree edges and the signed
+    fundamental-cycle matrix M of a breadth-first forest, one row per tree
+    edge and one column per cotree edge.  `Multigraph.cycle_space` uses the
+    depth-first forest of the bridge search, so the scans and these oracles
+    share no basis.
+
+    The cycle of a cotree edge (u, v) runs along the edge u -> v and back
+    through the forest from v to u, climbing from the deeper end until the
+    two meet; a tree edge picks up +1 when the return path traverses it
+    tail-to-head.
+    """
+    d = g.vertex_count
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(d)]
+    for i, (u, v) in enumerate(g.edges):
+        if u != v:
+            incident[u].append((i, v))
+            incident[v].append((i, u))
+    parent, parent_edge, depth = [-1] * d, [-1] * d, [-1] * d
+    tree: list[int] = []
+    for root in range(d):
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for ei, w in incident[v]:
+                if depth[w] < 0:
+                    depth[w] = depth[v] + 1
+                    parent[w], parent_edge[w] = v, ei
+                    tree.append(ei)
+                    queue.append(w)
+    in_tree = set(tree)
+    cotree = [i for i in range(g.edge_count) if i not in in_tree]
+    tree_pos = {e: i for i, e in enumerate(tree)}
+    M = np.zeros((len(tree), len(cotree)), dtype=np.int64)
+    for col, ce in enumerate(cotree):
+        u, v = g.edges[ce]
+        x, y = v, u  # walk the return path v ... u; a loop's cycle is the edge itself
+        while x != y:
+            if depth[x] >= depth[y]:
+                t, p = parent_edge[x], parent[x]
+                M[tree_pos[t], col] += 1 if g.edges[t] == (x, p) else -1
+                x = p
+            else:
+                t, p = parent_edge[y], parent[y]
+                # traversed against the climb direction on the u-side
+                M[tree_pos[t], col] += 1 if g.edges[t] == (p, y) else -1
+                y = p
+    return tree, cotree, M
 
 
 CHUNK = 1 << 20
@@ -74,7 +127,7 @@ def kochol_table_at(g: Multigraph, n: int) -> dict[tuple[int, ...], int]:
     m = g.edge_count
     if m == 0 or n == 1:
         return {}
-    tree, cotree, M = _cycle_matrix(g)
+    tree, cotree, M = cycle_matrix(g)
     span = np.concatenate([np.arange(-(n - 1), 0), np.arange(1, n)]).astype(np.int64)
     buckets: dict[tuple[int, ...], int] = {}
     for cand in _candidate_chunks([span for _ in cotree]):
@@ -168,7 +221,7 @@ def positive_flow_count(g: Multigraph, direction: tuple[int, ...], n: int) -> in
         return 1 if n >= 1 else 0
     if n == 1:
         return 0
-    tree, cotree, M = _cycle_matrix(g)
+    tree, cotree, M = cycle_matrix(g)
     sign = [1 if b == 0 else -1 for b in direction]
     count = 0
     for tvals in product(range(1, n), repeat=len(cotree)):
@@ -318,19 +371,13 @@ class TestFlowAnalysis:
             with pytest.raises(CapExceeded, match=f"exceeds cap {caps.FLOW_XI_CAP}"):
                 scan(dipole(caps.FLOW_XI_CAP + 2), 3)
 
-    def test_component_count_is_computed_once(self, monkeypatch):
+    def test_component_count_is_computed_once(self, computed):
         g = Multigraph(5, K4_DOUBLED.edges + ((4, 4),))
-        passes = []
-        component_ids = Multigraph.component_ids
-
-        def counted(self):
-            passes.append(self is g)
-            return component_ids(self)
-
-        monkeypatch.setattr(Multigraph, "component_ids", counted)
+        searched, spaces = computed("_search"), computed("cycle_space")
         flow_analysis(g)
-        # the bridge test also counts the components of each g minus an edge
-        assert passes.count(True) == 1
+        assert [h is g for h in searched].count(True) == 1
+        # one search and one cycle space per call, both of g
+        assert searched == spaces == [g]
 
     def test_non_integral_phi_rejected(self, monkeypatch):
         # C(n, 3) is integer-valued and of degree xi = 3, and fits the node,
@@ -453,6 +500,12 @@ class TestKochol:
             oracle = {n: kochol_table_at(g, n) for n in range(1, cyclomatic_number(g) + 3)}
             assert tables == oracle, name
             assert [list(t) for t in tables.values()] == [list(t) for t in oracle.values()], name
+
+    def test_the_oracles_use_another_forest(self):
+        # on K4 the breadth-first forest is a star at 0 and the search's
+        # depth-first one a path, so one sign slip cannot pass both
+        g = complete_graph(4)
+        assert (cycle_matrix(g)[0], g.cycle_space[0]) == ([0, 1, 2], (0, 3, 5))
 
     def test_tables_are_pinned_on_every_bridgeless_class_to_d7(self):
         # the per-bound oracle above is too slow past d = 6, so the tables

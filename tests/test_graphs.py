@@ -33,12 +33,35 @@ def delete_edge(g: Multigraph, e: int) -> Multigraph:
     return Multigraph(g.vertex_count, g.edges[:e] + g.edges[e + 1 :])
 
 
+def component_ids(g: Multigraph) -> list[int]:
+    """Oracle of the search's components: a union-find, numbering the
+    components by their lowest vertex.  Loops attach to their own vertex."""
+    parent = list(range(g.vertex_count))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in g.edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[max(ru, rv)] = min(ru, rv)
+    roots: dict[int, int] = {}
+    return [roots.setdefault(find(v), len(roots)) for v in range(g.vertex_count)]
+
+
+def component_count(g: Multigraph) -> int:
+    return len(set(component_ids(g)))
+
+
 def bridges_by_deletion(g: Multigraph) -> tuple[int, ...]:
     """The per-edge oracle of `Multigraph.bridges`: every edge whose deleted
-    copy of the graph has more components."""
+    copy of the graph has more components, counted by the union-find."""
     return tuple(
         i for i, (u, v) in enumerate(g.edges)
-        if u != v and delete_edge(g, i).component_count > g.component_count
+        if u != v and component_count(delete_edge(g, i)) > component_count(g)
     )
 
 
@@ -112,6 +135,7 @@ class TestStructure:
             graphs.append(Multigraph(d, tuple((rng.randrange(d), rng.randrange(d)) for _ in range(rng.randint(0, 12)))))
         for g in graphs:
             assert g.bridges == bridges_by_deletion(g), g
+            assert g.component_count == component_count(g), g
         assert Multigraph(6, ((5, 4), (4, 3), (3, 5), (3, 2), (2, 1), (1, 0), (0, 2))).bridges == (3,)
 
     def test_bridge_search_is_linear(self):
@@ -122,6 +146,75 @@ class TestStructure:
         assert g.bridges == ()
         assert time.perf_counter() - start < 0.5
         assert path_graph(4000).bridges == tuple(range(3999))
+
+
+def cycle_space_graphs() -> list[Multigraph]:
+    """Every connected class to d = 6, the flow fixtures, loops, parallel and
+    antiparallel twins, disconnected graphs and a long cycle."""
+    graphs = connected_graph_classes(6) + [g for _, g in flow_fixture_set()] + [
+        Multigraph(1, ((0, 0), (0, 0))),  # loops only: no tree edge
+        Multigraph(3, ((0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0))),  # loops on a triangle
+        Multigraph(4, complete_graph(4).edges * 2),
+        Multigraph(4, complete_graph(4).edges + tuple((v, u) for u, v in complete_graph(4).edges)),
+        Multigraph(3, ((0, 1), (1, 0), (1, 2))),  # an antiparallel twin and a bridge
+        Multigraph(7, ((0, 1), (1, 2), (2, 0), (4, 5), (5, 6), (6, 4), (6, 5))),  # two components, isolated 3
+        Multigraph(5, ()),
+        cycle_graph(70),
+    ]
+    rng = random.Random(23)
+    for _ in range(200):  # multigraphs with loops, twins and several components
+        d = rng.randint(1, 8)
+        graphs.append(Multigraph(d, tuple((rng.randrange(d), rng.randrange(d)) for _ in range(rng.randint(0, 12)))))
+    return graphs
+
+
+def assert_is_a_spanning_forest(g: Multigraph, tree: tuple[int, ...], cotree: tuple[int, ...]) -> None:
+    assert sorted(tree + cotree) == list(range(g.edge_count))
+    assert list(tree) == sorted(tree) and list(cotree) == sorted(cotree)
+    assert component_count(Multigraph(g.vertex_count, tuple(g.edges[e] for e in tree))) == component_count(g)
+    assert len(tree) == g.vertex_count - component_count(g)  # spanning and acyclic
+
+
+class TestCycleSpace:
+    """`Multigraph.cycle_space` against conservation and the fundamental cuts."""
+
+    @pytest.fixture(scope="class")
+    def graphs(self):
+        return cycle_space_graphs()
+
+    def test_each_cotree_column_is_a_circulation(self, graphs):
+        for g in graphs:
+            tree, cotree, rows, cls, flipped = g.cycle_space
+            assert_is_a_spanning_forest(g, tree, cotree)
+            for col, c in enumerate(cotree):
+                values = {c: 1}
+                for t, r, flip in zip(tree, cls, flipped):
+                    values[t] = -rows[r][col] if flip else rows[r][col]
+                balance = [0] * g.vertex_count
+                for e, x in values.items():
+                    u, v = g.edges[e]
+                    balance[u] -= x
+                    balance[v] += x
+                assert balance == [0] * g.vertex_count, (g, c)
+
+    def test_each_tree_row_is_its_class_row_up_to_sign(self, graphs):
+        for g in graphs:
+            tree, cotree, rows, cls, flipped = g.cycle_space
+            assert list(rows) == sorted(set(rows)) and sorted(set(cls)) == list(range(len(rows)))
+            for t, r, flip in zip(tree, cls, flipped):
+                # the fundamental cut of t: the side of its head in the forest without t
+                ids = component_ids(Multigraph(g.vertex_count, tuple(g.edges[f] for f in tree if f != t)))
+                side = ids[g.edges[t][1]]
+                row = tuple((ids[u] == side) - (ids[v] == side) for u, v in (g.edges[c] for c in cotree))
+                assert flip == next((x < 0 for x in row if x), False), (g, t)
+                assert rows[r] == (tuple(-x for x in row) if flip else row), (g, t)
+
+    def test_a_bridge_is_a_zero_row(self):
+        g = Multigraph(6, ((5, 4), (4, 3), (3, 5), (3, 2), (2, 1), (1, 0), (0, 2)))
+        tree, cotree, rows, cls, flipped = g.cycle_space
+        assert rows[cls[tree.index(3)]] == (0, 0)
+        assert not flipped[tree.index(3)]
+        assert len(tree) == 5 and len(cotree) == 2
 
 
 class TestDeleteContract:
@@ -378,7 +471,7 @@ def totally_cyclic_by_scan(g: Multigraph) -> list[tuple[int, ...]]:
     vertex forward and backward."""
     m, d = g.edge_count, g.vertex_count
     members: dict[int, int] = {}
-    for v, c in enumerate(g.component_ids()):
+    for v, c in enumerate(component_ids(g)):
         members[c] = members.get(c, 0) | 1 << v
     components = [((c & -c).bit_length() - 1, c) for c in members.values() if c & c - 1]
     out = []
