@@ -43,12 +43,13 @@ ORIENTATION_EDGE_CAP = 24
 CHROMATIC_VERTEX_CAP = 10
 # The search lists one orientation per reversal pair and the order-polynomial
 # cross-route walks each listed order once.  `graph_checks` then costs about
-# 0.011 ms per acyclic orientation, counting both of each pair, at d = 8
-# (K8, 8! = 40,320 orientations, 0.43 s) and 0.018 to 0.021 ms at d = 10
-# (four seeded random graphs with 33k to 43k orientations; Python 3.11,
-# 2 shared cores, best of 3).  So this cap bounds the cross-route of a
-# `chromatic` run by about 1 s.  For information only: with the cap lifted,
-# K9 (362,880) took 6.2 s and 76 MB peak RSS in one run.
+# 0.010 ms per acyclic orientation, counting both of each pair, at d = 8
+# (K8, 8! = 40,320 orientations, 0.39 s, median of 6 runs) and 0.022 to
+# 0.025 ms at d = 10 (four seeded random graphs with 31k to 49k orientations,
+# one run; Python 3.11, 2 shared cores).  The walks dominate: the acyclic
+# search alone takes 0.08 to 0.13 s on K8.  So this cap bounds the
+# cross-route of a `chromatic` run by about 1.2 s.  For information only:
+# with the cap lifted, K9 (362,880) took 4.3 s and 77 MB peak RSS in one run.
 ACYCLIC_ORIENTATION_CAP = 50_000
 
 # posets ---------------------------------------------------------------------
@@ -104,11 +105,12 @@ FLOW_XI_CAP = 6
 # surveys --------------------------------------------------------------------
 
 # The exhaustive graph and flow surveys check every connected class on up to
-# this many vertices: about 9 s and 3.5 s at d = 7.  The d <= 8 family alone
-# takes 26 to 34 s and 73 MB (12,113 classes), and a seeded 120-class sample
-# of the 11,117 classes at d = 8 takes 0.034 s each in `graph_checks`, about
-# 6 minutes for that graph survey (Python 3.11, one core).  Must not exceed
-# CHROMATIC_VERTEX_CAP (`graph_checks`).
+# this many vertices: about 7.4 s and 2.1 s at d = 7 (medians of 6 runs).  The
+# d <= 8 family alone takes 10 to 11 s and 68 MB peak RSS (12,113 classes),
+# and a seeded 120-class sample of the 11,117 classes at d = 8 takes 0.042 s
+# each in `graph_checks`, about 8 minutes for that graph survey (Python 3.11,
+# one process on 2 shared cores).  Must not exceed CHROMATIC_VERTEX_CAP
+# (`graph_checks`).
 GRAPH_SURVEY_CAP = 7
 
 # The exhaustive poset survey at d = 7 grows its 2045 classes in 0.45 to

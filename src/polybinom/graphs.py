@@ -12,20 +12,24 @@ and the cycle space that the flow scans read is built from that forest.
 Acyclic and totally cyclic orientations are enumerated by backtracking
 searches with no dead ends, so their cost follows their output: at most m
 steps per orientation.  The acyclic search lists one orientation per
-reversal pair, the one in which edge 0 points as stored, and hands it over
+reversal pair, the one in which edge 0 points as stored, keeps its
+reachability masks packed in one integer, and hands each orientation over
 as the order it induces, a tuple of ``above`` bitmasks already transitively
 closed, which the order-star walks of `posets` read as they are; the
 totally cyclic one fixes edges in a mixed graph that stays strongly
 connected (Boesch & Tindell 1980).  A totally cyclic orientation is its
 direction vector: one bit per edge, 0 keeps the stored (tail, head), 1
 reverses it.
+
+Graph certificates, which deduplicate the graph families, come from one
+individualization-refinement search over bitmask cells instead of trying
+every relabeling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations, product
 from typing import Sequence
 
 from . import caps
@@ -231,20 +235,26 @@ def acyclic_orientations_up_to_reversal(g: Multigraph) -> list[tuple[int, ...]]:
     orientation, which is listed.
 
     A backtracking search over the edges in index order keeps, per vertex,
-    the bitmask of the vertices it reaches.  Edge e may point t -> h only if
-    h does not already reach t; every vertex that reaches t then gains all
-    that h reaches.  An acyclic partial orientation always extends (an edge
-    whose ends reach each other would close a cycle already), so the search
-    has no dead ends and its cost follows the output, at most m steps per
-    listed orientation.  Callers cap the full count, |chi_G(-1)|
+    the bitmask of the vertices it reaches, all d of them packed into one
+    integer: field v, bits v*d to v*d + d-1, holds what v reaches.  Edge e
+    may point t -> h only if h does not already reach t; every vertex that
+    reaches t then gains all that h reaches.  Shifting the state right by t
+    and masking one bit per field (``col``) leaves bit v*d set exactly where
+    v reaches t, and multiplying that by h's field, which is below 2^d, lays
+    a copy of it into each such field with no carry between fields, so one
+    OR closes the arc.  An acyclic partial orientation always extends (an
+    edge whose ends reach each other would close a cycle already), so the
+    search has no dead ends and its cost follows the output, at most m steps
+    per listed orientation.  Callers cap the full count, |chi_G(-1)|
     (Stanley 1973), before they search.
 
     At a leaf the reachability masks are the transitive closure of the
     orientation, so it is returned as the tuple ``above[v] = reach[v]`` minus
-    v: the ``above`` masks of the strict order it induces on the vertices
-    (``Poset(d, above)`` accepts every one), in search order.  The order
-    determines the orientation (the ends of every edge are comparable), so
-    no order is listed twice.
+    v, each field cut out by a precomputed (shift, mask) pair: the ``above``
+    masks of the strict order it induces on the vertices (``Poset(d, above)``
+    accepts every one), in search order.  The order determines the
+    orientation (the ends of every edge are comparable), so no order is
+    listed twice.
 
     A loop is itself a directed cycle, so a graph with loops has none.
     Antiparallel twins form a 2-cycle, so parallel edges must agree in
@@ -254,22 +264,26 @@ def acyclic_orientations_up_to_reversal(g: Multigraph) -> list[tuple[int, ...]]:
     if g.has_loops:
         return []
     edges, m, d = g.edges, g.edge_count, g.vertex_count
-    reach = [1 << v for v in range(d)]
+    full = (1 << d) - 1
+    col = sum(1 << v * d for v in range(d))
+    reach = sum(1 << v * d + v for v in range(d))
     if m:
         u, v = edges[0]
-        reach[u] |= 1 << v
+        reach |= 1 << u * d + v
+    # the two arcs t -> h of each edge, as (t, the offset of h's field)
+    arcs = [((u, v * d), (v, u * d)) for u, v in edges]
+    unpack = [(v * d, full ^ 1 << v) for v in range(d)]
     orders = []
-    stack = [(min(m, 1), tuple(reach))]
+    stack = [(min(m, 1), reach)]
     while stack:
         e, reach = stack.pop()
         if e == m:
-            orders.append(tuple(r & ~(1 << v) for v, r in enumerate(reach)))
+            orders.append(tuple([reach >> shift & mask for shift, mask in unpack]))
             continue
-        u, v = edges[e]
-        for t, h in ((u, v), (v, u)):
-            if not reach[h] >> t & 1:
-                gain = reach[h]
-                stack.append((e + 1, tuple(r | gain if r >> t & 1 else r for r in reach)))
+        e += 1
+        for t, field in arcs[e - 1]:
+            if not reach >> field + t & 1:
+                stack.append((e, reach | (reach >> t & col) * (reach >> field & full)))
     return orders
 
 
@@ -360,74 +374,124 @@ def in_degree_sequence_count(g: Multigraph, directions: Sequence[tuple[int, ...]
 # canonical graph certificates (isomorphism dedup of the graph families)
 
 
-def _normalize_invariants(values: Sequence) -> tuple[int, ...]:
-    ranks = {v: i for i, v in enumerate(sorted(set(values)))}
-    return tuple(ranks[v] for v in values)
-
-
-def _refine_invariants(n: int, initial: Sequence, profile) -> tuple[int, ...]:
-    """Iterated 1-neighborhood refinement of a vertex invariant."""
-    inv = _normalize_invariants(initial)
-    while True:
-        nxt = _normalize_invariants([(inv[v], profile(v, inv)) for v in range(n)])
-        if nxt == inv:
-            return inv
-        inv = nxt
-
-
-def _invariant_sorting_maps(inv: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """All relabelings v -> slot that sort vertices by invariant."""
-    classes: dict[int, list[int]] = {}
-    for v, c in enumerate(inv):
-        classes.setdefault(c, []).append(v)
-    slot_base: dict[int, int] = {}
-    base = 0
-    for c in sorted(classes):
-        slot_base[c] = base
-        base += len(classes[c])
-    maps = []
-    ordered_classes = [classes[c] for c in sorted(classes)]
-    for arrangement in product(*(permutations(vs) for vs in ordered_classes)):
-        relabel = [0] * len(inv)
-        for c, members in zip(sorted(classes), arrangement):
-            for offset, v in enumerate(members):
-                relabel[v] = slot_base[c] + offset
-        maps.append(tuple(relabel))
-    return maps
-
-
-def _graph_invariant(g: Multigraph) -> tuple[int, ...]:
+def _graph_invariant(g: Multigraph) -> list[int]:
+    """The rank of each vertex's class under iterated 1-neighborhood
+    refinement: vertices are first ranked by degree (a loop counts twice),
+    then each round by their rank and the sorted ranks of their neighbours
+    (loops skipped, parallel edges counted), until a round splits no class.
+    Ranks follow the sorted keys, so the ordered classes are an isomorphism
+    invariant."""
     n = g.vertex_count
-    deg = [0] * n
-    adj: list[list[int]] = [[] for _ in range(n)]
+    degree = [0] * n
+    adjacent: list[list[int]] = [[] for _ in range(n)]
     for u, v in g.edges:
-        deg[u] += 1
-        deg[v] += 1
+        degree[u] += 1
+        degree[v] += 1
         if u != v:
-            adj[u].append(v)
-            adj[v].append(u)
+            adjacent[u].append(v)
+            adjacent[v].append(u)
+    keys: list = degree
+    classes, inv = 0, []
+    while True:
+        ranks = {k: i for i, k in enumerate(sorted(set(keys)))}
+        if len(ranks) == classes:  # the ranks refine the last ones in order, so they are the same
+            return inv
+        inv = [ranks[k] for k in keys]
+        classes = len(ranks)
+        if classes == n:
+            return inv
+        keys = [(inv[v], tuple(sorted([inv[w] for w in adjacent[v]]))) for v in range(n)]
 
-    def profile(v: int, inv: tuple[int, ...]):
-        return tuple(sorted(inv[w] for w in adj[v]))
 
-    return _refine_invariants(n, deg, profile)
+def graph_certificate(g: Multigraph) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """``(d, edges)``, equal exactly for isomorphic graphs: the smallest
+    sorted edge list, each edge as (i, j) with i <= j, over the relabelings
+    that sort the vertices by `_graph_invariant`, each class on a block of
+    consecutive slots in class order.
 
+    One individualization-refinement search (McKay, *Practical graph
+    isomorphism*, 1981) finds it without trying every such relabeling.  Read
+    a relabeled graph as its row-major code: row k is the loop count at slot
+    k, then the edge multiplicity from slot k to each later slot, so the
+    pairs come in the order a sorted edge list lists them.  Two relabelings
+    of one graph have equally many edges, so at the first pair where their
+    multiplicities differ, the one with more copies of that pair lists it
+    again where the other lists a later pair: the largest code is the
+    smallest edge list.
 
-def _encode_edges(g: Multigraph, relabel: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    return tuple(
-        sorted(tuple(sorted((relabel[u], relabel[v]))) for u, v in g.edges)
-    )
-
-
-def graph_certificate(g: Multigraph) -> tuple:
-    """Hashable encoding equal exactly for isomorphic graphs.
-
-    The certificate is the minimum, over all invariant-sorting relabelings,
-    of the sorted edge multiset.
+    The search fills the slots in order.  A branch splits the unplaced
+    vertices into cells, ordered blocks of the slots left, starting from the
+    invariant's classes.  Slot k takes a vertex v of the first cell, and
+    every cell is split by its multiplicity to v, largest first, which gives
+    v its largest row k: per cell, the count of each multiplicity from the
+    largest down.  Only the branches with the largest row so far are kept,
+    and tied branches with the same cells are kept once, since the rows to
+    come read only the unplaced vertices.  Kept branches agree on every row
+    so far, hence on the sizes of their cells; once every cell is one
+    vertex, each fixes a relabeling, and the smallest edge list among them
+    is the certificate.
     """
-    maps = _invariant_sorting_maps(_graph_invariant(g))
-    best = min(_encode_edges(g, relabel) for relabel in maps)
-    return (g.vertex_count, best)
+    d = g.vertex_count
+    loops = [0] * d
+    # layers[c - 1][v]: the vertices joined to v by at least c edges
+    layers: list[list[int]] = []
+    for u, v in g.edges:
+        if u == v:
+            loops[u] += 1
+            continue
+        for layer in layers:
+            if not layer[u] >> v & 1:
+                break
+        else:
+            layer = [0] * d
+            layers.append(layer)
+        layer[u] |= 1 << v
+        layer[v] |= 1 << u
+    # largest c first: a cell less its parts for larger c, masked by layer c,
+    # is its part of multiplicity exactly c
+    layers.reverse()
+    cells = [0] * d
+    for v, c in enumerate(_graph_invariant(g)):
+        cells[c] |= 1 << v
+    branches = {tuple(c for c in cells if c): ()}  # cells -> the vertices placed so far
+    while True:
+        # kept branches have cells of the same sizes: one shows if all are single vertices
+        cells, order = next(iter(branches.items()))
+        if len(cells) == d - len(order):
+            break
+        best, grown = None, {}
+        for cells, order in branches.items():
+            first, *others = cells
+            rest = first
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                row = [loops[v]]
+                split = []
+                for cell in (first ^ low, *others):
+                    for layer in layers:
+                        part = cell & layer[v]
+                        row.append(part.bit_count())
+                        if part:
+                            split.append(part)
+                            cell ^= part
+                    if cell:
+                        split.append(cell)
+                if best is None or row > best:
+                    best, grown = row, {}
+                if row == best:
+                    grown.setdefault(tuple(split), order + (v,))
+        branches = grown
+    slot = [0] * d
+    edge_lists = []
+    for cells, order in branches.items():
+        for s, v in enumerate(order + tuple(c.bit_length() - 1 for c in cells)):
+            slot[v] = s
+        edge_lists.append(sorted(
+            (slot[u], slot[v]) if slot[u] <= slot[v] else (slot[v], slot[u]) for u, v in g.edges
+        ))
+    return (d, tuple(min(edge_lists)))
 
 
 # ---------------------------------------------------------------------------

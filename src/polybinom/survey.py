@@ -43,11 +43,15 @@ def connected_graph_classes(max_d: int) -> list[Multigraph]:
 
     The classes on d vertices grow from those on d-1: a new vertex d-1 is
     joined to every nonempty subset of 0..d-2, and the results are
-    deduplicated by canonical certificate.  That reaches every class,
-    because a connected graph on d >= 2 vertices has a vertex whose removal
-    leaves it connected (a leaf of a spanning tree).  The representative is
-    the certificate's own edge list, sorted by (m, edges), so the output is
-    independent of the order of growth.
+    deduplicated by `graph_certificate`.  That reaches every class, because
+    a connected graph on d >= 2 vertices has a vertex whose removal leaves
+    it connected (a leaf of a spanning tree).  Each class is represented by
+    its certificate's edge list, the smallest sorted edge list over the
+    relabelings that sort the vertices by their refined degree classes, and
+    the classes are listed by (m, edges).  Both depend only on the class, so
+    the output is independent of the order of growth, and the certificate's
+    refinement search finds the same list that trying every such relabeling
+    would.
     """
     out: list[Multigraph] = []
     level = [Multigraph(1, ())]

@@ -1,6 +1,7 @@
 import random
 import time
 from collections import deque
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -400,6 +401,49 @@ class TestAcyclicOrientationsUpToReversal:
         assert acyclic_orientations_up_to_reversal(Multigraph(4, ())) == [(0, 0, 0, 0)]
         assert chromatic_analysis(Multigraph(4, ())).acyclic_count == 1
 
+    def test_ten_vertices(self):
+        # d = CHROMATIC_VERTEX_CAP packs 10 fields of 10 bits: a cycle, a tree,
+        # and a seeded graph whose full count is under the cap
+        d = caps.CHROMATIC_VERTEX_CAP
+        assert d == 10
+        rng = random.Random(31)
+        tree = Multigraph(d, tuple((rng.randrange(v), v) for v in range(1, d)))
+        dense = Multigraph(d, tuple(rng.sample(list(combinations(range(d), 2)), 20)))
+        assert dense.is_connected
+        assert len(enumerate_acyclic_orientations(dense)) <= caps.ACYCLIC_ORIENTATION_CAP
+        for g, half in ((cycle_graph(d), 2 ** (d - 1) - 1), (tree, 2 ** (d - 2)), (dense, None)):
+            assert_halves_the_oracle(g)
+            if half is not None:
+                assert len(acyclic_orientations_up_to_reversal(g)) == half
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            Multigraph(1, ((0, 0),)),
+            Multigraph(4, ((0, 1), (1, 2), (2, 2), (2, 3))),
+            Multigraph(3, ((0, 1), (1, 2), (0, 0), (1, 0))),
+        ],
+        ids=["lone_loop", "loop_on_a_path", "loop_and_antiparallel_twin"],
+    )
+    def test_loops_leave_none(self, g):
+        assert acyclic_orientations_up_to_reversal(g) == [] == enumerate_acyclic_orientations(g)
+
+    def test_antiparallel_twin_of_edge_0(self):
+        # the twin must point as edge 0 does, against its own storage
+        g = Multigraph(4, ((0, 1), (1, 2), (2, 3), (3, 0), (1, 0)))
+        assert_halves_the_oracle(g)
+        assert all(above[0] >> 1 & 1 and not above[1] >> 0 & 1 for above in acyclic_orientations_up_to_reversal(g))
+        assert len(acyclic_orientations_up_to_reversal(g)) == len(acyclic_orientations_up_to_reversal(cycle_graph(4)))
+
+    def test_isolated_vertices(self):
+        for g in (Multigraph(1, ()), Multigraph(10, ()), Multigraph(6, ((4, 2), (2, 5), (5, 4)))):
+            assert_halves_the_oracle(g)
+        # the isolated vertices 0, 1 and 3 are comparable to nothing
+        for above in acyclic_orientations_up_to_reversal(Multigraph(6, ((4, 2), (2, 5), (5, 4)))):
+            assert above[0] == above[1] == above[3] == 0
+            assert not any(a >> v & 1 for a in above for v in (0, 1, 3))
+        assert acyclic_orientations_up_to_reversal(Multigraph(0, ())) == [()]
+
 
 def _edge_on_coherent_cycle(g: Multigraph, direction: tuple[int, ...], e: int) -> bool:
     # direct characterization: a simple directed path head -> tail closes a
@@ -565,6 +609,77 @@ class TestOrientationToPoset:
             Poset(3, above)
 
 
+def invariant_by_refinement(g: Multigraph) -> tuple[int, ...]:
+    """Oracle of `_graph_invariant`: degrees (a loop counts twice) refined by
+    the sorted ranks of the neighbours, renormalized to ranks 0.. each round,
+    until a round changes nothing."""
+    n = g.vertex_count
+    adj: list[list[int]] = [[] for _ in range(n)]
+    deg = [0] * n
+    for u, v in g.edges:
+        deg[u] += 1
+        deg[v] += 1
+        if u != v:
+            adj[u].append(v)
+            adj[v].append(u)
+
+    def normalize(values) -> tuple[int, ...]:
+        ranks = {x: i for i, x in enumerate(sorted(set(values)))}
+        return tuple(ranks[x] for x in values)
+
+    inv = normalize(deg)
+    while True:
+        nxt = normalize([(inv[v], tuple(sorted(inv[w] for w in adj[v]))) for v in range(n)])
+        if nxt == inv:
+            return inv
+        inv = nxt
+
+
+def certificate_by_relabelings(g: Multigraph) -> tuple:
+    """Oracle of `graph_certificate`: the smallest sorted edge list over every
+    relabeling that puts the invariant's classes on consecutive slots in
+    class order, each permuted every way."""
+    inv = invariant_by_refinement(g)
+    classes = [[v for v in range(g.vertex_count) if inv[v] == c] for c in sorted(set(inv))]
+    best = None
+    for arrangement in product(*(permutations(members) for members in classes)):
+        slot = {v: s for s, v in enumerate(v for members in arrangement for v in members)}
+        edges = tuple(sorted(tuple(sorted((slot[u], slot[v]))) for u, v in g.edges))
+        if best is None or edges < best:
+            best = edges
+    return (g.vertex_count, best)
+
+
+def family_candidates(max_d: int) -> list[Multigraph]:
+    """Every graph the growth of `connected_graph_classes(max_d)` certifies:
+    each class on d-1 vertices with a new vertex joined to each nonempty
+    subset of the old ones."""
+    classes = connected_graph_classes(max_d - 1)
+    return [
+        Multigraph(d, g.edges + tuple((u, d - 1) for u in range(d - 1) if mask >> u & 1))
+        for d in range(2, max_d + 1)
+        for g in classes if g.vertex_count == d - 1
+        for mask in range(1, 1 << (d - 1))
+    ]
+
+
+def random_multigraph(rng: random.Random, d: int, max_m: int) -> Multigraph:
+    """Loops, parallel and antiparallel twins, and isolated vertices all occur."""
+    if not d:
+        return Multigraph(0, ())
+    return Multigraph(d, tuple((rng.randrange(d), rng.randrange(d)) for _ in range(rng.randint(0, max_m))))
+
+
+def relabeled(g: Multigraph, rng: random.Random) -> Multigraph:
+    """g under a random relabeling, with its edges shuffled and each one
+    stored either way round."""
+    perm = list(range(g.vertex_count))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) if rng.random() < 0.5 else (perm[v], perm[u]) for u, v in g.edges]
+    rng.shuffle(edges)
+    return Multigraph(g.vertex_count, tuple(edges))
+
+
 class TestCertificates:
     def test_isomorphic_relabelings_share_certificate(self):
         g1 = Multigraph(4, ((0, 1), (1, 2), (2, 3)))
@@ -574,6 +689,40 @@ class TestCertificates:
     def test_distinct_graphs_differ(self):
         assert graph_certificate(path_graph(4)) != graph_certificate(cycle_graph(4))
         assert graph_certificate(dipole(2)) != graph_certificate(path_graph(2))
+
+    def test_family_growth_matches_the_relabeling_oracle(self):
+        # the certificate is the kept representative's edge list
+        candidates = family_candidates(6)
+        assert len(candidates) == 759
+        for g in candidates:
+            assert graph_certificate(g) == certificate_by_relabelings(g), g
+
+    def test_multigraphs_match_the_relabeling_oracle(self):
+        rng = random.Random(2025)
+        graphs = [random_multigraph(rng, rng.randint(0, 7), 14) for _ in range(2000)] + [
+            Multigraph(0, ()),
+            Multigraph(5, ()),
+            Multigraph(3, ((1, 1), (1, 1), (0, 0))),
+            Multigraph(4, complete_graph(4).edges + tuple((v, u) for u, v in complete_graph(4).edges)),
+            Multigraph(6, ((0, 1), (0, 1), (0, 1), (2, 3), (2, 3), (4, 5), (4, 4))),
+            # tied branches that reach single-vertex cells with different edge lists
+            Multigraph(8, ((0, 4), (0, 6), (1, 5), (1, 7), (2, 3), (2, 4), (2, 6), (3, 5), (3, 7), (5, 6))),
+            Multigraph(9, ((6, 8), (1, 4), (5, 2), (2, 6), (1, 3), (0, 3))),
+        ]
+        for g in graphs:
+            assert graph_certificate(g) == certificate_by_relabelings(g), g
+
+    def test_relabelings_share_the_certificate(self):
+        rng = random.Random(77)
+        d7 = [g for g in connected_graph_classes(7) if g.vertex_count == 7]
+        sample = rng.sample(d7, 60) + [complete_graph(8), cycle_graph(8), Multigraph(8, complete_graph(8).edges * 2)]
+        for _ in range(60):
+            sample.append(Multigraph(8, tuple(pair for pair in combinations(range(8), 2) if rng.random() < 0.5)))
+            sample.append(random_multigraph(rng, 8, 16))
+        for g in sample:
+            certificate = graph_certificate(g)
+            for _ in range(3):
+                assert graph_certificate(relabeled(g, rng)) == certificate, g
 
 
 class TestFileFormat:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from itertools import combinations
 
@@ -55,6 +56,14 @@ class TestFamilyOracles:
                 atlas.setdefault(g.vertex_count, set()).add(graph_certificate(g))
         assert [len(grown[d]) for d in range(1, 8)] == [1, 1, 2, 6, 21, 112, 853]
         assert grown == atlas
+
+    def test_seven_vertex_family_is_frozen(self):
+        # the representatives and their order, as listed at d <= 7; the
+        # frozen survey references cover only d <= 6
+        classes = connected_graph_classes(7)
+        assert len(classes) == 996
+        listing = repr([(g.vertex_count, g.edges) for g in classes]).encode()
+        assert hashlib.sha256(listing).hexdigest() == "4c81b750223f0d76b3d34eedeecf17104ef395b7f96c22caae56a189efb98fbb"
 
 
 class TestFamilies:
