@@ -9,7 +9,6 @@ between caps that the code relies on are tested in ``tests/test_exports.py``.
 __all__ = [
     "ACYCLIC_ORIENTATION_CAP",
     "CHROMATIC_VERTEX_CAP",
-    "DESCENT_ELEMENT_CAP",
     "FLOW_CANDIDATE_BUDGET",
     "FLOW_VERTEX_CAP",
     "FLOW_XI_CAP",
@@ -56,11 +55,12 @@ ACYCLIC_ORIENTATION_CAP = 50_000
 
 # `strict_chain_code` passes once over the up-sets it reaches, at most
 # 2^d = 1024 of them at d = 10, each step one shifted add of a packed code
-# with d * d.bit_length() = 40-bit fields; `omega_star` enforces this cap,
-# and the sampled poset survey refuses a larger --max-size before any draw.
+# with d * d.bit_length() = 40-bit fields; `omega_star` enforces this cap.
+# So does `hstar_via_descents`, whose walk over (order ideal, last element)
+# has at most 2^d * d states: 17.5 to 18.3 ms on the antichain at d = 10,
+# which has the most of them (medians of 7 runs in three rounds; Python
+# 3.11, 2 shared cores).
 ORDER_POLY_ELEMENT_CAP = 10
-# `hstar_via_descents` lists every linear extension, at most d! = 40,320.
-DESCENT_ELEMENT_CAP = 8
 # The lattice-point oracle walks each component once, at the top dilate
 # (closed at n = d, interior at n = d+2): on the checking routes a value box
 # of at most 8^7 maps (d <= 7, d+1 values), of which it branches on the
@@ -71,8 +71,9 @@ DESCENT_ELEMENT_CAP = 8
 # At d = 8 the closed 8th dilate has a 9^8 (about 43M) value box, which
 # POINT_ENUMERATION_BUDGET admits, so the oracle declares its own cap;
 # `order` checks it against the file's element count before building the
-# poset.  It must not exceed DESCENT_ELEMENT_CAP or ORDER_POLY_ELEMENT_CAP:
-# `poset_checks` relies on hitting this cap first.
+# poset.  It must not exceed ORDER_POLY_ELEMENT_CAP: `poset_checks` relies
+# on hitting this cap first, and the sampled poset survey refuses a larger
+# --max-size before any draw.
 LATTICE_POINT_ELEMENT_CAP = 7
 # `lattice_point_counts` refuses a top dilate whose value box span^d is
 # larger than this.  No checking route reaches it; it bounds direct calls at

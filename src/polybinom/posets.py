@@ -30,7 +30,9 @@ components give P's counts.  A `Poset` is built and validated only where an orde
 enters the program.  The descent route is the fast cross-check of h*,
 with its convention (descents of the extension word under the
 lexicographically smallest natural labeling) frozen after calibration
-against the lattice-point oracle.
+against the lattice-point oracle.  It lists no extension: one walk over
+the order ideals, each with the last element placed, counts them by
+descents (`hstar_via_descents`, d <= 10).
 
 `generate_posets` grows the isomorphism classes one element at a time, a
 new maximal element above one order ideal of each smaller class.  A class
@@ -44,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from math import comb
+from math import comb, factorial
 from typing import Iterable, Iterator, Sequence
 
 from . import caps
@@ -157,26 +159,6 @@ class Poset:
             order.append(v)
             placed |= 1 << v
         return tuple(order)
-
-    def linear_extensions(self) -> Iterator[tuple[int, ...]]:
-        """All topological orders, lexicographically by element sequence."""
-        d = self.element_count
-        below = self.below
-        prefix: list[int] = []
-
-        def extend(placed: int):
-            if len(prefix) == d:
-                yield tuple(prefix)
-                return
-            for v in range(d):
-                if (placed >> v) & 1:
-                    continue
-                if below[v] & ~placed == 0:
-                    prefix.append(v)
-                    yield from extend(placed | (1 << v))
-                    prefix.pop()
-
-        yield from extend(0)
 
     def to_json(self) -> dict:
         return {
@@ -426,28 +408,37 @@ def interior_star(p: Poset) -> StarVector:
 
 
 def hstar_via_descents(p: Poset) -> StarVector:
-    """h* of the order polytope as the descent distribution of extensions.
+    """h* of the order polytope as the descent distribution of its linear
+    extensions (Stanley, *Two poset polytopes*, 1986).
 
     Convention (frozen after calibration against the lattice-point oracle):
     write each linear extension as the word of its labels under the
     lexicographically smallest natural labeling and count positions where
-    the label drops.  Shares no code with the lattice-point route, which
-    the `descents_match_lattice_hstar` check compares it against.
+    the label drops.  No extension is listed: a walk places one element at
+    a time, and each of its at most 2^d * d states (the order ideal placed,
+    the label of the last element) keeps its extensions counted by descents
+    as the fields of one integer, field k at bit k * width, wide enough for
+    d!.  Shares no code with the lattice-point route, which the
+    `descents_match_lattice_hstar` check compares it against.
     """
     d = p.element_count
-    if d > caps.DESCENT_ELEMENT_CAP:
-        raise CapExceeded(f"linear-extension enumeration cap is {caps.DESCENT_ELEMENT_CAP} elements, got {d}")
+    if d > caps.ORDER_POLY_ELEMENT_CAP:
+        raise CapExceeded(f"order polynomial cap is {caps.ORDER_POLY_ELEMENT_CAP} elements, got {d}")
     if d == 0:
         raise ValueError("the empty poset has no h* vector in this convention")
-    label = {}
-    for position, v in enumerate(p.natural_labeling()):
-        label[v] = position + 1
-    counts = [0] * (d + 1)
-    for ext in p.linear_extensions():
-        word = [label[v] for v in ext]
-        descents = sum(1 for i in range(d - 1) if word[i] > word[i + 1])
-        counts[descents] += 1
-    return StarVector(tuple(counts), d, start=0)
+    order, below = p.natural_labeling(), p.below
+    width = factorial(d).bit_length()
+    states = {(0, -1): 1}  # nothing placed yet, so the first element is no drop
+    for _ in range(d):
+        grown: dict[tuple[int, int], int] = {}
+        for (placed, last), code in states.items():
+            for label, v in enumerate(order):
+                if not placed >> v & 1 and below[v] & ~placed == 0:
+                    key = (placed | 1 << v, label)
+                    grown[key] = grown.get(key, 0) + (code << width if label < last else code)
+        states = grown
+    code = sum(states.values())
+    return StarVector(tuple(code >> (k * width) & ((1 << width) - 1) for k in range(d + 1)), d, start=0)
 
 
 # ---------------------------------------------------------------------------

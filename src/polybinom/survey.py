@@ -109,8 +109,9 @@ def sample_graphs(seed: int, count: int, max_d: int, *, bridgeless: bool = False
 def sample_posets(seed: int, count: int, max_d: int) -> list[Poset]:
     if max_d < 1:
         raise NotApplicable("max-size", f"sampled posets need max-size >= 1, got {max_d}")
-    if max_d > caps.ORDER_POLY_ELEMENT_CAP:
-        raise CapExceeded(f"sampled poset cap is {caps.ORDER_POLY_ELEMENT_CAP} elements, got {max_d}")
+    # every draw is checked by `poset_checks`, which reads its lattice points
+    if max_d > caps.LATTICE_POINT_ELEMENT_CAP:
+        raise CapExceeded(f"sampled poset cap is {caps.LATTICE_POINT_ELEMENT_CAP} elements, got {max_d}")
     rng = random.Random(seed)
     out = []
     while len(out) < count:

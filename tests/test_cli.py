@@ -243,18 +243,22 @@ class TestSurveyCommand:
         assert first["schema"] == 1
         assert first["verdict"] == "pass"
 
-    def test_sample_skips_capped_instances(self, capsys):
-        assert main(["survey", "posets", "--mode", "sample", "--max-size", "8"]) == 0
-        out = capsys.readouterr().out
-        assert "skipped: 2" in out
-        assert "verdict: pass" in out
+    def test_sample_above_the_lattice_cap_is_refused(self, monkeypatch, capsys):
+        # every sampled poset is checked against its lattice points, so a size
+        # that `poset_checks` would skip is refused before any draw
+        _refuse_draws(monkeypatch)
+        d = caps.LATTICE_POINT_ELEMENT_CAP + 1
+        assert main(["survey", "posets", "--mode", "sample", "--max-size", str(d)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cap exceeded: sampled poset cap is {d - 1} elements, got {d}\n"
 
     @pytest.mark.parametrize(
         "kind, cap, noun",
         [
             ("graphs", "CHROMATIC_VERTEX_CAP", "graph cap is 4 vertices"),
             ("flows", "CHROMATIC_VERTEX_CAP", "graph cap is 4 vertices"),
-            ("posets", "ORDER_POLY_ELEMENT_CAP", "poset cap is 4 elements"),
+            ("posets", "LATTICE_POINT_ELEMENT_CAP", "poset cap is 4 elements"),
         ],
     )
     def test_sample_size_cap(self, kind, cap, noun, monkeypatch, capsys):

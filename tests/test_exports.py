@@ -49,7 +49,6 @@ def test_readme_names_every_cap():
             "the lattice-point oracle `d <= {}`",
             "(so `order` takes at most {} elements)",
         ],
-        "DESCENT_ELEMENT_CAP": ["the descent route `d <= {}`"],
         "FLOW_XI_CAP": ["flows `xi <= {}`"],
         "FLOW_VERTEX_CAP": ["`flow` takes graphs on `d <= {}` vertices"],
         "POSET_SURVEY_CAP": ["the exhaustive poset survey `d <= {}`"],
@@ -66,8 +65,8 @@ def test_readme_names_every_cap():
 def test_cap_relations():
     # the order-star cross-route of `chromatic` takes every graph it accepts
     assert caps.CHROMATIC_VERTEX_CAP <= caps.ORDER_POLY_ELEMENT_CAP
-    # `poset_checks` hits the lattice-point cap before the others
-    assert caps.LATTICE_POINT_ELEMENT_CAP <= min(caps.DESCENT_ELEMENT_CAP, caps.ORDER_POLY_ELEMENT_CAP)
+    # `poset_checks` hits the lattice-point cap before the order-star cap
+    assert caps.LATTICE_POINT_ELEMENT_CAP <= caps.ORDER_POLY_ELEMENT_CAP
     assert caps.POSET_SURVEY_CAP <= caps.LATTICE_POINT_ELEMENT_CAP
     # `graph_checks` takes every graph of the exhaustive graph survey
     assert caps.GRAPH_SURVEY_CAP <= caps.CHROMATIC_VERTEX_CAP

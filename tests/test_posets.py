@@ -34,6 +34,43 @@ def _bits(mask: int):
     return [b for b in range(mask.bit_length()) if mask >> b & 1]
 
 
+def linear_extensions(p: Poset):
+    """All topological orders of p, lexicographically by element sequence:
+    the listing oracle of `hstar_via_descents` and of the mask scan."""
+    d, below = p.element_count, p.below
+    prefix: list[int] = []
+
+    def extend(placed: int):
+        if len(prefix) == d:
+            yield tuple(prefix)
+            return
+        for v in range(d):
+            if not placed >> v & 1 and below[v] & ~placed == 0:
+                prefix.append(v)
+                yield from extend(placed | 1 << v)
+                prefix.pop()
+
+    yield from extend(0)
+
+
+def listed_descents(p: Poset) -> tuple[int, ...]:
+    """The descent distribution of the listed extensions, each written as
+    the word of its labels under p's natural labeling."""
+    d = p.element_count
+    label = {v: position for position, v in enumerate(p.natural_labeling())}
+    counts = [0] * (d + 1)
+    for ext in linear_extensions(p):
+        counts[sum(1 for a, b in zip(ext, ext[1:]) if label[a] > label[b])] += 1
+    return tuple(counts)
+
+
+def relabeled(p: Poset, rng: random.Random) -> Poset:
+    """p under a random relabeling of its elements."""
+    d = p.element_count
+    perm = rng.sample(range(d), d)
+    return Poset.from_relation(d, [(perm[a], perm[b]) for a in range(d) for b in _bits(p.above[a])])
+
+
 def scanned_posets(d: int) -> list[Poset]:
     """The mask-scan oracle of `generate_posets`: every order compatible with
     0 < 1 < ... < d-1, in the order of its relation mask (bit k is the k-th
@@ -54,7 +91,7 @@ def scanned_posets(d: int) -> list[Poset]:
             relations = [(a, b) for a in range(d) for b in _bits(above[a])]
             if all(
                 mask <= sum(bit[position[a], position[b]] for a, b in relations)
-                for position in ({v: i for i, v in enumerate(ext)} for ext in p.linear_extensions())
+                for position in ({v: i for i, v in enumerate(ext)} for ext in linear_extensions(p))
             ):
                 reps.append(p)
     return reps
@@ -154,9 +191,9 @@ class TestPosetConstruction:
         assert p.natural_labeling() == (2, 0, 3, 1)
 
     def test_linear_extension_count(self):
-        assert len(list(chain(4).linear_extensions())) == 1
-        assert len(list(antichain(4).linear_extensions())) == 24
-        assert len(list(V_POSET.linear_extensions())) == 2
+        assert len(list(linear_extensions(chain(4)))) == 1
+        assert len(list(linear_extensions(antichain(4)))) == 24
+        assert len(list(linear_extensions(V_POSET))) == 2
 
 
 class TestOrderPolynomial:
@@ -386,11 +423,30 @@ class TestOrderPolytope:
         assert hstar_via_descents(antichain(3)).entries == (1, 4, 1, 0)
 
     def test_descent_cap(self):
+        d = caps.ORDER_POLY_ELEMENT_CAP
+        # the antichain's extensions are all d! words: the Eulerian numbers
+        eulerian = hstar_via_descents(antichain(d)).entries
+        assert eulerian == (
+            1, 1013, 47840, 455192, 1310354, 1310354, 455192, 47840, 1013, 1, 0
+        )
+        assert sum(eulerian) == math.factorial(d)
         # a chain has one linear extension and no descent
-        d = caps.DESCENT_ELEMENT_CAP
         assert hstar_via_descents(chain(d)).entries == (1,) + (0,) * d
-        with pytest.raises(CapExceeded, match=f"cap is {d} elements, got {d + 1}"):
+        with pytest.raises(CapExceeded, match=f"order polynomial cap is {d} elements, got {d + 1}"):
             hstar_via_descents(chain(d + 1))
+
+    def test_descent_walk_matches_the_listing(self):
+        rng = random.Random(26)
+        for d in range(1, 7):
+            for p in generate_posets(d):
+                assert hstar_via_descents(p).entries == listed_descents(p), p
+                # `order` takes any labeling; the generated classes are all natural
+                for q in (relabeled(p, rng), relabeled(p, rng)):
+                    assert hstar_via_descents(q).entries == listed_descents(q), q
+        for _ in range(60):
+            pairs = [(i, j) for i in range(8) for j in range(i + 1, 8) if rng.random() < 0.3]
+            q = relabeled(Poset.from_relation(8, pairs), rng)
+            assert hstar_via_descents(q).entries == listed_descents(q), q
 
     def test_descent_oracle_shares_no_code_with_lattice_route(self, monkeypatch):
         def lattice_route(*args, **kwargs):

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from polybinom import caps
-from polybinom.errors import NotApplicable
+from polybinom.errors import CapExceeded, NotApplicable
 from polybinom.graphs import Multigraph, graph_certificate
 from polybinom.survey import (
     SurveyReport,
@@ -134,13 +134,16 @@ class TestPosetSurvey:
         assert report.instances
         assert report.ok
 
-    def test_sample_above_the_lattice_point_cap_is_skipped(self):
-        # the lattice-point oracles stop at 7 elements; samples reach 8
-        report = run_poset_survey(8, mode="sample", seed=0)
-        assert len(report.instances) == 23
-        assert [skip["reason"] for skip in report.skipped] == ["cap", "cap"]
-        assert all(skip["id"].startswith("d8:") for skip in report.skipped)
+    def test_sample_above_the_lattice_point_cap_is_refused(self):
+        # the lattice-point oracles stop at the cap, so every draw up to it is
+        # checked, and a larger size is refused rather than skipped draw by draw
+        d = caps.LATTICE_POINT_ELEMENT_CAP
+        report = run_poset_survey(d, mode="sample", seed=0)
+        assert len(report.instances) == 25
+        assert report.skipped == []
         assert report.ok
+        with pytest.raises(CapExceeded, match=f"sampled poset cap is {d} elements, got {d + 1}"):
+            run_poset_survey(d + 1, mode="sample", seed=0)
 
 
 class TestFlowSurvey:
