@@ -24,11 +24,11 @@ __all__ = [
 # graphs ---------------------------------------------------------------------
 
 # The totally cyclic search takes at most m steps per orientation it lists:
-# about 6 us per orientation on 16 parallel edges (65,534 of them), 8 us on
-# K6 (22,320) and 18 us on the Petersen graph (1,920; Python 3.11, one core).
-# So m <= 24 bounds its output: at most 2^m - 2 direction tuples once some
-# edge is not a loop (a vertex can be made a source or a sink), 2^m for
-# loops alone.
+# about 3 us per orientation on 16 parallel edges (65,534 of them), 3 us on
+# K6 (22,320) and 7 us on the Petersen graph (1,920; medians of 9 runs,
+# Python 3.11, one core).  So m <= 24 bounds its output: at most 2^m - 2
+# masks once some edge is not a loop (a vertex can be made a source or a
+# sink), 2^m for loops alone.
 ORIENTATION_EDGE_CAP = 24
 
 # chromatic ------------------------------------------------------------------
@@ -85,23 +85,30 @@ POINT_ENUMERATION_BUDGET = 10**8
 # `flow_analysis` refuses a larger graph before its first pass over the
 # vertices.  Isolated vertices carry no flow, but they cost time: the one
 # search of the graph, which finds its components, bridges and spanning
-# forest, passes over every vertex, and `in_degree_sequence_count` fills d
-# entries per totally cyclic orientation.
+# forest, passes over every vertex, and the totally cyclic search copies one
+# adjacency mask per vertex at each step (`in_degree_sequence_count` packs
+# only the ends of edges, so they cost it nothing).
 # The costliest graph found within the other flow caps is the Petersen graph
 # (1,920 orientations; 16 parallel edges have 65,534 but xi = 15, which
-# FLOW_XI_CAP refuses first).  Padded with isolated vertices, `flow` on it
-# takes 0.21 s at d = 10, 0.35 s and 45 MB at d = 1000, and 1.35 s and 54 MB
-# at d = 10,000 (Python 3.11, one core).  At d = 10^7, before this cap,
-# `flow` took 8.1 s and 1.46 GB.
+# FLOW_XI_CAP refuses first).  Padded with isolated vertices, `flow --json`
+# on it takes 0.10 to 0.11 s at d = 10, 0.12 to 0.15 s and 40 MB at d = 1000,
+# and 0.34 to 0.43 s and 41 MB at d = 10,000 (`cli.main` in process, three
+# runs each; Python 3.11, one core).  At d = 10^7, before this cap, `flow`
+# took 8.1 s and 1.46 GB.
 FLOW_VERTEX_CAP = 1000
 
-# One flow count scans the product of its cotree value sets.
-FLOW_CANDIDATE_BUDGET = 30_000_000
+# One flow count scans the product of its cotree value sets.  The budget
+# admits the integral grid at xi = 7, 16^7 ~ 268M candidates, and not the
+# 18^8 ~ 1.1e10 of xi = 8.
+FLOW_CANDIDATE_BUDGET = 300_000_000
 # `flow_analysis` makes one integral scan, at n = xi+2, over (2(xi+1))^xi
-# candidates: 14^6 ~ 7.5M fit the budget, 16^7 ~ 268M do not, so the cap is
-# the largest xi that fits.  The scan tests only half of those pairs (x and
-# -x are counted together), but the budget is charged on the full grid.
-FLOW_XI_CAP = 6
+# candidates, so the cap is the largest xi whose grid fits the budget.  The
+# scan tests only half of those pairs (x and -x are counted together), but
+# the budget is charged on the full grid.  At xi = 7, `flow_checks` on the
+# octahedron (K6 less a perfect matching, 1,862 totally cyclic
+# orientations) takes 1.4 to 1.6 s at 45 MB peak RSS, with 0 failures
+# (three runs; Python 3.11, one core).
+FLOW_XI_CAP = 7
 
 # surveys --------------------------------------------------------------------
 
@@ -119,10 +126,11 @@ GRAPH_SURVEY_CAP = 7
 # peak RSS (Python 3.11, one process on 2 shared cores).  Must not exceed
 # LATTICE_POINT_ELEMENT_CAP, which `poset_checks` needs.
 POSET_SURVEY_CAP = 7
-# The flow survey skips xi = 6.  One such instance (K5) takes about 0.06 s
-# (`flow_checks`, best of 5; Python 3.11, one core), and the 9 bridgeless
-# classes with xi = 6 at d <= 6 take 0.43 to 0.50 s together, more than the
-# 0.37 to 0.44 s of the whole d <= 6 flow survey; the 106 with xi = 6 at
-# d = 7 take about 6 s.  Admitting them would also change the survey's
-# output.
+# The flow survey skips xi = 6 and 7.  One instance with xi = 6 (K5) takes
+# about 0.06 s (`flow_checks`, best of 5; Python 3.11, one core), and the 9
+# bridgeless classes with xi = 6 at d <= 6 take 0.43 to 0.50 s together,
+# more than the 0.37 to 0.44 s of the whole d <= 6 flow survey; the 106 with
+# xi = 6 at d = 7 take about 6 s.  One with xi = 7 takes about 1.5 s (see
+# FLOW_XI_CAP), so the 87 at d = 7 would add about 2 minutes.  Admitting
+# them would also change the survey's output.
 FLOW_XI_SURVEY_CAP = 5

@@ -187,9 +187,9 @@ def _orientation_columns_fit(r: FlowResult) -> bool:
     All columns are checked in one product with the matrix of (xi+1)-th
     differences: column j of ``columns @ steps`` is the star entry h_j of
     `star_from_values` (start 1) for j <= xi and the node's difference at
-    j = xi+1.  Every value is at most `caps.FLOW_CANDIDATE_BUDGET` (3e7) and
-    each difference sums at most xi+2 = 8 values times C(7, k) <= 35, so the
-    int64 sums stay below 8 * 35 * 3e7, about 1e10.
+    j = xi+1.  Every value is at most `caps.FLOW_CANDIDATE_BUDGET` (3e8) and
+    each difference sums at most xi+2 = 9 values times C(8, k) <= 70, so the
+    int64 sums stay below 9 * 70 * 3e8, about 2e11.
     """
     D = r.xi
     columns = np.array(

@@ -156,9 +156,9 @@ def _cmd_flow(args) -> int:
     if args.csv:
         _write_audit_csv(args.csv, args.file, checked.audits)
     if args.json:
-        table = {
-            str(n): {"".join(map(str, k)): v for k, v in t.items()} for n, t in kochol.items()
-        }
+        # each orientation as its direction string, edge 0 first
+        m = g.edge_count
+        table = {str(n): {format(k, f"0{m}b")[::-1]: v for k, v in t.items()} for n, t in kochol.items()}
         payload = {**_graph_payload(checked, "constants_match_oracles", FLOW_FLAGS), "kochol_table": table}
         _emit_json({**payload, **_header(digest, checked)})
     else:

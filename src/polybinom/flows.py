@@ -47,6 +47,7 @@ from .decompositions import SymmetricSplit, symmetric_split
 from .errors import CapExceeded, NotApplicable
 from .graphs import (
     Multigraph,
+    bit_sums,
     cyclomatic_number,
     enumerate_totally_cyclic_orientations,
     in_degree_sequence_count,
@@ -171,20 +172,21 @@ def _half_codes(combos: np.ndarray, first: int, shift: int) -> tuple[np.ndarray,
             np.abs(combos).max(axis=1, initial=0))
 
 
-def kochol_tables(g: Multigraph, top: int) -> dict[int, dict[tuple[int, ...], int]]:
+def kochol_tables(g: Multigraph, top: int) -> dict[int, dict[int, int]]:
     """The Kochol table at every bound n = 1..top, from one scan at `top`.
 
     Table n buckets the integer flows 0 < |x| < n by the orientation they
-    traverse.  Every nowhere-zero integer flow is strictly positive along
-    exactly one orientation (flip each edge carrying a negative value), so
-    the bucket of a direction vector is precisely the count of its strictly
-    positive flows bounded by n, and the buckets sum to the integral flow
-    count f(n).  The scan keeps each flow with |x| < top once, under its
-    orientation and its level max |x|; bucket o at n counts the flows of o
-    with level < n.  Only the flows whose last cotree coordinate is positive
-    are scanned: the twin -x of such a flow has the same level and is
-    positive along the reversed orientation, so each kept (orientation,
-    level) is credited to both.
+    traverse, keyed by its mask as `enumerate_totally_cyclic_orientations`
+    lists it: bit e is set when edge e is reversed.  Every nowhere-zero
+    integer flow is strictly positive along exactly one orientation (flip
+    each edge carrying a negative value), so the bucket of an orientation is
+    precisely the count of its strictly positive flows bounded by n, and the
+    buckets sum to the integral flow count f(n).  The scan keeps each flow
+    with |x| < top once, under its orientation and its level max |x|; bucket
+    o at n counts the flows of o with level < n.  Only the flows whose last
+    cotree coordinate is positive are scanned: the twin -x of such a flow
+    has the same level and is positive along the reversed orientation, so
+    each kept (orientation, level) is credited to both.
 
     A kept flow's code is its orientation key above its level.  Key bit j is
     the sign of cotree coordinate j, and bit xi + r the sign of series class
@@ -193,17 +195,18 @@ def kochol_tables(g: Multigraph, top: int) -> dict[int, dict[tuple[int, ...], in
     over the kept pairs only, and its level is the largest of the halves'
     levels and the block's peak.  Codes are counted per block, so no more
     than one block of kept pairs is held.  The tables then come from one
-    count per (orientation, level), summed over the levels; each key is
-    decoded to its direction once, and each table lists its orientations in
-    sorted order.
+    count per (orientation, level), summed over the levels; each key
+    becomes its orientation mask once, by `bit_sums`, a Python int however
+    many edges there are, and each table lists its orientations
+    lexicographically in their directions, edge 0 first.
     """
     xi = _check_caps(g, top)
     m = g.edge_count
-    tables: dict[int, dict[tuple[int, ...], int]] = {n: {} for n in range(1, top + 1)}
+    tables: dict[int, dict[int, int]] = {n: {} for n in range(1, top + 1)}
     if xi == 0 or top == 1:  # a forest carries no nowhere-zero flow
         return tables
     tree, cotree, _, cls, flipped = g.cycle_space
-    cls, flipped, rows = np.array(cls, dtype=np.int64), np.array(flipped, dtype=bool), _class_rows(g)
+    rows = _class_rows(g)
     span = np.concatenate([np.arange(-(top - 1), 0), np.arange(1, top)]).astype(np.int64)
     (combos_a, a), (combos_b, b) = _half_sums(rows, span)
     # x and -x are both kept or both dropped, so scan only the flows whose
@@ -253,11 +256,16 @@ def kochol_tables(g: Multigraph, top: int) -> dict[int, dict[tuple[int, ...], in
     per_level = np.zeros((len(keys), top), dtype=np.int64)
     np.add.at(per_level, (at, level), np.tile(np.concatenate(found_counts), 2))
     below = per_level.cumsum(axis=1)  # column n - 1: the flows with level < n
-    directions = np.empty((len(keys), m), dtype=np.int64)
-    directions[:, cotree] = keys[:, None] >> np.arange(xi) & 1
-    directions[:, tree] = (keys[:, None] >> (xi + cls) & 1) ^ flipped
-    order = np.lexsort(directions.T[::-1])
-    orientations = list(map(tuple, directions[order].tolist()))
+    # edge e is reversed where its key bit differs from its flip, so a mask
+    # is linear in the key bits: the flipped tree edges, plus 2^e for each
+    # set key bit of an edge e, negated on a flipped one
+    weights = [1 << e for e in cotree] + [0] * len(rows)
+    for t, c, flip in zip(tree, cls, flipped):
+        weights[xi + c] += -(1 << t) if flip else 1 << t
+    masks = bit_sums(keys.tolist(), weights, sum(1 << t for t, flip in zip(tree, flipped) if flip))
+    # lexicographic in the directions, edge 0 first
+    order = sorted(range(len(masks)), key=lambda i: format(masks[i], f"0{m}b")[::-1])
+    orientations = [masks[i] for i in order]
     for n, column in enumerate(below[order].T.tolist(), start=1):
         tables[n] = {o: k for o, k in zip(orientations, column) if k}
     return tables
@@ -280,8 +288,8 @@ class FlowResult:
     phi_node: int  # the counts at n = xi+2, which the polynomials must fit
     f_node: int
     indegree_sequence_count: int
-    tc_orientation_set: frozenset[tuple[int, ...]]
-    kochol: dict[int, dict[tuple[int, ...], int]] = field(compare=False)  # n = 1..xi+2
+    tc_orientation_set: frozenset[int]  # masks, bit e set where edge e is reversed
+    kochol: dict[int, dict[int, int]] = field(compare=False)  # n = 1..xi+2, keyed by mask
 
     @property
     def tc_orientation_count(self) -> int:

@@ -17,9 +17,10 @@ reachability masks packed in one integer, and hands each orientation over
 as the order it induces, a tuple of ``above`` bitmasks already transitively
 closed, which the order-star walks of `posets` read as they are; the
 totally cyclic one fixes edges in a mixed graph that stays strongly
-connected (Boesch & Tindell 1980).  A totally cyclic orientation is its
-direction vector: one bit per edge, 0 keeps the stored (tail, head), 1
-reverses it.
+connected (Boesch & Tindell 1980).  A totally cyclic orientation is one
+integer mask: bit e is set when edge e is reversed, clear when it keeps its
+stored (tail, head).  The in-degree oracle and the Kochol tables of `flows`
+read the same masks.
 
 Graph certificates, which deduplicate the graph families, come from one
 individualization-refinement search over bitmask cells instead of trying
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import caps
 from .errors import CapExceeded, InputFormatError
@@ -287,9 +288,10 @@ def acyclic_orientations_up_to_reversal(g: Multigraph) -> list[tuple[int, ...]]:
     return orders
 
 
-def enumerate_totally_cyclic_orientations(g: Multigraph) -> list[tuple[int, ...]]:
-    """Direction vectors whose components are all strongly connected, in
-    bitmask order (bit e of the mask is the direction of edge e).
+def enumerate_totally_cyclic_orientations(g: Multigraph) -> list[int]:
+    """The orientations whose components are all strongly connected, as
+    masks in increasing order: bit e of a mask is set when edge e is
+    reversed, 0 keeping its stored (tail, head).
 
     That is equivalent to every edge lying on a coherently oriented cycle: a
     strongly connected component closes a cycle through each of its arcs,
@@ -298,15 +300,17 @@ def enumerate_totally_cyclic_orientations(g: Multigraph) -> list[tuple[int, ...]
 
     Otherwise a backtracking search starts from every non-loop edge as two
     opposite arcs, so every component is strongly connected, and fixes the
-    edges from m-1 down to 0, bit 0 first, which lists the vectors in
-    increasing mask order.  Fixing an edge as t -> h drops the arc h -> t;
-    the components stay strongly connected iff h still reaches t, which one
-    reachability bitmask answers unless a parallel h -> t arc remains.  A
+    edges from m-1 down to 0, bit 0 first, which lists the masks in
+    increasing order.  Fixing an edge as t -> h drops the arc h -> t; the
+    components stay strongly connected iff h still reaches t, which a
+    reachability search answers unless a parallel h -> t arc remains.  A
     bridgeless, strongly connected mixed graph always has a strongly
     connected orientation (Boesch & Tindell, Amer. Math. Monthly 1980), so
     every kept prefix extends: the search has no dead ends and costs at most
-    m steps per orientation.  Loops are coherently cyclic in either
-    direction, and both directions are counted as distinct orientations.
+    m steps per orientation.  For the same reason, when one direction of an
+    edge fails, the other holds without a test.  Loops are coherently cyclic
+    in either direction, and both directions are counted as distinct
+    orientations.
     """
     m, d = g.edge_count, g.vertex_count
     if m > caps.ORIENTATION_EDGE_CAP:
@@ -324,50 +328,82 @@ def enumerate_totally_cyclic_orientations(g: Multigraph) -> list[tuple[int, ...]
             adjacency[u] |= 1 << v
             adjacency[v] |= 1 << u
     out = []
-    stack = [(m, 0, tuple(adjacency))]
+    stack = [(m, 0, adjacency)]
     while stack:
         e, mask, adjacency = stack.pop()
         if e == 0:
-            out.append(tuple(mask >> i & 1 for i in range(m)))
+            out.append(mask)
             continue
         e -= 1
         u, v = edges[e]
+        failed = False
         # bit 0 is pushed last, so it is searched first
         for bit, t, h in ((1, v, u), (0, u, v)):
             # a parallel h -> t arc remains while a twin is unfixed or points that way
-            if t == h or any(f < e or edges[f][mask >> f & 1] == h for f in twins[e]):
+            if t == h or twins[e] and any(f < e or edges[f][mask >> f & 1] == h for f in twins[e]):
                 stack.append((e, mask | bit << e, adjacency))
                 continue
-            dropped = list(adjacency)
-            dropped[h] &= ~(1 << t)
-            if _reach(h, dropped) >> t & 1:
-                stack.append((e, mask | bit << e, tuple(dropped)))
+            row = adjacency[h] & ~(1 << t)
+            # no dead ends: when the first direction failed, the second holds
+            if failed or _reaches(h, t, row, adjacency):
+                dropped = adjacency.copy()  # a pushed list is never changed
+                dropped[h] = row
+                stack.append((e, mask | bit << e, dropped))
+            else:
+                failed = True
     return out
 
 
-def _reach(root: int, adjacency: list[int]) -> int:
-    """Bitmask of the vertices reachable from root along the adjacency masks."""
-    seen = frontier = 1 << root
-    while frontier:
+def _reaches(root: int, target: int, first: int, adjacency: list[int]) -> bool:
+    """Whether target is reachable from root, whose out-neighbours are the
+    mask `first`, along the adjacency masks; stops once target is seen."""
+    seen, frontier = 1 << root, first
+    while frontier and not frontier >> target & 1:
+        seen |= frontier
         step = 0
         while frontier:
             low = frontier & -frontier
             step |= adjacency[low.bit_length() - 1]
             frontier ^= low
         frontier = step & ~seen
-        seen |= step
-    return seen
+    return frontier != 0
 
 
-def in_degree_sequence_count(g: Multigraph, directions: Sequence[tuple[int, ...]]) -> int:
-    """Number of distinct vertex-indexed in-degree vectors of the orientations."""
-    sequences = set()
-    for direction in directions:
-        degrees = [0] * g.vertex_count
-        for (u, v), bit in zip(g.edges, direction, strict=True):
-            degrees[u if bit else v] += 1
-        sequences.add(tuple(degrees))
-    return len(sequences)
+def bit_sums(masks: Iterable[int], weights: Sequence[int], start: int = 0) -> list[int]:
+    """start plus the sum of weights[i] over the set bits i, for each mask.
+
+    One table per byte of the weights holds the 256 sums of its bits, so a
+    mask costs one lookup per byte, however many bits it has set.
+    """
+    tables = []
+    for k in range(0, len(weights), 8):
+        sums = [0]
+        for w in weights[k:k + 8]:
+            sums += [s + w for s in sums]
+        tables.append((k, sums))
+    return [start + sum([sums[mask >> k & 255] for k, sums in tables]) for mask in masks]
+
+
+def in_degree_sequence_count(g: Multigraph, masks: Sequence[int]) -> int:
+    """Number of distinct vertex-indexed in-degree vectors of the
+    orientations, each a mask as `enumerate_totally_cyclic_orientations`
+    lists them.
+
+    Only the ends of non-loop edges can change their in-degree (a loop adds
+    one to its vertex either way), so a vector is packed over them alone,
+    one field of m.bit_length() bits each, which holds any in-degree: the
+    stored orientation's code, plus, for each reversed edge (u, v), one at
+    u's field less one at v's.  `bit_sums` adds those up a byte of the mask
+    at a time, so isolated vertices cost nothing.
+    """
+    m = g.edge_count
+    if any(mask >> m for mask in masks):
+        raise ValueError(f"an orientation mask has a bit outside the {m} edges")
+    ends = {w for u, v in g.edges if u != v for w in (u, v)}
+    field = {w: 1 << m.bit_length() * i for i, w in enumerate(ends)}
+    stored = sum(field[v] for u, v in g.edges if u != v)
+    reversal = [field[u] - field[v] if u != v else 0 for u, v in g.edges]
+    return len(set(bit_sums(masks, reversal, stored)))
 
 
 # ---------------------------------------------------------------------------

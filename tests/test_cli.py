@@ -26,6 +26,9 @@ from polybinom.graphs import (
 )
 from polybinom.polynomials import StarVector
 from polybinom.posets import Poset
+from polybinom.survey import flow_fixture_set
+
+from test_flows import kochol_table_at
 
 K3 = "vertices 3\nedge 0 1\nedge 0 2\nedge 1 2\n"
 P3 = "vertices 3\nedge 0 1\nedge 1 2\n"
@@ -135,8 +138,33 @@ class TestFlowCommand:
         assert "bridge" in capsys.readouterr().err
 
     def test_xi_above_cap_exits_3(self, write, capsys):
-        assert main(["flow", write("dipole8.graph", format_graph_file(dipole(8)))]) == 3
-        assert "cyclomatic number 7 exceeds cap 6" in capsys.readouterr().err
+        assert main(["flow", write("dipole9.graph", format_graph_file(dipole(9)))]) == 3
+        assert "cyclomatic number 8 exceeds cap 7" in capsys.readouterr().err
+
+    def test_octahedron_at_the_xi_cap(self, write, capsys):
+        # K6 less a perfect matching: xi = 7, the cap, with 1,862 totally
+        # cyclic orientations; its integral scan is the largest grid the
+        # candidate budget admits
+        matching = ((0, 1), (2, 3), (4, 5))
+        octahedron = Multigraph(6, tuple(e for e in complete_graph(6).edges if e not in matching))
+        assert cyclomatic_number(octahedron) == caps.FLOW_XI_CAP == 7
+        assert main(["flow", "--json", write("octahedron.graph", format_graph_file(octahedron))]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["totally_cyclic_orientations"] == len(payload["kochol_table"]["9"]) == 1862
+
+    def test_json_keys_are_the_oracle_directions(self, write, capsys):
+        # each key is its orientation's direction string, edge 0 first, the
+        # join of the oracle's direction tuple, in the oracle's order
+        for name, g in flow_fixture_set():
+            assert main(["flow", "--json", write(f"{name}.graph", format_graph_file(g))]) == 0
+            table = json.loads(capsys.readouterr().out)["kochol_table"]
+            oracle = {
+                str(n): {"".join(map(str, o)): k for o, k in kochol_table_at(g, n).items()}
+                for n in range(1, cyclomatic_number(g) + 3)
+            }
+            assert [list(t.items()) for t in table.values()] == [
+                list(t.items()) for t in oracle.values()
+            ], name
 
     def test_edge_cap_exits_3_before_any_scan(self, write, capsys, monkeypatch):
         def scan(*args, **kwargs):
@@ -152,7 +180,7 @@ class TestFlowCommand:
         assert captured.err == "cap exceeded: orientation enumeration needs 2^25 candidates; cap is m <= 24\n"
         # over both caps, the xi cap is reported
         assert main(["flow", write("dipole25.graph", format_graph_file(dipole(25)))]) == 3
-        assert "cyclomatic number 24 exceeds cap 6" in capsys.readouterr().err
+        assert "cyclomatic number 24 exceeds cap 7" in capsys.readouterr().err
 
     def test_huge_vertex_count_is_refused_before_any_vertex_pass(self, write, monkeypatch, capsys):
         def refuse(self):
@@ -172,7 +200,7 @@ class TestFlowCommand:
         start = time.perf_counter()
         assert main(["flow", write("dipole4000.graph", text)]) == 3
         assert time.perf_counter() - start < 0.5
-        assert "cyclomatic number 3999 exceeds cap 6" in capsys.readouterr().err
+        assert "cyclomatic number 3999 exceeds cap 7" in capsys.readouterr().err
 
 
 class TestOrderCommand:

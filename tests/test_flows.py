@@ -23,9 +23,12 @@ from polybinom.graphs import (
     cyclomatic_number,
     dipole,
     enumerate_totally_cyclic_orientations,
+    in_degree_sequence_count,
     path_graph,
 )
 from polybinom.survey import connected_graph_classes, flow_fixture_set
+
+from test_graphs import as_direction
 
 THETA = dipole(3)
 K4_DOUBLED = Multigraph(4, complete_graph(4).edges + ((0, 1),))
@@ -35,6 +38,12 @@ PETERSEN = Multigraph(
     + tuple((i, i + 5) for i in range(5))
     + tuple((5 + i, 5 + (i + 2) % 5) for i in range(5)),
 )
+
+
+def with_directions(tables: dict[int, dict[int, int]], m: int) -> dict[int, dict[tuple[int, ...], int]]:
+    """Kochol tables keyed by direction tuples, as the oracles key theirs,
+    in the tables' own order."""
+    return {n: {as_direction(o, m): k for o, k in table.items()} for n, table in tables.items()}
 
 
 def integral(g: Multigraph, n: int) -> int:
@@ -360,6 +369,17 @@ class TestFlowAnalysis:
         with pytest.raises(CapExceeded, match="flow cap"):
             kochol_tables(Multigraph(cap + 1, dipole(2).edges), 3)
 
+    def test_vertex_cap_padding_keeps_the_orientation_oracles(self):
+        # Petersen padded to the cap keeps its 1,920 totally cyclic
+        # orientations and 240 in-degree sequences
+        padded = Multigraph(caps.FLOW_VERTEX_CAP, PETERSEN.edges)
+        counts = []
+        for g in (PETERSEN, padded):
+            tc = enumerate_totally_cyclic_orientations(g)
+            counts.append((tc, in_degree_sequence_count(g, tc)))
+        assert counts[0] == counts[1]
+        assert (len(counts[0][0]), counts[0][1]) == (1920, 240)
+
     def test_refusals_keep_their_order(self):
         # a bridge is reported before an xi above the cap
         over = Multigraph(3, dipole(caps.FLOW_XI_CAP + 2).edges + ((1, 2),))
@@ -451,7 +471,10 @@ class TestKochol:
         assert sum(table.values()) == dense_integral(THETA, 3)
 
     def test_double_edge_n2(self):
-        assert kochol_tables(dipole(2), 2) == {1: {}, 2: {(0, 1): 1, (1, 0): 1}}
+        # keys are masks, listed as their directions sort: (0, 1) before (1, 0)
+        tables = kochol_tables(dipole(2), 2)
+        assert tables == {1: {}, 2: {0b10: 1, 0b01: 1}}
+        assert list(tables[2]) == [0b10, 0b01]
 
     def test_n1_empty(self):
         assert kochol_tables(THETA, 1) == {1: {}}
@@ -467,13 +490,35 @@ class TestKochol:
         assert modular_flow_count(g, 300) == 0
 
     def test_more_edges_than_an_int64_code_holds(self):
-        # 69 tree edges in series: one class row, one key bit
+        # 69 tree edges in series: one class row, one key bit; the masks are
+        # Python ints, so the all-reversed one is 2^70 - 1, not a wrapped -1
         tables = kochol_tables(cycle_graph(70), 3)
-        assert tables == {
-            1: {},
-            2: {(0,) * 70: 1, (1,) * 70: 1},
-            3: {(0,) * 70: 2, (1,) * 70: 2},
-        }
+        assert tables == {1: {}, 2: {0: 1, 2**70 - 1: 1}, 3: {0: 2, 2**70 - 1: 2}}
+        assert all(type(o) is int for table in tables.values() for o in table)
+
+    def test_long_cycle_keys_are_the_two_directions(self):
+        tables = kochol_tables(cycle_graph(20), 3)
+        assert [list(table) for table in tables.values()] == [[], [0, 2**20 - 1], [0, 2**20 - 1]]
+        assert list(tables[3]) == enumerate_totally_cyclic_orientations(cycle_graph(20))
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            Multigraph(3, ((0, 1), (1, 0), (1, 2), (2, 1))),  # antiparallel twins as stored
+            Multigraph(3, ((0, 1), (1, 1), (1, 2), (2, 0), (0, 0))),  # loops on a triangle
+            Multigraph(2, THETA.edges + ((1, 1),)),
+            K4_DOUBLED,
+        ],
+        ids=["antiparallel", "loops", "theta_looped", "k4_doubled"],
+    )
+    def test_multigraph_keys_match_the_oracle(self, g):
+        xi = cyclomatic_number(g)
+        tables = kochol_tables(g, xi + 2)
+        oracle = {n: kochol_table_at(g, n) for n in range(1, xi + 3)}
+        directed = with_directions(tables, g.edge_count)
+        assert directed == oracle
+        assert [list(t) for t in directed.values()] == [list(t) for t in oracle.values()]
+        assert set(tables[xi + 2]) == set(enumerate_totally_cyclic_orientations(g))
 
     def test_keys_are_totally_cyclic(self):
         for g in (THETA, complete_graph(4), K4_DOUBLED):
@@ -492,12 +537,13 @@ class TestKochol:
             tables = kochol_tables(g, 3)
             for n in (2, 3):
                 for o in enumerate_totally_cyclic_orientations(g):
-                    assert tables[n].get(o, 0) == positive_flow_count(g, o, n)
+                    assert tables[n].get(o, 0) == positive_flow_count(g, as_direction(o, g.edge_count), n)
 
     def test_one_scan_matches_the_per_bound_scan(self, one_scan_tables):
         # equal as dicts and in key order, at every bound n = 1..xi+2
         for name, g, tables in one_scan_tables:
             oracle = {n: kochol_table_at(g, n) for n in range(1, cyclomatic_number(g) + 3)}
+            tables = with_directions(tables, g.edge_count)
             assert tables == oracle, name
             assert [list(t) for t in tables.values()] == [list(t) for t in oracle.values()], name
 
@@ -512,12 +558,13 @@ class TestKochol:
         # (key order included) and the modular counts of the 350 bridgeless
         # classes with d <= 7 and xi <= 6, plus the fixtures, are pinned by
         # a digest of the scan's output, frozen before its block kernel was
-        # rewritten
+        # rewritten and while its keys were direction tuples
         digest, count = hashlib.sha256(), 0
         for g in [*connected_graph_classes(7), *(g for _, g in flow_fixture_set())]:
             xi = cyclomatic_number(g)
             if g.is_bridgeless and 1 <= xi <= 6:
-                tables = [list(table.items()) for table in kochol_tables(g, xi + 2).values()]
+                tables = with_directions(kochol_tables(g, xi + 2), g.edge_count)
+                tables = [list(table.items()) for table in tables.values()]
                 digest.update(repr((tables, [modular_flow_count(g, n) for n in range(1, xi + 3)])).encode())
                 count += 1
         assert count == 356
@@ -527,7 +574,7 @@ class TestKochol:
         # a top bound past xi+2 gives the same lower tables
         for g in (THETA, K4_DOUBLED, Multigraph(2, THETA.edges + ((0, 0),))):
             xi = cyclomatic_number(g)
-            assert kochol_tables(g, xi + 4) == {
+            assert with_directions(kochol_tables(g, xi + 4), g.edge_count) == {
                 n: kochol_table_at(g, n) for n in range(1, xi + 5)
             }
 
@@ -535,7 +582,7 @@ class TestKochol:
     def test_tree_sums_reaching_128(self, g, top):
         # the largest tree value is exactly 128, which int8 cannot hold: the
         # scan must widen, or the flows at x = +-128 get the wrong sign
-        tables = kochol_tables(g, top)
+        tables = with_directions(kochol_tables(g, top), g.edge_count)
         assert [tables[n] for n in (top - 1, top)] == [kochol_table_at(g, n) for n in (top - 1, top)]
 
     def test_sum_identity_across_range(self):
@@ -544,8 +591,8 @@ class TestKochol:
             r = flow_analysis(g)
             tc = enumerate_totally_cyclic_orientations(g)
             for n in range(1, r.xi + 3):
-                assert sum(positive_flow_count(g, o, n) for o in tc) == r.f(n)
-                assert r.kochol[n] == kochol_table_at(g, n)
+                assert sum(positive_flow_count(g, as_direction(o, g.edge_count), n) for o in tc) == r.f(n)
+                assert with_directions(r.kochol, g.edge_count)[n] == kochol_table_at(g, n)
 
 
 class TestClosedForms:
@@ -555,7 +602,7 @@ class TestClosedForms:
             eulerian = 0
             for o in enumerate_totally_cyclic_orientations(g):
                 balance = [0] * g.vertex_count
-                for (u, v), bit in zip(g.edges, o):
+                for (u, v), bit in zip(g.edges, as_direction(o, g.edge_count)):
                     tail, head = (v, u) if bit else (u, v)
                     balance[tail] += 1
                     balance[head] -= 1

@@ -53,6 +53,12 @@ def component_ids(g: Multigraph) -> list[int]:
     return [roots.setdefault(find(v), len(roots)) for v in range(g.vertex_count)]
 
 
+def as_direction(mask: int, m: int) -> tuple[int, ...]:
+    """The direction tuple of an orientation mask of m edges: entry e is
+    bit e, 1 where edge e is reversed."""
+    return tuple(mask >> e & 1 for e in range(m))
+
+
 def component_count(g: Multigraph) -> int:
     return len(set(component_ids(g)))
 
@@ -252,10 +258,30 @@ class TestOrientations:
             assert in_degree_sequence_count(g, enumerate_totally_cyclic_orientations(g)) == sequences
         assert in_degree_sequence_count(dipole(2), []) == 0
 
-    def test_indegree_rejects_direction_of_wrong_length(self):
-        # one direction bit per edge: a vector of another graph is refused
+    def test_indegree_rejects_a_mask_with_a_bit_past_the_edges(self):
+        # one bit per edge: a mask of a larger graph is refused, not read short
+        assert in_degree_sequence_count(dipole(2), [0b00, 0b11]) == 2
+        for masks in ([0b00, 0b100], [0b1000], [-1]):
+            with pytest.raises(ValueError, match="outside the 2 edges"):
+                in_degree_sequence_count(dipole(2), masks)
         with pytest.raises(ValueError):
-            in_degree_sequence_count(dipole(2), [(0, 0), (0,)])
+            in_degree_sequence_count(Multigraph(3, ()), [1])
+
+    def test_indegree_matches_a_direct_count(self):
+        # loops, antiparallel twins and isolated vertices included
+        for g in (
+            Multigraph(3, ((0, 1), (1, 1), (1, 2), (2, 0), (0, 0))),
+            Multigraph(4, ((0, 1), (1, 0), (1, 2), (2, 1))),
+            Multigraph(5, complete_graph(4).edges * 2),
+        ):
+            masks = enumerate_totally_cyclic_orientations(g)
+            sequences = set()
+            for mask in masks:
+                degrees = [0] * g.vertex_count
+                for (u, v), bit in zip(g.edges, as_direction(mask, g.edge_count)):
+                    degrees[u if bit else v] += 1
+                sequences.add(tuple(degrees))
+            assert in_degree_sequence_count(g, masks) == len(sequences) > 0, g
 
     def test_cap(self, monkeypatch):
         # the cap bounds the count |chi(-1)|, not m: 25 parallel edges have
@@ -494,7 +520,7 @@ class TestTotallyCyclicEquivalence:
             o for o in directions(g)
             if all(_edge_on_coherent_cycle(g, o, e) for e in range(g.edge_count))
         ]
-        assert enumerate_totally_cyclic_orientations(g) == cyclic
+        assert [as_direction(o, g.edge_count) for o in enumerate_totally_cyclic_orientations(g)] == cyclic
 
 
 def _reach_mask(root: int, adjacency: list[int]) -> int:
@@ -537,7 +563,9 @@ class TestTotallyCyclicScanOracle:
 
     def test_d6_family(self):
         for g in connected_graph_classes(6):
-            assert enumerate_totally_cyclic_orientations(g) == totally_cyclic_by_scan(g), g
+            assert [as_direction(o, g.edge_count) for o in enumerate_totally_cyclic_orientations(g)] == (
+                totally_cyclic_by_scan(g)
+            ), g
 
     @pytest.mark.parametrize(
         "g",
@@ -551,13 +579,16 @@ class TestTotallyCyclicScanOracle:
             Multigraph(7, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 3), (5, 3), (4, 5))),
             Multigraph(4, complete_graph(4).edges * 2),
             Multigraph(4, complete_graph(4).edges + tuple((v, u) for u, v in complete_graph(4).edges)),
+            Multigraph(4, complete_graph(4).edges + ((0, 1),)),
             Multigraph(4, ()),
         ],
         ids=["dipole3", "antiparallel", "parallel_path", "loops", "lone_loop", "two_components",
-             "k4_doubled", "k4_doubled_antiparallel", "edgeless"],
+             "k4_doubled", "k4_doubled_antiparallel", "k4_one_twin", "edgeless"],
     )
     def test_multigraphs(self, g):
-        assert enumerate_totally_cyclic_orientations(g) == totally_cyclic_by_scan(g)
+        masks = enumerate_totally_cyclic_orientations(g)
+        assert [as_direction(o, g.edge_count) for o in masks] == totally_cyclic_by_scan(g)
+        assert masks == sorted(masks)
 
     def test_bridge(self, monkeypatch):
         def search(*args):
@@ -570,15 +601,15 @@ class TestTotallyCyclicScanOracle:
         )
         for g in bridged:
             assert totally_cyclic_by_scan(g) == []
-        monkeypatch.setattr(polybinom.graphs, "_reach", search)
+        monkeypatch.setattr(polybinom.graphs, "_reaches", search)
         for g in bridged:
             assert enumerate_totally_cyclic_orientations(g) == []
 
     def test_long_cycle(self):
-        # 2^20 direction vectors, two of them totally cyclic: the search pays
-        # for the two
+        # 2^20 orientations, two of them totally cyclic: the search pays
+        # for the two, as stored and all reversed
         start = time.perf_counter()
-        assert enumerate_totally_cyclic_orientations(cycle_graph(20)) == [(0,) * 20, (1,) * 20]
+        assert enumerate_totally_cyclic_orientations(cycle_graph(20)) == [0, 2**20 - 1]
         assert time.perf_counter() - start < 1.0
 
 
