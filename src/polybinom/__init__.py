@@ -9,11 +9,9 @@ independent brute-force oracles for every route.
 __version__ = "0.1.0"
 
 from .decompositions import (
-    ABDecomposition,
     CADecomposition,
     InequalityReport,
     SymmetricSplit,
-    ab_decomposition,
     ca_decomposition,
     symmetric_split,
 )
@@ -57,7 +55,6 @@ from .flows import (
 )
 
 __all__ = [
-    "ABDecomposition",
     "CADecomposition",
     "CapExceeded",
     "ChromaticResult",
@@ -71,7 +68,6 @@ __all__ = [
     "Poset",
     "StarVector",
     "SymmetricSplit",
-    "ab_decomposition",
     "acyclic_orientations_up_to_reversal",
     "ca_decomposition",
     "chromatic_analysis",

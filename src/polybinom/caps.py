@@ -85,16 +85,20 @@ POINT_ENUMERATION_BUDGET = 10**8
 # `flow_analysis` refuses a larger graph before its first pass over the
 # vertices.  Isolated vertices carry no flow, but they cost time: the one
 # search of the graph, which finds its components, bridges and spanning
-# forest, passes over every vertex, and the totally cyclic search copies one
-# adjacency mask per vertex at each step (`in_degree_sequence_count` packs
-# only the ends of edges, so they cost it nothing).
+# forest, passes over every vertex.  The totally cyclic search and
+# `in_degree_sequence_count` number only the ends of non-loop edges, so
+# isolated vertices cost them nothing: a search step copies one adjacency
+# mask per end.
 # The costliest graph found within the other flow caps is the Petersen graph
 # (1,920 orientations; 16 parallel edges have 65,534 but xi = 15, which
-# FLOW_XI_CAP refuses first).  Padded with isolated vertices, `flow --json`
-# on it takes 0.10 to 0.11 s at d = 10, 0.12 to 0.15 s and 40 MB at d = 1000,
-# and 0.34 to 0.43 s and 41 MB at d = 10,000 (`cli.main` in process, three
-# runs each; Python 3.11, one core).  At d = 10^7, before this cap, `flow`
-# took 8.1 s and 1.46 GB.
+# FLOW_XI_CAP refuses first).  Padded with isolated vertices, its totally
+# cyclic search takes 19 to 23 ms at d = 10, 1000 and 10,000 alike (20 to
+# 34 ms, 57 to 59 ms and 324 to 342 ms when a step copied one mask per
+# vertex), and `flow --json` on it takes 0.10 to 0.11 s at d = 10 and
+# d = 1000 and 0.11 to 0.13 s at d = 10,000, at 43 MB peak RSS (`cli.main`
+# in process, ten runs each over two alternating rounds; Python 3.11, one
+# process on 2 shared cores).  At d = 10^7, before this cap, `flow` took
+# 8.1 s and 1.46 GB.
 FLOW_VERTEX_CAP = 1000
 
 # One flow count scans the product of its cotree value sets.  The budget

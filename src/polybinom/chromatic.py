@@ -4,8 +4,11 @@ chi_G is summed in the falling-factorial basis, with coefficients counted by
 a dynamic program over vertex bitmasks: the number of partitions of the
 vertices into k independent sets (Read 1968).  Its integer values at
 n = 0..d+1 give the star vector over degree bound d (the vertex count) by
-finite differences, as for every other route; the `Polynomial` chi is
-rebuilt from that vector only for display.  The route shares no code with
+finite differences, as for every other route.  No check reads chi as a
+polynomial, so the analysis keeps only its star vector, and the `Polynomial`
+chi is rebuilt from it by `inverse_transform` only where it is shown: in
+`ChromaticResult.to_json` and the text of the `chromatic` command.  A
+survey builds none.  The route shares no code with
 the orientation and order-star routes that check it.  The star vector
 splits into palindromic parts; their positivity, chains and constant terms
 are audited, against the acyclic-orientation oracle, in `polybinom.checks`,
@@ -35,7 +38,7 @@ from . import caps
 from .decompositions import SymmetricSplit, symmetric_split
 from .errors import CapExceeded, NotApplicable
 from .graphs import Multigraph, acyclic_orientations_up_to_reversal
-from .polynomials import Polynomial, StarVector, inverse_transform, star_from_values
+from .polynomials import StarVector, inverse_transform, star_from_values
 from .posets import chain_code_counts, strict_chain_code
 
 __all__ = [
@@ -131,7 +134,6 @@ def star_via_order_polynomials(g: Multigraph, orientations: Sequence[tuple[int, 
 @dataclass(frozen=True)
 class ChromaticResult:
     graph: Multigraph
-    chi: Polynomial
     chi_star: StarVector
     split: SymmetricSplit
     # one per reversal pair, each as its above masks
@@ -145,7 +147,7 @@ class ChromaticResult:
     def to_json(self) -> dict:
         return {
             "graph": self.graph.to_json(),
-            "chi": self.chi.to_json(),
+            "chi": inverse_transform(self.chi_star).to_json(),
             "chi_star": self.chi_star.to_json(),
             "a": list(self.split.p),
             "b": list(self.split.q),
@@ -160,10 +162,9 @@ def chromatic_analysis(g: Multigraph) -> ChromaticResult:
     The orientations are kept as their orders, one per reversal pair, for
     the constant-term oracle and the order-polynomial cross-route of
     `polybinom.checks`; `ChromaticResult.acyclic_count` counts them all.
-    chi is rebuilt from the star vector for display.  Their number is
-    |chi(-1)| (Stanley 1973), which is checked against
+    Their number is |chi(-1)| (Stanley 1973), which is checked against
     `caps.ACYCLIC_ORIENTATION_CAP` before any orientation is enumerated; it
-    only sizes the cap.
+    only sizes the cap.  chi itself is not built (module docstring).
     """
     if g.vertex_count == 0:
         raise NotApplicable("empty", "no vertices")
@@ -179,7 +180,7 @@ def chromatic_analysis(g: Multigraph) -> ChromaticResult:
         )
     split = symmetric_split(star.entries, g.vertex_count)
     orientations = tuple(acyclic_orientations_up_to_reversal(g))
-    return ChromaticResult(g, inverse_transform(star), star, split, orientations)
+    return ChromaticResult(g, star, split, orientations)
 
 
 # ---------------------------------------------------------------------------

@@ -134,7 +134,7 @@ def _cmd_chromatic(args) -> int:
         constants_ok = checked.checks["constants_match_acyclic_oracle"] == "pass"
         order_sum_ok = checked.checks["order_polynomial_sum_matches"] == "pass"
         print(f"graph: {g.vertex_count} vertices, {g.edge_count} edges")
-        print(f"chi: {result.chi.pretty()}")
+        print(f"chi: {inverse_transform(result.chi_star).pretty()}")
         print(f"chi_star: {tuple(result.chi_star.entries)}")
         print(f"a: {result.split.p}")
         print(f"b: {result.split.q}")

@@ -14,8 +14,8 @@ This module holds the parts and the inequality rules, one plain function
 per rule; every audit is built in `polybinom.checks`, which calls them.
 
 For a start=0 star vector h of lattice-point counts, with degree s and
-codegree l = D+1-s, Stapledon's parts are symmetric splits of reversed,
-truncated and interior-reversed h:
+l = D+1-s, Stapledon's parts are symmetric splits of reversed, truncated
+and interior-reversed h:
 
 * a = p of (h_D, ..., h_0) over D:
       a_j = (h_0 + ... + h_j) - (h_D + ... + h_{D-j+1});
@@ -25,6 +25,12 @@ truncated and interior-reversed h:
 * (c, a) = (p, q) of the interior reversal (0, h_D, ..., h_0) over D+1:
       c_0 = h_0,  c_j = a_{j-1} + h_j,
   so that h(z) = c(z) - z a(z), degree-free.
+
+The same a is both the p part of the a/b split and the q part of the c/a
+split, so the package computes it once, from `ca_decomposition`, and every
+audit of a reads that copy.  No audit reads b; the a/b split, with b and
+its identity, is kept in the tests as the oracle that ``ca.a`` is checked
+against.
 """
 
 from __future__ import annotations
@@ -37,12 +43,10 @@ from typing import Sequence
 from .polynomials import StarVector, binomial
 
 __all__ = [
-    "ABDecomposition",
     "CADecomposition",
     "InequalityReport",
     "InequalityRow",
     "SymmetricSplit",
-    "ab_decomposition",
     "binomial_coefficient_bound",
     "ca_decomposition",
     "chain_report",
@@ -257,35 +261,7 @@ def symmetric_split(v: Sequence[int], degree: int) -> SymmetricSplit:
 
 
 # ---------------------------------------------------------------------------
-# a/b and c/a decompositions of lattice-point star vectors
-
-
-def _poly_mul(u: Sequence[int], w: Sequence[int]) -> list[int]:
-    out = [0] * (len(u) + len(w) - 1 or 1)
-    for i, a in enumerate(u):
-        for j, b in enumerate(w):
-            out[i + j] += a * b
-    return out
-
-
-def _trim(u: Sequence[int]) -> tuple[int, ...]:
-    u = list(u)
-    while u and u[-1] == 0:
-        u.pop()
-    return tuple(u)
-
-
-@dataclass(frozen=True)
-class ABDecomposition:
-    """a (palindromic, length D+1) and b (palindromic, length s) with
-
-    (1 + z + ... + z^(l-1)) h(z) = a(z) + z^l b(z),  l = D+1-s.
-    """
-
-    a: tuple[int, ...]
-    b: tuple[int, ...]
-    s: int
-    codegree: int
+# c/a decomposition of lattice-point star vectors
 
 
 def _lattice_entries(h: StarVector, name: str) -> tuple[int, ...]:
@@ -300,28 +276,6 @@ def _lattice_entries(h: StarVector, name: str) -> tuple[int, ...]:
     if v[0] > 1:
         warnings.warn(f"{name} decomposition of a summed star vector (constant term > 1)", stacklevel=3)
     return v
-
-
-def ab_decomposition(h: StarVector) -> ABDecomposition:
-    """Split a start=0 lattice-point star vector into its a/b pair.
-
-    a is the p part of reversed h and b the q part of h truncated at its
-    degree s (module docstring).  The defining identity is asserted.
-    """
-    v = _lattice_entries(h, "a/b")
-    D = h.degree_bound
-    s = h.degree
-    l = D + 1 - s
-    a = symmetric_split(v[::-1], D).p
-    b = symmetric_split(v[: s + 1], s).q
-    # identity check: (1 + z + ... + z^(l-1)) h(z) == a(z) + z^l b(z)
-    lhs = _trim(_poly_mul([1] * l, v))
-    rhs = list(a) + [0] * max(0, l + len(b) - (D + 1))
-    for j, bb in enumerate(b):
-        rhs[l + j] += bb
-    if lhs != _trim(rhs):
-        raise AssertionError(f"a/b identity failed: {lhs} != {_trim(rhs)}")
-    return ABDecomposition(a, b, s, l)
 
 
 @dataclass(frozen=True)
@@ -340,6 +294,10 @@ def ca_decomposition(h: StarVector) -> CADecomposition:
     interior reversal of h, so c - a equals ``h.interior_reversal()`` and
     h(z) = c(z) - z a(z).  Comparing that reversal with the interior counts
     is the `hstar_reversal_is_interior` check.
+
+    This is the package's one route to Stapledon's a: its q part is the p
+    part of reversed h (module docstring), which the a/b oracle of the tests
+    computes the other way, with b and its identity.
     """
     _lattice_entries(h, "c/a")
     split = symmetric_split(h.interior_reversal().entries, h.degree_bound + 1)

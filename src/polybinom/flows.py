@@ -32,7 +32,10 @@ not depend on it.
 
 This module only computes: every audit of the splits, and the comparison of
 their constant terms with the orientation oracles, is built in
-`polybinom.checks`.
+`polybinom.checks`.  Unlike chi, which is built only where it is shown, phi
+and f are kept on `FlowResult` as `Polynomial`s, because the checks read
+them as polynomials: `phi_degree_is_xi` reads phi's coefficients (its degree
+and whether they are integers) and `f_degree_is_xi` reads f's degree.
 """
 
 from __future__ import annotations

@@ -17,9 +17,9 @@ reachability masks packed in one integer, and hands each orientation over
 as the order it induces, a tuple of ``above`` bitmasks already transitively
 closed, which the order-star walks of `posets` read as they are; the
 totally cyclic one fixes edges in a mixed graph that stays strongly
-connected (Boesch & Tindell 1980).  A totally cyclic orientation is one
-integer mask: bit e is set when edge e is reversed, clear when it keeps its
-stored (tail, head).  The in-degree oracle and the Kochol tables of `flows`
+connected (Boesch & Tindell 1980), on the ends of non-loop edges alone.  A
+totally cyclic orientation is one integer mask: bit e is set when edge e is
+reversed, clear when it keeps its stored (tail, head).  The in-degree oracle and the Kochol tables of `flows`
 read the same masks.
 
 Graph certificates, which deduplicate the graph families, come from one
@@ -312,17 +312,22 @@ def enumerate_totally_cyclic_orientations(g: Multigraph) -> list[int]:
     in either direction, and both directions are counted as distinct
     orientations.
     """
-    m, d = g.edge_count, g.vertex_count
+    m = g.edge_count
     if m > caps.ORIENTATION_EDGE_CAP:
         raise CapExceeded(
             f"orientation enumeration needs 2^{m} candidates; cap is m <= {caps.ORIENTATION_EDGE_CAP}"
         )
     if g.bridges:
         return []
-    edges = g.edges
     # for each edge, the other edges joining the same two vertices
-    twins = [[f for f in range(m) if f != e and {*edges[f]} == {u, v}] for e, (u, v) in enumerate(edges)]
-    adjacency = [0] * d
+    twins = [
+        [f for f in range(m) if f != e and {*g.edges[f]} == {u, v}] for e, (u, v) in enumerate(g.edges)
+    ]
+    # arcs join only the ends of non-loop edges, so the search is over those
+    # alone and a step copies one mask per end; a loop never reads its labels
+    index = _end_index(g)
+    edges = [(index[u], index[v]) if u != v else (-1, -1) for u, v in g.edges]
+    adjacency = [0] * len(index)
     for u, v in edges:
         if u != v:
             adjacency[u] |= 1 << v
@@ -384,6 +389,11 @@ def bit_sums(masks: Iterable[int], weights: Sequence[int], start: int = 0) -> li
     return [start + sum([sums[mask >> k & 255] for k, sums in tables]) for mask in masks]
 
 
+def _end_index(g: Multigraph) -> dict[int, int]:
+    """The ends of g's non-loop edges, numbered 0, 1, ... in vertex order."""
+    return {w: i for i, w in enumerate(sorted({w for u, v in g.edges if u != v for w in (u, v)}))}
+
+
 def in_degree_sequence_count(g: Multigraph, masks: Sequence[int]) -> int:
     """Number of distinct vertex-indexed in-degree vectors of the
     orientations, each a mask as `enumerate_totally_cyclic_orientations`
@@ -399,8 +409,7 @@ def in_degree_sequence_count(g: Multigraph, masks: Sequence[int]) -> int:
     m = g.edge_count
     if any(mask >> m for mask in masks):
         raise ValueError(f"an orientation mask has a bit outside the {m} edges")
-    ends = {w for u, v in g.edges if u != v for w in (u, v)}
-    field = {w: 1 << m.bit_length() * i for i, w in enumerate(ends)}
+    field = {w: 1 << m.bit_length() * i for w, i in _end_index(g).items()}
     stored = sum(field[v] for u, v in g.edges if u != v)
     reversal = [field[u] - field[v] if u != v else 0 for u, v in g.edges]
     return len(set(bit_sums(masks, reversal, stored)))

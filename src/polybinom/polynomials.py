@@ -185,10 +185,6 @@ class StarVector:
                 return i
         raise ValueError("zero star vector has no degree")
 
-    @property
-    def codegree(self) -> int:
-        return self.degree_bound + 1 - self.degree
-
     def value(self, n: int) -> int:
         """p(n) = sum_i v_i * C(n+D-i, D) read as a polynomial in n, so any
         integer n works (reciprocity evaluates at negative n)."""

@@ -146,8 +146,11 @@ class Poset:
     def is_antichain(self) -> bool:
         return all(m == 0 for m in self.above)
 
+    @cached_property
     def natural_labeling(self) -> tuple[int, ...]:
-        """Lexicographically smallest topological order of the elements."""
+        """Lexicographically smallest topological order of the elements,
+        computed once per poset: both lattice walks and the descent walk
+        read it."""
         d, below = self.element_count, self.below
         order, placed = [], 0
         while len(order) < d:
@@ -266,8 +269,7 @@ def omega_star(p: Poset) -> StarVector:
     vector at its true length d+1 (degree <= d, top entry 1).
     """
     d = p.element_count
-    if d > caps.ORDER_POLY_ELEMENT_CAP:
-        raise CapExceeded(f"order polynomial cap is {caps.ORDER_POLY_ELEMENT_CAP} elements, got {d}")
+    _check_order_poly_cap(d)
     if d == 0:
         raise ValueError("the empty poset has no star vector in this convention")
     return star_from_values(chain_code_counts(strict_chain_code(p.above), d), d, start=0)
@@ -275,6 +277,11 @@ def omega_star(p: Poset) -> StarVector:
 
 # ---------------------------------------------------------------------------
 # order polytope oracles
+
+
+def _check_order_poly_cap(d: int) -> None:
+    if d > caps.ORDER_POLY_ELEMENT_CAP:
+        raise CapExceeded(f"order polynomial cap is {caps.ORDER_POLY_ELEMENT_CAP} elements, got {d}")
 
 
 def _check_lattice_point_cap(d: int) -> None:
@@ -372,7 +379,7 @@ def lattice_point_counts(p: Poset, top: int, *, interior: bool = False) -> list[
     if span > 0 and span**d > caps.POINT_ENUMERATION_BUDGET:
         raise CapExceeded(f"map enumeration budget exceeded: {span}^{d}")
     related = [a | b for a, b in zip(p.above, p.below)]
-    labeling = p.natural_labeling()
+    labeling = p.natural_labeling
     # the interior of the n-th dilate takes values up to n-1
     shift = [0] if interior else []
     left = (1 << d) - 1
@@ -422,11 +429,10 @@ def hstar_via_descents(p: Poset) -> StarVector:
     `descents_match_lattice_hstar` check compares it against.
     """
     d = p.element_count
-    if d > caps.ORDER_POLY_ELEMENT_CAP:
-        raise CapExceeded(f"order polynomial cap is {caps.ORDER_POLY_ELEMENT_CAP} elements, got {d}")
+    _check_order_poly_cap(d)
     if d == 0:
         raise ValueError("the empty poset has no h* vector in this convention")
-    order, below = p.natural_labeling(), p.below
+    order, below = p.natural_labeling, p.below
     width = factorial(d).bit_length()
     states = {(0, -1): 1}  # nothing placed yet, so the first element is no drop
     for _ in range(d):

@@ -2,25 +2,24 @@ import functools
 
 import pytest
 
-from polybinom.graphs import Multigraph
-
 
 @pytest.fixture
 def computed(monkeypatch):
-    """computed(name) wraps the cached property `name` of `Multigraph` and
-    returns the list of graphs it is computed for, one entry per computation."""
+    """computed(cls, name) wraps the cached property `name` of `cls` (a
+    `Multigraph` or a `Poset`) and returns the list of instances it is
+    computed for, one entry per computation."""
 
-    def wrap(name: str) -> list[Multigraph]:
-        compute = getattr(Multigraph, name).func
-        graphs: list[Multigraph] = []
+    def wrap(cls: type, name: str) -> list:
+        compute = getattr(cls, name).func
+        instances: list = []
 
-        def counted(g: Multigraph):
-            graphs.append(g)
-            return compute(g)
+        def counted(instance):
+            instances.append(instance)
+            return compute(instance)
 
         counting = functools.cached_property(counted)
-        counting.__set_name__(Multigraph, name)
-        monkeypatch.setattr(Multigraph, name, counting)
-        return graphs
+        counting.__set_name__(cls, name)
+        monkeypatch.setattr(cls, name, counting)
+        return instances
 
     return wrap

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from polybinom.checks import flow_checks, graph_checks, poset_checks
 from polybinom.chromatic import chromatic_analysis
 from polybinom.cli import EXIT_COUNTEREXAMPLE, main
-from polybinom.decompositions import InequalityReport, ab_decomposition, ca_decomposition
+from polybinom.decompositions import InequalityReport, ca_decomposition
 from polybinom.flows import flow_analysis
 from polybinom.graphs import (
     Multigraph,
@@ -23,6 +23,7 @@ from polybinom.graphs import (
 )
 from polybinom.polynomials import Polynomial
 from polybinom.posets import (
+    Poset,
     chain,
     ehrhart_star,
     format_poset_file,
@@ -163,7 +164,6 @@ def test_analyses_only_compute(monkeypatch):
     monkeypatch.setattr(InequalityReport, "__init__", refuse)
     chromatic_analysis(complete_graph(4))
     flow_analysis(complete_graph(4))
-    ab_decomposition(h)
     ca_decomposition(h)
     # the checks build the reports, so the patch bites there
     with pytest.raises(AssertionError, match="audit report"):
@@ -171,7 +171,7 @@ def test_analyses_only_compute(monkeypatch):
 
 
 def test_flow_checks_find_the_bridges_once(computed):
-    calls, spaces = computed("_search"), computed("cycle_space")
+    calls, spaces = computed(Multigraph, "_search"), computed(Multigraph, "cycle_space")
     flow_checks(complete_graph(4))
     assert len(calls) == 1
     assert len(spaces) == 1
@@ -236,6 +236,25 @@ def test_order_route_builds_no_polynomial(monkeypatch):
     assert omega_star(chain(3)).entries == (0, 0, 0, 1)
     report = run_poset_survey(4)
     assert report.ok and len(report.instances) == 24
+
+
+def test_graph_survey_builds_no_polynomial(monkeypatch):
+    # chi is built only where it is shown, and a survey shows none
+    def refuse(self, coeffs=()):
+        raise AssertionError("a Polynomial was built on the graph survey")
+
+    monkeypatch.setattr(Polynomial, "__init__", refuse)
+    report = run_graph_survey(4)
+    assert report.ok and len(report.instances) == 10
+
+
+def test_poset_checks_label_each_poset_once(computed):
+    # both lattice walks and the descent walk read one natural labeling
+    labeled = computed(Poset, "natural_labeling")
+    for p in generate_posets(4):
+        labeled.clear()
+        assert not poset_checks(p).failures
+        assert labeled == [p]
 
 
 def test_flow_checks_scan_once(monkeypatch):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import polybinom.flows as flows
+import polybinom.graphs as graphs
 from polybinom import caps
 from polybinom.checks import flow_checks
 from polybinom.errors import CapExceeded, NotApplicable
@@ -369,16 +370,29 @@ class TestFlowAnalysis:
         with pytest.raises(CapExceeded, match="flow cap"):
             kochol_tables(Multigraph(cap + 1, dipole(2).edges), 3)
 
-    def test_vertex_cap_padding_keeps_the_orientation_oracles(self):
-        # Petersen padded to the cap keeps its 1,920 totally cyclic
-        # orientations and 240 in-degree sequences
+    def test_vertex_cap_padding_keeps_the_orientation_oracles(self, monkeypatch):
+        # Petersen padded to the cap, as stored and with its ten vertices
+        # spread to every hundredth label, keeps its 1,920 totally cyclic
+        # orientations, in order, and 240 in-degree sequences; every
+        # reachability test of the search reads one mask per end of an
+        # edge, not one per vertex
+        widths = []
+        reaches = graphs._reaches
+
+        def counted(root, target, first, adjacency):
+            widths.append(len(adjacency))
+            return reaches(root, target, first, adjacency)
+
+        monkeypatch.setattr(graphs, "_reaches", counted)
         padded = Multigraph(caps.FLOW_VERTEX_CAP, PETERSEN.edges)
+        spread = Multigraph(caps.FLOW_VERTEX_CAP, tuple((100 * u, 100 * v) for u, v in PETERSEN.edges))
         counts = []
-        for g in (PETERSEN, padded):
+        for g in (PETERSEN, padded, spread):
             tc = enumerate_totally_cyclic_orientations(g)
             counts.append((tc, in_degree_sequence_count(g, tc)))
-        assert counts[0] == counts[1]
+        assert counts[0] == counts[1] == counts[2]
         assert (len(counts[0][0]), counts[0][1]) == (1920, 240)
+        assert widths and set(widths) == {10}
 
     def test_refusals_keep_their_order(self):
         # a bridge is reported before an xi above the cap
@@ -393,7 +407,7 @@ class TestFlowAnalysis:
 
     def test_component_count_is_computed_once(self, computed):
         g = Multigraph(5, K4_DOUBLED.edges + ((4, 4),))
-        searched, spaces = computed("_search"), computed("cycle_space")
+        searched, spaces = computed(Multigraph, "_search"), computed(Multigraph, "cycle_space")
         flow_analysis(g)
         assert [h is g for h in searched].count(True) == 1
         # one search and one cycle space per call, both of g

@@ -98,10 +98,9 @@ class TestStarVector:
         with pytest.raises(ValueError):
             StarVector((1, 0, 0, 2), 2, start=1)  # nonzero constant term
 
-    def test_degree_and_codegree(self):
+    def test_degree(self):
         v = StarVector((1, 1, 0), 2, start=0)
         assert v.degree == 1
-        assert v.codegree == 2
         with pytest.raises(ValueError):
             StarVector((0, 0), 1, start=0).degree
 

@@ -57,7 +57,7 @@ def listed_descents(p: Poset) -> tuple[int, ...]:
     """The descent distribution of the listed extensions, each written as
     the word of its labels under p's natural labeling."""
     d = p.element_count
-    label = {v: position for position, v in enumerate(p.natural_labeling())}
+    label = {v: position for position, v in enumerate(p.natural_labeling)}
     counts = [0] * (d + 1)
     for ext in linear_extensions(p):
         counts[sum(1 for a, b in zip(ext, ext[1:]) if label[a] > label[b])] += 1
@@ -138,7 +138,7 @@ def points_at(p: Poset, n: int, interior: bool = False) -> int:
     bump = 1 if interior else 0
     d = p.element_count
     related = [a | b for a, b in zip(p.above, p.below)]
-    labeling = p.natural_labeling()
+    labeling = p.natural_labeling
     left = (1 << d) - 1
     total = 1
     while left:
@@ -188,7 +188,7 @@ class TestPosetConstruction:
 
     def test_natural_labeling_is_lex_smallest(self):
         p = Poset.from_relation(4, [(2, 0), (3, 1)])
-        assert p.natural_labeling() == (2, 0, 3, 1)
+        assert p.natural_labeling == (2, 0, 3, 1)
 
     def test_linear_extension_count(self):
         assert len(list(linear_extensions(chain(4)))) == 1
@@ -388,7 +388,7 @@ class TestOrderPolytope:
             sample.append(Poset.from_relation(7, [(label[a], label[b]) for a in range(7) for b in _bits(p.above[a])]))
         mixed = 0
         for p in sample:
-            order = p.natural_labeling()
+            order = p.natural_labeling
             mixed += any(not p.above[u] and p.above[v] for i, u in enumerate(order) for v in order[i + 1 :])
         assert mixed >= 50
         fan_in = Poset.from_relation(7, [(i, 6) for i in range(6)])
