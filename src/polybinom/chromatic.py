@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import caps
-from .decompositions import SymmetricSplit, symmetric_split
+from .decompositions import SymmetricSplit, symmetric_split, tail_sums
 from .errors import CapExceeded, NotApplicable
 from .graphs import Multigraph, acyclic_orientations_up_to_reversal
 from .polynomials import StarVector, inverse_transform, star_from_values
@@ -235,33 +235,17 @@ def monomial_inequality_forms(d: int) -> list[tuple[int, LinearForm]]:
     if d not in (5, 6, 7):
         raise ValueError(f"supported degrees are 5..7, got {d}")
 
-    def star_row(i: int) -> tuple[int, list[int]]:
-        # star entry i of p as (constant, coeffs of c_1..c_{d-1})
-        const = 0
-        coeffs = [0] * (d - 1)
-        for k in range(i + 1):
-            sign = (-1) ** k * math.comb(d + 1, k)
-            x = i - k
-            const += sign * x**d
-            for t in range(1, d):
-                coeffs[t - 1] += sign * x**t
-        return const, coeffs
-
-    rows = [star_row(i) for i in range(d + 1)]
-    out = []
-    for j in range(2, d // 2 + 1):
-        const = 0
-        coeffs = [0] * (d - 1)
-        for i in range(d - j, d - 1):  # lhs: indices d-j .. d-2
-            const += rows[i][0]
-            for t in range(d - 1):
-                coeffs[t] += rows[i][1][t]
-        for i in range(2, j + 1):  # rhs: indices 2 .. j
-            const -= rows[i][0]
-            for t in range(d - 1):
-                coeffs[t] -= rows[i][1][t]
-        out.append((j, LinearForm(const, tuple(coeffs)).normalized()))
-    return out
+    # the rule is linear in the star vector, so the coefficient of c_t, and
+    # for t = d the constant, is lhs - rhs on the star vector of n^t
+    reports = [
+        tail_sums(star_from_values([x**t for x in range(d + 1)], d).entries, d, "tail_sums")
+        for t in range(1, d + 1)
+    ]
+    forms = []
+    for rows in zip(*(report.rows for report in reports)):
+        *coeffs, const = (row.lhs - row.rhs for row in rows)
+        forms.append((rows[0].j, LinearForm(const, tuple(coeffs)).normalized()))
+    return forms
 
 
 # Frozen reference rows for the supported degrees (regression goldens).

@@ -156,17 +156,21 @@ def _cmd_flow(args) -> int:
     if args.csv:
         _write_audit_csv(args.csv, args.file, checked.audits)
     if args.json:
-        # each orientation as its direction string, edge 0 first
+        # the table at each bound n, its nonzero entries keyed by each
+        # orientation's direction string, edge 0 first
         m = g.edge_count
-        table = {str(n): {format(k, f"0{m}b")[::-1]: v for k, v in t.items()} for n, t in kochol.items()}
+        table = {
+            str(n): {format(o, f"0{m}b")[::-1]: column[n - 1] for o, column in kochol.items() if column[n - 1]}
+            for n in range(1, xi + 3)
+        }
         payload = {**_graph_payload(checked, "constants_match_oracles", FLOW_FLAGS), "kochol_table": table}
         _emit_json({**payload, **_header(digest, checked)})
     else:
         constants_ok = checked.checks["constants_match_oracles"] == "pass"
         kochol_ok = checked.checks["kochol_sums_match_f"] == "pass"
         print(f"graph: {g.vertex_count} vertices, {g.edge_count} edges, xi = {xi}")
-        print(f"phi: {result.phi.pretty()}")
-        print(f"f: {result.f.pretty()}")
+        print(f"phi: {inverse_transform(result.phi_star).pretty()}")
+        print(f"f: {inverse_transform(result.f_star).pretty()}")
         print(f"phi_star: {tuple(result.phi_star.entries)}")
         print(f"f_star: {tuple(result.f_star.entries)}")
         print(f"alpha: {result.phi_split.p}")
@@ -177,8 +181,8 @@ def _cmd_flow(args) -> int:
         print(f"in-degree sequences: {result.indegree_sequence_count}")
         print(f"constants match oracles: {constants_ok}")
         print(f"orientation-sum identity (n=1..{xi + 2}): {kochol_ok}")
-        top = kochol[xi + 2]
-        print(f"orientation table at n={xi + 2}: {len(top)} orientations, total {sum(top.values())}")
+        top = [column[-1] for column in kochol.values() if column[-1]]
+        print(f"orientation table at n={xi + 2}: {len(top)} orientations, total {sum(top)}")
         print("audits:")
         print("\n".join(_audit_lines(checked.audits)))
     return _exit_code(checked)

@@ -32,10 +32,10 @@ not depend on it.
 
 This module only computes: every audit of the splits, and the comparison of
 their constant terms with the orientation oracles, is built in
-`polybinom.checks`.  Unlike chi, which is built only where it is shown, phi
-and f are kept on `FlowResult` as `Polynomial`s, because the checks read
-them as polynomials: `phi_degree_is_xi` reads phi's coefficients (its degree
-and whether they are integers) and `f_degree_is_xi` reads f's degree.
+`polybinom.checks`.  `FlowResult` holds integers only: the star vectors,
+their splits, the counts at the node and the Kochol columns.  Like chi, phi
+and f are built as `Polynomial`s only where they are shown; the checks read
+their star vectors, except for phi's integer coefficients.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from .graphs import (
     enumerate_totally_cyclic_orientations,
     in_degree_sequence_count,
 )
-from .polynomials import Polynomial, StarVector, inverse_transform, star_from_values
+from .polynomials import StarVector, inverse_transform, star_from_values
 
 __all__ = [
     "FlowResult",
@@ -175,21 +175,21 @@ def _half_codes(combos: np.ndarray, first: int, shift: int) -> tuple[np.ndarray,
             np.abs(combos).max(axis=1, initial=0))
 
 
-def kochol_tables(g: Multigraph, top: int) -> dict[int, dict[int, int]]:
-    """The Kochol table at every bound n = 1..top, from one scan at `top`.
+def kochol_tables(g: Multigraph, top: int) -> dict[int, tuple[int, ...]]:
+    """The Kochol table at every bound n = 1..top, from one scan at `top`:
+    one column (P_o(1), ..., P_o(top)) per orientation o that carries a flow.
 
-    Table n buckets the integer flows 0 < |x| < n by the orientation they
-    traverse, keyed by its mask as `enumerate_totally_cyclic_orientations`
+    Entry n - 1 of column o counts the integer flows 0 < |x| < n that
+    traverse o, keyed by its mask as `enumerate_totally_cyclic_orientations`
     lists it: bit e is set when edge e is reversed.  Every nowhere-zero
     integer flow is strictly positive along exactly one orientation (flip
-    each edge carrying a negative value), so the bucket of an orientation is
-    precisely the count of its strictly positive flows bounded by n, and the
-    buckets sum to the integral flow count f(n).  The scan keeps each flow
-    with |x| < top once, under its orientation and its level max |x|; bucket
-    o at n counts the flows of o with level < n.  Only the flows whose last
-    cotree coordinate is positive are scanned: the twin -x of such a flow
-    has the same level and is positive along the reversed orientation, so
-    each kept (orientation, level) is credited to both.
+    each edge carrying a negative value), so the entries at n sum to the
+    integral flow count f(n).  A forest, or top = 1, gives no column.  The
+    scan keeps each flow with |x| < top once, under its orientation and its
+    level max |x|, and counts it in its column from entry `level` on.  Only
+    the flows whose last cotree coordinate is positive are scanned: the twin
+    -x of such a flow has the same level and is positive along the reversed
+    orientation, so each kept (orientation, level) is credited to both.
 
     A kept flow's code is its orientation key above its level.  Key bit j is
     the sign of cotree coordinate j, and bit xi + r the sign of series class
@@ -197,17 +197,16 @@ def kochol_tables(g: Multigraph, top: int) -> dict[int, dict[int, int]]:
     halves' bits with the sign of each class row's sum, built row by row
     over the kept pairs only, and its level is the largest of the halves'
     levels and the block's peak.  Codes are counted per block, so no more
-    than one block of kept pairs is held.  The tables then come from one
-    count per (orientation, level), summed over the levels; each key
+    than one block of kept pairs is held.  The columns then come from one
+    count per (orientation, level), cumulated over the levels; each key
     becomes its orientation mask once, by `bit_sums`, a Python int however
-    many edges there are, and each table lists its orientations
-    lexicographically in their directions, edge 0 first.
+    many edges there are, and the columns are listed lexicographically in
+    their orientations' directions, edge 0 first.
     """
     xi = _check_caps(g, top)
     m = g.edge_count
-    tables: dict[int, dict[int, int]] = {n: {} for n in range(1, top + 1)}
     if xi == 0 or top == 1:  # a forest carries no nowhere-zero flow
-        return tables
+        return {}
     tree, cotree, _, cls, flipped = g.cycle_space
     rows = _class_rows(g)
     span = np.concatenate([np.arange(-(top - 1), 0), np.arange(1, top)]).astype(np.int64)
@@ -268,10 +267,7 @@ def kochol_tables(g: Multigraph, top: int) -> dict[int, dict[int, int]]:
     masks = bit_sums(keys.tolist(), weights, sum(1 << t for t, flip in zip(tree, flipped) if flip))
     # lexicographic in the directions, edge 0 first
     order = sorted(range(len(masks)), key=lambda i: format(masks[i], f"0{m}b")[::-1])
-    orientations = [masks[i] for i in order]
-    for n, column in enumerate(below[order].T.tolist(), start=1):
-        tables[n] = {o: k for o, k in zip(orientations, column) if k}
-    return tables
+    return {masks[i]: tuple(column) for i, column in zip(order, below[order].tolist())}
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +278,6 @@ def kochol_tables(g: Multigraph, top: int) -> dict[int, dict[int, int]]:
 class FlowResult:
     graph: Multigraph
     xi: int
-    phi: Polynomial
-    f: Polynomial
     phi_star: StarVector
     f_star: StarVector
     phi_split: SymmetricSplit
@@ -292,7 +286,8 @@ class FlowResult:
     f_node: int
     indegree_sequence_count: int
     tc_orientation_set: frozenset[int]  # masks, bit e set where edge e is reversed
-    kochol: dict[int, dict[int, int]] = field(compare=False)  # n = 1..xi+2, keyed by mask
+    # mask -> the column (P_o(1), ..., P_o(xi+2)) of `kochol_tables`
+    kochol: dict[int, tuple[int, ...]] = field(compare=False)
 
     @property
     def tc_orientation_count(self) -> int:
@@ -302,8 +297,8 @@ class FlowResult:
         return {
             "graph": self.graph.to_json(),
             "xi": self.xi,
-            "phi": self.phi.to_json(),
-            "f": self.f.to_json(),
+            "phi": inverse_transform(self.phi_star).to_json(),
+            "f": inverse_transform(self.f_star).to_json(),
             "phi_star": self.phi_star.to_json(),
             "f_star": self.f_star.to_json(),
             "alpha": list(self.phi_split.p),
@@ -330,9 +325,10 @@ def flow_analysis(g: Multigraph) -> FlowResult:
     polynomial of degree <= xi, and the counts at n = xi+2 are kept on the
     result as overdetermination nodes; `polybinom.checks` judges whether the
     polynomials fit them, and whether phi has integer coefficients.  The
-    integral count f(n) is the sum of the Kochol table at n, and all xi+2
-    tables come from one scan at n = xi+2; they are kept on the result, one
-    column P_o per orientation, each a polynomial of degree <= xi.
+    integral count f(n) is the sum of the Kochol columns' entries at n, and
+    all xi+2 entries of every column come from one scan at n = xi+2; the
+    columns are kept on the result, one P_o per orientation, each a
+    polynomial of degree <= xi.
     """
     _check_vertex_cap(g)
     if g.bridges:
@@ -345,13 +341,14 @@ def flow_analysis(g: Multigraph) -> FlowResult:
 
     *phi_counts, phi_node = [modular_flow_count(g, n) for n in range(1, xi + 3)]
     kochol = kochol_tables(g, xi + 2)
-    *f_counts, f_node = [sum(table.values()) for table in kochol.values()]
+    # every entry n, also of an empty table, so that f's node is always judged
+    *f_counts, f_node = [sum(column[n] for column in kochol.values()) for n in range(xi + 2)]
     phi_star = star_from_values(phi_counts, xi, start=1)
     f_star = star_from_values(f_counts, xi, start=1)
     phi_split = symmetric_split(phi_star.entries, xi + 1)
     f_split = symmetric_split(f_star.entries, xi + 1)
 
     return FlowResult(
-        g, xi, inverse_transform(phi_star), inverse_transform(f_star), phi_star, f_star,
-        phi_split, f_split, phi_node, f_node, in_degree_sequence_count(g, tc), frozenset(tc), kochol,
+        g, xi, phi_star, f_star, phi_split, f_split, phi_node, f_node,
+        in_degree_sequence_count(g, tc), frozenset(tc), kochol,
     )

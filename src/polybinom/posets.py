@@ -163,6 +163,39 @@ class Poset:
             placed |= 1 << v
         return tuple(order)
 
+    @cached_property
+    def _walk_plan(self) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
+        """Per component of the comparability graph, its size and, for each
+        non-maximal element in placement order, the offsets of its successors
+        among the elements after it: what the walks of `lattice_point_counts`
+        read at every dilate and in both modes.  A component is placed in P's
+        natural labeling filtered to it, its own natural labeling, with the
+        non-maximal elements, an order ideal, moved first."""
+        d, below = self.element_count, self.below
+        related = [a | b for a, b in zip(self.above, below)]
+        plan = []
+        left = (1 << d) - 1
+        while left:
+            component = frontier = left & -left
+            while frontier:
+                step = 0
+                for v in _bits(frontier):
+                    step |= related[v]
+                frontier = step & ~component
+                component |= step
+            left &= ~component
+            order = [v for v in self.natural_labeling if component >> v & 1]
+            non_maximal = 0
+            for v in order:
+                non_maximal |= below[v]
+            order = [v for v in order if non_maximal >> v & 1] + [v for v in order if not non_maximal >> v & 1]
+            successors = tuple(
+                tuple(j - i - 1 for j, u in enumerate(order) if below[u] >> v & 1)
+                for i, v in enumerate(order[:non_maximal.bit_count()])
+            )
+            plan.append((len(order), successors))
+        return tuple(plan)
+
     def to_json(self) -> dict:
         return {
             "elements": self.element_count,
@@ -291,13 +324,14 @@ def _check_lattice_point_cap(d: int) -> None:
         )
 
 
-def _maps_by_largest_value(order: list[int], below: Sequence[int], low: int, high: int, strict: bool) -> list[int]:
-    """``by_max[v]``: the maps f: order -> {low..high} respecting the order
-    (strictly or weakly) whose largest value is v, for v = 0..high.
+def _maps_by_largest_value(size: int, successors: Sequence[Sequence[int]], low: int, high: int, strict: bool) -> list[int]:
+    """``by_max[v]``: the maps f -> {low..high} of one component of `size`
+    elements respecting its order (strictly or weakly) whose largest value
+    is v, for v = 0..high.
 
-    `order` is a topological order of one component; its non-maximal
-    elements form an order ideal, so the order filtered to them is still
-    topological, and the walk places them first, one at a time.  A partial
+    The component is one entry of `Poset._walk_plan`: the walk places its
+    non-maximal elements one at a time, and `successors[i]` holds the
+    offsets of element i's successors among the elements after it.  A partial
     map matters to the rest only through the lower bounds it puts on the
     elements not yet placed, so the walk keeps a dict from that tuple of
     bounds to the number of partial maps that give it.  Each placed element
@@ -311,27 +345,18 @@ def _maps_by_largest_value(order: list[int], below: Sequence[int], low: int, hig
     sorting costs more than that.)
     """
     bump = 1 if strict else 0
-    non_maximal = 0
-    for v in order:
-        non_maximal |= below[v]
-    order = [v for v in order if non_maximal >> v & 1] + [v for v in order if not non_maximal >> v & 1]
-    # a state holds the bounds on order[i:] before element i is placed, and
-    # raised[i] indexes the successors of element i among order[i+1:]
-    raised = [
-        [j - i - 1 for j, u in enumerate(order) if below[u] >> v & 1]
-        for i, v in enumerate(order)
-    ]
     stop = high - bump + 1
-    states = {(low,) * len(order): 1}
-    for i in range(non_maximal.bit_count()):
+    # a state holds the bounds on elements i.. before element i is placed
+    states = {(low,) * size: 1}
+    for raised in successors:
         grown: dict[tuple[int, ...], int] = {}
-        get, successors = grown.get, raised[i]
+        get = grown.get
         for state, ways in states.items():
             # a successor's bound, once raised, is raised again by each larger value
             bounds = list(state[1:])
             for val in range(state[0], stop):
                 bound = val + bump
-                for j in successors:
+                for j in raised:
                     if bounds[j] < bound:
                         bounds[j] = bound
                 key = tuple(bounds)
@@ -359,12 +384,12 @@ def lattice_point_counts(p: Poset, top: int, *, interior: bool = False) -> list[
     largest value; the maps of a smaller dilate are those whose largest value
     fits it, so cumulative sums give every dilate.  Elements in different
     components constrain each other in no way, so P's counts are the
-    products of the components' counts.  Each component is walked on P's
-    own masks in P's natural labeling filtered to its elements, which is its
-    own natural labeling: the non-maximal elements are placed one value at
-    a time, with the partial maps merged by the lower bounds they leave on
-    the elements not yet placed, and the maximal elements are never branched
-    on: a product of their value ranges counts them (`_maps_by_largest_value`).
+    products of the components' counts.  The components and their placement
+    orders are P's `_walk_plan`, built once and read at every top and in both
+    modes.  In each walk the non-maximal elements are placed one value at a
+    time, with the partial maps merged by the lower bounds they leave on the
+    elements not yet placed, and the maximal elements are never branched on:
+    a product of their value ranges counts them (`_maps_by_largest_value`).
     The budget bounds the value box of the whole poset at the top dilate.
     """
     if top < 0:
@@ -378,22 +403,10 @@ def lattice_point_counts(p: Poset, top: int, *, interior: bool = False) -> list[
     span = high - low + 1
     if span > 0 and span**d > caps.POINT_ENUMERATION_BUDGET:
         raise CapExceeded(f"map enumeration budget exceeded: {span}^{d}")
-    related = [a | b for a, b in zip(p.above, p.below)]
-    labeling = p.natural_labeling
     # the interior of the n-th dilate takes values up to n-1
     shift = [0] if interior else []
-    left = (1 << d) - 1
-    while left:
-        component = frontier = left & -left
-        while frontier:
-            step = 0
-            for v in _bits(frontier):
-                step |= related[v]
-            frontier = step & ~component
-            component |= step
-        left &= ~component
-        order = [v for v in labeling if component >> v & 1]
-        by_max = _maps_by_largest_value(order, p.below, low, high, interior)
+    for size, successors in p._walk_plan:
+        by_max = _maps_by_largest_value(size, successors, low, high, interior)
         counts = [c * fits for c, fits in zip(counts, shift + list(accumulate(by_max)))]
     return counts
 

@@ -42,6 +42,7 @@ from polybinom.survey import (
     run_graph_survey,
     run_poset_survey,
 )
+from test_flows import per_bound
 from test_graphs import as_direction, enumerate_acyclic_orientations
 
 # survey record field -> the CLI JSON path of the same vector
@@ -248,6 +249,31 @@ def test_graph_survey_builds_no_polynomial(monkeypatch):
     assert report.ok and len(report.instances) == 10
 
 
+def test_flow_survey_builds_one_polynomial_per_instance(monkeypatch):
+    # phi and f are shown by no survey: only phi's integer-coefficient test
+    # builds a polynomial
+    built = []
+    init = Polynomial.__init__
+
+    def counted(self, coeffs=()):
+        built.append(self)
+        init(self, coeffs)
+
+    monkeypatch.setattr(Polynomial, "__init__", counted)
+    report = run_flow_survey(5)
+    assert report.ok and report.instances
+    assert len(built) == len(report.instances)
+
+
+def test_poset_checks_plan_each_walk_once(computed):
+    # both lattice walks, closed and interior, read one plan per poset
+    planned = computed(Poset, "_walk_plan")
+    for p in generate_posets(4):
+        planned.clear()
+        assert not poset_checks(p).failures
+        assert planned == [p]
+
+
 def test_poset_checks_label_each_poset_once(computed):
     # both lattice walks and the descent walk read one natural labeling
     labeled = computed(Poset, "natural_labeling")
@@ -313,10 +339,9 @@ def test_unmirrored_tables_are_a_reported_failure(monkeypatch, tmp_path, capsys)
 
     def halved(g, top):
         m = g.edge_count
-        return {
-            n: {o: k for o, k in table.items() if as_direction(o, m) < as_direction(o ^ (1 << m) - 1, m)}
-            for n, table in scan(g, top).items()
-        }
+        columns = scan(g, top)
+        kept = [o for o in per_bound(columns, top)[top] if as_direction(o, m) < as_direction(o ^ (1 << m) - 1, m)]
+        return {o: columns[o] for o in kept}
 
     monkeypatch.setattr(flows, "kochol_tables", halved)
     code, err, flags = _flow_cli_verdicts(tmp_path, capsys, complete_graph(4))
@@ -335,19 +360,17 @@ def test_column_with_a_negative_star_entry_is_a_reported_failure(monkeypatch, tm
     scan = flows.kochol_tables
 
     def shifted(g, top):
-        tables = scan(g, top)
+        columns = scan(g, top)
         xi = cyclomatic_number(g)
-        first, second = list(tables[top])[:2]
-        star = star_from_values([t.get(first, 0) for t in tables.values()], xi, start=1)
+        first, second = list(per_bound(columns, top)[top])[:2]
+        star = star_from_values(columns[first], xi, start=1)
         i = 2
         c = star.entries[i] + 1
-        for n, table in tables.items():
-            moved = c * math.comb(n + xi - i, xi)
-            table[first] = table.get(first, 0) - moved
-            table[second] = table.get(second, 0) + moved
-        column = [t[first] for t in tables.values()]
-        assert star_from_values(column, xi, start=1).entries[i] == -1
-        return tables
+        moved = [c * math.comb(n + xi - i, xi) for n in range(1, top + 1)]
+        columns[first] = tuple(k - x for k, x in zip(columns[first], moved))
+        columns[second] = tuple(k + x for k, x in zip(columns[second], moved))
+        assert star_from_values(columns[first], xi, start=1).entries[i] == -1
+        return columns
 
     monkeypatch.setattr(flows, "kochol_tables", shifted)
     code, err, flags = _flow_cli_verdicts(tmp_path, capsys, complete_graph(4))
@@ -365,12 +388,14 @@ def test_misbucketed_flow_is_a_reported_failure(monkeypatch, tmp_path, capsys):
     scan = flows.kochol_tables
 
     def moved(g, top):
-        tables = scan(g, top)
+        columns = scan(g, top)
         assert top == cyclomatic_number(g) + 2
-        first, second = list(tables[top])[:2]
-        tables[top][first] -= 1
-        tables[top][second] += 1
-        return tables
+        first, second = list(per_bound(columns, top)[top])[:2]
+        *below, at_top = columns[first]
+        columns[first] = (*below, at_top - 1)
+        *below, at_top = columns[second]
+        columns[second] = (*below, at_top + 1)
+        return columns
 
     monkeypatch.setattr(flows, "kochol_tables", moved)
     path = tmp_path / "k4.graph"
@@ -381,6 +406,18 @@ def test_misbucketed_flow_is_a_reported_failure(monkeypatch, tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["kochol_sums_match_f"] is False
     assert payload["kochol_keys_totally_cyclic"] is True
+
+
+def test_empty_table_is_a_reported_failure(monkeypatch, tmp_path, capsys):
+    # f is summed over all xi+2 bounds even when no column is left, so a
+    # scan that loses every flow fails checks instead of raising
+    import polybinom.flows as flows
+
+    monkeypatch.setattr(flows, "kochol_tables", lambda g, top: {})
+    code, err, flags = _flow_cli_verdicts(tmp_path, capsys, complete_graph(4))
+    assert code == EXIT_COUNTEREXAMPLE
+    assert "f_degree_is_xi" in err and "kochol_keys_totally_cyclic" in err
+    assert flags == {"kochol_sums_match_f": True, "kochol_keys_totally_cyclic": False}
 
 
 def test_graph_checks_enumerate_acyclic_orientations_once(monkeypatch):

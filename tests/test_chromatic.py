@@ -265,7 +265,45 @@ class TestSampledDegreeSevenFamily:
             self.assert_holds(random_connected_graph(rng, 7))
 
 
+def forms_by_finite_differences(d: int) -> list[tuple[int, LinearForm]]:
+    """Oracle for `monomial_inequality_forms`: each star entry of
+    p = n^d + c_{d-1} n^{d-1} + ... + c_1 n written out as a linear form by
+    its own finite difference, and the tail-sum ranges summed by hand."""
+
+    def star_row(i: int) -> tuple[int, list[int]]:
+        # star entry i of p as (constant, coeffs of c_1..c_{d-1})
+        const = 0
+        coeffs = [0] * (d - 1)
+        for k in range(i + 1):
+            sign = (-1) ** k * math.comb(d + 1, k)
+            x = i - k
+            const += sign * x**d
+            for t in range(1, d):
+                coeffs[t - 1] += sign * x**t
+        return const, coeffs
+
+    rows = [star_row(i) for i in range(d + 1)]
+    out = []
+    for j in range(2, d // 2 + 1):
+        const = 0
+        coeffs = [0] * (d - 1)
+        for i in range(d - j, d - 1):  # lhs: indices d-j .. d-2
+            const += rows[i][0]
+            for t in range(d - 1):
+                coeffs[t] += rows[i][1][t]
+        for i in range(2, j + 1):  # rhs: indices 2 .. j
+            const -= rows[i][0]
+            for t in range(d - 1):
+                coeffs[t] -= rows[i][1][t]
+        out.append((j, LinearForm(const, tuple(coeffs)).normalized()))
+    return out
+
+
 class TestMonomialForms:
+    @pytest.mark.parametrize("d", [5, 6, 7])
+    def test_forms_match_the_finite_difference_oracle(self, d):
+        assert monomial_inequality_forms(d) == forms_by_finite_differences(d)
+
     def test_degree_five(self):
         forms = monomial_inequality_forms(5)
         assert [j for j, _ in forms] == [2]

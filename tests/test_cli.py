@@ -28,7 +28,7 @@ from polybinom.polynomials import StarVector
 from polybinom.posets import Poset
 from polybinom.survey import flow_fixture_set
 
-from test_flows import kochol_table_at
+from test_flows import PETERSEN, kochol_table_at
 
 K3 = "vertices 3\nedge 0 1\nedge 0 2\nedge 1 2\n"
 P3 = "vertices 3\nedge 0 1\nedge 1 2\n"
@@ -531,6 +531,79 @@ audits:
   flow_mirror: pass
 """
 
+# the full `flow` text of two graphs with xi = 6, where f has fractional
+# coefficients and the orientation table has hundreds of keys
+PINNED_TEXT_FLOW_LARGER = {
+    "K5": (format_graph_file(complete_graph(5)), """\
+graph: 5 vertices, 10 edges, xi = 6
+phi: n^6 - 10*n^5 + 45*n^4 - 115*n^3 + 175*n^2 - 147*n + 51
+f: 16*n^6 - 146*n^5 + 1820/3*n^4 - 4310/3*n^3 + 6124/3*n^2 - 4876/3*n + 544
+phi_star: (0, 0, 1, 17, 132, 332, 187, 51)
+f_star: (0, 0, 24, 408, 2568, 5368, 2608, 544)
+alpha: (51, 238, 570, 701, 701, 570, 238, 51)
+beta: (51, 238, 569, 684, 569, 238, 51)
+c: (544, 3152, 8520, 11064, 11064, 8520, 3152, 544)
+d: (544, 3152, 8496, 10656, 8496, 3152, 544)
+totally cyclic orientations: 544
+in-degree sequences: 51
+constants match oracles: True
+orientation-sum identity (n=1..8): True
+orientation table at n=8: 544 orientations, total 1277696
+audits:
+  modular_star_nonnegative: pass
+  integral_star_nonnegative: pass
+  modular_chain_alpha: pass
+  modular_chain_beta: pass
+  integral_chain_c: pass
+  integral_chain_d: pass
+  modular_alpha_positive: pass
+  modular_beta_positive: pass
+  integral_c_positive: pass
+  integral_d_positive: pass
+  modular_alpha_ge_beta: pass
+  integral_c_ge_d: pass
+  flow_tail_sums_base[phi]: pass
+  flow_tail_sums_shifted[phi]: pass
+  flow_tail_sums_base[f]: pass
+  flow_tail_sums_shifted[f]: pass
+  flow_mirror: pass
+"""),
+    "petersen": (format_graph_file(PETERSEN), """\
+graph: 10 vertices, 15 edges, xi = 6
+phi: n^6 - 15*n^5 + 95*n^4 - 325*n^3 + 624*n^2 - 620*n + 240
+f: 55/6*n^6 - 267/2*n^5 + 4915/6*n^4 - 5445/2*n^3 + 15335/3*n^2 - 5004*n + 1920
+phi_star: (0, 0, 0, 0, 0, 240, 240, 240)
+f_star: (0, 0, 0, 0, 0, 2400, 2280, 1920)
+alpha: (240, 480, 720, 720, 720, 720, 480, 240)
+beta: (240, 480, 720, 720, 720, 480, 240)
+c: (1920, 4200, 6600, 6600, 6600, 6600, 4200, 1920)
+d: (1920, 4200, 6600, 6600, 6600, 4200, 1920)
+totally cyclic orientations: 1920
+in-degree sequences: 240
+constants match oracles: True
+orientation-sum identity (n=1..8): True
+orientation table at n=8: 1920 orientations, total 278880
+audits:
+  modular_star_nonnegative: pass
+  integral_star_nonnegative: pass
+  modular_chain_alpha: pass
+  modular_chain_beta: pass
+  integral_chain_c: pass
+  integral_chain_d: pass
+  modular_alpha_positive: pass
+  modular_beta_positive: pass
+  integral_c_positive: pass
+  integral_d_positive: pass
+  modular_alpha_ge_beta: pass
+  integral_c_ge_d: pass
+  flow_tail_sums_base[phi]: pass
+  flow_tail_sums_shifted[phi]: pass
+  flow_tail_sums_base[f]: pass
+  flow_tail_sums_shifted[f]: pass
+  flow_mirror: pass
+"""),
+}
+
 PINNED_TEXT_ORDER = """\
 poset: 5 elements, covers [(0, 2), (1, 2), (2, 3), (2, 4)]
 order polynomial: 1/30*n^5 - 1/6*n^4 + 1/3*n^3 - 1/3*n^2 + 2/15*n
@@ -657,6 +730,12 @@ class TestPinnedOutput:
     def test_text(self, write, capsys, command):
         text, expected, _ = PINNED[command]
         assert main([command, write("input.txt", text)]) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("name", sorted(PINNED_TEXT_FLOW_LARGER))
+    def test_flow_text_of_larger_graphs(self, write, capsys, name):
+        text, expected = PINNED_TEXT_FLOW_LARGER[name]
+        assert main(["flow", write(f"{name}.graph", text)]) == 0
         assert capsys.readouterr().out == expected
 
     @pytest.mark.parametrize("command", sorted(PINNED))

@@ -1,7 +1,8 @@
 """Every name a module exports resolves, so a deletion leaves no stale export;
 the README names the current value of every cap a user can hit, and the caps
-keep the relations the code relies on."""
+keep the relations the code relies on; only `polynomials` imports `fractions`."""
 
+import ast
 import importlib
 import pkgutil
 from pathlib import Path
@@ -73,3 +74,20 @@ def test_cap_relations():
     assert caps.FLOW_XI_SURVEY_CAP <= caps.FLOW_XI_CAP
     # the flow survey checks every graph class it lists
     assert caps.GRAPH_SURVEY_CAP <= caps.FLOW_VERTEX_CAP
+
+
+def test_only_polynomials_imports_fractions():
+    # every route counts in integers; `Polynomial`, built from a star vector
+    # only where it is shown, is the one place for rational coefficients
+    importers = []
+    for path in sorted(Path(polybinom.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "fractions" for name in names):
+                importers.append(path.name)
+    assert importers == ["polynomials.py"]

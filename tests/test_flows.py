@@ -41,6 +41,13 @@ PETERSEN = Multigraph(
 )
 
 
+def per_bound(columns: dict[int, tuple[int, ...]], top: int) -> dict[int, dict[int, int]]:
+    """The Kochol table at each bound n = 1..top, as the per-bound oracles
+    give it, from the columns of `kochol_tables`: the nonzero entries at n,
+    in column order."""
+    return {n: {o: column[n - 1] for o, column in columns.items() if column[n - 1]} for n in range(1, top + 1)}
+
+
 def with_directions(tables: dict[int, dict[int, int]], m: int) -> dict[int, dict[tuple[int, ...], int]]:
     """Kochol tables keyed by direction tuples, as the oracles key theirs,
     in the tables' own order."""
@@ -49,7 +56,7 @@ def with_directions(tables: dict[int, dict[int, int]], m: int) -> dict[int, dict
 
 def integral(g: Multigraph, n: int) -> int:
     """Nowhere-zero integer flows with 0 < |x| < n: the Kochol bucket sum."""
-    return sum(kochol_tables(g, n)[n].values())
+    return sum(per_bound(kochol_tables(g, n), n)[n].values())
 
 
 def cycle_matrix(g: Multigraph) -> tuple[list[int], list[int], np.ndarray]:
@@ -181,8 +188,9 @@ def flow_instances() -> list[tuple[str, Multigraph]]:
 
 @pytest.fixture(scope="module")
 def one_scan_tables():
-    """(name, graph, kochol_tables at xi+2) for every flow instance."""
-    return [(name, g, kochol_tables(g, cyclomatic_number(g) + 2)) for name, g in flow_instances()]
+    """(name, graph, the tables of `kochol_tables` at xi+2) for every flow instance."""
+    tops = [(name, g, cyclomatic_number(g) + 2) for name, g in flow_instances()]
+    return [(name, g, per_bound(kochol_tables(g, top), top)) for name, g, top in tops]
 
 
 def dense_integral(g: Multigraph, n: int) -> int:
@@ -320,11 +328,11 @@ class TestCounts:
 class TestFlowAnalysis:
     def test_double_edge(self):
         r = flow_analysis(dipole(2))
-        assert [r.phi(n) for n in (1, 2, 3)] == [0, 1, 2]
+        assert [r.phi_star.value(n) for n in (1, 2, 3)] == [0, 1, 2]
         assert r.phi_star.entries == (0, 0, 1)
         assert r.phi_split.p == (1, 1, 1)
         assert r.phi_split.q == (1, 1)
-        assert [r.f(n) for n in (1, 2, 3)] == [0, 2, 4]
+        assert [r.f_star.value(n) for n in (1, 2, 3)] == [0, 2, 4]
         assert r.f_star.entries == (0, 0, 2)
         assert r.f_split.p == (2, 2, 2)
         assert r.f_split.q == (2, 2)
@@ -346,7 +354,7 @@ class TestFlowAnalysis:
     def test_k4(self):
         r = flow_analysis(complete_graph(4))
         for n in range(1, 6):
-            assert r.phi(n) == (n - 1) * (n - 2) * (n - 3)
+            assert r.phi_star.value(n) == (n - 1) * (n - 2) * (n - 3)
 
     def test_bridge_not_applicable(self):
         with pytest.raises(NotApplicable) as err:
@@ -420,7 +428,15 @@ class TestFlowAnalysis:
             "polybinom.flows.modular_flow_count", lambda g, n: n * (n - 1) * (n - 2) // 6
         )
         checked = flow_checks(complete_graph(4))
-        assert checked.result.phi_node == checked.result.phi(5) == 10
+        assert checked.result.phi_node == checked.result.phi_star.value(5) == 10
+        assert checked.checks["phi_degree_is_xi"] == "fail"
+
+    def test_modular_count_of_lower_degree_fails_a_check(self, monkeypatch):
+        # n - 1 has integer coefficients and fits the theta graph's node
+        # n = 4, but its degree is 1, not xi = 2: its star entries sum to 0
+        monkeypatch.setattr("polybinom.flows.modular_flow_count", lambda g, n: n - 1)
+        checked = flow_checks(THETA)
+        assert sum(checked.result.phi_star.entries) == 0
         assert checked.checks["phi_degree_is_xi"] == "fail"
 
     def test_modular_node_miscount_fails_a_check(self, monkeypatch):
@@ -429,21 +445,22 @@ class TestFlowAnalysis:
         # through the first three
         monkeypatch.setattr("polybinom.flows.modular_flow_count", lambda g, n: [0, 0, 2, 7][n - 1])
         checked = flow_checks(THETA)
-        assert (checked.result.phi(4), checked.result.phi_node) == (6, 7)
+        assert (checked.result.phi_star.value(4), checked.result.phi_node) == (6, 7)
         assert checked.failures == ["phi_degree_is_xi"]
 
     def test_integral_node_miscount_fails_a_check(self, monkeypatch):
         # one flow too many at the top bound breaks the node of f and of
         # that orientation's column
         def miscounted(g, top):
-            tables = kochol_tables(g, top)
-            first = next(iter(tables[top]))
-            tables[top][first] += 1
-            return tables
+            columns = kochol_tables(g, top)
+            first = next(iter(columns))
+            *below, at_top = columns[first]
+            columns[first] = (*below, at_top + 1)
+            return columns
 
         monkeypatch.setattr("polybinom.flows.kochol_tables", miscounted)
         checked = flow_checks(THETA)
-        assert checked.result.f_node == checked.result.f(4) + 1
+        assert checked.result.f_node == checked.result.f_star.value(4) + 1
         assert checked.failures == ["f_degree_is_xi", "kochol_sums_match_f"]
 
     def test_audits_pass_on_fixtures(self):
@@ -471,47 +488,54 @@ class TestTutteOracle:
             r = flow_analysis(g)
             for n in range(1, r.xi + 3):
                 t = int(tutte.subs({"x": 0, "y": 1 - n}))
-                assert r.phi(n) == (-1) ** r.xi * t, (g, n)
+                assert r.phi_star.value(n) == (-1) ** r.xi * t, (g, n)
             totally_cyclic = int(tutte.subs({"x": 0, "y": 2}))
             assert r.tc_orientation_count == totally_cyclic, g
-            assert len(r.kochol[r.xi + 2]) == totally_cyclic, g
+            assert len(per_bound(r.kochol, r.xi + 2)[r.xi + 2]) == totally_cyclic, g
 
 
 class TestKochol:
     def test_theta_each_orientation_contributes_once(self):
-        table = kochol_tables(THETA, 3)[3]
+        table = per_bound(kochol_tables(THETA, 3), 3)[3]
         assert len(table) == 6
         assert set(table.values()) == {1}
         assert sum(table.values()) == dense_integral(THETA, 3)
 
     def test_double_edge_n2(self):
         # keys are masks, listed as their directions sort: (0, 1) before (1, 0)
-        tables = kochol_tables(dipole(2), 2)
-        assert tables == {1: {}, 2: {0b10: 1, 0b01: 1}}
-        assert list(tables[2]) == [0b10, 0b01]
+        columns = kochol_tables(dipole(2), 2)
+        assert columns == {0b10: (0, 1), 0b01: (0, 1)}
+        assert list(columns) == [0b10, 0b01]
+
+    def test_columns_never_decrease(self):
+        # entry n - 1 of a column counts the flows of its orientation with
+        # 0 < |x| < n, so a larger bound never counts fewer
+        columns = kochol_tables(complete_graph(4), 5)
+        assert columns and all(type(column) is tuple and len(column) == 5 for column in columns.values())
+        assert all(list(column) == sorted(column) for column in columns.values())
 
     def test_n1_empty(self):
-        assert kochol_tables(THETA, 1) == {1: {}}
+        assert kochol_tables(THETA, 1) == {}
 
     def test_a_forest_has_empty_tables(self):
-        assert kochol_tables(path_graph(3), 4) == {n: {} for n in range(1, 5)}
+        assert kochol_tables(path_graph(3), 4) == {}
 
     def test_a_bridge_forces_zero_past_the_sums_type(self):
         # every tree row is zero, so every sum fits int8, but the bound does
         # not: a zero sum must still be dropped
         g = Multigraph(2, ((0, 0), (0, 1)))
-        assert kochol_tables(g, 300) == {n: {} for n in range(1, 301)}
+        assert kochol_tables(g, 300) == {}
         assert modular_flow_count(g, 300) == 0
 
     def test_more_edges_than_an_int64_code_holds(self):
         # 69 tree edges in series: one class row, one key bit; the masks are
         # Python ints, so the all-reversed one is 2^70 - 1, not a wrapped -1
-        tables = kochol_tables(cycle_graph(70), 3)
-        assert tables == {1: {}, 2: {0: 1, 2**70 - 1: 1}, 3: {0: 2, 2**70 - 1: 2}}
-        assert all(type(o) is int for table in tables.values() for o in table)
+        columns = kochol_tables(cycle_graph(70), 3)
+        assert per_bound(columns, 3) == {1: {}, 2: {0: 1, 2**70 - 1: 1}, 3: {0: 2, 2**70 - 1: 2}}
+        assert all(type(o) is int for o in columns)
 
     def test_long_cycle_keys_are_the_two_directions(self):
-        tables = kochol_tables(cycle_graph(20), 3)
+        tables = per_bound(kochol_tables(cycle_graph(20), 3), 3)
         assert [list(table) for table in tables.values()] == [[], [0, 2**20 - 1], [0, 2**20 - 1]]
         assert list(tables[3]) == enumerate_totally_cyclic_orientations(cycle_graph(20))
 
@@ -527,7 +551,7 @@ class TestKochol:
     )
     def test_multigraph_keys_match_the_oracle(self, g):
         xi = cyclomatic_number(g)
-        tables = kochol_tables(g, xi + 2)
+        tables = per_bound(kochol_tables(g, xi + 2), xi + 2)
         oracle = {n: kochol_table_at(g, n) for n in range(1, xi + 3)}
         directed = with_directions(tables, g.edge_count)
         assert directed == oracle
@@ -538,7 +562,7 @@ class TestKochol:
         for g in (THETA, complete_graph(4), K4_DOUBLED):
             tc = set(enumerate_totally_cyclic_orientations(g))
             xi = cyclomatic_number(g)
-            tables = kochol_tables(g, xi + 2)
+            tables = per_bound(kochol_tables(g, xi + 2), xi + 2)
             for n in (2, 3, 4):
                 assert set(tables[n]) <= tc
             # every open flow polytope has dimension xi, so interior points
@@ -548,7 +572,7 @@ class TestKochol:
     def test_buckets_match_per_orientation_recount(self):
         # the one-pass table must agree with independent per-orientation counts
         for g in (dipole(2), THETA, complete_graph(4)):
-            tables = kochol_tables(g, 3)
+            tables = per_bound(kochol_tables(g, 3), 3)
             for n in (2, 3):
                 for o in enumerate_totally_cyclic_orientations(g):
                     assert tables[n].get(o, 0) == positive_flow_count(g, as_direction(o, g.edge_count), n)
@@ -577,7 +601,7 @@ class TestKochol:
         for g in [*connected_graph_classes(7), *(g for _, g in flow_fixture_set())]:
             xi = cyclomatic_number(g)
             if g.is_bridgeless and 1 <= xi <= 6:
-                tables = with_directions(kochol_tables(g, xi + 2), g.edge_count)
+                tables = with_directions(per_bound(kochol_tables(g, xi + 2), xi + 2), g.edge_count)
                 tables = [list(table.items()) for table in tables.values()]
                 digest.update(repr((tables, [modular_flow_count(g, n) for n in range(1, xi + 3)])).encode())
                 count += 1
@@ -588,7 +612,7 @@ class TestKochol:
         # a top bound past xi+2 gives the same lower tables
         for g in (THETA, K4_DOUBLED, Multigraph(2, THETA.edges + ((0, 0),))):
             xi = cyclomatic_number(g)
-            assert with_directions(kochol_tables(g, xi + 4), g.edge_count) == {
+            assert with_directions(per_bound(kochol_tables(g, xi + 4), xi + 4), g.edge_count) == {
                 n: kochol_table_at(g, n) for n in range(1, xi + 5)
             }
 
@@ -596,7 +620,7 @@ class TestKochol:
     def test_tree_sums_reaching_128(self, g, top):
         # the largest tree value is exactly 128, which int8 cannot hold: the
         # scan must widen, or the flows at x = +-128 get the wrong sign
-        tables = with_directions(kochol_tables(g, top), g.edge_count)
+        tables = with_directions(per_bound(kochol_tables(g, top), top), g.edge_count)
         assert [tables[n] for n in (top - 1, top)] == [kochol_table_at(g, n) for n in (top - 1, top)]
 
     def test_sum_identity_across_range(self):
@@ -604,9 +628,10 @@ class TestKochol:
         for g in (dipole(4), K4_DOUBLED):
             r = flow_analysis(g)
             tc = enumerate_totally_cyclic_orientations(g)
+            tables = with_directions(per_bound(r.kochol, r.xi + 2), g.edge_count)
             for n in range(1, r.xi + 3):
-                assert sum(positive_flow_count(g, as_direction(o, g.edge_count), n) for o in tc) == r.f(n)
-                assert with_directions(r.kochol, g.edge_count)[n] == kochol_table_at(g, n)
+                assert sum(positive_flow_count(g, as_direction(o, g.edge_count), n) for o in tc) == r.f_star.value(n)
+                assert tables[n] == kochol_table_at(g, n)
 
 
 class TestClosedForms:
@@ -674,7 +699,7 @@ class TestPairKernel:
         monkeypatch.setattr(flows, "_kept_pairs", recorded)
         blocked = kochol_tables(g, xi + 2)
         assert blocked == tables
-        assert [list(t) for t in blocked.values()] == [list(t) for t in tables.values()]
+        assert list(blocked) == list(tables)
         assert len(scans[0]) > 1  # the integral scan
         assert [modular_flow_count(g, n) for n in range(1, xi + 3)] == counts
         assert any(len(heights) > 1 and heights[-1] < heights[0] for heights in scans)
