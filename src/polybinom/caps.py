@@ -125,10 +125,10 @@ FLOW_XI_CAP = 7
 # (`graph_checks`).
 GRAPH_SURVEY_CAP = 7
 
-# The exhaustive poset survey at d = 7 grows its 2045 classes in 0.45 to
-# 0.53 s and checks all 2450 classes of d <= 7 in 5.0 to 5.7 s, at 57 MB
-# peak RSS (Python 3.11, one process on 2 shared cores).  Must not exceed
-# LATTICE_POINT_ELEMENT_CAP, which `poset_checks` needs.
+# The exhaustive poset survey grows each level once (0.42 to 0.43 s for the
+# 2450 classes of d <= 7), and `survey posets --max-size 7 --json` checks
+# them in 3.0 to 3.3 s at 39 MB peak RSS (Python 3.11, one process on 2
+# shared cores).  Must not exceed LATTICE_POINT_ELEMENT_CAP (`poset_checks`).
 POSET_SURVEY_CAP = 7
 # The flow survey skips xi = 6 and 7.  One instance with xi = 6 (K5) takes
 # about 0.06 s (`flow_checks`, best of 5; Python 3.11, one core), and the 9

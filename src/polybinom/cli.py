@@ -55,7 +55,9 @@ def _timestamp() -> str:
 
 
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    # streamed: joining the indented encoder's chunks would hold the report twice
+    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
+    print()
 
 
 def _audit_lines(audits) -> list[str]:

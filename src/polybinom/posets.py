@@ -34,11 +34,11 @@ against the lattice-point oracle.  It lists no extension: one walk over
 the order ideals, each with the last element placed, counts them by
 descents (`hstar_via_descents`, d <= 10).
 
-`generate_posets` grows the isomorphism classes one element at a time, a
-new maximal element above one order ideal of each smaller class.  A class
-has one canonical form, its smallest relabeling along a linear extension
-(`_smallest_relabeling`); `poset_certificate` packs it into one integer,
-which both deduplicates the classes and decodes into their representatives.
+`poset_classes` grows each level of isomorphism classes once, from the one
+before: a new maximal element above one order ideal of each smaller class.
+A class has one canonical form, its smallest relabeling along a linear
+extension (`_smallest_relabeling`); `poset_certificate` packs it into one
+integer, which both deduplicates the classes and decodes into them.
 """
 
 from __future__ import annotations
@@ -59,13 +59,13 @@ __all__ = [
     "chain",
     "chain_code_counts",
     "ehrhart_star",
-    "generate_posets",
     "hstar_via_descents",
     "interior_star",
     "lattice_point_counts",
     "omega_star",
     "parse_poset_file",
     "poset_certificate",
+    "poset_classes",
     "strict_chain_code",
 ]
 
@@ -486,34 +486,32 @@ def _rows(certificate: tuple[int, int]) -> tuple[int, ...]:
     return tuple(code >> (i * d) & ((1 << d) - 1) for i in range(d))
 
 
-def generate_posets(d: int) -> list[Poset]:
-    """All isomorphism classes of posets on d labeled elements, each as the
-    canonical form its certificate decodes into, ordered by certificate.
+def poset_classes(max_d: int) -> Iterator[list[Poset]]:
+    """The isomorphism classes of posets on d = 1..max_d elements, a list per
+    d, each class as the canonical form its certificate decodes into, ordered
+    by certificate.
 
-    Grows the classes one element at a time (`_grow`, after Brinkmann and
-    McKay, *Posets on up to 16 points*, Order 2002): every poset on k
-    elements is one on k-1 elements with a maximal element put back above
-    the order ideal it covered.  Class counts for d = 1..7 are 1, 2, 5, 16,
-    63, 318, 2045, which the test suite pins as a generator self-check.
+    Grows each level once, from the one yielded before it (`_grow`, after
+    Brinkmann and McKay, *Posets on up to 16 points*, Order 2002): every poset
+    on k elements is one on k-1 elements with a maximal element put back
+    above the order ideal it covered.  Class counts for d = 1..7 are 1, 2, 5,
+    16, 63, 318, 2045, which the test suite pins as a generator self-check.
     """
-    if d < 0:
-        raise ValueError("element count must be nonnegative")
-    certificates = {poset_certificate(Poset(0, ()))}
-    for k in range(1, d + 1):
-        certificates = _grow(certificates, k)
-    return [Poset(d, _rows(c)) for c in sorted(certificates)]
+    level = [Poset(0, ())]
+    for k in range(1, max_d + 1):
+        level = [Poset(k, _rows(c)) for c in sorted(_grow(level, k))]
+        yield level
 
 
-def _grow(certificates: Iterable[tuple[int, int]], k: int) -> set[tuple[int, int]]:
+def _grow(level: Iterable[Poset], k: int) -> set[tuple[int, int]]:
     """The certificates of the classes on k elements: each class on k-1
-    elements, decoded from its certificate as its smallest relabeling (which
-    is naturally labeled), with a new top element k-1 above one of its order
-    ideals.  The new element is maximal and its down-set is that ideal, so
-    every class is reached, and one relabeling is computed per pair."""
+    elements, given as its smallest relabeling (which is naturally labeled),
+    with a new top element k-1 above one of its order ideals.  The new
+    element is maximal and its down-set is that ideal, so every class is
+    reached, and one relabeling is computed per pair."""
     top = 1 << (k - 1)
     grown: set[tuple[int, int]] = set()
-    for certificate in certificates:
-        p = Poset(k - 1, _rows(certificate))
+    for p in level:
         # a natural labeling puts everything below v before v
         ideals = [0]
         for v, under in enumerate(p.below):

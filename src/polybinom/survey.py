@@ -2,12 +2,13 @@
 
 Families are deterministic: connected simple graphs grow one vertex at a
 time, each new vertex joined to every nonempty subset of the old ones, and
-are deduplicated by canonical certificate; posets come from the validated
-generator, flow instances from the bridgeless graphs plus a fixed
-multigraph fixture set.  A family with no instance is rejected, so a run
-that verifies nothing never reads as a pass.  Every skipped instance
-carries a machine-readable reason; every failed check lands in the
-counterexample list (expected empty).
+are deduplicated by canonical certificate; posets grow one element at a
+time, flow instances are the bridgeless graphs plus a fixed multigraph
+fixture set.  Each level is grown once, from the one before, and checked as
+it is read; only the records outlive it.  A family with no instance is
+rejected, so a run that verifies nothing never reads as a pass.  Every
+skipped instance carries a machine-readable reason; every failed check
+lands in the counterexample list (expected empty).
 """
 
 from __future__ import annotations
@@ -17,13 +18,14 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
+from typing import Iterable, Iterator
 
 from . import __version__, caps
 from .checks import FlowChecks, GraphChecks, PosetChecks, flow_checks, graph_checks, poset_checks
 from .errors import CapExceeded, NotApplicable
 from .graphs import Multigraph, complete_graph, cyclomatic_number, dipole, graph_certificate
-from .posets import Poset, generate_posets
+from .posets import Poset, poset_classes
 
 __all__ = [
     "SurveyReport",
@@ -38,37 +40,31 @@ __all__ = [
 # instance families
 
 
-def connected_graph_classes(max_d: int) -> list[Multigraph]:
-    """Connected simple graphs on 1..max_d vertices, one per isomorphism class.
+def connected_graph_classes(max_d: int) -> Iterator[list[Multigraph]]:
+    """Connected simple graphs, one per isomorphism class: a list per d = 1..max_d.
 
-    The classes on d vertices grow from those on d-1: a new vertex d-1 is
-    joined to every nonempty subset of 0..d-2, and the results are
-    deduplicated by `graph_certificate`.  That reaches every class, because
-    a connected graph on d >= 2 vertices has a vertex whose removal leaves
-    it connected (a leaf of a spanning tree).  Each class is represented by
-    its certificate's edge list, the smallest sorted edge list over the
-    relabelings that sort the vertices by their refined degree classes, and
-    the classes are listed by (m, edges).  Both depend only on the class, so
-    the output is independent of the order of growth, and the certificate's
-    refinement search finds the same list that trying every such relabeling
-    would.
+    The classes on d vertices grow once, from the list on d-1 yielded before
+    them: a new vertex d-1 is joined to every nonempty subset of 0..d-2, and
+    the results are deduplicated by `graph_certificate`.  That reaches every
+    class, because a connected graph on d >= 2 vertices has a vertex whose
+    removal leaves it connected (a leaf of a spanning tree).  Each class is
+    represented by its certificate's edge list, the smallest sorted edge
+    list over the relabelings that sort the vertices by their refined degree
+    classes, and the classes are listed by (m, edges).  Both depend only on
+    the class, so the output is independent of the order of growth, and the
+    certificate's refinement search finds the same list that trying every
+    such relabeling would.
     """
-    out: list[Multigraph] = []
     level = [Multigraph(1, ())]
     for d in range(1, max_d + 1):
         if d > 1:
-            seen: set[tuple] = set()
-            grown = []
+            certificates = set()
             for g in level:
                 for mask in range(1, 1 << (d - 1)):
                     edges = g.edges + tuple((u, d - 1) for u in range(d - 1) if mask >> u & 1)
-                    cert = graph_certificate(Multigraph(d, edges))
-                    if cert not in seen:
-                        seen.add(cert)
-                        grown.append(Multigraph(d, cert[1]))
-            level = sorted(grown, key=lambda g: (g.edge_count, g.edges))
-        out.extend(level)
-    return out
+                    certificates.add(graph_certificate(Multigraph(d, edges)))
+            level = sorted((Multigraph(d, edges) for _, edges in certificates), key=lambda g: (g.edge_count, g.edges))
+        yield level
 
 
 def flow_fixture_set() -> list[tuple[str, Multigraph]]:
@@ -184,18 +180,12 @@ class SurveyReport:
             body["run"] = {"timestamp": timestamp, "elapsed_seconds": self.elapsed_seconds}
         return body
 
-    def run(self, instances, check, record) -> "SurveyReport":
-        """Check each (id, instance): record its table, or skip it as out of scope.
+    def run(self, instances: Iterable[tuple[str, object]], check, record) -> "SurveyReport":
+        """Check each (id, instance) as it is read: record its table, or skip it as out of scope.
 
         An instance above an enumeration cap is skipped with reason ``cap``.
         An empty family is rejected: a run that checks nothing verifies nothing.
         """
-        if not instances:
-            raise NotApplicable(
-                "max-size",
-                f"no {self.kind} instance to verify at max-size {self.scope['max_size']} "
-                f"({self.scope['mode']} mode)",
-            )
         for instance_id, instance in instances:
             try:
                 checked = check(instance)
@@ -206,6 +196,12 @@ class SurveyReport:
                 self.skip(instance_id, "cap")
                 continue
             self.record(instance_id, record(checked), checked.checks)
+        if not self.instances and not self.skipped:
+            raise NotApplicable(
+                "max-size",
+                f"no {self.kind} instance to verify at max-size {self.scope['max_size']} "
+                f"({self.scope['mode']} mode)",
+            )
         self.elapsed_seconds = time.perf_counter() - self.started
         return self
 
@@ -250,14 +246,14 @@ def _flow_record(checked: FlowChecks) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# survey drivers: family construction, then one shared check loop
+# survey drivers: one shared check loop over a family read a level at a time
 
 
-def _graph_family(max_size: int) -> list[Multigraph]:
-    """The exhaustive graph family; refused above `caps.GRAPH_SURVEY_CAP` before it is built."""
+def _graph_family(max_size: int) -> Iterator[Multigraph]:
+    """The exhaustive graph family, read lazily; refused above `caps.GRAPH_SURVEY_CAP` first."""
     if max_size > caps.GRAPH_SURVEY_CAP:
         raise CapExceeded(f"graph survey cap is {caps.GRAPH_SURVEY_CAP} vertices, got {max_size}")
-    return connected_graph_classes(max_size)
+    return chain.from_iterable(connected_graph_classes(max_size))
 
 
 def run_graph_survey(max_size: int, mode: str = "exhaustive", seed: int = 0) -> SurveyReport:
@@ -269,11 +265,11 @@ def run_graph_survey(max_size: int, mode: str = "exhaustive", seed: int = 0) -> 
         graphs = sample_graphs(seed, count=25, max_d=max_size)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return report.run([(_graph_id(g), g) for g in graphs], graph_checks, _graph_record)
+    return report.run(((_graph_id(g), g) for g in graphs), graph_checks, _graph_record)
 
 
 def run_poset_survey(max_size: int, mode: str = "exhaustive", seed: int = 0) -> SurveyReport:
-    """`poset_checks` over poset isomorphism classes.
+    """`poset_checks` over poset isomorphism classes, each level checked before the next is grown.
 
     An exhaustive run above `caps.POSET_SURVEY_CAP` elements is refused before
     any poset is generated, rather than checking fewer sizes than asked.
@@ -282,14 +278,19 @@ def run_poset_survey(max_size: int, mode: str = "exhaustive", seed: int = 0) -> 
     if mode == "exhaustive":
         if max_size > caps.POSET_SURVEY_CAP:
             raise CapExceeded(f"poset survey cap is {caps.POSET_SURVEY_CAP} elements, got {max_size}")
-        families = [generate_posets(d) for d in range(1, max_size + 1)]
-        report.scope["class_counts"] = [len(family) for family in families]
-        posets = [p for family in families for p in family]
+        counts = report.scope["class_counts"] = []
+
+        def levels() -> Iterator[Poset]:
+            for level in poset_classes(max_size):
+                counts.append(len(level))
+                yield from level
+
+        posets = levels()
     elif mode == "sample":
         posets = sample_posets(seed, count=25, max_d=max_size)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return report.run([(_poset_id(p), p) for p in posets], poset_checks, _poset_record)
+    return report.run(((_poset_id(p), p) for p in posets), poset_checks, _poset_record)
 
 
 def run_flow_survey(max_size: int, mode: str = "exhaustive", seed: int = 0) -> SurveyReport:
@@ -299,8 +300,7 @@ def run_flow_survey(max_size: int, mode: str = "exhaustive", seed: int = 0) -> S
         "flows", {"max_size": max_size, "mode": mode, "seed": seed, "max_xi": caps.FLOW_XI_SURVEY_CAP}
     )
     if mode == "exhaustive":
-        graphs = _graph_family(max_size)
-        instances = [(_graph_id(g), g) for g in graphs] + flow_fixture_set()
+        instances = chain(((_graph_id(g), g) for g in _graph_family(max_size)), flow_fixture_set())
     elif mode == "sample":
         instances = [
             (_graph_id(g), g) for g in sample_graphs(seed, 15, max_size, bridgeless=True)

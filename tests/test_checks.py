@@ -27,10 +27,10 @@ from polybinom.posets import (
     chain,
     ehrhart_star,
     format_poset_file,
-    generate_posets,
     hstar_via_descents,
     lattice_point_counts,
     omega_star,
+    poset_classes,
     strict_chain_code,
 )
 from polybinom.survey import (
@@ -44,6 +44,7 @@ from polybinom.survey import (
 )
 from test_flows import per_bound
 from test_graphs import as_direction, enumerate_acyclic_orientations
+from test_posets import posets_on
 
 # survey record field -> the CLI JSON path of the same vector
 SHARED = {
@@ -66,8 +67,8 @@ SHARED = {
 
 
 def _survey_cases():
-    graphs = {_graph_id(g): g for g in connected_graph_classes(4)}
-    posets = {_poset_id(p): p for d in range(1, 5) for p in generate_posets(d)}
+    graphs = {_graph_id(g): g for level in connected_graph_classes(4) for g in level}
+    posets = {_poset_id(p): p for level in poset_classes(4) for p in level}
     flow_instances = {**graphs, **dict(flow_fixture_set())}
     return [
         ("chromatic", run_graph_survey(4), graphs, format_graph_file),
@@ -137,10 +138,11 @@ ORACLE_CHECKS = {
 
 def _checked_instances(kind):
     if kind == "graph":
-        return [graph_checks(g) for g in [*connected_graph_classes(4), complete_graph(5), cycle_graph(6)]]
+        graphs = [g for level in connected_graph_classes(4) for g in level]
+        return [graph_checks(g) for g in [*graphs, complete_graph(5), cycle_graph(6)]]
     if kind == "flow":
         return [flow_checks(g) for _, g in [*flow_fixture_set(), ("K4", complete_graph(4))]]
-    return [poset_checks(p) for d in range(1, 5) for p in generate_posets(d)]
+    return [poset_checks(p) for level in poset_classes(4) for p in level]
 
 
 @pytest.mark.parametrize("kind", sorted(ORACLE_CHECKS))
@@ -268,7 +270,7 @@ def test_flow_survey_builds_one_polynomial_per_instance(monkeypatch):
 def test_poset_checks_plan_each_walk_once(computed):
     # both lattice walks, closed and interior, read one plan per poset
     planned = computed(Poset, "_walk_plan")
-    for p in generate_posets(4):
+    for p in posets_on(4):
         planned.clear()
         assert not poset_checks(p).failures
         assert planned == [p]
@@ -277,7 +279,7 @@ def test_poset_checks_plan_each_walk_once(computed):
 def test_poset_checks_label_each_poset_once(computed):
     # both lattice walks and the descent walk read one natural labeling
     labeled = computed(Poset, "natural_labeling")
-    for p in generate_posets(4):
+    for p in posets_on(4):
         labeled.clear()
         assert not poset_checks(p).failures
         assert labeled == [p]

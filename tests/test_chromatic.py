@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import chain
 
 import pytest
 
@@ -184,7 +185,7 @@ class TestTutteOracle:
         pytest.importorskip("sympy")  # networkx builds the Tutte polynomial in sympy
         doubled = Multigraph(4, ((0, 1), (1, 2), (2, 3), (3, 0), (1, 2)))
         named = [complete_graph(6), wheel_graph(6), cycle_graph(7), doubled]
-        for g in connected_graph_classes(5) + named:
+        for g in [*chain.from_iterable(connected_graph_classes(5)), *named]:
             nxg = nx.MultiGraph()
             nxg.add_nodes_from(range(g.vertex_count))
             nxg.add_edges_from(g.edges)
@@ -218,7 +219,7 @@ class TestOrderPolynomialRoute:
     def test_summing_counts_is_summing_order_stars(self):
         # the identity is linear in the values, so the star vector of the
         # summed counts is the entrywise sum of the per-poset order stars
-        for g in connected_graph_classes(6):
+        for g in chain.from_iterable(connected_graph_classes(6)):
             d = g.vertex_count
             orientations = enumerate_acyclic_orientations(g)
             total = [0] * (d + 1)

@@ -4,6 +4,7 @@ import string
 import subprocess
 import sys
 import time
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from polybinom.graphs import (
 )
 from polybinom.polynomials import StarVector
 from polybinom.posets import Poset
-from polybinom.survey import flow_fixture_set
+from polybinom.survey import flow_fixture_set, run_poset_survey
 
 from test_flows import PETERSEN, kochol_table_at
 
@@ -367,6 +368,20 @@ class TestSurveyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "cap exceeded: graph survey cap is 7 vertices, got 8\n"
+
+    def test_json_report_is_streamed(self, monkeypatch):
+        # the indented encoder's chunks are written as they come, not joined
+        # into one string first
+        payload = run_poset_survey(5).to_json()
+        size = len(json.dumps(payload, indent=2, sort_keys=True))
+        monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=len))
+        tracemalloc.start()
+        try:
+            polybinom.cli._emit_json(payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < size / 2, (peak, size)
 
     def test_flows_with_fixtures(self, capsys):
         assert main(["survey", "flows", "--max-size", "3"]) == 0

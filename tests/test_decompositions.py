@@ -15,7 +15,7 @@ from polybinom.decompositions import (
     tail_sums,
 )
 from polybinom.polynomials import StarVector
-from polybinom.posets import ehrhart_star, generate_posets
+from polybinom.posets import ehrhart_star, poset_classes
 
 CA_VECTORS = [(1, 1, 0), (1, 4, 1, 0), (1, 0, 0), (1, 2, 3, 2, 1)]
 
@@ -92,8 +92,8 @@ def _closed_forms(h):
 
 
 def _lattice_stars():
-    for d in range(1, 6):
-        for p in generate_posets(d):
+    for level in poset_classes(5):
+        for p in level:
             yield ehrhart_star(p)
     for entries in CA_VECTORS:
         yield StarVector(entries, len(entries) - 1)
@@ -240,7 +240,7 @@ class TestCADecomposition:
     def test_a_parts_agree_across_routes(self):
         # the checks audit a from the c/a split alone; the a/b oracle must
         # agree on the h* of every poset class with d <= 6
-        stars = [ehrhart_star(p) for d in range(1, 7) for p in generate_posets(d)]
+        stars = [ehrhart_star(p) for level in poset_classes(6) for p in level]
         assert len(stars) == 405
         for entries in CA_VECTORS:
             stars.append(StarVector(entries, len(entries) - 1))

@@ -1,7 +1,7 @@
 import hashlib
 import random
 from collections import deque
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 import pytest
@@ -170,7 +170,7 @@ def kochol_table_at(g: Multigraph, n: int) -> dict[tuple[int, ...], int]:
 def flow_instances() -> list[tuple[str, Multigraph]]:
     """Every instance `run_flow_survey(6)` checks, plus the xi = 6 CLI graphs
     and fixtures off the survey: a loop, a disconnected graph, a doubled edge."""
-    survey = [(f"class{i}", g) for i, g in enumerate(connected_graph_classes(6))]
+    survey = [(f"class{i}", g) for i, g in enumerate(chain.from_iterable(connected_graph_classes(6)))]
     survey += flow_fixture_set()
     checked = [
         (name, g) for name, g in survey
@@ -478,7 +478,7 @@ class TestTutteOracle:
         nx = pytest.importorskip("networkx")
         pytest.importorskip("sympy")  # networkx builds the Tutte polynomial in sympy
         bridgeless = [
-            g for g in connected_graph_classes(5) if g.is_bridgeless and cyclomatic_number(g) >= 1
+            g for g in chain.from_iterable(connected_graph_classes(5)) if g.is_bridgeless and cyclomatic_number(g) >= 1
         ]
         for g in bridgeless + [g for _, g in flow_fixture_set()]:
             nxg = nx.MultiGraph()
@@ -598,7 +598,7 @@ class TestKochol:
         # a digest of the scan's output, frozen before its block kernel was
         # rewritten and while its keys were direction tuples
         digest, count = hashlib.sha256(), 0
-        for g in [*connected_graph_classes(7), *(g for _, g in flow_fixture_set())]:
+        for g in [*chain.from_iterable(connected_graph_classes(7)), *(g for _, g in flow_fixture_set())]:
             xi = cyclomatic_number(g)
             if g.is_bridgeless and 1 <= xi <= 6:
                 tables = with_directions(per_bound(kochol_tables(g, xi + 2), xi + 2), g.edge_count)

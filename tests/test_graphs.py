@@ -125,7 +125,7 @@ class TestStructure:
         assert loops_only.is_bridgeless
 
     def test_bridges_match_the_deletion_oracle(self):
-        graphs = connected_graph_classes(6) + [g for _, g in flow_fixture_set()] + [
+        graphs = [g for level in connected_graph_classes(6) for g in level] + [g for _, g in flow_fixture_set()] + [
             Multigraph(1, ((0, 0),)),
             Multigraph(3, ((0, 0), (0, 1), (1, 1), (1, 2), (2, 2))),  # loops on a path
             Multigraph(3, ((0, 1), (1, 0), (1, 2))),  # an antiparallel twin and a bridge
@@ -158,7 +158,7 @@ class TestStructure:
 def cycle_space_graphs() -> list[Multigraph]:
     """Every connected class to d = 6, the flow fixtures, loops, parallel and
     antiparallel twins, disconnected graphs and a long cycle."""
-    graphs = connected_graph_classes(6) + [g for _, g in flow_fixture_set()] + [
+    graphs = [g for level in connected_graph_classes(6) for g in level] + [g for _, g in flow_fixture_set()] + [
         Multigraph(1, ((0, 0), (0, 0))),  # loops only: no tree edge
         Multigraph(3, ((0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0))),  # loops on a triangle
         Multigraph(4, complete_graph(4).edges * 2),
@@ -374,8 +374,9 @@ SCAN_ORACLE_MULTIGRAPHS = {
 
 class TestAcyclicScanOracle:
     def test_d6_family(self):
-        for g in connected_graph_classes(6):
-            assert posets_by_search(g) == posets_by_scan(g), g
+        for level in connected_graph_classes(6):
+            for g in level:
+                assert posets_by_search(g) == posets_by_scan(g), g
 
     @pytest.mark.parametrize("g", SCAN_ORACLE_MULTIGRAPHS.values(), ids=SCAN_ORACLE_MULTIGRAPHS.keys())
     def test_multigraphs(self, g):
@@ -407,8 +408,9 @@ DISCONNECTED = Multigraph(7, ((4, 3), (0, 1), (1, 2), (2, 0), (3, 5), (5, 4), (4
 
 class TestAcyclicOrientationsUpToReversal:
     def test_d6_family(self):
-        for g in connected_graph_classes(6):
-            assert_halves_the_oracle(g)
+        for level in connected_graph_classes(6):
+            for g in level:
+                assert_halves_the_oracle(g)
 
     @pytest.mark.parametrize(
         "g",
@@ -562,10 +564,11 @@ class TestTotallyCyclicScanOracle:
     """The search lists exactly what the 2^m scan keeps, in the same order."""
 
     def test_d6_family(self):
-        for g in connected_graph_classes(6):
-            assert [as_direction(o, g.edge_count) for o in enumerate_totally_cyclic_orientations(g)] == (
-                totally_cyclic_by_scan(g)
-            ), g
+        for level in connected_graph_classes(6):
+            for g in level:
+                assert [as_direction(o, g.edge_count) for o in enumerate_totally_cyclic_orientations(g)] == (
+                    totally_cyclic_by_scan(g)
+                ), g
 
     @pytest.mark.parametrize(
         "g",
@@ -685,7 +688,7 @@ def family_candidates(max_d: int) -> list[Multigraph]:
     """Every graph the growth of `connected_graph_classes(max_d)` certifies:
     each class on d-1 vertices with a new vertex joined to each nonempty
     subset of the old ones."""
-    classes = connected_graph_classes(max_d - 1)
+    classes = [g for level in connected_graph_classes(max_d - 1) for g in level]
     return [
         Multigraph(d, g.edges + tuple((u, d - 1) for u in range(d - 1) if mask >> u & 1))
         for d in range(2, max_d + 1)
@@ -745,7 +748,7 @@ class TestCertificates:
 
     def test_relabelings_share_the_certificate(self):
         rng = random.Random(77)
-        d7 = [g for g in connected_graph_classes(7) if g.vertex_count == 7]
+        d7 = [g for level in connected_graph_classes(7) for g in level if g.vertex_count == 7]
         sample = rng.sample(d7, 60) + [complete_graph(8), cycle_graph(8), Multigraph(8, complete_graph(8).edges * 2)]
         for _ in range(60):
             sample.append(Multigraph(8, tuple(pair for pair in combinations(range(8), 2) if rng.random() < 0.5)))

@@ -16,7 +16,6 @@ from polybinom.posets import (
     chain,
     ehrhart_star,
     format_poset_file,
-    generate_posets,
     hstar_via_descents,
     interior_star,
     lattice_point_counts,
@@ -24,6 +23,7 @@ from polybinom.posets import (
     parse_poset_file,
     chain_code_counts,
     poset_certificate,
+    poset_classes,
     strict_chain_code,
 )
 
@@ -71,8 +71,14 @@ def relabeled(p: Poset, rng: random.Random) -> Poset:
     return Poset.from_relation(d, [(perm[a], perm[b]) for a in range(d) for b in _bits(p.above[a])])
 
 
+def posets_on(d: int) -> list[Poset]:
+    """The classes on d elements: the last level `poset_classes(d)` yields."""
+    *_, level = poset_classes(d)
+    return level
+
+
 def scanned_posets(d: int) -> list[Poset]:
-    """The mask-scan oracle of `generate_posets`: every order compatible with
+    """The mask-scan oracle of `poset_classes`: every order compatible with
     0 < 1 < ... < d-1, in the order of its relation mask (bit k is the k-th
     pair (i, j), i < j, in lexicographic order), kept when no relabeling
     along one of its own linear extensions has a smaller mask.  So each
@@ -220,16 +226,16 @@ class TestOrderPolynomial:
 
     def test_walk_counts_match_the_lattice_point_oracle(self):
         # strict maps into {1..n} are the interior points of the (n+1)-th dilate
-        for d in range(1, 7):
-            for p in generate_posets(d):
+        for d, level in enumerate(poset_classes(6), 1):
+            for p in level:
                 expected = lattice_point_counts(p, d + 2, interior=True)[1:]
                 assert walk_counts(p.above) == expected
 
     def test_walk_counts_are_those_of_the_dual(self):
         # f -> n+1-f maps the strict maps of P onto those of its dual, so the
         # walk on the above masks counts the same as the walk on the below masks
-        for d in range(1, 7):
-            for p in generate_posets(d):
+        for level in poset_classes(6):
+            for p in level:
                 assert strict_chain_code(p.above) == strict_chain_code(p.below), p
 
     def test_cyclic_masks_count_nothing(self):
@@ -243,9 +249,9 @@ class TestOrderPolynomial:
         from polybinom.survey import connected_graph_classes
         from test_graphs import enumerate_acyclic_orientations
 
-        orders = [o for g in connected_graph_classes(6) for o in enumerate_acyclic_orientations(g)]
+        orders = [o for level in connected_graph_classes(6) for g in level for o in enumerate_acyclic_orientations(g)]
         assert len(orders) == 19717
-        posets = [p.above for d in range(1, 7) for p in generate_posets(d)]
+        posets = [p.above for level in poset_classes(6) for p in level]
         assert len(posets) == 405
         for above in orders + posets:
             assert walk_counts(above) == stepped_counts(above), above
@@ -341,8 +347,7 @@ class TestOrderPolytope:
         # every map of the value box, kept if it respects each relation, at
         # every dilate up to d+2 and at the boundary tops 0, 1 and 2, where
         # the value range of each walk is empty or holds one or two values
-        for d in range(1, 6):
-            posets = generate_posets(d)
+        for d, posets in enumerate(poset_classes(5), 1):
             relations = [[(a, b) for a in range(d) for b in _bits(p.above[a])] for p in posets]
             tops = (0, 1, 2, d + 2)
             counts = {
@@ -365,7 +370,7 @@ class TestOrderPolytope:
     def test_one_pass_matches_the_per_dilate_oracle(self):
         # one walk at the top dilate, bucketed by the largest value, against
         # one backtracking per dilate: every class with d <= 6, chain7 and antichain7
-        posets = [p for d in range(1, 7) for p in generate_posets(d)] + [chain(7), antichain(7)]
+        posets = [p for level in poset_classes(6) for p in level] + [chain(7), antichain(7)]
         assert len(posets) == 407
         for p in posets:
             d = p.element_count
@@ -383,7 +388,7 @@ class TestOrderPolytope:
         # natural labeling, which the walk must move last
         rng = random.Random(19)
         sample = []
-        for p in rng.sample(generate_posets(7), 100):
+        for p in rng.sample(posets_on(7), 100):
             label = rng.sample(range(7), 7)
             sample.append(Poset.from_relation(7, [(label[a], label[b]) for a in range(7) for b in _bits(p.above[a])]))
         mixed = 0
@@ -437,8 +442,8 @@ class TestOrderPolytope:
 
     def test_descent_walk_matches_the_listing(self):
         rng = random.Random(26)
-        for d in range(1, 7):
-            for p in generate_posets(d):
+        for level in poset_classes(6):
+            for p in level:
                 assert hstar_via_descents(p).entries == listed_descents(p), p
                 # `order` takes any labeling; the generated classes are all natural
                 for q in (relabeled(p, rng), relabeled(p, rng)):
@@ -467,20 +472,20 @@ class TestOrderPolytope:
 
 class TestGeneratedFamilies:
     def test_class_counts_match_reference(self):
-        assert [len(generate_posets(d)) for d in range(1, 6)] == [1, 2, 5, 16, 63]
+        assert [len(level) for level in poset_classes(5)] == [1, 2, 5, 16, 63]
 
     def test_class_count_d6(self):
-        assert len(generate_posets(6)) == 318
+        assert len(posets_on(6)) == 318
 
     def test_class_count_d7(self):
         # OEIS A000112
-        assert len(generate_posets(7)) == 2045
+        assert len(posets_on(7)) == 2045
 
     def test_growth_matches_the_mask_scan(self):
         # the same representatives (each class's smallest relation mask) in
         # the same order as the scan of every naturally labeled order
-        for d in range(7):
-            assert [p.above for p in generate_posets(d)] == [p.above for p in scanned_posets(d)], d
+        for d, level in enumerate(poset_classes(6), 1):
+            assert [p.above for p in level] == [p.above for p in scanned_posets(d)], d
 
     def test_classes_and_certificates_are_pinned_to_d7(self):
         # the class counts and a digest of every certificate, in order, as
@@ -495,13 +500,14 @@ class TestGeneratedFamilies:
             6: (318, "b4e6e6d8b8d2b932"),
             7: (2045, "785a1921f5c7f13f"),
         }
-        for d, (count, digest) in pinned.items():
-            certificates = [poset_certificate(p) for p in generate_posets(d)]
+        for d, level in enumerate(poset_classes(7), 1):
+            count, digest = pinned[d]
+            certificates = [poset_certificate(p) for p in level]
             assert len(certificates) == count, d
             assert hashlib.sha256(repr(certificates).encode()).hexdigest()[:16] == digest, d
 
     def test_certificates_separate_classes(self):
-        posets = generate_posets(4)
+        posets = posets_on(4)
         certs = {poset_certificate(p) for p in posets}
         assert len(certs) == len(posets)
 
@@ -515,7 +521,7 @@ class TestGeneratedFamilies:
         # certificate, which packs the representative's own rows, row i at
         # bit 7i
         rng = random.Random(7)
-        for p in rng.sample(generate_posets(7), 200):
+        for p in rng.sample(posets_on(7), 200):
             label = rng.sample(range(7), 7)
             q = Poset.from_relation(7, [(label[a], label[b]) for a in range(7) for b in _bits(p.above[a])])
             packed = sum(row << (7 * i) for i, row in enumerate(p.above))
@@ -523,12 +529,12 @@ class TestGeneratedFamilies:
 
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_top_entry_is_always_one(self, d):
-        for p in generate_posets(d):
+        for p in posets_on(d):
             assert omega_star(p).entries[d] == 1
 
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_first_entry_zero_unless_antichain(self, d):
-        for p in generate_posets(d):
+        for p in posets_on(d):
             if not p.is_antichain:
                 assert omega_star(p).entries[1] == 0
 
@@ -542,7 +548,7 @@ class TestExhaustiveSplitsD6:
             tail_sums,
         )
 
-        posets = generate_posets(6)
+        posets = posets_on(6)
         assert len(posets) == 318
         for p in posets:
             d = p.element_count

@@ -1,12 +1,16 @@
 import hashlib
 import json
-from itertools import combinations
+import weakref
+from itertools import chain, combinations
 
 import pytest
 
+import polybinom.posets
+import polybinom.survey
 from polybinom import caps
 from polybinom.errors import CapExceeded, NotApplicable
 from polybinom.graphs import Multigraph, graph_certificate
+from polybinom.posets import Poset
 from polybinom.survey import (
     SurveyReport,
     _graph_id,
@@ -42,12 +46,12 @@ def classes_by_subset_scan(max_d: int) -> list[Multigraph]:
 
 class TestFamilyOracles:
     def test_subset_scan_gives_the_identical_list(self):
-        assert connected_graph_classes(5) == classes_by_subset_scan(5)
+        assert list(chain.from_iterable(connected_graph_classes(5))) == classes_by_subset_scan(5)
 
     def test_networkx_atlas_up_to_seven_vertices(self):
         nx = pytest.importorskip("networkx")
         grown: dict[int, set] = {}
-        for g in connected_graph_classes(7):
+        for g in chain.from_iterable(connected_graph_classes(7)):
             grown.setdefault(g.vertex_count, set()).add(graph_certificate(g))
         atlas: dict[int, set] = {}
         for h in nx.graph_atlas_g()[1:]:  # entry 0 is the graph on no vertices
@@ -60,7 +64,7 @@ class TestFamilyOracles:
     def test_seven_vertex_family_is_frozen(self):
         # the representatives and their order, as listed at d <= 7; the
         # frozen survey references cover only d <= 6
-        classes = connected_graph_classes(7)
+        classes = list(chain.from_iterable(connected_graph_classes(7)))
         assert len(classes) == 996
         listing = repr([(g.vertex_count, g.edges) for g in classes]).encode()
         assert hashlib.sha256(listing).hexdigest() == "4c81b750223f0d76b3d34eedeecf17104ef395b7f96c22caae56a189efb98fbb"
@@ -69,12 +73,12 @@ class TestFamilyOracles:
 class TestFamilies:
     def test_connected_class_counts(self):
         counts = {}
-        for g in connected_graph_classes(4):
+        for g in chain.from_iterable(connected_graph_classes(4)):
             counts[g.vertex_count] = counts.get(g.vertex_count, 0) + 1
         assert counts == {1: 1, 2: 1, 3: 2, 4: 6}
 
     def test_representatives_are_connected_and_simple(self):
-        for g in connected_graph_classes(4):
+        for g in chain.from_iterable(connected_graph_classes(4)):
             assert g.is_connected
             assert not g.has_loops
             assert len({frozenset(e) for e in g.edges}) == g.edge_count
@@ -165,7 +169,7 @@ class TestFlowSurvey:
 
     def test_xi_cap_skips(self):
         assert caps.FLOW_XI_SURVEY_CAP == 5
-        d5 = [g for g in connected_graph_classes(5) if g.vertex_count == 5]
+        d5 = [g for g in chain.from_iterable(connected_graph_classes(5)) if g.vertex_count == 5]
         (k5_minus_edge,) = [g for g in d5 if g.edge_count == 9]  # xi = 5
         (k5,) = [g for g in d5 if g.edge_count == 10]  # xi = 6
         report = run_flow_survey(5)
@@ -178,6 +182,57 @@ class TestFlowSurvey:
     def test_sample_mode(self):
         report = run_flow_survey(5, mode="sample", seed=12)
         assert report.ok
+
+
+def live_at_each_check(monkeypatch, cls, check_name: str) -> list[int]:
+    """Wrap `survey.<check_name>`; the returned list gets, at each call, the
+    number of `cls` instances then alive, counted by a weakref to each one
+    built since."""
+    refs = []
+    post_init = cls.__post_init__
+
+    def tracked(self):
+        post_init(self)
+        refs.append(weakref.ref(self))
+
+    check = getattr(polybinom.survey, check_name)
+    live = []
+
+    def counted(instance):
+        live.append(sum(ref() is not None for ref in refs))
+        return check(instance)
+
+    monkeypatch.setattr(cls, "__post_init__", tracked)
+    monkeypatch.setattr(polybinom.survey, check_name, counted)
+    return live
+
+
+class TestOneLevelAtATime:
+    def test_each_poset_level_is_grown_once(self, monkeypatch):
+        grow = polybinom.posets._grow
+        levels = []
+
+        def counted(level, k):
+            levels.append(k)
+            return grow(level, k)
+
+        monkeypatch.setattr(polybinom.posets, "_grow", counted)
+        assert run_poset_survey(6).scope["class_counts"] == [1, 2, 5, 16, 63, 318]
+        assert levels == [1, 2, 3, 4, 5, 6]
+
+    def test_poset_survey_holds_one_level(self, monkeypatch):
+        # the level being checked, and the last poset of the level before,
+        # which the report's check loop still names
+        live = live_at_each_check(monkeypatch, Poset, "poset_checks")
+        assert len(run_poset_survey(6).instances) == 405
+        assert len(live) == 405
+        assert max(live) <= 318 + 1
+
+    def test_graph_survey_holds_one_level(self, monkeypatch):
+        live = live_at_each_check(monkeypatch, Multigraph, "graph_checks")
+        assert len(run_graph_survey(6).instances) == 143
+        assert len(live) == 143
+        assert max(live) <= 112 + 1
 
 
 class TestSurveyReport:
