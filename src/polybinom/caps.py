@@ -107,11 +107,12 @@ FLOW_VERTEX_CAP = 1000
 FLOW_CANDIDATE_BUDGET = 300_000_000
 # `flow_analysis` makes one integral scan, at n = xi+2, over (2(xi+1))^xi
 # candidates, so the cap is the largest xi whose grid fits the budget.  The
-# scan tests only half of those pairs (x and -x are counted together), but
-# the budget is charged on the full grid.  At xi = 7, `flow_checks` on the
+# scan tests at most half of those pairs (x and -x are counted together, and
+# each half first drops the combinations that fail its local rows), but the
+# budget is charged on the full grid.  At xi = 7, `flow_checks` on the
 # octahedron (K6 less a perfect matching, 1,862 totally cyclic
-# orientations) takes 1.4 to 1.6 s at 45 MB peak RSS, with 0 failures
-# (three runs; Python 3.11, one core).
+# orientations) takes 0.6 to 0.75 s at 46 MB peak RSS, with 0 failures
+# (five runs; Python 3.11, one process on 2 shared cores).
 FLOW_XI_CAP = 7
 
 # surveys --------------------------------------------------------------------
@@ -131,10 +132,11 @@ GRAPH_SURVEY_CAP = 7
 # shared cores).  Must not exceed LATTICE_POINT_ELEMENT_CAP (`poset_checks`).
 POSET_SURVEY_CAP = 7
 # The flow survey skips xi = 6 and 7.  One instance with xi = 6 (K5) takes
-# about 0.06 s (`flow_checks`, best of 5; Python 3.11, one core), and the 9
-# bridgeless classes with xi = 6 at d <= 6 take 0.43 to 0.50 s together,
-# more than the 0.37 to 0.44 s of the whole d <= 6 flow survey; the 106 with
-# xi = 6 at d = 7 take about 6 s.  One with xi = 7 takes about 1.5 s (see
-# FLOW_XI_CAP), so the 87 at d = 7 would add about 2 minutes.  Admitting
-# them would also change the survey's output.
+# about 0.03 s (`flow_checks`, median of 5), and the 9 bridgeless classes
+# with xi = 6 at d <= 6 take 0.25 to 0.29 s together, more than the 0.16 to
+# 0.24 s of the whole d <= 6 flow survey; the 97 bridgeless classes with
+# xi = 6 at d = 7 take about 3.5 s.  The octahedron, with xi = 7, takes about
+# 0.6 s (see FLOW_XI_CAP), and the 82 bridgeless classes with xi = 7 at
+# d = 7 take about 50 s together, with 0 failures (Python 3.11, one process
+# on 2 shared cores).  Admitting them would also change the survey's output.
 FLOW_XI_SURVEY_CAP = 5

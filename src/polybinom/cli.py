@@ -159,10 +159,11 @@ def _cmd_flow(args) -> int:
         _write_audit_csv(args.csv, args.file, checked.audits)
     if args.json:
         # the table at each bound n, its nonzero entries keyed by each
-        # orientation's direction string, edge 0 first
+        # orientation's direction string, edge 0 first, formatted once
         m = g.edge_count
+        columns = [(format(o, f"0{m}b")[::-1], column) for o, column in kochol.items()]
         table = {
-            str(n): {format(o, f"0{m}b")[::-1]: column[n - 1] for o, column in kochol.items() if column[n - 1]}
+            str(n): {direction: column[n - 1] for direction, column in columns if column[n - 1]}
             for n in range(1, xi + 3)
         }
         payload = {**_graph_payload(checked, "constants_match_oracles", FLOW_FLAGS), "kochol_table": table}

@@ -9,11 +9,15 @@ reads the same cycle space.  That bounds the modular count at
 (n-1)^xi candidates and the integral scan at (2(n-1))^xi, with xi the
 cyclomatic number.  No scan builds its candidates: the cotree coordinates
 are split in two halves, each half's value combinations carry their partial
-tree sums, and pairs of combinations are tested in blocks.  One block's
-buffers are allocated once per scan; each row's sums are added into them,
-and a pair is kept by one unsigned compare of its largest |sum| - 1 (which
-wraps to the largest value at a zero sum).  The integral scan then reads
-only its kept pairs again, row by row.
+tree sums, and pairs of combinations are tested in blocks.  A class row
+whose nonzero entries all lie in one half is local to it: that half alone
+fixes its sum, so each half first drops the combinations that fail one of
+its local rows, and the split is the one with the most local rows.  Pairs
+are tested on the shared rows only.  One block's buffers are allocated once
+per scan; each shared row's sums are added into them, and a pair is kept by
+one unsigned compare of its largest |sum| - 1 (which wraps to the largest
+value at a zero sum).  The integral scan then reads only its kept pairs
+again, row by row.
 
 The integral scan is the Kochol table: it buckets every nowhere-zero integer
 flow by the totally cyclic orientation along which it is strictly positive.
@@ -23,8 +27,8 @@ integral flow polynomial is their sum, f(n) = sum_o P_o(n).  There is one
 scan, at the top bound n = xi+2; the tables at the lower bounds are read off
 each flow's largest |x|.  The scan tests half the pairs: x -> -x maps the
 flows positive along o onto those positive along the reverse orientation -o,
-level for level, so P_o = P_{-o}, and only the flows whose last cotree
-coordinate is positive are scanned, each counted for o and for -o.
+level for level, so P_o = P_{-o}, and only the flows that are positive
+on one cotree coordinate are scanned, each counted for o and for -o.
 
 The reference orientation of every edge is its stored (tail, head) pair, so
 re-ordering pairs is exactly a change of reference orientation; counts must
@@ -41,7 +45,8 @@ their star vectors, except for phi's integer coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from itertools import combinations
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -65,9 +70,10 @@ __all__ = [
 ]
 
 # pairs of half combinations tested at once: the block's sum, peak and
-# verdict buffers take about 1 MB each in int8, allocated once per scan and
-# overwritten row by row; the kept pairs of one block are all that is held
-_PAIR_BLOCK = 1 << 20
+# verdict buffers take about half a MB each in int8, allocated once per scan
+# and overwritten row by row; the kept pairs of one block are all that is
+# held, and halves filtered by their local rows keep more pairs per block
+_PAIR_BLOCK = 1 << 19
 
 
 def _check_vertex_cap(g: Multigraph) -> None:
@@ -91,10 +97,24 @@ def _class_rows(g: Multigraph) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(len(rows), len(cotree))
 
 
-def _half_sums(rows: np.ndarray, values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split the cotree coordinates in two halves; for each, every value
-    combination of its coordinates (one row each, from `values`) and their
-    partial sums along `rows` (shape: len(rows) by combinations).
+def _half_sums(
+    rows: np.ndarray, values: np.ndarray, keep: Callable[[np.ndarray], np.ndarray]
+) -> tuple[list[int], list[tuple]]:
+    """Split the cotree coordinates in two halves; for each, the value
+    combinations of its coordinates (one row each, from `values`) that pass
+    its local rows, and their partial sums along `rows` (shape: len(rows) by
+    combinations).
+
+    A row is local to a half when all its nonzero entries lie in that half's
+    coordinates, so the half alone fixes its sum; a zero row, a bridge's, is
+    local to half a.  `keep` maps sums to True where they may stand in a
+    flow, and each half drops the combinations that fail it on one of its
+    local rows, once per combination; only the shared rows are left to test
+    per pair.  Half a takes xi // 2 coordinates: of
+    `itertools.combinations(range(xi), xi // 2)`, the first with the most
+    local rows, scored by the rows' supports alone.  Half b takes the rest,
+    in increasing order.  Returns the shared rows and, per half, its
+    coordinates, its local rows, its kept combinations and their sums.
 
     A candidate is a pair of combinations, one per half, and its forced
     tree values are the sums of their columns, so the (len(values))^xi
@@ -104,13 +124,29 @@ def _half_sums(rows: np.ndarray, values: np.ndarray) -> list[tuple[np.ndarray, n
     total = len(values) ** xi
     if total > caps.FLOW_CANDIDATE_BUDGET:
         raise CapExceeded(f"flow enumeration needs {total} candidates (budget {caps.FLOW_CANDIDATE_BUDGET})")
+    supports = ((rows != 0) @ (1 << np.arange(xi))).tolist()  # bit c: a nonzero entry at c
+
+    def local_rows(cols: tuple[int, ...]) -> int:
+        inside = sum(1 << c for c in cols)
+        return sum(1 for s in supports if not s & inside or not s & ~inside)
+
+    cols_a = max(combinations(range(xi), xi // 2), key=local_rows)
+    cols_b = tuple(c for c in range(xi) if c not in cols_a)
+    inside = sum(1 << c for c in cols_a)
+    local_a = [r for r, s in enumerate(supports) if not s & ~inside]
+    local_b = [r for r, s in enumerate(supports) if s and not s & inside]
+    shared = [r for r, s in enumerate(supports) if s & inside and s & ~inside]
     halves = []
-    for cols in (range(xi // 2), range(xi // 2, xi)):
+    for cols, local in ((cols_a, local_a), (cols_b, local_b)):
         k = len(cols)
         index = np.indices((len(values),) * k).reshape(k, len(values) ** k)
         combos = values[index].T
-        halves.append((combos, rows[:, list(cols)] @ combos.T))
-    return halves
+        sums = rows[:, list(cols)] @ combos.T
+        if local:
+            kept = keep(sums[local]).all(axis=0)
+            combos, sums = combos[kept], sums[:, kept]
+        halves.append((cols, local, combos, sums))
+    return shared, halves
 
 
 def _kept_pairs(a: np.ndarray, b: np.ndarray, top: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
@@ -118,8 +154,10 @@ def _kept_pairs(a: np.ndarray, b: np.ndarray, top: int) -> Iterator[tuple[int, n
     satisfy 0 < |s| < top on every row r, in blocks of about `_PAIR_BLOCK`
     pairs.  Yields the first i of the block, the verdict over (i, j), and
     the peak over (i, j), which at a kept pair is its largest |s| - 1 over
-    the rows (0 when there are none).  Both are views of buffers allocated
-    once, which the next block overwrites.
+    the rows.  Both are views of buffers allocated once, which the next
+    block overwrites.  The scans pass only the rows the halves share, their
+    local rows being tested per combination by `_half_sums`; with no row,
+    every pair is kept, with peak 0.
 
     a and b share a signed integer type that holds every sum and +-top.
     Each row's sums are added into one buffer, which takes |s| - 1 in place.
@@ -160,19 +198,22 @@ def modular_flow_count(g: Multigraph, n: int) -> int:
     if n == 1:
         return 0
     rows = _class_rows(g)
-    (_, a), (_, b) = _half_sums(rows, np.arange(1, n, dtype=np.int64))
-    # with residues a in [0, n) and b - n in [-n, 0), a sum is 0 mod n
-    # exactly when it is 0 or -n: the pairs kept are those with 0 < |s| < n
-    a, b = _small(a % n, n), _small(b % n - n, n)
+    shared, ((*_, a), (*_, b)) = _half_sums(rows, np.arange(1, n, dtype=np.int64), lambda s: s % n != 0)
+    # with residues a in [0, n) and b - n in [-n, 0), a shared row's sum is
+    # 0 mod n exactly when it is 0 or -n: the pairs kept have 0 < |s| < n
+    a, b = _small(a[shared] % n, n), _small(b[shared] % n - n, n)
     return sum(int(np.count_nonzero(ok)) for _, ok, _ in _kept_pairs(a, b, n))
 
 
-def _half_codes(combos: np.ndarray, first: int, shift: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each combination's code, the sign of its coordinate c at bit
-    `first` + c above a level field of `shift` bits, and its level max |x|."""
-    bits = np.arange(first, first + combos.shape[1], dtype=np.int64) + shift
-    return (np.left_shift(combos < 0, bits).sum(axis=1, dtype=np.int64),
-            np.abs(combos).max(axis=1, initial=0))
+def _half_codes(cols: tuple[int, ...], local: list[int], combos: np.ndarray, sums: np.ndarray,
+                xi: int, shift: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each combination's code and level, from the values its half alone
+    fixes: the sign of its coordinate c at bit `shift` + c and of its local
+    row r's sum at bit `shift` + xi + r, and the largest |value|."""
+    fixed = np.vstack([combos.T, sums[local]])
+    bits = np.array([*cols, *(xi + r for r in local)], dtype=np.int64)[:, None] + shift
+    return (np.left_shift(fixed < 0, bits).sum(axis=0, dtype=np.int64),
+            np.abs(fixed).max(axis=0, initial=0))
 
 
 def kochol_tables(g: Multigraph, top: int) -> dict[int, tuple[int, ...]]:
@@ -187,21 +228,24 @@ def kochol_tables(g: Multigraph, top: int) -> dict[int, tuple[int, ...]]:
     integral flow count f(n).  A forest, or top = 1, gives no column.  The
     scan keeps each flow with |x| < top once, under its orientation and its
     level max |x|, and counts it in its column from entry `level` on.  Only
-    the flows whose last cotree coordinate is positive are scanned: the twin
-    -x of such a flow has the same level and is positive along the reversed
-    orientation, so each kept (orientation, level) is credited to both.
+    the flows whose last coordinate of half b is positive are scanned: the
+    twin -x of such a flow has the same level and is positive along the
+    reversed orientation, so each kept (orientation, level) is credited to
+    both.  A half with no combination left, as at a bridge's zero row,
+    gives no column.
 
     A kept flow's code is its orientation key above its level.  Key bit j is
     the sign of cotree coordinate j, and bit xi + r the sign of series class
-    r.  Each half combination carries its cotree bits; a kept pair ORs its
-    halves' bits with the sign of each class row's sum, built row by row
-    over the kept pairs only, and its level is the largest of the halves'
-    levels and the block's peak.  Codes are counted per block, so no more
-    than one block of kept pairs is held.  The columns then come from one
-    count per (orientation, level), cumulated over the levels; each key
-    becomes its orientation mask once, by `bit_sums`, a Python int however
-    many edges there are, and the columns are listed lexicographically in
-    their orientations' directions, edge 0 first.
+    r.  Each half combination carries the bits of its coordinates and of its
+    local rows, and its level, the largest |value| among them; a kept pair
+    ORs its halves' bits with the sign of each shared row's sum, built row
+    by row over the kept pairs only, and its level is the largest of the
+    halves' levels and the block's peak.  Codes are counted per block, so
+    no more than one block of kept pairs is held.  The columns then come
+    from one count per (orientation, level), cumulated over the levels; each
+    key becomes its orientation mask once, by `bit_sums`, a Python int
+    however many edges there are, and the columns are listed
+    lexicographically in their orientations' directions, edge 0 first.
     """
     xi = _check_caps(g, top)
     m = g.edge_count
@@ -210,17 +254,20 @@ def kochol_tables(g: Multigraph, top: int) -> dict[int, tuple[int, ...]]:
     tree, cotree, _, cls, flipped = g.cycle_space
     rows = _class_rows(g)
     span = np.concatenate([np.arange(-(top - 1), 0), np.arange(1, top)]).astype(np.int64)
-    (combos_a, a), (combos_b, b) = _half_sums(rows, span)
-    # x and -x are both kept or both dropped, so scan only the flows whose
-    # last cotree coordinate is positive; half b always holds that coordinate
+    shared, halves = _half_sums(rows, span, lambda s: (s != 0) & (np.abs(s) < top))
+    (cols_a, local_a, combos_a, sums_a), (cols_b, local_b, combos_b, sums_b) = halves
+    # x and -x are both kept or both dropped, so scan only the flows that
+    # are positive on one cotree coordinate, half b's last
     positive = combos_b[:, -1] > 0
-    combos_b, b = combos_b[positive], b[:, positive]
-    bound = (top - 1) * int(np.abs(rows).sum(axis=1).max(initial=0))
-    a, b = _small(a, max(bound, top)), _small(b, max(bound, top))
+    combos_b, sums_b = combos_b[positive], sums_b[:, positive]
+    if not len(combos_a) or not len(combos_b):  # a zero row: no flow at all
+        return {}
+    bound = (top - 1) * int(np.abs(rows[shared]).sum(axis=1).max(initial=0))
+    a, b = _small(sums_a[shared], max(bound, top)), _small(sums_b[shared], max(bound, top))
     # at most 4 xi key bits and the level's: every code fits an int64
     shift = (top - 1).bit_length()
-    code_a, level_a = _half_codes(combos_a, 0, shift)
-    code_b, level_b = _half_codes(combos_b, combos_a.shape[1], shift)
+    code_a, level_a = _half_codes(cols_a, local_a, combos_a, sums_a, xi, shift)
+    code_b, level_b = _half_codes(cols_b, local_b, combos_b, sums_b, xi, shift)
     level_a, level_b, minus_b = level_a.astype(a.dtype), level_b.astype(a.dtype), -b
     found_codes, found_counts = [], []
     for start, ok, peak in _kept_pairs(a, b, top):
@@ -236,7 +283,7 @@ def kochol_tables(g: Multigraph, top: int) -> dict[int, tuple[int, ...]]:
         code |= level
         x, y = np.empty_like(level), np.empty_like(level)
         negative, bit = np.empty(len(flat), bool), np.empty_like(code)
-        for r, (ra, rb) in enumerate(zip(a, minus_b)):
+        for r, ra, rb in zip(shared, a, minus_b):
             ra[start:].take(i, out=x)
             rb.take(j, out=y)
             np.less(x, y, out=negative)  # x < -b: the class sum is negative
@@ -341,8 +388,9 @@ def flow_analysis(g: Multigraph) -> FlowResult:
 
     *phi_counts, phi_node = [modular_flow_count(g, n) for n in range(1, xi + 3)]
     kochol = kochol_tables(g, xi + 2)
-    # every entry n, also of an empty table, so that f's node is always judged
-    *f_counts, f_node = [sum(column[n] for column in kochol.values()) for n in range(xi + 2)]
+    # one pass over the columns; an empty table gives xi+2 zeros, so that
+    # f's node is always judged
+    *f_counts, f_node = [sum(entries) for entries in zip(*kochol.values())] or [0] * (xi + 2)
     phi_star = star_from_values(phi_counts, xi, start=1)
     f_star = star_from_values(f_counts, xi, start=1)
     phi_split = symmetric_split(phi_star.entries, xi + 1)

@@ -288,6 +288,7 @@ def test_poset_checks_label_each_poset_once(computed):
 def test_flow_checks_scan_once(monkeypatch):
     import polybinom.flows as flows
     from polybinom.graphs import complete_graph
+    from test_flows import integral_halves, scan_halves
 
     calls, widths, pairs = [], [], []
     tables, halves, kept = flows.kochol_tables, flows._half_sums, flows._kept_pairs
@@ -296,9 +297,9 @@ def test_flow_checks_scan_once(monkeypatch):
         calls.append(top)
         return tables(g, top)
 
-    def counted_halves(rows, values):
+    def counted_halves(rows, values, keep):
         widths.append(len(values))
-        return halves(rows, values)
+        return halves(rows, values, keep)
 
     def counted_pairs(a, b, top):
         pairs.append(0)
@@ -309,14 +310,18 @@ def test_flow_checks_scan_once(monkeypatch):
     monkeypatch.setattr(flows, "kochol_tables", counted)
     monkeypatch.setattr(flows, "_half_sums", counted_halves)
     monkeypatch.setattr(flows, "_kept_pairs", counted_pairs)
-    checked = flow_checks(complete_graph(4))
+    g = complete_graph(4)
+    checked = flow_checks(g)
     assert calls == [5]  # one scan at the top bound n = xi+2 with xi = 3
     # n = 1 needs no scan; then one modular grid of width n-1 for each
     # n = 2..5 and exactly one integral grid, of width 2(xi+1)
     assert sorted(widths) == [n - 1 for n in range(2, 6)] + [8]
-    # the modular scans test their (n-1)^xi pairs; the integral scan tests
-    # half of its (2(xi+1))^xi, the flows whose last cotree value is positive
-    assert pairs == [(n - 1) ** 3 for n in range(2, 6)] + [8**3 // 2]
+    # each scan tests the pairs of the combinations its halves keep on their
+    # local rows: off 0 mod n in the modular scans; in the integral scan,
+    # 0 < |s| < 5, and only the flows positive on half b's last coordinate
+    modular = [scan_halves(g, range(1, n), lambda s, n=n: s % n != 0) for n in range(2, 6)]
+    _, kept_a, kept_b = integral_halves(g, 5)
+    assert pairs == [a * b for _, a, b in modular] + [kept_a * kept_b]
     assert not checked.failures
 
 

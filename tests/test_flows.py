@@ -1,7 +1,7 @@
 import hashlib
 import random
 from collections import deque
-from itertools import chain, product
+from itertools import chain, combinations, product
 
 import numpy as np
 import pytest
@@ -253,6 +253,61 @@ def positive_flow_count(g: Multigraph, direction: tuple[int, ...], n: int) -> in
         if ok:
             count += 1
     return count
+
+
+def scan_halves(g: Multigraph, values, keep, positive_last: bool = False) -> tuple[int, int, int]:
+    """(shared rows, kept combinations of half a, of half b) of one flow
+    scan, by the filter's definition and by brute force over the class rows
+    of `Multigraph.cycle_space`.
+
+    A row is local to a half when all its nonzero entries lie in the half's
+    coordinates; a zero row counts for half a.  Half a is the first split of
+    `combinations(range(xi), xi // 2)` with the most rows local to one half,
+    and half b the rest.  A half keeps the value combinations that `keep`
+    passes on each of its local rows; with `positive_last`, half b keeps
+    only those whose last value is positive.
+    """
+    _, cotree, rows, _, _ = g.cycle_space
+    xi = len(cotree)
+
+    def within(row, cols):
+        return all(c in cols for c, x in enumerate(row) if x)
+
+    def rest(cols):
+        return tuple(c for c in range(xi) if c not in cols)
+
+    cols_a = max(
+        combinations(range(xi), xi // 2),
+        key=lambda cols: sum(within(row, cols) or within(row, rest(cols)) for row in rows),
+    )
+    cols_b = rest(cols_a)
+    local_a = [row for row in rows if within(row, cols_a)]
+    local_b = [row for row in rows if within(row, cols_b) and not within(row, cols_a)]
+    kept = []
+    for cols, local, last in ((cols_a, local_a, False), (cols_b, local_b, positive_last)):
+        kept.append(sum(
+            all(keep(sum(row[c] * x for c, x in zip(cols, combo))) for row in local) and (not last or combo[-1] > 0)
+            for combo in product(values, repeat=len(cols))
+        ))
+    return len(rows) - len(local_a) - len(local_b), kept[0], kept[1]
+
+
+def integral_halves(g: Multigraph, top: int) -> tuple[int, int, int]:
+    """`scan_halves` of the Kochol scan at `top`."""
+    span = [*range(1 - top, 0), *range(1, top)]
+    return scan_halves(g, span, lambda s: 0 < abs(s) < top, positive_last=True)
+
+
+def recorded_pair_scans(monkeypatch) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
+    """Wrap `flows._kept_pairs`: for each call, (rows, pairs tested, a, b)."""
+    calls, kept = [], flows._kept_pairs
+
+    def recorded(a, b, top):
+        calls.append((a.shape[0], a.shape[1] * b.shape[1], a.copy(), b.copy()))
+        return kept(a, b, top)
+
+    monkeypatch.setattr(flows, "_kept_pairs", recorded)
+    return calls
 
 
 class TestCounts:
@@ -679,7 +734,13 @@ class TestPairKernel:
         assert peak[ok].tolist() == (np.abs(sums).max(axis=0)[passes] - 1).tolist()
 
     @pytest.mark.parametrize(
-        "g, block", [(complete_graph(4), 100), (complete_graph(4), 50), (complete_graph(5), 3 * 1372)]
+        "g, block",
+        [
+            (complete_graph(4), 100),
+            # three combinations of half a per block of the integral scan
+            (complete_graph(4), 3 * integral_halves(complete_graph(4), 5)[2]),
+            (complete_graph(5), 3 * 1372),
+        ],
     )
     def test_any_block_size_gives_the_same_counts(self, monkeypatch, g, block):
         # the block size bounds memory only: several blocks, a partial last
@@ -703,3 +764,59 @@ class TestPairKernel:
         assert len(scans[0]) > 1  # the integral scan
         assert [modular_flow_count(g, n) for n in range(1, xi + 3)] == counts
         assert any(len(heights) > 1 and heights[-1] < heights[0] for heights in scans)
+
+
+BOWTIE = Multigraph(5, ((0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)))
+
+
+class TestLocalRows:
+    # a class row whose nonzero entries all lie in one half is tested once
+    # per combination of that half, before any pair is formed
+    def test_petersen_scans_fewer_rows_and_pairs(self, monkeypatch):
+        calls = recorded_pair_scans(monkeypatch)
+        kochol_tables(PETERSEN, 8)
+        (rows, pairs, _, _), = calls
+        # a scan without the filter tests all 9 class rows on half of the
+        # 14^3 x 14^3 pairs
+        assert len(PETERSEN.cycle_space[2]) == 9
+        assert rows < 9 and pairs < 14**6 // 2
+        shared, kept_a, kept_b = integral_halves(PETERSEN, 8)
+        assert (rows, pairs) == (shared, kept_a * kept_b)
+
+    def test_local_rows_never_reach_the_pair_kernel(self, monkeypatch):
+        # a row the pair kernel sees has nonzero sums in both halves, so it
+        # depends on both; and it sees as many rows as the halves share
+        calls = recorded_pair_scans(monkeypatch)
+        classes = chain.from_iterable(connected_graph_classes(5))
+        graphs = [g for g in classes if g.is_bridgeless and cyclomatic_number(g)]
+        for g in graphs + [complete_graph(5), PETERSEN, K4_DOUBLED, BOWTIE]:
+            calls.clear()
+            top = cyclomatic_number(g) + 2
+            kochol_tables(g, top)
+            (rows, _, a, b), = calls
+            assert rows == integral_halves(g, top)[0]
+            assert (a != 0).any(axis=1).all() and (b != 0).any(axis=1).all()
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            cycle_graph(3),  # xi = 1: half a has no coordinate
+            BOWTIE,  # two triangles at a vertex: every row is local
+            Multigraph(3, cycle_graph(3).edges + ((1, 1),)),  # a loop: a coordinate on no row
+            Multigraph(2, ((0, 0), (0, 1))),  # a bridge: a zero row
+        ],
+    )
+    def test_edge_cases_keep_their_tables_and_counts(self, monkeypatch, g):
+        xi = cyclomatic_number(g)
+        calls = recorded_pair_scans(monkeypatch)
+        tables = with_directions(per_bound(kochol_tables(g, xi + 2), xi + 2), g.edge_count)
+        oracle = {n: kochol_table_at(g, n) for n in range(1, xi + 3)}
+        assert tables == oracle
+        assert [list(t) for t in tables.values()] == [list(t) for t in oracle.values()]
+        assert [modular_flow_count(g, n) for n in range(1, xi + 4)] == [
+            modular_flow_count_dense(g, n) for n in range(1, xi + 4)
+        ]
+        # no row reaches the pair kernel; a bridge's zero row leaves half a
+        # with no combination, so no pair is tested either
+        assert calls and all(rows == 0 for rows, *_ in calls)
+        assert g.is_bridgeless or all(pairs == 0 for _, pairs, *_ in calls)
