@@ -94,11 +94,10 @@ POINT_ENUMERATION_BUDGET = 10**8
 # FLOW_XI_CAP refuses first).  Padded with isolated vertices, its totally
 # cyclic search takes 19 to 23 ms at d = 10, 1000 and 10,000 alike (20 to
 # 34 ms, 57 to 59 ms and 324 to 342 ms when a step copied one mask per
-# vertex), and `flow --json` on it takes 0.10 to 0.11 s at d = 10 and
-# d = 1000 and 0.11 to 0.13 s at d = 10,000, at 43 MB peak RSS (`cli.main`
-# in process, ten runs each over two alternating rounds; Python 3.11, one
-# process on 2 shared cores).  At d = 10^7, before this cap, `flow` took
-# 8.1 s and 1.46 GB.
+# vertex), and `flow --json` on it takes 0.04 to 0.06 s at d = 10, 1000
+# and 10,000 (this cap lifted), at 37 MB peak RSS (`cli.main` in a fresh
+# interpreter, three runs each; Python 3.11, one process on 2 shared
+# cores).  At d = 10^7, before this cap, `flow` took 8.1 s and 1.46 GB.
 FLOW_VERTEX_CAP = 1000
 
 # One flow count scans the product of its cotree value sets.  The budget
@@ -111,8 +110,9 @@ FLOW_CANDIDATE_BUDGET = 300_000_000
 # each half first drops the combinations that fail its local rows), but the
 # budget is charged on the full grid.  At xi = 7, `flow_checks` on the
 # octahedron (K6 less a perfect matching, 1,862 totally cyclic
-# orientations) takes 0.6 to 0.75 s at 46 MB peak RSS, with 0 failures
-# (five runs; Python 3.11, one process on 2 shared cores).
+# orientations) takes 0.37 to 0.39 s at 37 MB peak RSS, with 0 failures
+# (three runs in a fresh interpreter; Python 3.11, one process on 2 shared
+# cores).
 FLOW_XI_CAP = 7
 
 # surveys --------------------------------------------------------------------
@@ -136,7 +136,7 @@ POSET_SURVEY_CAP = 7
 # with xi = 6 at d <= 6 take 0.25 to 0.29 s together, more than the 0.16 to
 # 0.24 s of the whole d <= 6 flow survey; the 97 bridgeless classes with
 # xi = 6 at d = 7 take about 3.5 s.  The octahedron, with xi = 7, takes about
-# 0.6 s (see FLOW_XI_CAP), and the 82 bridgeless classes with xi = 7 at
+# 0.4 s (see FLOW_XI_CAP), and the 82 bridgeless classes with xi = 7 at
 # d = 7 take about 50 s together, with 0 failures (Python 3.11, one process
 # on 2 shared cores).  Admitting them would also change the survey's output.
 FLOW_XI_SURVEY_CAP = 5

@@ -12,12 +12,20 @@ are split in two halves, each half's value combinations carry their partial
 tree sums, and pairs of combinations are tested in blocks.  A class row
 whose nonzero entries all lie in one half is local to it: that half alone
 fixes its sum, so each half first drops the combinations that fail one of
-its local rows, and the split is the one with the most local rows.  Pairs
-are tested on the shared rows only.  One block's buffers are allocated once
-per scan; each shared row's sums are added into them, and a pair is kept by
-one unsigned compare of its largest |sum| - 1 (which wraps to the largest
-value at a zero sum).  The integral scan then reads only its kept pairs
-again, row by row.
+its local rows.  The split is the one with the most local rows,
+`Multigraph.cotree_split`, chosen once per graph.  Pairs are tested on the
+shared rows only.  One block's buffers are allocated once per scan; each
+shared row's sums are added into them, and a pair is kept by one unsigned
+compare of its largest |sum| - 1 (which wraps to the largest value at a
+zero sum).  The integral scan then reads only its kept pairs again, row by
+row.
+
+A scan's memory is bounded by a fixed budget, whatever xi and the share of
+pairs kept: the halves are built in the narrowest integer type that holds
+their sums, a block's size is set by its worst case in bytes, every pair
+kept (`_PAIR_BLOCK`), and the integral scan folds its blocks' counts into
+one running table, which holds at most three times the distinct
+(orientation, level) codes.
 
 The integral scan is the Kochol table: it buckets every nowhere-zero integer
 flow by the totally cyclic orientation along which it is strictly positive.
@@ -45,7 +53,6 @@ their star vectors, except for phi's integer coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Callable, Iterator
 
 import numpy as np
@@ -69,11 +76,17 @@ __all__ = [
     "modular_flow_count",
 ]
 
-# pairs of half combinations tested at once: the block's sum, peak and
-# verdict buffers take about half a MB each in int8, allocated once per scan
-# and overwritten row by row; the kept pairs of one block are all that is
-# held, and halves filtered by their local rows keep more pairs per block
-_PAIR_BLOCK = 1 << 19
+# pairs of half combinations tested at once, sized by a block's worst case,
+# every pair kept: 3 B per pair for the int8 sum, peak and verdict buffers
+# (allocated once per scan and overwritten row by row) and about 28 B per
+# kept pair for the index, level, code and sign arrays of `kochol_tables`
+# and `np.unique`'s copy.  So a block holds about 2 MB at most: with every
+# pair forced kept, `kochol_tables` on K5 traces a 2.1 MB peak, 27.8 B per
+# pair of its full blocks above the scan with none kept.  A block is at least
+# one combination of half a against all of half b: in the scans of
+# `flow_analysis`, at most 16^4 / 2 = 32,768 pairs (xi = 7, half b's last
+# coordinate positive).
+_PAIR_BLOCK = 1 << 16
 
 
 def _check_vertex_cap(g: Multigraph) -> None:
@@ -98,23 +111,19 @@ def _class_rows(g: Multigraph) -> np.ndarray:
 
 
 def _half_sums(
-    rows: np.ndarray, values: np.ndarray, keep: Callable[[np.ndarray], np.ndarray]
-) -> tuple[list[int], list[tuple]]:
-    """Split the cotree coordinates in two halves; for each, the value
-    combinations of its coordinates (one row each, from `values`) that pass
-    its local rows, and their partial sums along `rows` (shape: len(rows) by
-    combinations).
+    rows: np.ndarray, split: tuple, values: np.ndarray, keep: Callable[[np.ndarray], np.ndarray]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each half of `split` (`Multigraph.cotree_split`), the value
+    combinations of its coordinates (one column each, every coordinate
+    taking each of `values`) that pass its local rows, and their partial
+    sums along `rows` (one row each).
 
-    A row is local to a half when all its nonzero entries lie in that half's
-    coordinates, so the half alone fixes its sum; a zero row, a bridge's, is
-    local to half a.  `keep` maps sums to True where they may stand in a
-    flow, and each half drops the combinations that fail it on one of its
-    local rows, once per combination; only the shared rows are left to test
-    per pair.  Half a takes xi // 2 coordinates: of
-    `itertools.combinations(range(xi), xi // 2)`, the first with the most
-    local rows, scored by the rows' supports alone.  Half b takes the rest,
-    in increasing order.  Returns the shared rows and, per half, its
-    coordinates, its local rows, its kept combinations and their sums.
+    `keep` maps one row's sums to True where they may stand in a flow, and
+    each half drops the combinations that fail it on one of its local rows,
+    once per combination; only the shared rows are left to test per pair.
+    Combinations and sums are built in the narrowest signed type holding
+    every sum, one coordinate at a time, so a half takes a few bytes per
+    combination and row.
 
     A candidate is a pair of combinations, one per half, and its forced
     tree values are the sums of their columns, so the (len(values))^xi
@@ -124,40 +133,37 @@ def _half_sums(
     total = len(values) ** xi
     if total > caps.FLOW_CANDIDATE_BUDGET:
         raise CapExceeded(f"flow enumeration needs {total} candidates (budget {caps.FLOW_CANDIDATE_BUDGET})")
-    supports = ((rows != 0) @ (1 << np.arange(xi))).tolist()  # bit c: a nonzero entry at c
-
-    def local_rows(cols: tuple[int, ...]) -> int:
-        inside = sum(1 << c for c in cols)
-        return sum(1 for s in supports if not s & inside or not s & ~inside)
-
-    cols_a = max(combinations(range(xi), xi // 2), key=local_rows)
-    cols_b = tuple(c for c in range(xi) if c not in cols_a)
-    inside = sum(1 << c for c in cols_a)
-    local_a = [r for r, s in enumerate(supports) if not s & ~inside]
-    local_b = [r for r, s in enumerate(supports) if s and not s & inside]
-    shared = [r for r, s in enumerate(supports) if s & inside and s & ~inside]
+    cols_a, cols_b, local_a, local_b, _ = split
+    v = len(values)
+    values = _small(values, int(np.abs(values).max()) * max(1, int(np.abs(rows).sum(axis=1).max(initial=0))))
     halves = []
     for cols, local in ((cols_a, local_a), (cols_b, local_b)):
         k = len(cols)
-        index = np.indices((len(values),) * k).reshape(k, len(values) ** k)
-        combos = values[index].T
-        sums = rows[:, list(cols)] @ combos.T
+        combos = np.empty((k, v**k), values.dtype)
+        for c, column in enumerate(combos):  # C order: the last coordinate varies fastest
+            column.reshape(v**c, v, v ** (k - 1 - c))[:] = values[:, None]
+        sums = np.zeros((len(rows), v**k), values.dtype)
+        for column, weights in zip(combos, rows.T[list(cols)].astype(values.dtype)):
+            sums += weights[:, None] * column
         if local:
-            kept = keep(sums[local]).all(axis=0)
-            combos, sums = combos[kept], sums[:, kept]
-        halves.append((cols, local, combos, sums))
-    return shared, halves
+            kept = np.ones(v**k, bool)
+            for r in local:
+                kept &= keep(sums[r])
+            combos, sums = combos[:, kept], sums[:, kept]
+        halves.append((combos, sums))
+    return halves
 
 
 def _kept_pairs(a: np.ndarray, b: np.ndarray, top: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Pairs (i, j) of half combinations whose sums s = a[r, i] + b[r, j]
     satisfy 0 < |s| < top on every row r, in blocks of about `_PAIR_BLOCK`
-    pairs.  Yields the first i of the block, the verdict over (i, j), and
-    the peak over (i, j), which at a kept pair is its largest |s| - 1 over
-    the rows.  Both are views of buffers allocated once, which the next
-    block overwrites.  The scans pass only the rows the halves share, their
-    local rows being tested per combination by `_half_sums`; with no row,
-    every pair is kept, with peak 0.
+    pairs, and of one combination of half a when b is wider.  Yields the
+    first i of the block, the verdict over (i, j), and the peak over (i, j),
+    which at a kept pair is its largest |s| - 1 over the rows.  Both are
+    views of buffers allocated once, which the next block overwrites.  The
+    scans pass only the rows the halves share, their local rows being tested
+    per combination by `_half_sums`; with no row, every pair is kept, with
+    peak 0.
 
     a and b share a signed integer type that holds every sum and +-top.
     Each row's sums are added into one buffer, which takes |s| - 1 in place.
@@ -197,23 +203,33 @@ def modular_flow_count(g: Multigraph, n: int) -> int:
         return 1
     if n == 1:
         return 0
-    rows = _class_rows(g)
-    shared, ((*_, a), (*_, b)) = _half_sums(rows, np.arange(1, n, dtype=np.int64), lambda s: s % n != 0)
+    split = g.cotree_split
+    shared = list(split[4])
+    (_, a), (_, b) = _half_sums(_class_rows(g), split, np.arange(1, n), lambda s: s % n != 0)
     # with residues a in [0, n) and b - n in [-n, 0), a shared row's sum is
     # 0 mod n exactly when it is 0 or -n: the pairs kept have 0 < |s| < n
     a, b = _small(a[shared] % n, n), _small(b[shared] % n - n, n)
     return sum(int(np.count_nonzero(ok)) for _, ok, _ in _kept_pairs(a, b, n))
 
 
-def _half_codes(cols: tuple[int, ...], local: list[int], combos: np.ndarray, sums: np.ndarray,
+def _half_codes(cols: tuple[int, ...], local: tuple[int, ...], combos: np.ndarray, sums: np.ndarray,
                 xi: int, shift: int) -> tuple[np.ndarray, np.ndarray]:
     """Each combination's code and level, from the values its half alone
     fixes: the sign of its coordinate c at bit `shift` + c and of its local
     row r's sum at bit `shift` + xi + r, and the largest |value|."""
-    fixed = np.vstack([combos.T, sums[local]])
-    bits = np.array([*cols, *(xi + r for r in local)], dtype=np.int64)[:, None] + shift
-    return (np.left_shift(fixed < 0, bits).sum(axis=0, dtype=np.int64),
-            np.abs(fixed).max(axis=0, initial=0))
+    code, level = np.zeros(combos.shape[1], np.int64), np.zeros(combos.shape[1], combos.dtype)
+    for bit, fixed in zip([*cols, *(xi + r for r in local)], [*combos, *sums[list(local)]]):
+        code |= np.left_shift(fixed < 0, shift + bit)
+        np.maximum(level, np.abs(fixed), out=level)
+    return code, level
+
+
+def _merged(codes: list[np.ndarray], counts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct codes of the listed tables, each with its summed count."""
+    found, at = np.unique(np.concatenate(codes), return_inverse=True)
+    total = np.zeros(len(found), np.int64)
+    np.add.at(total, at, np.concatenate(counts))
+    return found, total
 
 
 def kochol_tables(g: Multigraph, top: int) -> dict[int, tuple[int, ...]]:
@@ -240,28 +256,36 @@ def kochol_tables(g: Multigraph, top: int) -> dict[int, tuple[int, ...]]:
     local rows, and its level, the largest |value| among them; a kept pair
     ORs its halves' bits with the sign of each shared row's sum, built row
     by row over the kept pairs only, and its level is the largest of the
-    halves' levels and the block's peak.  Codes are counted per block, so
-    no more than one block of kept pairs is held.  The columns then come
+    halves' levels and the block's peak.  A block pairs a few consecutive
+    combinations of half a with all of half b, so half a's values are
+    repeated along the kept pairs of each block row and only half b's are
+    gathered.  Codes are counted per block, and the block tables are folded
+    into one running table whenever they have doubled past the last fold,
+    so the scan holds one block's arrays and no more codes than twice the
+    distinct (orientation, level) codes plus one block's, however many
+    blocks there are.  The columns then come
     from one count per (orientation, level), cumulated over the levels; each
     key becomes its orientation mask once, by `bit_sums`, a Python int
     however many edges there are, and the columns are listed
-    lexicographically in their orientations' directions, edge 0 first.
+    lexicographically in their orientations' directions, edge 0 first: by
+    the mask with its m bits reversed, built by `bit_sums` as well.
     """
     xi = _check_caps(g, top)
     m = g.edge_count
     if xi == 0 or top == 1:  # a forest carries no nowhere-zero flow
         return {}
     tree, cotree, _, cls, flipped = g.cycle_space
+    cols_a, cols_b, local_a, local_b, shared = split = g.cotree_split
     rows = _class_rows(g)
-    span = np.concatenate([np.arange(-(top - 1), 0), np.arange(1, top)]).astype(np.int64)
-    shared, halves = _half_sums(rows, span, lambda s: (s != 0) & (np.abs(s) < top))
-    (cols_a, local_a, combos_a, sums_a), (cols_b, local_b, combos_b, sums_b) = halves
+    span = np.concatenate([np.arange(-(top - 1), 0), np.arange(1, top)])
+    (combos_a, sums_a), (combos_b, sums_b) = _half_sums(rows, split, span, lambda s: (s != 0) & (np.abs(s) < top))
     # x and -x are both kept or both dropped, so scan only the flows that
     # are positive on one cotree coordinate, half b's last
-    positive = combos_b[:, -1] > 0
-    combos_b, sums_b = combos_b[positive], sums_b[:, positive]
-    if not len(combos_a) or not len(combos_b):  # a zero row: no flow at all
+    positive = combos_b[-1] > 0
+    combos_b, sums_b = combos_b[:, positive], sums_b[:, positive]
+    if not combos_a.shape[1] or not combos_b.shape[1]:  # a zero row: no flow at all
         return {}
+    shared = list(shared)
     bound = (top - 1) * int(np.abs(rows[shared]).sum(axis=1).max(initial=0))
     a, b = _small(sums_a[shared], max(bound, top)), _small(sums_b[shared], max(bound, top))
     # at most 4 xi key bits and the level's: every code fits an int64
@@ -269,52 +293,64 @@ def kochol_tables(g: Multigraph, top: int) -> dict[int, tuple[int, ...]]:
     code_a, level_a = _half_codes(cols_a, local_a, combos_a, sums_a, xi, shift)
     code_b, level_b = _half_codes(cols_b, local_b, combos_b, sums_b, xi, shift)
     level_a, level_b, minus_b = level_a.astype(a.dtype), level_b.astype(a.dtype), -b
-    found_codes, found_counts = [], []
+    width = b.shape[1]
+    codes, counts, held = [], [], 0
     for start, ok, peak in _kept_pairs(a, b, top):
-        flat = np.flatnonzero(ok)
-        i = flat // b.shape[1]  # block rows: half a from `start` on
-        j = flat - i * b.shape[1]
-        level = peak.take(flat)
+        # the kept pairs in row order: block row i keeps per_row[i] pairs,
+        # all with combination start + i of half a
+        k, rows_a = ok.shape[0], slice(start, start + ok.shape[0])
+        j = np.flatnonzero(ok)
+        level = peak.take(j)
+        per_row = np.diff(np.searchsorted(j, np.arange(1, k + 1) * width), prepend=0)
+        j -= np.repeat(np.arange(k) * width, per_row)  # now half b's combination
         level += 1
-        np.maximum(level, level_a[start:].take(i), out=level)
+        np.maximum(level, level_a[rows_a].repeat(per_row), out=level)
         np.maximum(level, level_b.take(j), out=level)
-        code = code_a[start:].take(i)
-        code |= code_b.take(j)
+        code = code_a[rows_a].repeat(per_row)
         code |= level
-        x, y = np.empty_like(level), np.empty_like(level)
-        negative, bit = np.empty(len(flat), bool), np.empty_like(code)
+        negative, bit = np.empty(len(j), bool), np.empty_like(code)
         for r, ra, rb in zip(shared, a, minus_b):
-            ra[start:].take(i, out=x)
-            rb.take(j, out=y)
-            np.less(x, y, out=negative)  # x < -b: the class sum is negative
+            # x < -b: the class sum is negative
+            np.less(ra[rows_a].repeat(per_row), rb.take(j), out=negative)
             np.left_shift(negative, shift + xi + r, out=bit)
             code |= bit
-        # the block's temporaries set the peak memory: free them before
-        # np.unique sorts a copy of the codes
-        del flat, i, j, level, x, y, negative, bit
-        found, counts = np.unique(code, return_counts=True)
-        found_codes.append(found)
-        found_counts.append(counts)
+        # the block's temporaries set the peak memory: free them before half
+        # b's codes are gathered, and j before np.unique sorts a copy
+        del level, negative, bit
+        code |= code_b.take(j)
+        del j
+        found, count = np.unique(code, return_counts=True)
+        codes.append(found)
+        counts.append(count)
+        held += len(found)
+        if held > 2 * len(codes[0]):  # doubled past the last fold
+            found, count = _merged(codes, counts)
+            codes, counts, held = [found], [count], len(found)
 
-    code = np.concatenate(found_codes)
+    code = np.concatenate(codes)
     key = code >> shift
     # the twin -x has the same level and every key bit flipped
     key = np.concatenate([key, key ^ ((1 << (xi + len(rows))) - 1)])
     level = np.tile(code & ((1 << shift) - 1), 2)
     keys, at = np.unique(key, return_inverse=True)
     per_level = np.zeros((len(keys), top), dtype=np.int64)
-    np.add.at(per_level, (at, level), np.tile(np.concatenate(found_counts), 2))
+    np.add.at(per_level, (at, level), np.tile(np.concatenate(counts), 2))
     below = per_level.cumsum(axis=1)  # column n - 1: the flows with level < n
-    # edge e is reversed where its key bit differs from its flip, so a mask
-    # is linear in the key bits: the flipped tree edges, plus 2^e for each
-    # set key bit of an edge e, negated on a flipped one
-    weights = [1 << e for e in cotree] + [0] * len(rows)
-    for t, c, flip in zip(tree, cls, flipped):
-        weights[xi + c] += -(1 << t) if flip else 1 << t
-    masks = bit_sums(keys.tolist(), weights, sum(1 << t for t, flip in zip(tree, flipped) if flip))
-    # lexicographic in the directions, edge 0 first
-    order = sorted(range(len(masks)), key=lambda i: format(masks[i], f"0{m}b")[::-1])
-    return {masks[i]: tuple(column) for i, column in zip(order, below[order].tolist())}
+    keys = keys.tolist()
+
+    def masks(bit: Callable[[int], int]) -> list[int]:
+        # edge e is reversed where its key bit differs from its flip, so a
+        # mask is linear in the key bits: the flipped tree edges, plus
+        # 2^bit(e) for each set key bit of an edge e, negated on a flipped one
+        weights = [1 << bit(e) for e in cotree] + [0] * len(rows)
+        for t, c, flip in zip(tree, cls, flipped):
+            weights[xi + c] += -(1 << bit(t)) if flip else 1 << bit(t)
+        return bit_sums(keys, weights, sum(1 << bit(t) for t, flip in zip(tree, flipped) if flip))
+
+    # lexicographic in the directions, edge 0 first: edge 0 the highest bit
+    order = sorted(range(len(keys)), key=masks(lambda e: m - 1 - e).__getitem__)
+    forward = masks(lambda e: e)
+    return {forward[i]: tuple(column) for i, column in zip(order, below[order].tolist())}
 
 
 # ---------------------------------------------------------------------------

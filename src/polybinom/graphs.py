@@ -7,7 +7,8 @@ second), so it is preserved verbatim from input.
 
 A graph is traversed once: one depth-first search, cached on the graph,
 counts its components, finds its bridges and records a spanning forest,
-and the cycle space that the flow scans read is built from that forest.
+and the cycle space that the flow scans read is built from that forest, as
+is the split of its cotree coordinates that they share.
 
 Acyclic and totally cyclic orientations are enumerated by backtracking
 searches with no dead ends, so their cost follows their output: at most m
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from . import caps
@@ -189,6 +191,40 @@ class Multigraph:
         classes = sorted(set(rows))
         index = {row: r for r, row in enumerate(classes)}
         return tuple(tree), tuple(cotree), tuple(classes), tuple(index[row] for row in rows), flipped
+
+    @cached_property
+    def cotree_split(self) -> tuple[
+        tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]
+    ]:
+        """The split of the cotree coordinates that every flow scan shares:
+        (half a, half b, the class rows local to a, those local to b, the
+        shared rows), rows numbered as in `cycle_space`.
+
+        A row is local to a half when all its nonzero entries lie in that
+        half's coordinates, so the half alone fixes its sum; a zero row, a
+        bridge's, is local to half a.  Half a takes xi // 2 coordinates: of
+        `itertools.combinations(range(xi), xi // 2)`, the first with the most
+        local rows, scored by the rows' supports alone.  Half b takes the
+        rest, in increasing order.  Chosen once per graph: the xi + 2 scans of
+        `flow_analysis` read the same split.
+        """
+        _, cotree, rows, _, _ = self.cycle_space
+        xi = len(cotree)
+        supports = [sum(1 << c for c, x in enumerate(row) if x) for row in rows]
+
+        def local_rows(cols: tuple[int, ...]) -> int:
+            inside = sum(1 << c for c in cols)
+            return sum(1 for s in supports if not s & inside or not s & ~inside)
+
+        cols_a = max(combinations(range(xi), xi // 2), key=local_rows)
+        inside = sum(1 << c for c in cols_a)
+        return (
+            cols_a,
+            tuple(c for c in range(xi) if c not in cols_a),
+            tuple(r for r, s in enumerate(supports) if not s & ~inside),
+            tuple(r for r, s in enumerate(supports) if s and not s & inside),
+            tuple(r for r, s in enumerate(supports) if s & inside and s & ~inside),
+        )
 
     @property
     def is_bridgeless(self) -> bool:

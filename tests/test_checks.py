@@ -297,9 +297,9 @@ def test_flow_checks_scan_once(monkeypatch):
         calls.append(top)
         return tables(g, top)
 
-    def counted_halves(rows, values, keep):
+    def counted_halves(rows, split, values, keep):
         widths.append(len(values))
-        return halves(rows, values, keep)
+        return halves(rows, split, values, keep)
 
     def counted_pairs(a, b, top):
         pairs.append(0)

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from collections import deque
 from itertools import chain, combinations, product
 
@@ -476,6 +477,13 @@ class TestFlowAnalysis:
         # one search and one cycle space per call, both of g
         assert searched == spaces == [g]
 
+    def test_the_split_is_chosen_once_per_instance(self, computed):
+        # the xi + 1 modular scans and the integral scan share one split
+        g = complete_graph(5)
+        splits = computed(Multigraph, "cotree_split")
+        flow_analysis(g)
+        assert splits == [g]
+
     def test_non_integral_phi_rejected(self, monkeypatch):
         # C(n, 3) is integer-valued and of degree xi = 3, and fits the node,
         # but phi must have integer monomial coefficients
@@ -740,6 +748,9 @@ class TestPairKernel:
             # three combinations of half a per block of the integral scan
             (complete_graph(4), 3 * integral_halves(complete_graph(4), 5)[2]),
             (complete_graph(5), 3 * 1372),
+            # one combination of half a per block: the same codes recur
+            # across 1,666 blocks, which the running table folds together
+            (complete_graph(5), integral_halves(complete_graph(5), 8)[2]),
         ],
     )
     def test_any_block_size_gives_the_same_counts(self, monkeypatch, g, block):
@@ -767,6 +778,55 @@ class TestPairKernel:
 
 
 BOWTIE = Multigraph(5, ((0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)))
+OCTAHEDRON = Multigraph(6, tuple(e for e in complete_graph(6).edges if e not in ((0, 1), (2, 3), (4, 5))))
+
+
+def traced_peak(scan, *args) -> int:
+    """The tracemalloc peak, in bytes, of one call of `scan`."""
+    tracemalloc.start()
+    try:
+        scan(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestScanMemory:
+    # one scan holds its narrow halves, one block's arrays and one running
+    # table of codes, whatever xi and the share of pairs kept
+    def test_k5_scan_holds_one_block(self):
+        # a block of 2^16 pairs holds about 2 MB with every pair kept; a
+        # block sized by its int8 grid alone takes about 11 MB here
+        assert traced_peak(kochol_tables, complete_graph(5), 8) < 4_000_000
+
+    def test_octahedron_scan_at_the_xi_cap(self):
+        # xi = 7, the largest scan the caps admit: int64 halves, or every
+        # block's codes held to the end, take about 16 MB here
+        assert cyclomatic_number(OCTAHEDRON) == caps.FLOW_XI_CAP
+        assert traced_peak(kochol_tables, OCTAHEDRON, 9) < 6_000_000
+
+    def test_block_tables_fold_into_one_running_table(self, monkeypatch):
+        # with one combination of half a per block, no fold holds more than
+        # three times the distinct codes (twice the last fold, plus one
+        # block's), however many blocks there are
+        tables = kochol_tables(complete_graph(5), 8)
+        folds, merged = [], flows._merged
+
+        def recorded(codes, counts):
+            found, total = merged(codes, counts)
+            folds.append((sum(map(len, codes)), len(found), int(total.sum())))
+            return found, total
+
+        monkeypatch.setattr(flows, "_PAIR_BLOCK", integral_halves(complete_graph(5), 8)[2])
+        monkeypatch.setattr(flows, "_merged", recorded)
+        blocked = kochol_tables(complete_graph(5), 8)
+        assert list(blocked.items()) == list(tables.items())
+        distinct = folds[-1][1]
+        assert len(folds) > 1
+        assert all(held <= 3 * distinct for held, _, _ in folds)
+        # a fold keeps every count: the running table only grows
+        assert [kept for _, _, kept in folds] == sorted(kept for _, _, kept in folds)
+
 
 
 class TestLocalRows:
