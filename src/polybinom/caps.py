@@ -132,11 +132,13 @@ GRAPH_SURVEY_CAP = 7
 # shared cores).  Must not exceed LATTICE_POINT_ELEMENT_CAP (`poset_checks`).
 POSET_SURVEY_CAP = 7
 # The flow survey skips xi = 6 and 7.  One instance with xi = 6 (K5) takes
-# about 0.03 s (`flow_checks`, median of 5), and the 9 bridgeless classes
-# with xi = 6 at d <= 6 take 0.25 to 0.29 s together, more than the 0.16 to
-# 0.24 s of the whole d <= 6 flow survey; the 97 bridgeless classes with
-# xi = 6 at d = 7 take about 3.5 s.  The octahedron, with xi = 7, takes about
-# 0.4 s (see FLOW_XI_CAP), and the 82 bridgeless classes with xi = 7 at
-# d = 7 take about 50 s together, with 0 failures (Python 3.11, one process
-# on 2 shared cores).  Admitting them would also change the survey's output.
+# about 0.02 s (`flow_checks`, median of 5), and the 9 bridgeless classes
+# with xi = 6 at d <= 6 take 0.18 to 0.22 s together, more than the 0.13 to
+# 0.15 s of the whole d <= 6 flow survey; the 97 bridgeless classes with
+# xi = 6 at d = 7 take 1.9 to 2.0 s (3 runs).  The octahedron, with xi = 7,
+# takes about 0.35 s (see FLOW_XI_CAP), and the 82 bridgeless classes with
+# xi = 7 at d = 7 take about 35 s together (1 run), with 0 failures (Python
+# 3.11, numpy 2.4, one process on 2 shared cores, `flow_checks` timed per
+# class set in one interpreter).  Admitting them would also change the
+# survey's output.
 FLOW_XI_SURVEY_CAP = 5

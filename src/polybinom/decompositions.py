@@ -36,7 +36,6 @@ against.
 from __future__ import annotations
 
 import operator
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -265,7 +264,7 @@ def symmetric_split(v: Sequence[int], degree: int) -> SymmetricSplit:
 
 
 def _lattice_entries(h: StarVector, name: str) -> tuple[int, ...]:
-    """Entries of a start=0 star vector with h_0 >= 1; warns when h_0 > 1."""
+    """Entries of a start=0 star vector with h_0 >= 1."""
     if h.start != 0:
         raise ValueError(f"{name} decomposition expects a start=0 star vector")
     v = h.entries
@@ -273,8 +272,6 @@ def _lattice_entries(h: StarVector, name: str) -> tuple[int, ...]:
         raise ValueError(f"{name} decomposition of the zero vector is undefined")
     if v[0] < 1:
         raise ValueError(f"expected constant term >= 1, got {v[0]}")
-    if v[0] > 1:
-        warnings.warn(f"{name} decomposition of a summed star vector (constant term > 1)", stacklevel=3)
     return v
 
 

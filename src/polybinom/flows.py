@@ -53,6 +53,7 @@ their star vectors, except for phi's integer coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable, Iterator
 
 import numpy as np
@@ -82,10 +83,10 @@ __all__ = [
 # kept pair for the index, level, code and sign arrays of `kochol_tables`
 # and `np.unique`'s copy.  So a block holds about 2 MB at most: with every
 # pair forced kept, `kochol_tables` on K5 traces a 2.1 MB peak, 27.8 B per
-# pair of its full blocks above the scan with none kept.  A block is at least
-# one combination of half a against all of half b: in the scans of
-# `flow_analysis`, at most 16^4 / 2 = 32,768 pairs (xi = 7, half b's last
-# coordinate positive).
+# pair of its full blocks above the scan with none kept.  Half b is tiled
+# only when it is wider than a block, which no scan of `flow_analysis` is:
+# half b holds at most 16^4 / 2 = 32,768 combinations there (xi = 7, its
+# last coordinate positive).
 _PAIR_BLOCK = 1 << 16
 
 
@@ -154,11 +155,12 @@ def _half_sums(
     return halves
 
 
-def _kept_pairs(a: np.ndarray, b: np.ndarray, top: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+def _kept_pairs(a: np.ndarray, b: np.ndarray, top: int) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
     """Pairs (i, j) of half combinations whose sums s = a[r, i] + b[r, j]
-    satisfy 0 < |s| < top on every row r, in blocks of about `_PAIR_BLOCK`
-    pairs, and of one combination of half a when b is wider.  Yields the
-    first i of the block, the verdict over (i, j), and the peak over (i, j),
+    satisfy 0 < |s| < top on every row r, in blocks of at most `_PAIR_BLOCK`
+    pairs: a few combinations of half a against all of half b, or, when b
+    is wider, one of half a against a tile of b.  Yields the first i and the
+    first j of the block, the verdict over (i, j), and the peak over (i, j),
     which at a kept pair is its largest |s| - 1 over the rows.  Both are
     views of buffers allocated once, which the next block overwrites.  The
     scans pass only the rows the halves share, their local rows being tested
@@ -173,22 +175,23 @@ def _kept_pairs(a: np.ndarray, b: np.ndarray, top: int) -> Iterator[tuple[int, n
     over its rows is below top - 1: one compare per block.
     """
     unsigned = np.dtype(f"u{a.dtype.itemsize}")
-    step = max(1, _PAIR_BLOCK // max(1, b.shape[1]))
-    shape = (min(step, a.shape[1]), b.shape[1])
+    tile = max(1, min(b.shape[1], _PAIR_BLOCK))
+    step = _PAIR_BLOCK // tile
+    shape = (min(step, a.shape[1]), tile)
     sums, peak, ok = np.empty(shape, a.dtype), np.zeros(shape, a.dtype), np.empty(shape, bool)
     sums_u, peak_u = sums.view(unsigned), peak.view(unsigned)
-    for start in range(0, a.shape[1], step):
-        block = a[:, start:start + step]
-        k = block.shape[1]
-        for r, (ra, rb) in enumerate(zip(block, b)):
-            s = sums[:k] if r else peak[:k]  # the first row writes the peak itself
+    for start, first in product(range(0, a.shape[1], step), range(0, b.shape[1], tile)):
+        block, block_b = a[:, start:start + step], b[:, first:first + tile]
+        at = np.s_[:block.shape[1], :block_b.shape[1]]
+        for r, (ra, rb) in enumerate(zip(block, block_b)):
+            s = sums[at] if r else peak[at]  # the first row writes the peak itself
             np.add(ra[:, None], rb, out=s)
             np.abs(s, out=s)
             np.subtract(s, 1, out=s)
             if r:
-                np.maximum(peak_u[:k], sums_u[:k], out=peak_u[:k])
-        np.less(peak_u[:k], top - 1, out=ok[:k])
-        yield start, ok[:k], peak[:k]
+                np.maximum(peak_u[at], sums_u[at], out=peak_u[at])
+        np.less(peak_u[at], top - 1, out=ok[at])
+        yield start, first, ok[at], peak[at]
 
 
 def _small(values: np.ndarray, bound: int) -> np.ndarray:
@@ -209,7 +212,7 @@ def modular_flow_count(g: Multigraph, n: int) -> int:
     # with residues a in [0, n) and b - n in [-n, 0), a shared row's sum is
     # 0 mod n exactly when it is 0 or -n: the pairs kept have 0 < |s| < n
     a, b = _small(a[shared] % n, n), _small(b[shared] % n - n, n)
-    return sum(int(np.count_nonzero(ok)) for _, ok, _ in _kept_pairs(a, b, n))
+    return sum(int(np.count_nonzero(ok)) for _, _, ok, _ in _kept_pairs(a, b, n))
 
 
 def _half_codes(cols: tuple[int, ...], local: tuple[int, ...], combos: np.ndarray, sums: np.ndarray,
@@ -257,10 +260,11 @@ def kochol_tables(g: Multigraph, top: int) -> dict[int, tuple[int, ...]]:
     ORs its halves' bits with the sign of each shared row's sum, built row
     by row over the kept pairs only, and its level is the largest of the
     halves' levels and the block's peak.  A block pairs a few consecutive
-    combinations of half a with all of half b, so half a's values are
-    repeated along the kept pairs of each block row and only half b's are
-    gathered.  Codes are counted per block, and the block tables are folded
-    into one running table whenever they have doubled past the last fold,
+    combinations of half a with all of half b, or one with a tile of half
+    b, so half a's values are repeated along the kept pairs of each block
+    row and only half b's are gathered.  Codes are counted per block, and
+    the block tables are folded into one running table whenever they have
+    doubled past the last fold,
     so the scan holds one block's arrays and no more codes than twice the
     distinct (orientation, level) codes plus one block's, however many
     blocks there are.  The columns then come
@@ -293,16 +297,15 @@ def kochol_tables(g: Multigraph, top: int) -> dict[int, tuple[int, ...]]:
     code_a, level_a = _half_codes(cols_a, local_a, combos_a, sums_a, xi, shift)
     code_b, level_b = _half_codes(cols_b, local_b, combos_b, sums_b, xi, shift)
     level_a, level_b, minus_b = level_a.astype(a.dtype), level_b.astype(a.dtype), -b
-    width = b.shape[1]
     codes, counts, held = [], [], 0
-    for start, ok, peak in _kept_pairs(a, b, top):
+    for start, first, ok, peak in _kept_pairs(a, b, top):
         # the kept pairs in row order: block row i keeps per_row[i] pairs,
         # all with combination start + i of half a
-        k, rows_a = ok.shape[0], slice(start, start + ok.shape[0])
+        (k, width), rows_a = ok.shape, slice(start, start + ok.shape[0])
         j = np.flatnonzero(ok)
         level = peak.take(j)
         per_row = np.diff(np.searchsorted(j, np.arange(1, k + 1) * width), prepend=0)
-        j -= np.repeat(np.arange(k) * width, per_row)  # now half b's combination
+        j -= np.repeat(np.arange(k) * width - first, per_row)  # now half b's combination
         level += 1
         np.maximum(level, level_a[rows_a].repeat(per_row), out=level)
         np.maximum(level, level_b.take(j), out=level)
@@ -403,7 +406,7 @@ def flow_analysis(g: Multigraph) -> FlowResult:
     above `caps.FLOW_XI_CAP`, then the edge cap of the totally cyclic
     enumeration, which runs before the flow scans.  The graph is searched
     once, for its components, bridges and spanning forest, and builds its
-    cycle space once; every later check and all xi + 3 scans read them.
+    cycle space once; every later check and all xi + 2 scans read them.
     The star vectors come from the counts at n = 1..xi+1, which determine a
     polynomial of degree <= xi, and the counts at n = xi+2 are kept on the
     result as overdetermination nodes; `polybinom.checks` judges whether the

@@ -11,10 +11,10 @@ the same numbers: p(n) = sum_i v_i * C(n+D-i, D).
 
 The entries of v are integer finite differences of the values of p, so
 `star_from_values` builds a star vector straight from integer counts, and
-every route in the package builds its star vectors that way.  `Polynomial`
-(with `fractions.Fraction` coefficients) has no arithmetic: it is built
-from a star vector by `inverse_transform` only where a polynomial is
-printed, serialized or evaluated as such.
+every route in the package builds its star vectors that way.  A polynomial
+is only shown: `inverse_transform` builds a `Polynomial`, its integer
+numerators over one denominator, where one is printed or serialized, and
+it has no arithmetic.  Nothing in the package needs `fractions`.
 
 Two length conventions follow from the algebra and are enforced at
 construction:
@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = [
     "Polynomial",
@@ -64,68 +63,47 @@ def binomial_poly_value(a: int, d: int) -> int:
     return num // math.factorial(d)
 
 
+@dataclass(frozen=True)
 class Polynomial:
-    """Dense exact univariate polynomial, coefficients ascending by power.
+    """A shown polynomial: the coefficient of n^k is numerators[k] / denominator.
 
-    Built by `inverse_transform` for display; it is evaluated, printed and
-    serialized, never combined with another polynomial.
+    Built by `inverse_transform` where a polynomial is printed or serialized;
+    it has no arithmetic.  Kept in lowest terms: no trailing zero numerator
+    and gcd(denominator, *numerators) = 1, so the zero polynomial is ((), 1).
     """
 
-    __slots__ = ("_coeffs",)
+    numerators: tuple[int, ...] = ()
+    denominator: int = 1
 
-    def __init__(self, coeffs: Iterable[int | Fraction] = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self._coeffs = tuple(cs)
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
-
-    @property
-    def degree(self) -> int | float:
-        """Highest power with nonzero coefficient; -inf for the zero polynomial."""
-        return len(self._coeffs) - 1 if self._coeffs else float("-inf")
+    def __post_init__(self):
+        if self.denominator < 1:
+            raise ValueError(f"denominator must be positive, got {self.denominator}")
+        nums = list(self.numerators)
+        while nums and nums[-1] == 0:
+            nums.pop()
+        g = math.gcd(self.denominator, *nums)
+        object.__setattr__(self, "numerators", tuple(c // g for c in nums))
+        object.__setattr__(self, "denominator", self.denominator // g)
 
     @property
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self._coeffs)
-
-    def __call__(self, n: int | Fraction) -> int | Fraction:
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * n + c
-        if isinstance(acc, Fraction) and acc.denominator == 1:
-            return acc.numerator
-        return acc
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Polynomial) and self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-    def __repr__(self) -> str:
-        return f"Polynomial({self.pretty()})"
+        return self.denominator == 1
 
     def pretty(self, var: str = "n") -> str:
-        if not self._coeffs:
+        if not self.numerators:
             return "0"
         parts: list[str] = []
-        for power in range(len(self._coeffs) - 1, -1, -1):
-            c = self._coeffs[power]
+        for power in range(len(self.numerators) - 1, -1, -1):
+            c = self.numerators[power]
             if c == 0:
                 continue
-            mag = abs(c)
-            mag_str = str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
+            g = math.gcd(c, self.denominator)
+            num, den = abs(c) // g, self.denominator // g
+            mag_str = str(num) if den == 1 else f"{num}/{den}"
             if power == 0:
                 term = mag_str
             else:
-                head = "" if mag == 1 else f"{mag_str}*"
+                head = "" if num == den == 1 else f"{mag_str}*"
                 term = f"{head}{var}" if power == 1 else f"{head}{var}^{power}"
             if not parts:
                 parts.append(term if c > 0 else f"-{term}")
@@ -134,11 +112,7 @@ class Polynomial:
         return " ".join(parts)
 
     def to_json(self) -> dict:
-        den = math.lcm(*(c.denominator for c in self._coeffs)) if self._coeffs else 1
-        return {
-            "numerators": [int(c * den) for c in self._coeffs],
-            "denominator": den,
-        }
+        return {"numerators": list(self.numerators), "denominator": self.denominator}
 
 
 @dataclass(frozen=True)
@@ -238,7 +212,8 @@ def inverse_transform(v: StarVector) -> Polynomial:
     """The polynomial p with p(n) = sum_i v_i * C(n+D-i, D).
 
     Exact inverse of `star_from_values` for either start convention; the
-    result may have rational coefficients (it is always integer-valued).
+    result may have rational coefficients (it is always integer-valued),
+    whose numerators over D! are summed here in integers.
     """
     D = v.degree_bound
     # numerators over D!: entry * (n+D-i)(n+D-i-1)...(n-i+1), ascending powers
@@ -252,5 +227,4 @@ def inverse_transform(v: StarVector) -> Polynomial:
             basis = [(D - i - t) * c + prev for c, prev in zip(basis + [0], [0] + basis)]
         for k, c in enumerate(basis):
             numerators[k] += entry * c
-    den = math.factorial(D)
-    return Polynomial(Fraction(c, den) for c in numerators)
+    return Polynomial(numerators, math.factorial(D))

@@ -232,7 +232,7 @@ def test_wrong_interior_counts_are_a_reported_failure(monkeypatch, tmp_path, cap
 
 
 def test_order_route_builds_no_polynomial(monkeypatch):
-    def refuse(self, coeffs=()):
+    def refuse(self, *args):
         raise AssertionError("a Polynomial was built on the order route")
 
     monkeypatch.setattr(Polynomial, "__init__", refuse)
@@ -243,7 +243,7 @@ def test_order_route_builds_no_polynomial(monkeypatch):
 
 def test_graph_survey_builds_no_polynomial(monkeypatch):
     # chi is built only where it is shown, and a survey shows none
-    def refuse(self, coeffs=()):
+    def refuse(self, *args):
         raise AssertionError("a Polynomial was built on the graph survey")
 
     monkeypatch.setattr(Polynomial, "__init__", refuse)
@@ -257,9 +257,9 @@ def test_flow_survey_builds_one_polynomial_per_instance(monkeypatch):
     built = []
     init = Polynomial.__init__
 
-    def counted(self, coeffs=()):
+    def counted(self, *args):
         built.append(self)
-        init(self, coeffs)
+        init(self, *args)
 
     monkeypatch.setattr(Polynomial, "__init__", counted)
     report = run_flow_survey(5)
@@ -303,9 +303,9 @@ def test_flow_checks_scan_once(monkeypatch):
 
     def counted_pairs(a, b, top):
         pairs.append(0)
-        for start, ok, peak in kept(a, b, top):
+        for start, first, ok, peak in kept(a, b, top):
             pairs[-1] += ok.size
-            yield start, ok, peak
+            yield start, first, ok, peak
 
     monkeypatch.setattr(flows, "kochol_tables", counted)
     monkeypatch.setattr(flows, "_half_sums", counted_halves)

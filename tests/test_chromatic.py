@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 from itertools import chain
 
 import pytest
@@ -30,6 +31,7 @@ from polybinom.posets import Poset, omega_star
 from polybinom.survey import connected_graph_classes
 from test_flows import PETERSEN
 from test_graphs import enumerate_acyclic_orientations
+from test_polynomials import coefficients
 
 
 def wheel_graph(rim: int) -> Multigraph:
@@ -38,8 +40,9 @@ def wheel_graph(rim: int) -> Multigraph:
     return Multigraph(rim + 1, spokes + rim_edges)
 
 
-def chi(g: Multigraph) -> Polynomial:
-    return inverse_transform(chromatic_star(g))
+def chi(g: Multigraph) -> list[Fraction]:
+    """chi's monomial coefficients, ascending by power, as it is shown."""
+    return coefficients(inverse_transform(chromatic_star(g)))
 
 
 def random_connected_graph(rng: random.Random, d: int) -> Multigraph:
@@ -54,9 +57,9 @@ def random_connected_graph(rng: random.Random, d: int) -> Multigraph:
 
 class TestChromaticPolynomial:
     def test_small_fixtures(self):
-        assert chi(complete_graph(3)) == Polynomial([0, 2, -3, 1])
-        assert chi(path_graph(3)) == Polynomial([0, 1, -2, 1])
-        assert chi(Multigraph(1, ((0, 0),))) == Polynomial()
+        assert chi(complete_graph(3)) == [0, 2, -3, 1]
+        assert chi(path_graph(3)) == [0, 1, -2, 1]
+        assert chi(Multigraph(1, ((0, 0),))) == []
 
     def test_known_closed_forms(self):
         # complete graphs are falling factorials; cycles are (n-1)^d + (-1)^d (n-1)
@@ -85,7 +88,7 @@ class TestChromaticPolynomial:
         # K10 is the falling factorial n(n-1)...(n-9), of degree 10
         k10 = chromatic_star(complete_graph(10))
         assert [k10.value(n) for n in range(12)] == [math.perm(n, 10) for n in range(12)]
-        assert chi(Multigraph(10, ())) == Polynomial([0] * 10 + [1])
+        assert chi(Multigraph(10, ())) == [0] * 10 + [1]
         with pytest.raises(CapExceeded):
             chromatic_star(Multigraph(11, ()))
 
@@ -108,8 +111,8 @@ class TestChromaticPolynomial:
             assert owners, name
             for module in owners:
                 monkeypatch.setattr(module, name, checking_route)
-        assert chi(complete_graph(4)) == Polynomial([0, -6, 11, -6, 1])
-        assert chi(cycle_graph(5)) == Polynomial([0, 4, -10, 10, -5, 1])
+        assert chi(complete_graph(4)) == [0, -6, 11, -6, 1]
+        assert chi(cycle_graph(5)) == [0, 4, -10, 10, -5, 1]
 
 
 class TestChromaticStar:
@@ -121,7 +124,7 @@ class TestChromaticStar:
     def test_star_is_computed_in_integers(self, monkeypatch):
         # like every other route, chi* comes from integer counts; a
         # Polynomial is built only to display chi
-        def refuse(self, coeffs=()):
+        def refuse(self, *args):
             raise AssertionError("a Polynomial was built on the chi route")
 
         monkeypatch.setattr(Polynomial, "__init__", refuse)
@@ -344,8 +347,8 @@ class TestMonomialForms:
             ]
             for g in graphs:
                 poly = chi(g)
-                assert poly.is_integral
-                coeffs = [int(c) for c in poly.coeffs] + [0] * (d + 1 - len(poly.coeffs))
+                assert all(c.denominator == 1 for c in poly)
+                coeffs = poly + [0] * (d + 1 - len(poly))
                 assert coeffs[d] == 1 and coeffs[0] == 0
                 for _, form in monomial_inequality_forms(d):
                     value = form.constant + sum(

@@ -209,10 +209,6 @@ class TestABDecomposition:
         with pytest.raises(ValueError):
             ab_decomposition(StarVector((0, 1, 1), 2))
 
-    def test_summed_vector_warns(self):
-        with pytest.warns(UserWarning):
-            ab_decomposition(StarVector((2, 2, 0), 2))
-
 
 def interior_entries(ca) -> tuple[int, ...]:
     """c - a, with a padded to the length of c: the interior star vector the

@@ -1,6 +1,6 @@
 """Every name a module exports resolves, so a deletion leaves no stale export;
 the README names the current value of every cap a user can hit, and the caps
-keep the relations the code relies on; only `polynomials` imports `fractions`."""
+keep the relations the code relies on; no module imports `fractions`."""
 
 import ast
 import importlib
@@ -76,9 +76,9 @@ def test_cap_relations():
     assert caps.GRAPH_SURVEY_CAP <= caps.FLOW_VERTEX_CAP
 
 
-def test_only_polynomials_imports_fractions():
-    # every route counts in integers; `Polynomial`, built from a star vector
-    # only where it is shown, is the one place for rational coefficients
+def test_no_module_imports_fractions():
+    # every route counts in integers, and a shown `Polynomial` is its
+    # integer numerators over one denominator
     importers = []
     for path in sorted(Path(polybinom.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -90,4 +90,4 @@ def test_only_polynomials_imports_fractions():
                 continue
             if any(name.split(".")[0] == "fractions" for name in names):
                 importers.append(path.name)
-    assert importers == ["polynomials.py"]
+    assert importers == []

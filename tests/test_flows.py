@@ -727,15 +727,15 @@ class TestPairKernel:
         low = int(np.iinfo(dtype).min)  # -128 in int8: its abs wraps to itself
         sums = [0, 1, -1, top - 1, 1 - top, top, -top, low]
         a = np.array([sums], dtype)  # one row: combination i of half a sums to sums[i]
-        (start, ok, peak), = flows._kept_pairs(a, np.zeros((1, 1), dtype), top)
+        (start, first, ok, peak), = flows._kept_pairs(a, np.zeros((1, 1), dtype), top)
         kept = [0 < abs(s) < top for s in sums]
-        assert start == 0 and ok[:, 0].tolist() == kept
+        assert start == first == 0 and ok[:, 0].tolist() == kept
         assert peak[ok].tolist() == [abs(s) - 1 for s, k in zip(sums, kept) if k]
 
     def test_a_pair_is_kept_only_when_every_row_passes(self):
         a = np.array([[1, 2, -3, 0], [0, 4, 1, -2]], np.int8)
         b = np.array([[0, -2, 1], [1, -1, 3]], np.int8)
-        (_, ok, peak), = flows._kept_pairs(a, b, 4)
+        (_, _, ok, peak), = flows._kept_pairs(a, b, 4)
         sums = a[:, :, None] + b[:, None, :]  # row, i, j
         passes = ((sums != 0) & (np.abs(sums) < 4)).all(axis=0)
         assert ok.tolist() == passes.tolist() and passes.any()
@@ -763,9 +763,9 @@ class TestPairKernel:
 
         def recorded(a, b, top):
             scans.append([])
-            for start, ok, peak in kept(a, b, top):
+            for start, first, ok, peak in kept(a, b, top):
                 scans[-1].append(ok.shape[0])
-                yield start, ok, peak
+                yield start, first, ok, peak
 
         monkeypatch.setattr(flows, "_PAIR_BLOCK", block)
         monkeypatch.setattr(flows, "_kept_pairs", recorded)
@@ -775,6 +775,32 @@ class TestPairKernel:
         assert len(scans[0]) > 1  # the integral scan
         assert [modular_flow_count(g, n) for n in range(1, xi + 3)] == counts
         assert any(len(heights) > 1 and heights[-1] < heights[0] for heights in scans)
+
+    @pytest.mark.parametrize("g", [complete_graph(5), PETERSEN, K4_DOUBLED, THETA], ids=["K5", "petersen", "K4_doubled", "theta"])
+    def test_tiles_of_half_b_give_the_same_counts(self, monkeypatch, g):
+        # a block narrower than half b pairs one combination of half a with
+        # a tile of half b, a partial last tile included
+        xi = cyclomatic_number(g)
+        tables = kochol_tables(g, xi + 2)
+        counts = [modular_flow_count(g, n) for n in range(1, xi + 3)]
+        firsts, kept = [], flows._kept_pairs
+
+        def recorded(a, b, top):
+            for start, first, ok, peak in kept(a, b, top):
+                firsts.append(first)
+                assert ok.size <= flows._PAIR_BLOCK
+                yield start, first, ok, peak
+
+        monkeypatch.setattr(flows, "_kept_pairs", recorded)
+        monkeypatch.setattr(flows, "_PAIR_BLOCK", integral_halves(g, xi + 2)[2] * 2 // 5)
+        blocked = kochol_tables(g, xi + 2)
+        assert list(blocked.items()) == list(tables.items())
+        assert max(firsts) > 0
+        firsts.clear()
+        modular = scan_halves(g, range(1, xi + 2), lambda s: s % (xi + 2) != 0)[2]
+        monkeypatch.setattr(flows, "_PAIR_BLOCK", modular * 2 // 5)
+        assert [modular_flow_count(g, n) for n in range(1, xi + 3)] == counts
+        assert max(firsts) > 0
 
 
 BOWTIE = Multigraph(5, ((0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)))
@@ -798,6 +824,22 @@ class TestScanMemory:
         # a block of 2^16 pairs holds about 2 MB with every pair kept; a
         # block sized by its int8 grid alone takes about 11 MB here
         assert traced_peak(kochol_tables, complete_graph(5), 8) < 4_000_000
+
+    def test_a_wide_half_b_is_scanned_in_tiles(self, monkeypatch):
+        # at top 300, half b of K4 holds 133,653 combinations, two blocks'
+        # worth: the pair scan adds one block's arrays to the halves it
+        # reads, where one combination of half a against all of half b
+        # added about 4.8 MB
+        held, kept = [], flows._kept_pairs
+
+        def recorded(a, b, top):
+            assert b.shape[1] > 2 * flows._PAIR_BLOCK
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return kept(a, b, top)
+
+        monkeypatch.setattr(flows, "_kept_pairs", recorded)
+        assert traced_peak(kochol_tables, complete_graph(4), 300) - held[0] < 3_000_000
 
     def test_octahedron_scan_at_the_xi_cap(self):
         # xi = 7, the largest scan the caps admit: int64 halves, or every

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from polybinom import caps
 from polybinom.decompositions import symmetric_split
 from polybinom.errors import CapExceeded, InputFormatError
-from polybinom.polynomials import Polynomial, inverse_transform
+from polybinom.polynomials import inverse_transform
 from polybinom.posets import (
     Poset,
     antichain,
@@ -26,6 +27,8 @@ from polybinom.posets import (
     poset_classes,
     strict_chain_code,
 )
+
+from test_polynomials import coefficients, evaluate
 
 V_POSET = Poset.from_relation(3, [(0, 1), (0, 2)])
 
@@ -204,17 +207,15 @@ class TestPosetConstruction:
 
 class TestOrderPolynomial:
     def test_chain_counts_subsets(self):
-        from fractions import Fraction
-
-        poly = inverse_transform(omega_star(chain(3)))
-        assert poly == Polynomial([0, Fraction(1, 3), Fraction(-1, 2), Fraction(1, 6)])
-        assert [poly(n) for n in range(1, 5)] == [0, 0, 1, 4]
+        coeffs = coefficients(inverse_transform(omega_star(chain(3))))
+        assert coeffs == [0, Fraction(1, 3), Fraction(-1, 2), Fraction(1, 6)]
+        assert [evaluate(coeffs, n) for n in range(1, 5)] == [0, 0, 1, 4]
 
     def test_antichain_unconstrained(self):
-        assert inverse_transform(omega_star(antichain(2))) == Polynomial([0, 0, 1])
+        assert coefficients(inverse_transform(omega_star(antichain(2)))) == [0, 0, 1]
 
     def test_single_element(self):
-        assert inverse_transform(omega_star(chain(1))) == Polynomial([0, 1])
+        assert coefficients(inverse_transform(omega_star(chain(1)))) == [0, 1]
 
     def test_cap(self):
         # the Eulerian row at the cap; one element more is refused
@@ -407,20 +408,20 @@ class TestOrderPolytope:
 
     def test_strict_count_is_shifted_interior(self):
         for p in (chain(3), antichain(3), V_POSET):
-            poly = inverse_transform(omega_star(p))
+            poly = coefficients(inverse_transform(omega_star(p)))
             inner = lattice_point_counts(p, p.element_count + 3, interior=True)
             for n in range(1, p.element_count + 3):
-                assert poly(n) == inner[n + 1]
+                assert evaluate(poly, n) == inner[n + 1]
 
     def test_reciprocity(self):
         for p in (chain(4), antichain(3), V_POSET):
             d = p.element_count
             hstar = ehrhart_star(p)
-            ehr = inverse_transform(hstar)
+            ehr = coefficients(inverse_transform(hstar))
             inner = lattice_point_counts(p, d + 2, interior=True)
             for n in range(1, d + 3):
-                assert (-1) ** d * ehr(-n) == inner[n]
-                assert hstar.value(-n) == ehr(-n)
+                assert (-1) ** d * evaluate(ehr, -n) == inner[n]
+                assert hstar.value(-n) == evaluate(ehr, -n)
 
     def test_hstar_via_descents_examples(self):
         assert hstar_via_descents(chain(3)).entries == (1, 0, 0, 0)
