@@ -14,7 +14,6 @@ __all__ = [
     "FLOW_XI_CAP",
     "FLOW_XI_SURVEY_CAP",
     "GRAPH_SURVEY_CAP",
-    "LATTICE_POINT_ELEMENT_CAP",
     "ORDER_POLY_ELEMENT_CAP",
     "ORIENTATION_EDGE_CAP",
     "POINT_ENUMERATION_BUDGET",
@@ -53,32 +52,32 @@ ACYCLIC_ORIENTATION_CAP = 50_000
 
 # posets ---------------------------------------------------------------------
 
-# `strict_chain_code` passes once over the up-sets it reaches, at most
-# 2^d = 1024 of them at d = 10, each step one shifted add of a packed code
-# with d * d.bit_length() = 40-bit fields; `omega_star` enforces this cap.
-# So does `hstar_via_descents`, whose walk over (order ideal, last element)
-# has at most 2^d * d states: 17.5 to 18.3 ms on the antichain at d = 10,
-# which has the most of them (medians of 7 runs in three rounds; Python
-# 3.11, 2 shared cores).
+# The one element cap of every poset route: the order star, both
+# order-polytope oracles, `order` (before the poset is built) and the
+# sampled poset survey (before any draw).  `strict_chain_code` passes once
+# over the up-sets it reaches, at most 2^d = 1024 of them at d = 10, each
+# step one shifted add of a packed code with d * d.bit_length() = 40-bit
+# fields.  `hstar_via_descents` walks (order ideal, last element), at most
+# 2^d * d states: 17.5 to 18.3 ms on the antichain at d = 10, which has the
+# most of them (medians of 7 runs in three rounds; Python 3.11, 2 shared
+# cores).  The costliest poset for the lattice-point walks found at d = 10,
+# by random searches with hill-climbing over about 6,900 posets, has the
+# covers (0,6) (1,8) (2,7) (3,9) (4,5) (4,6) (4,7) (5,8) (5,9): its walks
+# charge 777,931 (closed) and 453,553 (interior), and `poset_checks` takes
+# 0.30 to 0.32 s on it at 36 MB peak RSS, every check passing; the 10-crown
+# takes 64 to 71 ms (5 runs each; Python 3.11, one process, 2 shared cores).
 ORDER_POLY_ELEMENT_CAP = 10
-# The lattice-point oracle walks each component once, at the top dilate
-# (closed at n = d, interior at n = d+2): on the checking routes a value box
-# of at most 8^7 maps (d <= 7, d+1 values), of which it branches on the
-# non-maximal elements only.  That takes about 0.6 ms per poset at d = 7,
-# closed and interior together, and 3.4 ms at most; a seeded sample of 200
-# of the 16,999 classes at d = 8 takes about 2 ms per poset and 11 ms at
-# most (Python 3.11, one core).
-# At d = 8 the closed 8th dilate has a 9^8 (about 43M) value box, which
-# POINT_ENUMERATION_BUDGET admits, so the oracle declares its own cap;
-# `order` checks it against the file's element count before building the
-# poset.  It must not exceed ORDER_POLY_ELEMENT_CAP: `poset_checks` relies
-# on hitting this cap first, and the sampled poset survey refuses a larger
-# --max-size before any draw.
-LATTICE_POINT_ELEMENT_CAP = 7
-# `lattice_point_counts` refuses a top dilate whose value box span^d is
-# larger than this.  No checking route reaches it; it bounds direct calls at
-# a large dilate.
-POINT_ENUMERATION_BUDGET = 10**8
+# `lattice_point_counts` keeps one running total per call, each charge
+# checked before its work: top + 1 for its counts, then per component each
+# walk step its states times the values it may try (at most the states it
+# builds), and the final pass its states times the values of the range.
+# About 2.5 to 5 million are charged per second, so this bounds a call by a
+# few seconds, and a top above it is refused before its counts are built.
+# On the checking routes (closed at n = d, interior at n = d+2) a call
+# charges at most 6,672 at d <= 7 and 28,665 at d = 8 (every class), and at
+# most 2,125,871 at d = 10: after k of its n non-maximal elements are placed,
+# a walk holds at most min(11^k, 11^(10-k)) states (tests/test_posets.py).
+POINT_ENUMERATION_BUDGET = 10**7
 
 # flows ----------------------------------------------------------------------
 
@@ -129,7 +128,7 @@ GRAPH_SURVEY_CAP = 7
 # The exhaustive poset survey grows each level once (0.42 to 0.43 s for the
 # 2450 classes of d <= 7), and `survey posets --max-size 7 --json` checks
 # them in 3.0 to 3.3 s at 39 MB peak RSS (Python 3.11, one process on 2
-# shared cores).  Must not exceed LATTICE_POINT_ELEMENT_CAP (`poset_checks`).
+# shared cores).  Must not exceed ORDER_POLY_ELEMENT_CAP (`poset_checks`).
 POSET_SURVEY_CAP = 7
 # The flow survey skips xi = 6 and 7.  One instance with xi = 6 (K5) takes
 # about 0.02 s (`flow_checks`, median of 5), and the 9 bridgeless classes

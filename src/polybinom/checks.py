@@ -138,7 +138,7 @@ def poset_checks(p: Poset) -> PosetChecks:
     d = p.element_count
     if d == 0:
         raise NotApplicable("empty", "the empty poset is excluded from verification")
-    # the lattice-point route has the lowest cap, so it is hit before any work
+    # every route has the one element cap, checked before any work
     hstar = ehrhart_star(p)
     star = omega_star(p)
     split = symmetric_split(star.entries, d)

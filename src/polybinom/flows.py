@@ -296,6 +296,8 @@ def kochol_tables(g: Multigraph, top: int) -> dict[int, tuple[int, ...]]:
     shift = (top - 1).bit_length()
     code_a, level_a = _half_codes(cols_a, local_a, combos_a, sums_a, xi, shift)
     code_b, level_b = _half_codes(cols_b, local_b, combos_b, sums_b, xi, shift)
+    # the scan reads only the codes, levels and shared sums: free the halves
+    del combos_a, sums_a, combos_b, sums_b, positive
     level_a, level_b, minus_b = level_a.astype(a.dtype), level_b.astype(a.dtype), -b
     codes, counts, held = [], [], 0
     for start, first, ok, peak in _kept_pairs(a, b, top):

@@ -142,15 +142,6 @@ class StarVector:
             raise ValueError("start=1 vectors have zero constant term")
         object.__setattr__(self, "entries", tuple(int(e) for e in self.entries))
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, i: int) -> int:
-        return self.entries[i]
-
-    def __iter__(self):
-        return iter(self.entries)
-
     @property
     def degree(self) -> int:
         """Highest index with a nonzero entry; the zero vector has none."""

@@ -19,20 +19,20 @@ acyclic-orientation search; `omega_star`, d <= 10).  It counts the chains of
 up-sets with nonempty steps by length, packed as the fields of one integer,
 and `chain_code_counts` expands a code, or a sum of codes, into the counts
 at n = 0..d+1.  The lattice-point counts are the independent oracle it is
-checked against (`lattice_point_counts`, d <= 7).  They come from one
-walk per component of the comparability graph at the top dilate.  It
-places the non-maximal elements one at a time and keeps the partial maps
-only as counts per tuple of lower bounds on the elements left; the maximal
-elements left are pairwise incomparable, so each final tuple of bounds
-counts its maps by a product in closed form, bucketed by the largest
-value.  Cumulative sums give every smaller dilate and products over the
-components give P's counts.  A `Poset` is built and validated only where an order
-enters the program.  The descent route is the fast cross-check of h*,
-with its convention (descents of the extension word under the
-lexicographically smallest natural labeling) frozen after calibration
-against the lattice-point oracle.  It lists no extension: one walk over
-the order ideals, each with the last element placed, counts them by
-descents (`hstar_via_descents`, d <= 10).
+checked against (`lattice_point_counts`, d <= 10, its budget charged on
+the states it builds).  They come from one walk per component of the
+comparability graph at the top dilate.  It places the non-maximal elements
+one at a time and keeps the partial maps only as counts per tuple of lower
+bounds on the elements left; the maximal elements left are pairwise
+incomparable, so each final tuple of bounds counts its maps by a product in
+closed form, bucketed by the largest value.  Cumulative sums give every
+smaller dilate and products over the components give P's counts.  A `Poset`
+is built and validated only where an order enters the program.  The descent
+route is the fast cross-check of h*, with its convention (descents of the
+extension word under the lexicographically smallest natural labeling)
+frozen after calibration against the lattice-point oracle.  It lists no
+extension: one walk over the order ideals, each with the last element
+placed, counts them by descents (`hstar_via_descents`, d <= 10).
 
 `poset_classes` grows each level of isomorphism classes once, from the one
 before: a new maximal element above one order ideal of each smaller class.
@@ -302,7 +302,7 @@ def omega_star(p: Poset) -> StarVector:
     vector at its true length d+1 (degree <= d, top entry 1).
     """
     d = p.element_count
-    _check_order_poly_cap(d)
+    _check_element_cap(d)
     if d == 0:
         raise ValueError("the empty poset has no star vector in this convention")
     return star_from_values(chain_code_counts(strict_chain_code(p.above), d), d, start=0)
@@ -312,22 +312,25 @@ def omega_star(p: Poset) -> StarVector:
 # order polytope oracles
 
 
-def _check_order_poly_cap(d: int) -> None:
+def _check_element_cap(d: int) -> None:
     if d > caps.ORDER_POLY_ELEMENT_CAP:
-        raise CapExceeded(f"order polynomial cap is {caps.ORDER_POLY_ELEMENT_CAP} elements, got {d}")
+        raise CapExceeded(f"poset cap is {caps.ORDER_POLY_ELEMENT_CAP} elements, got {d}")
 
 
-def _check_lattice_point_cap(d: int) -> None:
-    if d > caps.LATTICE_POINT_ELEMENT_CAP:
-        raise CapExceeded(
-            f"lattice-point enumeration cap is {caps.LATTICE_POINT_ELEMENT_CAP} elements, got {d}"
-        )
+def _charged(spent: int, work: int) -> int:
+    """`spent` plus `work`, refused before that work if it passes the budget."""
+    spent += work
+    if spent > caps.POINT_ENUMERATION_BUDGET:
+        raise CapExceeded(f"lattice-point budget is {caps.POINT_ENUMERATION_BUDGET} steps, got {spent}")
+    return spent
 
 
-def _maps_by_largest_value(size: int, successors: Sequence[Sequence[int]], low: int, high: int, strict: bool) -> list[int]:
+def _maps_by_largest_value(
+    size: int, successors: Sequence[Sequence[int]], low: int, high: int, strict: bool, spent: int
+) -> tuple[list[int], int]:
     """``by_max[v]``: the maps f -> {low..high} of one component of `size`
     elements respecting its order (strictly or weakly) whose largest value
-    is v, for v = 0..high.
+    is v, for v = 0..high; and `spent` with this walk's work charged.
 
     The component is one entry of `Poset._walk_plan`: the walk places its
     non-maximal elements one at a time, and `successors[i]` holds the
@@ -342,13 +345,16 @@ def _maps_by_largest_value(size: int, successors: Sequence[Sequence[int]], low: 
     the differences of that product over v to `by_max`, and no maximal
     element is branched on.  (Merging the final states by their sorted
     bounds first saves only about one product in eight at d <= 6, and the
-    sorting costs more than that.)
+    sorting costs more than that.)  Each step is charged its states times the
+    values it may try, at most the states it builds, and the final pass its
+    states times the values of the range.
     """
     bump = 1 if strict else 0
     stop = high - bump + 1
     # a state holds the bounds on elements i.. before element i is placed
     states = {(low,) * size: 1}
     for raised in successors:
+        spent = _charged(spent, len(states) * max(stop - low, 0))
         grown: dict[tuple[int, ...], int] = {}
         get = grown.get
         for state, ways in states.items():
@@ -362,6 +368,7 @@ def _maps_by_largest_value(size: int, successors: Sequence[Sequence[int]], low: 
                 key = tuple(bounds)
                 grown[key] = get(key, 0) + ways
         states = grown
+    spent = _charged(spent, len(states) * max(high - low + 1, 0))
     by_max = [0] * (high + 1)
     for bounds, ways in states.items():
         below_v = 0  # the maps with every value < v
@@ -371,7 +378,7 @@ def _maps_by_largest_value(size: int, successors: Sequence[Sequence[int]], low: 
                 fits *= v - b + 1
             by_max[v] += fits - below_v
             below_v = fits
-    return by_max
+    return by_max, spent
 
 
 def lattice_point_counts(p: Poset, top: int, *, interior: bool = False) -> list[int]:
@@ -390,23 +397,22 @@ def lattice_point_counts(p: Poset, top: int, *, interior: bool = False) -> list[
     time, with the partial maps merged by the lower bounds they leave on the
     elements not yet placed, and the maximal elements are never branched on:
     a product of their value ranges counts them (`_maps_by_largest_value`).
-    The budget bounds the value box of the whole poset at the top dilate.
+    The budget is charged top + 1 for the counts, then each walk's work, in
+    one running total checked before the work it charges.
     """
     if top < 0:
         raise ValueError("dilation factor must be nonnegative")
     d = p.element_count
-    _check_lattice_point_cap(d)
+    _check_element_cap(d)
+    spent = _charged(0, top + 1)
     counts = [1] * (top + 1)
     if d == 0:
         return counts
     low, high = (1, top - 1) if interior else (0, top)
-    span = high - low + 1
-    if span > 0 and span**d > caps.POINT_ENUMERATION_BUDGET:
-        raise CapExceeded(f"map enumeration budget exceeded: {span}^{d}")
     # the interior of the n-th dilate takes values up to n-1
     shift = [0] if interior else []
     for size, successors in p._walk_plan:
-        by_max = _maps_by_largest_value(size, successors, low, high, interior)
+        by_max, spent = _maps_by_largest_value(size, successors, low, high, interior, spent)
         counts = [c * fits for c, fits in zip(counts, shift + list(accumulate(by_max)))]
     return counts
 
@@ -442,7 +448,7 @@ def hstar_via_descents(p: Poset) -> StarVector:
     `descents_match_lattice_hstar` check compares it against.
     """
     d = p.element_count
-    _check_order_poly_cap(d)
+    _check_element_cap(d)
     if d == 0:
         raise ValueError("the empty poset has no h* vector in this convention")
     order, below = p.natural_labeling, p.below
@@ -608,9 +614,9 @@ def parse_poset_file(text: str) -> Poset:
             raise InputFormatError(f"unknown directive {fields[0]!r}", lineno)
     if element_count is None:
         raise InputFormatError("missing 'elements <d>' line")
-    # every check of an order reads its lattice points, so a larger header
+    # every route refuses a poset above the element cap, so a larger header
     # is refused before any per-element work
-    _check_lattice_point_cap(element_count)
+    _check_element_cap(element_count)
     try:
         return Poset.from_relation(element_count, covers)
     except ValueError as exc:

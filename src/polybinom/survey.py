@@ -25,7 +25,7 @@ from . import __version__, caps
 from .checks import FlowChecks, GraphChecks, PosetChecks, flow_checks, graph_checks, poset_checks
 from .errors import CapExceeded, NotApplicable
 from .graphs import Multigraph, complete_graph, cyclomatic_number, dipole, graph_certificate
-from .posets import Poset, poset_classes
+from .posets import Poset, _check_element_cap, poset_classes
 
 __all__ = [
     "SurveyReport",
@@ -105,9 +105,9 @@ def sample_graphs(seed: int, count: int, max_d: int, *, bridgeless: bool = False
 def sample_posets(seed: int, count: int, max_d: int) -> list[Poset]:
     if max_d < 1:
         raise NotApplicable("max-size", f"sampled posets need max-size >= 1, got {max_d}")
-    # every draw is checked by `poset_checks`, which reads its lattice points
-    if max_d > caps.LATTICE_POINT_ELEMENT_CAP:
-        raise CapExceeded(f"sampled poset cap is {caps.LATTICE_POINT_ELEMENT_CAP} elements, got {max_d}")
+    # every draw is checked by `poset_checks`, so a size it would refuse is
+    # refused before any draw
+    _check_element_cap(max_d)
     rng = random.Random(seed)
     out = []
     while len(out) < count:

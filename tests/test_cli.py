@@ -26,10 +26,11 @@ from polybinom.graphs import (
     format_graph_file,
 )
 from polybinom.polynomials import StarVector
-from polybinom.posets import Poset
+from polybinom.posets import Poset, format_poset_file
 from polybinom.survey import flow_fixture_set, run_poset_survey
 
 from test_flows import PETERSEN, kochol_table_at
+from test_posets import COSTLY_10, CROWN_10
 
 K3 = "vertices 3\nedge 0 1\nedge 0 2\nedge 1 2\n"
 P3 = "vertices 3\nedge 0 1\nedge 1 2\n"
@@ -220,10 +221,22 @@ class TestOrderCommand:
         assert "a: (1, 2, 1)" in capsys.readouterr().out
 
     def test_element_cap(self, write, capsys):
-        assert main(["order", write("a7.poset", "elements 7\n")]) == 0
+        d = caps.ORDER_POLY_ELEMENT_CAP
+        assert main(["order", write("a10.poset", f"elements {d}\n")]) == 0
         capsys.readouterr()
-        assert main(["order", write("a8.poset", "elements 8\n")]) == 3
-        assert "lattice-point enumeration cap is 7 elements, got 8" in capsys.readouterr().err
+        assert main(["order", write("a11.poset", f"elements {d + 1}\n")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cap exceeded: poset cap is {d} elements, got {d + 1}\n"
+
+    @pytest.mark.parametrize("p", [*COSTLY_10, CROWN_10], ids=["costliest", "widest_step", "crown"])
+    def test_costly_posets_at_the_cap(self, p, write, capsys):
+        assert p.element_count == caps.ORDER_POLY_ELEMENT_CAP
+        assert main(["order", "--json", write("p10.poset", format_poset_file(p))]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] == "pass"
+        assert all(payload["checks"].values())
+        assert [r["verdict"] for r in payload["audits"]] == ["pass"] * len(payload["audits"])
 
     def test_huge_element_count_is_refused_before_any_element_is_built(self, write, monkeypatch, capsys):
         def refuse(cls, d, pairs):
@@ -233,7 +246,7 @@ class TestOrderCommand:
         assert main(["order", write("huge.poset", "elements 100000000\ncover 0 1\n")]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "cap exceeded: lattice-point enumeration cap is 7 elements, got 100000000\n"
+        assert captured.err == "cap exceeded: poset cap is 10 elements, got 100000000\n"
 
     def test_non_decimal_element_count_is_rejected(self, write, capsys):
         assert main(["order", write("sup.poset", "# header\nelements \u00b2\n")]) == 2
@@ -272,22 +285,30 @@ class TestSurveyCommand:
         assert first["schema"] == 1
         assert first["verdict"] == "pass"
 
-    def test_sample_above_the_lattice_cap_is_refused(self, monkeypatch, capsys):
-        # every sampled poset is checked against its lattice points, so a size
-        # that `poset_checks` would skip is refused before any draw
+    def test_sample_above_the_element_cap_is_refused(self, monkeypatch, capsys):
+        # every sampled poset is checked by `poset_checks`, so a size it
+        # would skip is refused before any draw
         _refuse_draws(monkeypatch)
-        d = caps.LATTICE_POINT_ELEMENT_CAP + 1
+        d = caps.ORDER_POLY_ELEMENT_CAP + 1
         assert main(["survey", "posets", "--mode", "sample", "--max-size", str(d)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"cap exceeded: sampled poset cap is {d - 1} elements, got {d}\n"
+        assert captured.err == f"cap exceeded: poset cap is {d - 1} elements, got {d}\n"
+
+    def test_sample_at_the_element_cap(self, capsys):
+        assert main(["survey", "posets", "--mode", "sample", "--max-size", "10", "--seed", "3", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "pass"
+        assert report["skipped"] == []
+        assert report["instance_count"] == 25
+        assert max(i["d"] for i in report["instances"]) == 10
 
     @pytest.mark.parametrize(
         "kind, cap, noun",
         [
             ("graphs", "CHROMATIC_VERTEX_CAP", "graph cap is 4 vertices"),
             ("flows", "CHROMATIC_VERTEX_CAP", "graph cap is 4 vertices"),
-            ("posets", "LATTICE_POINT_ELEMENT_CAP", "poset cap is 4 elements"),
+            ("posets", "ORDER_POLY_ELEMENT_CAP", "poset cap is 4 elements"),
         ],
     )
     def test_sample_size_cap(self, kind, cap, noun, monkeypatch, capsys):
@@ -299,7 +320,9 @@ class TestSurveyCommand:
         assert main(["survey", kind, "--mode", "sample", "--max-size", "5"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"cap exceeded: sampled {noun}, got 5\n"
+        # the poset cap is one message on every poset route
+        message = noun if kind == "posets" else f"sampled {noun}"
+        assert captured.err == f"cap exceeded: {message}, got 5\n"
 
     @pytest.mark.parametrize("kind", ["graphs", "posets", "flows"])
     def test_huge_sample_size_is_refused_at_once(self, kind, monkeypatch, capsys):
@@ -307,7 +330,9 @@ class TestSurveyCommand:
         start = time.perf_counter()
         assert main(["survey", kind, "--mode", "sample", "--max-size", "100000000"]) == 3
         assert time.perf_counter() - start < 1
-        assert capsys.readouterr().err.startswith("cap exceeded: sampled ")
+        err = capsys.readouterr().err
+        assert err.startswith("cap exceeded: ")
+        assert err.endswith(f" cap is 10 {'elements' if kind == 'posets' else 'vertices'}, got 100000000\n")
 
     # sampling draws sizes from 2..max-size (graphs) or 1..max-size (posets)
     @pytest.mark.parametrize(

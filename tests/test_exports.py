@@ -19,7 +19,7 @@ MODULES = ["polybinom"] + [
 # caps no CLI command or survey can reach on its own, so the README does not name them
 INTERNAL_CAPS = {
     "FLOW_CANDIDATE_BUDGET": "FLOW_XI_CAP is checked first and keeps every flow count inside it",
-    "POINT_ENUMERATION_BUDGET": "the checking routes walk a value box of at most 8^7 maps",
+    "POINT_ENUMERATION_BUDGET": "no checking route can charge more than about a fifth of it at d <= 10",
 }
 
 
@@ -45,10 +45,9 @@ def test_readme_names_every_cap():
         "ORIENTATION_EDGE_CAP": ["totally cyclic orientation enumeration `m <= {}`"],
         "ACYCLIC_ORIENTATION_CAP": ["acyclic orientations `|chi(-1)| <= {}`"],
         "CHROMATIC_VERTEX_CAP": ["chromatic polynomials `d <= {}`"],
-        "ORDER_POLY_ELEMENT_CAP": ["order stars `d <= {}`"],
-        "LATTICE_POINT_ELEMENT_CAP": [
-            "the lattice-point oracle `d <= {}`",
-            "(so `order` takes at most {} elements)",
+        "ORDER_POLY_ELEMENT_CAP": [
+            "every poset route `d <= {}`",
+            "so `order` takes at most {} elements",
         ],
         "FLOW_XI_CAP": ["flows `xi <= {}`"],
         "FLOW_VERTEX_CAP": ["`flow` takes graphs on `d <= {}` vertices"],
@@ -66,9 +65,8 @@ def test_readme_names_every_cap():
 def test_cap_relations():
     # the order-star cross-route of `chromatic` takes every graph it accepts
     assert caps.CHROMATIC_VERTEX_CAP <= caps.ORDER_POLY_ELEMENT_CAP
-    # `poset_checks` hits the lattice-point cap before the order-star cap
-    assert caps.LATTICE_POINT_ELEMENT_CAP <= caps.ORDER_POLY_ELEMENT_CAP
-    assert caps.POSET_SURVEY_CAP <= caps.LATTICE_POINT_ELEMENT_CAP
+    # `poset_checks` takes every poset of the exhaustive poset survey
+    assert caps.POSET_SURVEY_CAP <= caps.ORDER_POLY_ELEMENT_CAP
     # `graph_checks` takes every graph of the exhaustive graph survey
     assert caps.GRAPH_SURVEY_CAP <= caps.CHROMATIC_VERTEX_CAP
     assert caps.FLOW_XI_SURVEY_CAP <= caps.FLOW_XI_CAP

@@ -829,7 +829,9 @@ class TestScanMemory:
         # at top 300, half b of K4 holds 133,653 combinations, two blocks'
         # worth: the pair scan adds one block's arrays to the halves it
         # reads, where one combination of half a against all of half b
-        # added about 4.8 MB
+        # added about 4.8 MB; and the scan starts holding only the codes,
+        # levels and shared sums, where the dead halves and the positive
+        # mask held about 4.0 MB
         held, kept = [], flows._kept_pairs
 
         def recorded(a, b, top):
@@ -840,6 +842,7 @@ class TestScanMemory:
 
         monkeypatch.setattr(flows, "_kept_pairs", recorded)
         assert traced_peak(kochol_tables, complete_graph(4), 300) - held[0] < 3_000_000
+        assert held[0] < 3_000_000
 
     def test_octahedron_scan_at_the_xi_cap(self):
         # xi = 7, the largest scan the caps admit: int64 halves, or every

@@ -1,13 +1,14 @@
 import hashlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
 
-from polybinom import caps
+from polybinom import caps, posets
 from polybinom.decompositions import symmetric_split
 from polybinom.errors import CapExceeded, InputFormatError
 from polybinom.polynomials import inverse_transform
@@ -27,10 +28,20 @@ from polybinom.posets import (
     poset_classes,
     strict_chain_code,
 )
+from polybinom.survey import sample_posets
 
 from test_polynomials import coefficients, evaluate
 
 V_POSET = Poset.from_relation(3, [(0, 1), (0, 2)])
+# two costly posets for the lattice-point walks at d = 10, found by random
+# search with hill-climbing: the first charges the most of any found
+# (777,931 on its closed walk), the second builds 23,375 states in one step
+COSTLY_10 = (
+    Poset.from_relation(10, [(0, 6), (1, 8), (2, 7), (3, 9), (4, 5), (4, 6), (4, 7), (5, 8), (5, 9)]),
+    Poset.from_relation(10, [(0, 6), (1, 8), (2, 6), (2, 7), (3, 5), (3, 8), (4, 9), (5, 7), (5, 9)]),
+)
+# the 10-crown: a_i < b_i and a_i < b_(i+1 mod 5)
+CROWN_10 = Poset.from_relation(10, [(i, 5 + j % 5) for i in range(5) for j in (i, i + 1)])
 
 
 def _bits(mask: int):
@@ -320,29 +331,96 @@ class TestOrderPolytope:
             lattice_point_counts(empty, -1)
 
     def test_cap(self):
-        assert ehrhart_star(antichain(7)).entries[0] == 1
-        for route in (ehrhart_star, interior_star):
-            with pytest.raises(CapExceeded, match="cap is 7 elements, got 8"):
-                route(antichain(8))
+        # the unit cube at the cap: h* is the Eulerian row, and the interior
+        # of its (d+2)-th dilate holds (d+1)^d points; one element more is
+        # refused by every route (test_every_route_refuses_above_the_one_element_cap)
+        d = caps.ORDER_POLY_ELEMENT_CAP
+        assert ehrhart_star(antichain(d)) == hstar_via_descents(antichain(d))
+        assert interior_star(antichain(d)).value(d + 2) == (d + 1) ** d
 
-    def test_point_enumeration_budget(self):
-        # the budget bounds the value box span^d of the top dilate exactly:
-        # 13^7 ~ 62.7M is admitted, 14^7 ~ 105M is not
-        assert 13**7 <= caps.POINT_ENUMERATION_BUDGET < 14**7
-        assert lattice_point_counts(chain(7), 12) == [math.comb(n + 7, 7) for n in range(13)]
-        with pytest.raises(CapExceeded, match=r"budget exceeded: 14\^7"):
-            lattice_point_counts(chain(7), 13)
-        # the interior of the n-th dilate takes n-1 values
-        assert lattice_point_counts(chain(7), 14, interior=True)[14] == math.comb(13, 7)
-        with pytest.raises(CapExceeded, match=r"budget exceeded: 14\^7"):
-            lattice_point_counts(chain(7), 15, interior=True)
+    def test_point_enumeration_budget(self, monkeypatch):
+        # the budget is charged on the work done: chain(3) at top 3 charges
+        # its 4 counts, a first step of one state by 4 values, a second of 4
+        # states by 4 values, and a final pass over 4 states by 4 values
+        assert lattice_point_counts(chain(3), 3) == [1, 4, 10, 20]
+        monkeypatch.setattr(caps, "POINT_ENUMERATION_BUDGET", 4 + 4 + 16 + 16)
+        assert lattice_point_counts(chain(3), 3) == [1, 4, 10, 20]
+        monkeypatch.setattr(caps, "POINT_ENUMERATION_BUDGET", 4 + 4 + 16 + 16 - 1)
+        with pytest.raises(CapExceeded, match="lattice-point budget is 39 steps, got 40"):
+            lattice_point_counts(chain(3), 3)
+        # the interior of the 4th dilate takes values 1..3, and an element
+        # below a successor only 1..2: 5 counts, steps of one state and of
+        # two by 2 values, and a final pass over one state by 3 values
+        monkeypatch.setattr(caps, "POINT_ENUMERATION_BUDGET", 5 + 2 + 4 + 3)
+        assert lattice_point_counts(chain(3), 4, interior=True) == [0, 0, 0, 0, 1]
+        monkeypatch.setattr(caps, "POINT_ENUMERATION_BUDGET", 5 + 2 + 4 + 3 - 1)
+        with pytest.raises(CapExceeded, match="budget is 13 steps, got 14"):
+            lattice_point_counts(chain(3), 4, interior=True)
 
-    def test_budget_bounds_the_whole_poset(self):
-        # each component of the antichain is one element, far inside the
-        # budget, but the budget is taken on the value box of all seven
-        assert lattice_point_counts(antichain(7), 12) == [(n + 1) ** 7 for n in range(13)]
-        with pytest.raises(CapExceeded, match=r"budget exceeded: 14\^7"):
-            lattice_point_counts(antichain(7), 13)
+    def test_budget_bounds_the_whole_poset(self, monkeypatch):
+        # one running total over the components: the antichain has no walk
+        # steps, so its 4 counts and the final pass of each of its three
+        # one-element components, one state by 4 values, are all it charges
+        monkeypatch.setattr(caps, "POINT_ENUMERATION_BUDGET", 4 + 3 * 4)
+        assert lattice_point_counts(antichain(3), 3) == [(n + 1) ** 3 for n in range(4)]
+        monkeypatch.setattr(caps, "POINT_ENUMERATION_BUDGET", 4 + 3 * 4 - 1)
+        with pytest.raises(CapExceeded, match="budget is 15 steps, got 16"):
+            lattice_point_counts(antichain(3), 3)
+
+    def test_a_refused_top_builds_nothing_of_its_size(self):
+        # the counts are charged before they are built: at top 10^7 they
+        # would take about 80 MB
+        for p in (chain(7), antichain(10)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(CapExceeded, match="budget"):
+                    lattice_point_counts(p, 10**7)
+                assert tracemalloc.get_traced_memory()[1] < 1_000_000
+            finally:
+                tracemalloc.stop()
+
+    def test_the_checking_routes_fit_the_budget_at_the_cap(self, monkeypatch):
+        # after k of its n non-maximal elements are placed, a walk of one
+        # component of s elements holds at most min(V^k, W^(s-k)) states:
+        # one per partial map of the placed elements, V values each, and one
+        # per tuple of bounds on the rest, W values each; closed at n = d,
+        # V = W = d+1, and interior at n = d+2, V = d and W = d+1
+        d = caps.ORDER_POLY_ELEMENT_CAP
+
+        def most(s, values, bounds):
+            if s == 1:  # no step; a final pass over one state
+                return bounds
+            return max(
+                sum(values * min(values**k, bounds ** (s - k)) for k in range(n))
+                + bounds * min(values**n, bounds ** (s - n))
+                for n in range(1, s)
+            )
+
+        for values in (d + 1, d):
+            # several components charge less than one of all d elements
+            split = [0] * (d + 1)
+            for size in range(1, d + 1):
+                split[size] = max(most(s, values, d + 1) + split[size - s] for s in range(1, size + 1))
+            assert split[d] == most(d, values, d + 1)
+        closed, interior = d + 1 + most(d, d + 1, d + 1), d + 3 + most(d, d, d + 1)
+        assert (closed, interior) == (2_125_871, 1_272_174)
+        assert 4 * closed < caps.POINT_ENUMERATION_BUDGET
+
+        # the costliest posets found charge about a third of that bound
+        charged, real = [], posets._charged
+
+        def recorded(spent, work):
+            charged.append(real(spent, work))
+            return charged[-1]
+
+        monkeypatch.setattr(posets, "_charged", recorded)
+        totals = []
+        for p in (*COSTLY_10, CROWN_10):
+            for route in (ehrhart_star, interior_star):
+                route(p)
+                totals.append(charged[-1])
+        assert max(totals[0::2]) == 777_931 < closed
+        assert max(totals[1::2]) == 453_553 < interior
 
     def test_counts_match_brute_force(self):
         # every map of the value box, kept if it respects each relation, at
@@ -438,7 +516,7 @@ class TestOrderPolytope:
         assert sum(eulerian) == math.factorial(d)
         # a chain has one linear extension and no descent
         assert hstar_via_descents(chain(d)).entries == (1,) + (0,) * d
-        with pytest.raises(CapExceeded, match=f"order polynomial cap is {d} elements, got {d + 1}"):
+        with pytest.raises(CapExceeded, match=f"poset cap is {d} elements, got {d + 1}"):
             hstar_via_descents(chain(d + 1))
 
     def test_descent_walk_matches_the_listing(self):
@@ -581,3 +659,31 @@ class TestPosetFile:
         assert err.value.line == 2
         with pytest.raises(InputFormatError):
             parse_poset_file("cover 0 1\n")
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda d: lattice_point_counts(antichain(d), 1),
+        lambda d: ehrhart_star(antichain(d)),
+        lambda d: interior_star(antichain(d)),
+        lambda d: omega_star(antichain(d)),
+        lambda d: hstar_via_descents(antichain(d)),
+        lambda d: parse_poset_file(f"elements {d}\n"),
+        lambda d: sample_posets(0, 1, d),
+    ],
+    ids=[
+        "lattice_point_counts",
+        "ehrhart_star",
+        "interior_star",
+        "omega_star",
+        "hstar_via_descents",
+        "parse_poset_file",
+        "sample_posets",
+    ],
+)
+def test_every_route_refuses_above_the_one_element_cap(route):
+    d = caps.ORDER_POLY_ELEMENT_CAP
+    with pytest.raises(CapExceeded) as refused:
+        route(d + 1)
+    assert str(refused.value) == f"poset cap is {d} elements, got {d + 1}"

@@ -138,15 +138,16 @@ class TestPosetSurvey:
         assert report.instances
         assert report.ok
 
-    def test_sample_above_the_lattice_point_cap_is_refused(self):
-        # the lattice-point oracles stop at the cap, so every draw up to it is
-        # checked, and a larger size is refused rather than skipped draw by draw
-        d = caps.LATTICE_POINT_ELEMENT_CAP
+    def test_sample_above_the_element_cap_is_refused(self):
+        # every poset route stops at the one element cap, so every draw up to
+        # it is checked, and a larger size is refused rather than skipped
+        # draw by draw
+        d = caps.ORDER_POLY_ELEMENT_CAP
         report = run_poset_survey(d, mode="sample", seed=0)
         assert len(report.instances) == 25
         assert report.skipped == []
         assert report.ok
-        with pytest.raises(CapExceeded, match=f"sampled poset cap is {d} elements, got {d + 1}"):
+        with pytest.raises(CapExceeded, match=f"poset cap is {d} elements, got {d + 1}"):
             run_poset_survey(d + 1, mode="sample", seed=0)
 
 
